@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -219,9 +220,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     units = _expand_units(spec)
     if not units:
         raise ConfigError("the requested grid expands to no work units")
-    if spec.parallelism > 1 and len(units) > 1:
-        chunksize = max(1, len(units) // (spec.parallelism * 8))
-        with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
+    workers = min(spec.parallelism, len(units), os.cpu_count() or 1)
+    if workers > 1:
+        chunksize = max(1, len(units) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_unit, units, chunksize=chunksize))
     else:
         batches = [_run_unit(u) for u in units]
@@ -311,20 +313,24 @@ def _format_report(r: CongruenceReport) -> str:
 
 def _parse_range(value) -> tuple[int, int]:
     if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ConfigError(f"range must have two endpoints, got {value!r}")
-        return int(value[0]), int(value[1])
-    if isinstance(value, int):
+        if len(value) != 2 or not all(type(v) is int for v in value):
+            raise ConfigError(f"range must be two integer endpoints, got {value!r}")
+        return value[0], value[1]
+    if type(value) is int:
         return value, value
-    text = str(value)
+    lo, dots, hi = str(value).partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return int(lo), int(hi)
-        single = int(text)
-        return single, single
+        return int(lo), int(hi if dots else lo)
     except ValueError:
         raise ConfigError(f"cannot parse range {value!r}; expected A..B") from None
+
+
+def _typed(settings: dict, key: str, *kinds: type):
+    # Checked, not converted: int("abc") would raise and bool("false") is True.
+    value = settings[key]
+    if type(value) not in kinds:
+        raise ConfigError(f"config value {key!r} has the wrong type: {value!r}")
+    return value
 
 
 def _parse_checks(value) -> tuple[str, ...]:
@@ -378,15 +384,15 @@ def _build_sweep_spec(args) -> SweepSpec:
     if not settings["checks"]:
         raise ConfigError("no checks requested; pass --checks or a config file")
     return SweepSpec(
-        check_ids=_parse_checks(settings["checks"]),
+        check_ids=_parse_checks(_typed(settings, "checks", str, list)),
         n_range=_parse_range(settings["n"]),
         q_range=_parse_range(settings["q"]),
         d_range=_parse_range(settings["d"]),
-        p_max=int(settings["p_max"]),
-        exploratory=bool(settings["exploratory"]),
-        parallelism=int(settings["parallel"]),
-        output_format=str(settings["format"]),
-        output_path=settings["out"],
+        p_max=_typed(settings, "p_max", int),
+        exploratory=_typed(settings, "exploratory", bool),
+        parallelism=_typed(settings, "parallel", int),
+        output_format=_typed(settings, "format", str),
+        output_path=_typed(settings, "out", str, type(None)),
     )
 
 

@@ -43,7 +43,7 @@ _MR_DETERMINISTIC_LIMIT = 3 * 10**18
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n below 3e18."""
+    """Deterministic primality test; raises CapExceeded above 3e18."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -52,7 +52,7 @@ def is_prime(n: int) -> bool:
         if n % b == 0:
             return False
     if n > _MR_DETERMINISTIC_LIMIT:
-        raise ValueError(f"{n} exceeds the deterministic primality range")
+        raise CapExceeded(f"{n} exceeds the deterministic primality range")
     d = n - 1
     s = 0
     while d % 2 == 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial, lcm, perm
 from typing import Sequence
 
 from .errors import (
@@ -281,33 +282,70 @@ def dflst_dual(n: int, p: int) -> Fraction:
 
 # --- jet-valued sums ---------------------------------------------------------
 #
-# Each sum below reuses the incremental-ratio scheme with Jet2 terms.  The
-# constant coefficient of every divisor jet is a positive integer (k+1 or a
-# Pochhammer of 1+x at x=0), so the divisions are total here.
+# Each jet is sum_k w_k X_k(x) Y_k(y), read off from scalar running sums, not
+# Jet2 products.  A factor (c + i + sign*v)^m is (c + i)^m, folded into the
+# weight w_k, times (1 + sign*v/(c + i))^m, whose log has v^j coefficient
+# -m(-sign/(c + i))^j / j.  So log X_k = sum_j P_j x^j / j with running power
+# sums P_j, and Newton's identities t e_t = sum_{j<=t} P_j e_{t-j} give the
+# coefficients e_t of X_k.  A zero base gives (sign*v)^m, a degree shift.
+# Jet2 and pochhammer_jet stay as the ring-arithmetic oracle of the tests.
 
 
-def _linear_power(c: Fraction, sign: int, var: str, m: int, cap: int) -> Jet2:
-    # (c + sign*var)^m truncated: binomial expansion up to the cap.
+def _newton(sums: list[int], cap: int) -> list[int]:
+    # The integers t! L^t e_t, from power sums P_j = sums[j] / L^j.
+    e = [1]
+    for t in range(1, cap + 1):
+        e.append(sum(perm(t - 1, j - 1) * sums[j] * e[t - j] for j in range(1, t + 1)))
+    return e
+
+
+def _power_sum_jet(last: int, factors: Sequence[tuple], cap: int) -> Jet2:
+    """Jet at (0,0) of sum_{k=0}^{last} prod_{i<k} prod_f (c + i + sign*v)^m.
+
+    Each factor is a (c, m, sign, axis) tuple: v is x on axis 0 and y on
+    axis 1, and m may be negative.  sign 0 marks a scalar factor, whose base
+    must not vanish.
+    """
+    split = [(*c.as_integer_ratio(), m, s, a) for c, m, s, a in factors]
+    axes = {a for *_, s, a in split if s}
+    # One denominator L per axis for all its power sums: P_j = sums[j] / L^j.
+    lcms = [lcm(*(n + k * d for n, d, _, s, a in split if s and a == axis
+                  for k in range(last) if n + k * d)) for axis in (0, 1)]
+    sums, shift = [[0] * (cap + 1), [0] * (cap + 1)], [0, 0]
+    # Terms are summed relative to the current weight, so each step divides
+    # by a small ratio rather than multiplying by the large weight.
+    weight, rel = Fraction(1), {}
+    for k in range(last + 1):
+        room = cap - sum(shift)
+        if room < 0:
+            break  # every later term is shifted at least as far
+        ex, ey = (_newton(sums[a], room) if a in axes else [1] for a in (0, 1))
+        for i, cx in enumerate(ex):
+            for j, cy in enumerate(ey[: room + 1 - i]):
+                key = (i, j, *shift)
+                rel[key] = rel.get(key, 0) + cx * cy
+        if k == last:
+            break
+        rn = rd = 1
+        for num, den, m, sign, axis in split:
+            a = num + k * den  # the base c + k is a / den
+            if sign and not a and m > 0:
+                shift[axis] += m
+                rn *= sign**m
+                continue
+            rn, rd = (rn * a**m, rd * den**m) if m > 0 else (rn * den**-m, rd * a**-m)
+            if sign:
+                r = -sign * den * (lcms[axis] // a)
+                for j in range(1, cap + 1):
+                    sums[axis][j] -= m * r**j
+        ratio = Fraction(rn, rd)
+        weight *= ratio
+        for key in rel:
+            rel[key] /= ratio
     coeffs = {}
-    exp = (1, 0) if var == "x" else (0, 1)
-    binom = 1
-    for t in range(min(m, cap) + 1):
-        if t:
-            binom = binom * (m - t + 1) // t
-        coeff = binom * c ** (m - t) * sign**t
-        if coeff:
-            coeffs[(exp[0] * t, exp[1] * t)] = Fraction(coeff)
-    return Jet2(coeffs, cap)
-
-
-def _linear_inverse(c: Fraction, var: str, cap: int) -> Jet2:
-    # 1/(c + var) truncated: alternating geometric series.
-    if not c:
-        raise ZeroDenominator(f"cannot invert {var} with zero constant term")
-    exp = (1, 0) if var == "x" else (0, 1)
-    coeffs = {}
-    for t in range(cap + 1):
-        coeffs[(exp[0] * t, exp[1] * t)] = Fraction((-1) ** t) / c ** (t + 1)
+    for (i, j, sx, sy), z in rel.items():
+        z = weight * z / (factorial(i) * factorial(j) * lcms[0] ** i * lcms[1] ** j)
+        coeffs[i + sx, j + sy] = coeffs.get((i + sx, j + sy), 0) + z
     return Jet2(coeffs, cap)
 
 
@@ -319,65 +357,27 @@ def upsilon_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:
     coefficient-wise and the result is the zero jet.
     """
     n, q, p = tp.n, tp.q, tp.p
-    cap = degree_cap
-    total = Jet2.zero(cap)
-    ratio_x = Jet2.constant(1, cap)  # (q+x)_k / (1+x)_k
-    ratio_y = Jet2.constant(1, cap)
-    scalar = Fraction(1)  # (1-p)_k (q)_k^{n-2} / (1)_k^{n-1}
-    last = p - 1
-    for k in range(p):
-        total = total + ratio_x * ratio_y * scalar
-        if k < last:
-            scalar *= Fraction((1 - p + k) * (q + k) ** (n - 2), (k + 1) ** (n - 1))
-            ratio_x = ratio_x * Jet2.linear(q + k, "x", 1, cap)
-            ratio_x = ratio_x * _linear_inverse(Fraction(1 + k), "x", cap)
-            ratio_y = ratio_y * Jet2.linear(q + k, "y", 1, cap)
-            ratio_y = ratio_y * _linear_inverse(Fraction(1 + k), "y", cap)
-    return total
+    factors = [(1 - p, 1, 0, 0), (q, n - 2, 0, 0), (1, 1 - n, 0, 0)]
+    for axis in (0, 1):
+        factors += [(q, 1, 1, axis), (1, -1, 1, axis)]
+    return _power_sum_jet(p - 1, factors, degree_cap)
 
 
 def phi_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:
     """Jet at (0,0) of sum_{k=0}^{p-q} (q-x)_k (q-y)_k^{n-1} / (1)_k^n."""
     n, q, p = tp.n, tp.q, tp.p
-    cap = degree_cap
-    total = Jet2.zero(cap)
-    term = Jet2.constant(1, cap)
-    last = p - q
-    for k in range(last + 1):
-        total = total + term
-        if k < last:
-            term = term * Jet2.linear(q + k, "x", -1, cap)
-            term = term * _linear_power(Fraction(q + k), -1, "y", n - 1, cap)
-            term = term * Fraction(1, (k + 1) ** n)
-    return total
+    factors = [(q, 1, -1, 0), (q, n - 1, -1, 1), (1, -n, 0, 0)]
+    return _power_sum_jet(p - q, factors, degree_cap)
 
 
 def psi_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:
     """Univariate jet at 0 of sum_{k=0}^{p-q} (q-x)_k^n / (1)_k^n."""
     n, q, p = tp.n, tp.q, tp.p
-    cap = degree_cap
-    total = Jet2.zero(cap)
-    term = Jet2.constant(1, cap)
-    last = p - q
-    for k in range(last + 1):
-        total = total + term
-        if k < last:
-            term = term * _linear_power(Fraction(q + k), -1, "x", n, cap)
-            term = term * Fraction(1, (k + 1) ** n)
-    return total
+    return _power_sum_jet(p - q, [(q, n, -1, 0), (1, -n, 0, 0)], degree_cap)
 
 
 def delta_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:
     """Univariate jet at 0 of sum_{k=0}^{p-q} (q - p/n + x)_k^n / (1+x)_k^n."""
     n, q, p = tp.n, tp.q, tp.p
-    cap = degree_cap
     offset = q - Fraction(p, n)
-    total = Jet2.zero(cap)
-    term = Jet2.constant(1, cap)
-    last = p - q
-    for k in range(last + 1):
-        total = total + term
-        if k < last:
-            term = term * _linear_power(offset + k, 1, "x", n, cap)
-            term = term / _linear_power(Fraction(1 + k), 1, "x", n, cap)
-    return total
+    return _power_sum_jet(p - q, [(offset, n, 1, 0), (1, -n, 1, 0)], degree_cap)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hypercong import cli
 from hypercong.cli import (
     CHECK_NAMES,
     SweepResult,
@@ -214,3 +215,68 @@ def test_all_registered_checks_run_over_a_small_grid():
         "dflst", "lemmas", "taylor", "identities",
     }
     assert result.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"checks": "theorem1", "p_max": "abc"}, "'p_max'"),
+        ({"checks": 5}, "'checks'"),
+        ({"checks": "theorem1", "p_max": 11, "exploratory": "false"}, "'exploratory'"),
+        ({"checks": "theorem1", "p_max": 11, "q": ["a", 1]}, "integer endpoints"),
+    ],
+    ids=["p_max-not-int", "checks-not-str", "exploratory-not-bool", "range-not-int"],
+)
+def test_main_sweep_config_type_errors_exit_2(tmp_path, capsys, config, message):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_main_verify_prime_beyond_primality_range_exits_2(capsys):
+    big = str(4 * 10**18 + 1)
+    assert main(["verify", "theorem1", "--n", "4", "--q", "1", "--p", big]) == 2
+    assert "primality range" in capsys.readouterr().err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its sizing, runs nothing."""
+
+    calls = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize):
+        items = list(items)
+        self.calls.append((self.max_workers, chunksize, len(items)))
+        return [[] for _ in items]
+
+
+@pytest.mark.parametrize(
+    "parallelism,cpus,p_max,expected",
+    [
+        (64, 3, 97, (3, 15, 366)),  # clamped to the CPU count
+        (64, 16, 7, (7, 1, 7)),  # clamped to the number of units
+        (2, 16, 97, (2, 22, 366)),
+        (8, 1, 7, None),  # one CPU: no pool at all
+        (1, 16, 7, None),
+    ],
+)
+def test_run_sweep_clamps_pool_size(monkeypatch, parallelism, cpus, p_max, expected):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    spec = spec_for(["theorem1"], n_range=(3, 8), q_range=(1, 4), p_max=p_max,
+                    parallelism=parallelism)
+    run_sweep(spec)
+    # (workers, chunksize, units): chunksize follows the clamped worker count.
+    assert _RecordingPool.calls == ([] if expected is None else [expected])

@@ -38,7 +38,7 @@ def test_is_prime_matches_sieve():
 def test_is_prime_large_values():
     assert is_prime(2**61 - 1)
     assert not is_prime(1000000007 * 1000000009)
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceeded):
         is_prime(4 * 10**18 + 1)  # beyond the deterministic witness range
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -9,7 +10,9 @@ from hypercong.errors import (
     ZeroDenominator,
     ZeroLowerFactor,
 )
+from hypercong.cli import primes_upto
 from hypercong.exact_core import ShiftedSumSpec, harmonic, pochhammer, shifted_power_sum
+from hypercong.jets import MAX_DEGREE_CAP, Jet2, pochhammer_jet
 from hypercong.padic import PrimePowerModulus, ord_rational, reduce_mod
 from hypercong.series import (
     HyperSeriesSpec,
@@ -31,6 +34,7 @@ from hypercong.series import (
     theorem2_prefactor,
     truncated_pfq,
     upsilon_jet,
+    _power_sum_jet,
 )
 
 F = Fraction
@@ -279,3 +283,112 @@ def test_upsilon_first_and_second_order_consequences_vanish():
                 if k < p - 1:
                     scalar *= F((1 - p + k) * (q + k) ** n, (k + 1) ** (n + 1))
             assert total == 0
+
+
+def test_guo_sum_equals_theorem1_sum_over_the_grid():
+    # guo_sum(d, p) is the theorem1 left side at n = d, q = (p+1)/d.
+    count = 0
+    for d in (4, 6, 8):
+        for p in primes_upto(97):
+            if (p + 1) % d == 0:
+                tp = TheoremParams(d, (p + 1) // d, p, exploratory=True)
+                assert guo_sum(d, p) == lhs_theorem1(tp)
+                count += 1
+    assert count > 15
+
+
+# --- jets of the sums against the Jet2 ring-arithmetic oracle -------------------
+
+
+def _jet_power(jet, m):
+    result = Jet2.constant(1, jet.degree_cap)
+    for _ in range(m):
+        result = result * jet
+    return result
+
+
+def _oracle_psi(tp, cap):
+    n, q, p = tp.n, tp.q, tp.p
+    total = Jet2.zero(cap)
+    for k in range(p - q + 1):
+        term = _jet_power(pochhammer_jet(q, -1, "x", k, cap), n)
+        total = total + term * F(1, factorial(k) ** n)
+    return total
+
+
+def _oracle_phi(tp, cap):
+    n, q, p = tp.n, tp.q, tp.p
+    total = Jet2.zero(cap)
+    for k in range(p - q + 1):
+        term = pochhammer_jet(q, -1, "x", k, cap)
+        term = term * _jet_power(pochhammer_jet(q, -1, "y", k, cap), n - 1)
+        total = total + term * F(1, factorial(k) ** n)
+    return total
+
+
+def _oracle_delta(tp, cap):
+    n, q, p = tp.n, tp.q, tp.p
+    offset = q - F(p, n)
+    total = Jet2.zero(cap)
+    for k in range(p - q + 1):
+        num = _jet_power(pochhammer_jet(offset, 1, "x", k, cap), n)
+        total = total + num / _jet_power(pochhammer_jet(1, 1, "x", k, cap), n)
+    return total
+
+
+def _oracle_upsilon(tp, cap):
+    n, q, p = tp.n, tp.q, tp.p
+    total = Jet2.zero(cap)
+    for k in range(p):
+        scalar = pochhammer(F(1 - p), k) * pochhammer(F(q), k) ** (n - 2)
+        scalar /= pochhammer(F(1), k) ** (n - 1)
+        num = pochhammer_jet(q, 1, "x", k, cap) * pochhammer_jet(q, 1, "y", k, cap)
+        den = pochhammer_jet(1, 1, "x", k, cap) * pochhammer_jet(1, 1, "y", k, cap)
+        total = total + num / den * scalar
+    return total
+
+
+JET_ORACLES = [
+    (psi_jet, _oracle_psi),
+    (phi_jet, _oracle_phi),
+    (delta_jet, _oracle_delta),
+    (upsilon_jet, _oracle_upsilon),
+]
+
+# In-hypothesis tuples, then exploratory ones: parity and range violations,
+# a sum with no terms (q > p), and p = n, q = 1, where delta's first
+# numerator base q - p/n is exactly zero.
+ORACLE_TUPLES = [
+    (3, 1, 5), (4, 2, 11), (6, 1, 7), (3, 3, 11), (8, 1, 11),
+    (3, 2, 7), (4, 2, 5), (4, 3, 2), (3, 1, 3), (5, 1, 5), (7, 1, 7),
+]
+
+
+@pytest.mark.parametrize("jet_fn,oracle", JET_ORACLES, ids=["psi", "phi", "delta", "upsilon"])
+@pytest.mark.parametrize("n,q,p", ORACLE_TUPLES)
+def test_jets_equal_ring_arithmetic_oracle_at_every_cap(jet_fn, oracle, n, q, p):
+    tp = TheoremParams(n, q, p, exploratory=True)
+    for cap in range(MAX_DEGREE_CAP + 1):
+        assert jet_fn(tp, cap) == oracle(tp, cap), f"cap {cap}"
+
+
+def test_delta_jet_zero_base_is_a_degree_shift():
+    # At p = n, q = 1 every term past k = 0 carries the factor x^n.
+    tp = TheoremParams(3, 1, 3, exploratory=True)
+    assert delta_jet(tp, 2) == Jet2.constant(1, 2)
+    jet = delta_jet(tp, 4)
+    assert jet.coefficient(0, 0) == 1
+    assert jet.coefficient(3, 0) != 0 and jet.coefficient(4, 0) != 0
+    assert delta_jet(TheoremParams(5, 1, 5, exploratory=True), 4) == Jet2.constant(1, 4)
+
+
+def test_power_sum_jet_zero_base_with_negative_sign():
+    # sum_k (-x)_k (2 + y)_k: the first x factor is -x, a shift with sign -1.
+    factors = [(0, 1, -1, 0), (2, 1, 1, 1)]
+    for cap in range(MAX_DEGREE_CAP + 1):
+        expected = sum(
+            (pochhammer_jet(0, -1, "x", k, cap) * pochhammer_jet(2, 1, "y", k, cap)
+             for k in range(5)),
+            Jet2.zero(cap),
+        )
+        assert _power_sum_jet(4, factors, cap) == expected
