@@ -24,57 +24,48 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import padic
-from .errors import ConfigError, HypercongError
+from . import padic, verify
+from .errors import CapExceeded, ConfigError, HypercongError
 from .series import TheoremParams
-from .verify import (
-    CongruenceReport,
-    Verdict,
-    verify_dflst_pair,
-    verify_exact_identities,
-    verify_guo,
-    verify_lemma_suite,
-    verify_sun_bernoulli,
-    verify_sun_e,
-    verify_taylor,
-    verify_theorem1,
-    verify_theorem2,
-)
+from .verify import CongruenceReport, Verdict
 
 __all__ = ["SweepSpec", "SweepResult", "primes_upto", "run_sweep", "main", "CHECK_NAMES"]
 
-CHECK_NAMES = (
-    "theorem1",
-    "theorem2",
-    "guo",
-    "sun-e",
-    "sun-bernoulli",
-    "dflst",
-    "lemmas",
-    "taylor",
-    "identities",
-)
+# Per check: the parameters it reads, the name of its function in
+# ``hypercong.verify`` (looked up at call time, so a wrapper installed there
+# is seen) and its required valuation (carried by reports synthesized for
+# exploratory tuples that the evaluators cannot express).  The (n, q, p)
+# checks get a TheoremParams.
+_TRIPLE = ("n", "q", "p")
+_CHECKS = {
+    "theorem1": (_TRIPLE, "verify_theorem1", 3),
+    "theorem2": (_TRIPLE, "verify_theorem2", 3),
+    "guo": (("d", "p"), "verify_guo", 3),
+    "sun-e": (("p",), "verify_sun_e", 5),
+    "sun-bernoulli": (("p", "n"), "verify_sun_bernoulli", 5),
+    "dflst": (("n", "p"), "verify_dflst_pair", 3),
+    "lemmas": (_TRIPLE, "verify_lemma_suite", 1),
+    "taylor": (_TRIPLE, "verify_taylor", 3),
+    "identities": (_TRIPLE, "verify_exact_identities", 3),
+}
+CHECK_NAMES = tuple(_CHECKS)
 
 # Checks driven by a full (n, q, p) triple with the parity/range hypotheses.
-_TRIPLE_CHECKS = ("theorem1", "theorem2", "lemmas", "taylor", "identities")
+_TRIPLE_CHECKS = tuple(c for c, (names, _, _) in _CHECKS.items() if names == _TRIPLE)
 
-# Required valuation per check, used for reports synthesized when an
-# exploratory evaluation cannot even be carried out.
-_REQUIRED_ORD = {
-    "theorem1": 3,
-    "theorem2": 3,
-    "guo": 3,
-    "sun-e": 5,
-    "sun-bernoulli": 5,
-    "dflst": 3,
-    "lemmas": 1,
-    "taylor": 3,
-    "identities": 3,
-}
+
+# The sieve holds one byte per integer up to its limit; larger limits are
+# refused before anything is allocated.
+SIEVE_LIMIT = 10**7
 
 
 def primes_upto(limit: int) -> list[int]:
-    """Ascending list of all primes <= limit (empty below 2)."""
+    """Ascending list of all primes <= limit (empty below 2).
+
+    Raises CapExceeded above SIEVE_LIMIT.
+    """
+    if limit > SIEVE_LIMIT:
+        raise CapExceeded(f"sieve limit {limit} exceeds the cap {SIEVE_LIMIT}")
     if limit < 2:
         return []
     sieve = bytearray([1]) * (limit + 1)
@@ -138,7 +129,7 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
     nlo, nhi = spec.n_range
     qlo, qhi = spec.q_range
     dlo, dhi = spec.d_range
-    morita_cap = padic.morita_cap()
+    morita_cap = _morita_cap() if "dflst" in spec.check_ids else None
     for check in spec.check_ids:
         if check in _TRIPLE_CHECKS:
             for n in range(max(nlo, 3), nhi + 1):
@@ -174,37 +165,36 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
     return units
 
 
+def _morita_cap() -> int:
+    # A malformed environment value is a configuration error (exit 2).
+    try:
+        return padic.morita_cap()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _run_check(check: str, params: dict, exploratory: bool) -> list[CongruenceReport]:
+    names, fn_name, _ = _CHECKS[check]
+    run = getattr(verify, fn_name)
+    if check in _TRIPLE_CHECKS:
+        result = run(TheoremParams(*(params[k] for k in names), exploratory=exploratory))
+    else:
+        result = run(*(params[k] for k in names))
+    return list(result) if isinstance(result, (list, tuple)) else [result]
+
+
 def _run_unit(unit: tuple) -> list[CongruenceReport]:
     check, items, tagged = unit
     params = dict(items)
     try:
-        if check in _TRIPLE_CHECKS:
-            tp = TheoremParams(params["n"], params["q"], params["p"], exploratory=tagged)
-            if check == "theorem1":
-                return [verify_theorem1(tp)]
-            if check == "theorem2":
-                return [verify_theorem2(tp)]
-            if check == "lemmas":
-                return verify_lemma_suite(tp)
-            if check == "taylor":
-                return verify_taylor(tp)
-            return verify_exact_identities(tp)
-        if check == "guo":
-            return [verify_guo(params["d"], params["p"])]
-        if check == "sun-e":
-            return [verify_sun_e(params["p"])]
-        if check == "sun-bernoulli":
-            return [verify_sun_bernoulli(params["p"], params["n"])]
-        if check == "dflst":
-            return list(verify_dflst_pair(params["n"], params["p"]))
-        raise ConfigError(f"unknown check id {check!r}")
+        return _run_check(check, params, tagged)
     except (HypercongError, ZeroDivisionError):
         if not tagged:
             raise
         # Exploratory tuple the evaluators cannot even express: record the
         # attempt rather than dropping the grid point.
         return [
-            CongruenceReport(check, params, _REQUIRED_ORD[check], None, None,
+            CongruenceReport(check, params, _CHECKS[check][2], None, None,
                              Verdict.HYPOTHESIS_VIOLATED)
         ]
 
@@ -410,33 +400,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     check = args.check
-    if check not in CHECK_NAMES:
+    if check not in _CHECKS:
         raise ConfigError(f"unknown check id {check!r}; choose from {', '.join(CHECK_NAMES)}")
-
-    def need(name):
-        value = getattr(args, name)
-        if value is None:
+    params = {}
+    for name in _CHECKS[check][0]:
+        if getattr(args, name) is None:
             raise ConfigError(f"check {check!r} requires --{name}")
-        return value
-
-    if check in _TRIPLE_CHECKS:
-        tp = TheoremParams(need("n"), need("q"), need("p"), exploratory=args.exploratory)
-        runner = {
-            "theorem1": lambda: [verify_theorem1(tp)],
-            "theorem2": lambda: [verify_theorem2(tp)],
-            "lemmas": lambda: verify_lemma_suite(tp),
-            "taylor": lambda: verify_taylor(tp),
-            "identities": lambda: verify_exact_identities(tp),
-        }[check]
-        reports = runner()
-    elif check == "guo":
-        reports = [verify_guo(need("d"), need("p"))]
-    elif check == "sun-e":
-        reports = [verify_sun_e(need("p"))]
-    elif check == "sun-bernoulli":
-        reports = [verify_sun_bernoulli(need("p"), need("n"))]
-    else:
-        reports = list(verify_dflst_pair(need("n"), need("p")))
+        params[name] = getattr(args, name)
+    if check == "dflst":
+        _morita_cap()  # a malformed cap exits 2 before any work
+    reports = _run_check(check, params, args.exploratory)
     for r in reports:
         print(_format_report(r))
     bad = (Verdict.FAILS, Verdict.ILL_POSED)

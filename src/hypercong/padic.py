@@ -12,7 +12,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import (
     CapExceeded,
@@ -160,8 +159,9 @@ _bernoulli_cache: list[Fraction] = [Fraction(1)]
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m with the convention B_1 = -1/2.
 
-    Computed by the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0.
-    Indices above 10^4 raise CapExceeded.
+    Even indices come from the integer tangent numbers T_k (Brent & Harvey,
+    arXiv:1108.0286): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  Odd indices
+    above 1 are zero.  Indices above 10^4 raise CapExceeded.
     """
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
@@ -171,15 +171,18 @@ def bernoulli(m: int) -> Fraction:
     cache = _bernoulli_cache
     if m < len(cache):
         return cache[m]
-    grown = list(cache)
-    while len(grown) <= m:
-        mm = len(grown)
-        acc = Fraction(0)
-        for j, bj in enumerate(grown):
-            if bj:
-                acc += comb(mm + 1, j) * bj
-        grown.append(-acc / (mm + 1))
-    _bernoulli_cache = grown
+    # At least double the table, so ascending calls cost O(m^2) in total.
+    half = min(max(m, 2 * len(cache)), _BERNOULLI_CAP) // 2
+    # tangent[k] = T_k for 1 <= k <= half by the in-place triangle; no gcd.
+    tangent = [0] + [math.factorial(k - 1) for k in range(1, half + 1)]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    grown = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, half + 1):
+        value = Fraction(2 * k * tangent[k], 4**k * (4**k - 1))
+        grown += [value if k % 2 else -value, Fraction(0)]
+    _bernoulli_cache = grown  # replaced whole, so a concurrent reader sees a full list
     return grown[m]
 
 

@@ -2,16 +2,17 @@
 
 Two code paths exist on purpose.  ``truncated_pfq`` computes each term from
 scratch with explicit Pochhammer products; the specialized evaluators below
-it use incremental term ratios (term_{k+1} = term_k * ratio_k), which keeps
-a full sweep near-linear in the number of terms.  Tests pin the two routes
-against each other.
+it walk incremental term ratios (term_{k+1} = term_k * ratio_k) in integers
+over one running denominator (``_ratio_steps``), which keeps a full sweep
+near-linear in the number of terms.  Tests pin the two routes against each
+other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm, perm
+from math import factorial, lcm, perm, prod
 from typing import Sequence
 
 from .errors import (
@@ -115,7 +116,7 @@ def karlsson_minton_sum(a, pairs: Sequence[tuple]) -> KarlssonMintonResult:
     if a.denominator != 1 or a >= 0:
         raise NotTerminating(f"leading parameter {a} is not a negative integer")
     length = -a.numerator
-    norm_pairs: list[tuple[Fraction, int]] = []
+    factors = [(a, 1), (1, -1)]
     total_m = 0
     for b, m in pairs:
         b = Fraction(b)
@@ -123,19 +124,10 @@ def karlsson_minton_sum(a, pairs: Sequence[tuple]) -> KarlssonMintonResult:
             raise ValueError(f"pair offset {m} must be a nonnegative integer")
         if _vanishing_lower(b, length):
             raise ZeroLowerFactor(f"pair base {b} hits a nonpositive integer in range")
-        norm_pairs.append((b, m))
+        factors += [(b + m, 1), (b, -1)]
         total_m += m
     violated = not length > total_m
-
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(length + 1):
-        total += term
-        if k < length and term:
-            term *= Fraction(a.numerator + k, 1 + k)
-            for b, m in norm_pairs:
-                term *= (b + m + k) / (b + k)
-    return KarlssonMintonResult(total, violated)
+    return KarlssonMintonResult(_ratio_sum(factors, length), violated)
 
 
 @dataclass(frozen=True)
@@ -182,67 +174,96 @@ class TheoremParams:
         return {"n": self.n, "q": self.q, "p": self.p}
 
 
-def _ratio_power_sum(a: Fraction, b: Fraction, n: int, count: int) -> Fraction:
-    """sum_{k=0}^{count-1} ((a)_k / (b)_k)^n via incremental term ratios."""
-    # The largest denominator Pochhammer is (b)_{count-1}.
-    if count > 1 and _vanishing_lower(b, count - 1):
-        raise ZeroDenominator(f"denominator base {b} vanishes within {count} terms")
-    total = Fraction(0)
-    term = Fraction(1)
-    last = count - 1
-    for k in range(count):
-        total += term
-        if k < last:
-            term *= ((a + k) / (b + k)) ** n
-            if not term:
-                break
-    return total
+def _ratio_steps(factors: Sequence[tuple], last: int):
+    """Integer pairs (u, v) with t_{k+1} / t_k = u / v, for k < last, of the walk
+    t_0 = 1, t_{k+1} = t_k * prod_f (c + k)^m.
+
+    Each factor is a (c, m) pair: c rational, m an integer.  A factor with
+    m < 0 whose base c + k vanishes at some k < last raises ZeroDenominator
+    before any step.  Once a factor with m > 0 vanishes, every later term is
+    zero, and the walk stops before that step.
+    """
+    split = [(*Fraction(c).as_integer_ratio(), m) for c, m in factors]
+    if any(m < 0 and den == 1 and -last < num <= 0 for num, den, m in split):
+        raise ZeroDenominator(f"a denominator base vanishes within {last + 1} terms")
+    for k in range(last):
+        u = v = 1
+        for num, den, m in split:
+            base = num + k * den  # c + k = base / den
+            u, v = (u * base**m, v * den**m) if m > 0 else (u * den**-m, v * base**-m)
+        if not u:
+            return
+        yield u, v
+
+
+def _ratio_sum(factors: Sequence[tuple], last: int, weights=None) -> Fraction:
+    """sum_{k=0}^{last} t_k * weights[k] for the walk of ``_ratio_steps``; the
+    weights are integers, 1 when not given.
+
+    The partial sums are kept as one integer over one running integer
+    denominator and reduced once at the end, so a step costs a few integer
+    products instead of a gcd of large numbers.
+    """
+    if last < 0:
+        return Fraction(0)
+    top = den = 1  # t_k = top / den, and the partial sum is acc / den
+    acc = weights[0] if weights else 1
+    for k, (u, v) in enumerate(_ratio_steps(factors, last), 1):
+        top *= u
+        acc = acc * v + (top * weights[k] if weights else top)
+        den *= v
+    return Fraction(acc, den)
+
+
+def _ratio_terms(factors: Sequence[tuple], last: int) -> tuple[list[int], int]:
+    """The terms t_0..t_last of the walk of ``_ratio_steps``, unreduced, as
+    integer numerators over one common denominator: t_k = nums[k] / den."""
+    if last < 0:
+        return [], 1
+    steps = list(_ratio_steps(factors, last))
+    # nums[k] = prod(u[:k]) * prod(v[k:]), filled backwards by exact division.
+    num = prod(u for u, _ in steps)
+    nums = [num]
+    for u, v in reversed(steps):
+        num = num // u * v
+        nums.append(num)
+    nums.reverse()
+    return nums + [0] * (last - len(steps)), prod(v for _, v in steps)
 
 
 def psi_value(tp: TheoremParams, x) -> Fraction:
     """sum_{k=0}^{p-q} (q-x)_k^n / (1)_k^n at an exact rational x."""
-    x = Fraction(x)
-    return _ratio_power_sum(tp.q - x, Fraction(1), tp.n, tp.p - tp.q + 1)
+    return _ratio_sum([(tp.q - Fraction(x), tp.n), (1, -tp.n)], tp.p - tp.q)
 
 
 def phi_value(tp: TheoremParams, x, y) -> Fraction:
     """sum_{k=0}^{p-q} (q-x)_k (q-y)_k^{n-1} / (1)_k^n at exact rationals."""
-    x, y = Fraction(x), Fraction(y)
     n, q, p = tp.n, tp.q, tp.p
-    total = Fraction(0)
-    term = Fraction(1)
-    last = p - q
-    for k in range(last + 1):
-        total += term
-        if k < last:
-            term *= (q + k - x) * (q + k - y) ** (n - 1) / Fraction(k + 1) ** n
-            if not term:
-                break
-    return total
+    return _ratio_sum([(q - Fraction(x), 1), (q - Fraction(y), n - 1), (1, -n)], p - q)
 
 
 def delta_value(tp: TheoremParams, x) -> Fraction:
     """sum_{k=0}^{p-q} (q - p/n + x)_k^n / (1+x)_k^n at an exact rational x."""
     x = Fraction(x)
     offset = tp.q - Fraction(tp.p, tp.n) + x
-    return _ratio_power_sum(offset, 1 + x, tp.n, tp.p - tp.q + 1)
+    return _ratio_sum([(offset, tp.n), (1 + x, -tp.n)], tp.p - tp.q)
 
 
 def lhs_theorem1(tp: TheoremParams) -> Fraction:
     """Full sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n."""
-    return _ratio_power_sum(tp.q - Fraction(tp.p, tp.n), Fraction(1), tp.n, tp.p)
+    return _ratio_sum([(tp.q - Fraction(tp.p, tp.n), tp.n), (1, -tp.n)], tp.p - 1)
 
 
 def lhs_theorem2(tp: TheoremParams) -> Fraction:
     """p^n * sum_{k=0}^{p-1} (1)_k^n / (p/n - q + 2)_k^n."""
     base = Fraction(tp.p, tp.n) - tp.q + 2
-    return Fraction(tp.p) ** tp.n * _ratio_power_sum(Fraction(1), base, tp.n, tp.p)
+    return Fraction(tp.p) ** tp.n * _ratio_sum([(1, tp.n), (base, -tp.n)], tp.p - 1)
 
 
 def dual_reduction_sum(tp: TheoremParams) -> Fraction:
     """sum_{k=0}^{p-1} (q - p/n - p)_k^n / (1-p)_k^n, the reflected dual sum."""
     a = tp.q - Fraction(tp.p, tp.n) - tp.p
-    return _ratio_power_sum(a, Fraction(1 - tp.p), tp.n, tp.p)
+    return _ratio_sum([(a, tp.n), (1 - tp.p, -tp.n)], tp.p - 1)
 
 
 def theorem2_prefactor(tp: TheoremParams) -> Fraction:
@@ -257,27 +278,27 @@ def theorem2_prefactor(tp: TheoremParams) -> Fraction:
 
 def guo_sum(d: int, p: int) -> Fraction:
     """sum_{k=0}^{p-1} (1/d)_k^d / k!^d."""
-    return _ratio_power_sum(Fraction(1, d), Fraction(1), d, p)
+    return _ratio_sum([(Fraction(1, d), d), (1, -d)], p - 1)
 
 
 def sun_e_sum(p: int) -> Fraction:
     """sum_{k=0}^{p-1} (1/(p+1))_k^{p+1} / k!^{p+1}."""
-    return _ratio_power_sum(Fraction(1, p + 1), Fraction(1), p + 1, p)
+    return _ratio_sum([(Fraction(1, p + 1), p + 1), (1, -p - 1)], p - 1)
 
 
 def sun_bernoulli_lhs(p: int, n: int) -> Fraction:
     """sum_{k=0}^{p-1} (1 - p/n)_k^n / (1)_k^n."""
-    return _ratio_power_sum(1 - Fraction(p, n), Fraction(1), n, p)
+    return _ratio_sum([(1 - Fraction(p, n), n), (1, -n)], p - 1)
 
 
 def dflst_sum(n: int, p: int) -> Fraction:
     """sum_{k=0}^{p-1} (1 - 1/n)_k^n / (1)_k^n."""
-    return _ratio_power_sum(1 - Fraction(1, n), Fraction(1), n, p)
+    return _ratio_sum([(1 - Fraction(1, n), n), (1, -n)], p - 1)
 
 
 def dflst_dual(n: int, p: int) -> Fraction:
     """p^n * sum_{k=0}^{p-1} (1)_k^n / (1 + 1/n)_k^n."""
-    return Fraction(p) ** n * _ratio_power_sum(Fraction(1), 1 + Fraction(1, n), n, p)
+    return Fraction(p) ** n * _ratio_sum([(1, n), (1 + Fraction(1, n), -n)], p - 1)
 
 
 # --- jet-valued sums ---------------------------------------------------------

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from math import comb, lcm
 
 from .errors import PreconditionViolated
 from .exact_core import harmonic
@@ -29,6 +30,8 @@ from .padic import (
 )
 from .series import (
     TheoremParams,
+    _ratio_sum,
+    _ratio_terms,
     delta_jet,
     delta_value,
     dflst_dual,
@@ -213,22 +216,15 @@ def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
     """
     n, q, p = tp.n, tp.q, tp.p
     params = tp.as_params()
-    pn = Fraction(p, n)
+    c = q - Fraction(p, n)
 
     count = p - q + 1
-    plain = []  # (q)_k^n / (1)_k^n
-    offset = []  # (q - p/n)_k^n / (1)_k^n
-    w, v = Fraction(1), Fraction(1)
-    for k in range(count):
-        plain.append(w)
-        offset.append(v)
-        if k < count - 1:
-            w *= Fraction(q + k, k + 1) ** n
-            v *= ((q - pn + k) / (k + 1)) ** n
+    plain = _plain_weights(tp)
+    offset = [(c, n), (1, -n)]  # the walk of (c)_k^n / (1)_k^n
 
-    s1_offset = [Fraction(0)]  # sum_{i<k} 1/(q + i - p/n)
+    gaps = [Fraction(0)]  # sum_{i<k} 1/(c + i) - H_k
     for i in range(count - 1):
-        s1_offset.append(s1_offset[-1] + 1 / (q + i - pn))
+        gaps.append(gaps[-1] + 1 / (c + i) - Fraction(1, i + 1))
 
     h2_head = harmonic(q - 1, 2) * sum(plain)
     h2_shift = sum(plain[k] * harmonic(q + k - 1, 2) for k in range(count))
@@ -237,8 +233,11 @@ def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
     h1_shift_sq = sum(
         plain[k] * (harmonic(k) ** 2 - harmonic(q + k - 1) ** 2) for k in range(count)
     )
-    s1_diff = sum(offset[k] * (s1_offset[k] - harmonic(k)) for k in range(count))
-    s1_diff_sq = sum(offset[k] * (s1_offset[k] - harmonic(k)) ** 2 for k in range(count))
+    # Integer weights over one denominator keep both walks gcd-free.
+    scale = lcm(*(g.denominator for g in gaps))
+    tops = [g.numerator * (scale // g.denominator) for g in gaps]
+    s1_diff = _ratio_sum(offset, count - 1, tops) / scale
+    s1_diff_sq = _ratio_sum(offset, count - 1, [t * t for t in tops]) / scale**2
 
     mod_p = PrimePowerModulus(p, 1)
     mod_p2 = PrimePowerModulus(p, 2)
@@ -281,20 +280,21 @@ def verify_taylor(tp: TheoremParams) -> list[CongruenceReport]:
     return [_tag(r, tp) for r in reports]
 
 
-def _reflection_differences(tp: TheoremParams) -> list[Fraction]:
+def _plain_weights(tp: TheoremParams) -> list[int]:
+    # (q)_k^n / (1)_k^n = C(q + k - 1, k)^n, k = 0..p-q: small exact integers.
+    return [comb(tp.q + k - 1, k) ** tp.n for k in range(tp.p - tp.q + 1)]
+
+
+def _reflection_differences(tp: TheoremParams) -> tuple[list[int], int]:
     # (1)_k/(p/n - q + 2)_k  minus  (1)_{p-1}/(p/n - q + 2)_{p-1} *
-    # (q - p/n - p)_{p-1-k}/(1 - p)_{p-1-k}, for k = 0..p-1.
+    # (q - p/n - p)_{p-1-k}/(1 - p)_{p-1-k}, for k = 0..p-1, as integer
+    # numerators over one common denominator.
     n, q, p = tp.n, tp.q, tp.p
     b = Fraction(p, n) - q + 2
     a = q - Fraction(p, n) - p
-    lhs = [Fraction(1)]
-    for k in range(p - 1):
-        lhs.append(lhs[-1] * (1 + k) / (b + k))
-    rhs = [Fraction(1)]
-    for j in range(p - 1):
-        rhs.append(rhs[-1] * (a + j) / (1 - p + j))
-    scale = lhs[p - 1]
-    return [lhs[k] - scale * rhs[p - 1 - k] for k in range(p)]
+    lhs, lhs_den = _ratio_terms([(1, 1), (b, -1)], p - 1)
+    rhs, rhs_den = _ratio_terms([(a, 1), (1 - p, -1)], p - 1)
+    return [x * rhs_den - lhs[-1] * y for x, y in zip(lhs, reversed(rhs))], lhs_den * rhs_den
 
 
 def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
@@ -315,23 +315,16 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     reports.append(_check_exact(phi_value(tp, p, 0), p, "identities/phi-p0", params))
     reports.append(_check_zero_jet(upsilon_jet(tp, 2), p, "identities/upsilon-jet", params))
 
-    count = p - q + 1
-    weights = []
-    w = Fraction(1)
-    for k in range(count):
-        weights.append(w)
-        if k < count - 1:
-            w *= Fraction(q + k, k + 1) ** n
-    s2 = [Fraction(0)]
-    for i in range(count - 1):
-        s2.append(s2[-1] + Fraction(1, (q + i) ** 2))
-    second_order = sum(weights[k] * s2[k] for k in range(count))
+    # sum_k (q)_k^n/(1)_k^n * sum_{i<k} 1/(q + i)^2; the inner sum is H2_{q+k-1} - H2_{q-1}.
+    head = harmonic(q - 1, 2)
+    second_order = sum(w * (harmonic(q + k - 1, 2) - head)
+                       for k, w in enumerate(_plain_weights(tp)))
     rhs = Fraction(n - 1, 2 * n) * p * p * second_order
     reports.append(check_congruence(lhs_theorem1(tp), rhs, m3,
                                     check_id="identities/p2-reduction", params=params))
 
-    diffs = _reflection_differences(tp)
-    achieved = min((ord_rational(d, p) for d in diffs), default=math.inf)
+    diffs, den = _reflection_differences(tp)
+    achieved = min(ord_rational(d, p) for d in diffs) - ord_rational(den, p)
     verdict = Verdict.HOLDS if not any(diffs) else Verdict.FAILS
     reports.append(CongruenceReport("identities/reflection", dict(params), math.inf,
                                     achieved, None, verdict))

@@ -14,7 +14,7 @@ from hypercong.cli import (
     render_json,
     run_sweep,
 )
-from hypercong.errors import ConfigError
+from hypercong.errors import CapExceeded, ConfigError
 from hypercong.padic import MORITA_CAP_ENV
 from hypercong.verify import CongruenceReport, Verdict
 
@@ -280,3 +280,32 @@ def test_run_sweep_clamps_pool_size(monkeypatch, parallelism, cpus, p_max, expec
     run_sweep(spec)
     # (workers, chunksize, units): chunksize follows the clamped worker count.
     assert _RecordingPool.calls == ([] if expected is None else [expected])
+
+
+def test_malformed_morita_cap_exits_2_only_where_the_cap_is_read(monkeypatch, capsys):
+    monkeypatch.setenv(MORITA_CAP_ENV, "abc")
+    sweep = ["sweep", "--n", "3..4", "--q", "1..1", "--p-max", "13"]
+    assert main(sweep + ["--checks", "theorem1,dflst"]) == 2
+    assert MORITA_CAP_ENV in capsys.readouterr().err
+    assert main(["verify", "dflst", "--n", "3", "--p", "7"]) == 2
+    assert MORITA_CAP_ENV in capsys.readouterr().err
+    # A sweep without dflst never reads the cap.
+    assert main(sweep + ["--checks", "theorem1"]) == 0
+
+
+def test_sieve_limit_is_enforced_before_any_allocation(monkeypatch, tmp_path, capsys):
+    with pytest.raises(CapExceeded):
+        primes_upto(cli.SIEVE_LIMIT + 1)
+    assert main(["primes", str(cli.SIEVE_LIMIT + 1)]) == 2
+    assert "sieve limit" in capsys.readouterr().err
+    # Sweeps are checked against a lowered cap, so a broken check could never
+    # start a sweep over millions of primes.
+    monkeypatch.setattr(cli, "SIEVE_LIMIT", 13)
+    sweep = ["sweep", "--checks", "theorem1", "--n", "4..4", "--q", "1..1"]
+    assert main(sweep + ["--p-max", "14"]) == 2
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"checks": "theorem1", "n": "4..4", "q": "1..1",
+                                  "p_max": 14}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "sieve limit" in capsys.readouterr().err
+    assert main(sweep + ["--p-max", "13"]) == 0

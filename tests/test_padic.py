@@ -12,6 +12,7 @@ from hypercong.errors import (
     PreconditionViolated,
     PrecisionCapExceeded,
 )
+from hypercong import padic
 from hypercong.exact_core import harmonic
 from hypercong.cli import primes_upto
 from hypercong.padic import (
@@ -132,6 +133,24 @@ def test_bernoulli_against_sympy():
     for m in range(0, 42, 2):
         expected = sympy.bernoulli(m)
         assert bernoulli(m) == F(int(expected.p), int(expected.q))
+
+
+def test_bernoulli_tangent_numbers_against_sympy_in_any_call_order(monkeypatch):
+    expected = {}
+    for m in range(0, 401, 2):
+        value = sympy.bernoulli(m)
+        expected[m] = F(int(value.p), int(value.q))
+    # From an empty cache, descending calls fill it once; ascending calls
+    # grow it again and again.  Both orders must give the same numbers.
+    for order in (range(400, -1, -1), range(401)):
+        monkeypatch.setattr(padic, "_bernoulli_cache", [F(1)])
+        got = {m: bernoulli(m) for m in order}
+        for m in range(401):
+            if m % 2 == 0:
+                assert got[m] == expected[m], m
+            elif m >= 3:
+                assert got[m] == 0, m
+        assert got[1] == F(-1, 2)
 
 
 def test_bernoulli_cap():

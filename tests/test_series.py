@@ -30,11 +30,14 @@ from hypercong.series import (
     phi_value,
     psi_jet,
     psi_value,
+    sun_bernoulli_lhs,
     sun_e_sum,
     theorem2_prefactor,
     truncated_pfq,
     upsilon_jet,
     _power_sum_jet,
+    _ratio_sum,
+    _ratio_terms,
 )
 
 F = Fraction
@@ -392,3 +395,89 @@ def test_power_sum_jet_zero_base_with_negative_sign():
             Jet2.zero(cap),
         )
         assert _power_sum_jet(4, factors, cap) == expected
+
+
+# --- the term-ratio kernel against the from-scratch oracle ---------------------
+
+
+def _oracle_sum(upper, lower, last):
+    """sum_{k=0}^{last} prod (a)_k / prod (b)_k by truncated_pfq; an extra
+    upper 1 absorbs its k!.  Empty (0) when last < 0."""
+    if last < 0:
+        return F(0)
+    return truncated_pfq(HyperSeriesSpec(tuple(upper) + (F(1),), tuple(lower), F(1), last))
+
+
+def _assert_matches_oracle(value_fn, upper, lower, last):
+    # The oracle refuses a vanishing lower parameter; the kernel must too.
+    try:
+        expected = _oracle_sum(upper, lower, last)
+    except ZeroLowerFactor:
+        with pytest.raises(ZeroDenominator):
+            value_fn()
+        return
+    assert value_fn() == expected
+
+
+@pytest.mark.parametrize("n,q,p", ORACLE_TUPLES)
+def test_kernel_evaluators_equal_truncated_pfq(n, q, p):
+    tp = TheoremParams(n, q, p, exploratory=True)
+    rng = random.Random(n * 1000 + q * 100 + p)
+    # (2a + 7) / 14 is never an integer, so 1 + x never vanishes.
+    x, y = (F(rng.randint(-20, 20), 7) + F(1, 2) for _ in range(2))
+    c = q - F(p, n)
+    b = F(p, n) - q + 2
+    cases = [
+        (lambda: psi_value(tp, x), [q - x] * n, [F(1)] * n, p - q),
+        (lambda: psi_value(tp, F(p, n)), [c] * n, [F(1)] * n, p - q),
+        (lambda: phi_value(tp, x, y), [q - x] + [q - y] * (n - 1), [F(1)] * n, p - q),
+        (lambda: phi_value(tp, p, 0), [q - F(p)] + [F(q)] * (n - 1), [F(1)] * n, p - q),
+        (lambda: delta_value(tp, x), [c + x] * n, [1 + x] * n, p - q),
+        (lambda: lhs_theorem1(tp), [c] * n, [F(1)] * n, p - 1),
+        (lambda: lhs_theorem2(tp) / F(p) ** n, [F(1)] * n, [b] * n, p - 1),
+        (lambda: dual_reduction_sum(tp), [c - p] * n, [F(1 - p)] * n, p - 1),
+        (lambda: sun_bernoulli_lhs(p, n), [1 - F(p, n)] * n, [F(1)] * n, p - 1),
+        (lambda: guo_sum(2 * n, p), [F(1, 2 * n)] * (2 * n), [F(1)] * (2 * n), p - 1),
+    ]
+    for value_fn, upper, lower, last in cases:
+        _assert_matches_oracle(value_fn, upper, lower, last)
+
+
+def test_karlsson_minton_equals_truncated_pfq_on_random_draws():
+    rng = random.Random(2024)
+    for _ in range(80):
+        length = rng.randint(1, 25)
+        pairs = [(F(rng.randint(1, 30), rng.choice([1, 2, 3, 7])), rng.randint(0, 6))
+                 for _ in range(rng.randint(0, 3))]
+        result = karlsson_minton_sum(-length, pairs)
+        spec = HyperSeriesSpec((F(-length),) + tuple(b + m for b, m in pairs),
+                               tuple(b for b, _ in pairs), F(1), length)
+        assert result.value == truncated_pfq(spec)
+        assert result.hypothesis_violated == (length <= sum(m for _, m in pairs))
+
+
+def test_kernel_stops_when_a_numerator_factor_vanishes():
+    # (q - x) = -2 at x = q + 2: terms k = 0, 1, 2 are 1, (-2)^n, 1, then zeros.
+    tp = TheoremParams(3, 1, 11)
+    assert psi_value(tp, 3) == 2 + (-2) ** 3 == _oracle_sum([F(-2)] * 3, [F(1)] * 3, 10)
+    nums, den = _ratio_terms([(-2, 3), (1, -3)], 10)
+    assert len(nums) == 11 and nums[3:] == [0] * 8
+    assert [F(t, den) for t in nums[:3]] == [1, -8, 1]
+    # sum_k (-3)_k / k! = (1 - 1)^3: the walk ends after k = 3.
+    assert _ratio_sum([(-3, 1), (1, -1)], 10) == 0
+
+
+def test_kernel_weighted_sum():
+    # t_k = (1/2)_k / k! = 1, 1/2, 3/8, 5/16 against integer weights.
+    assert _ratio_sum([(F(1, 2), 1), (1, -1)], 3, [5, 0, 2, 7]) == 5 + F(3, 4) + F(35, 16)
+
+
+def test_kernel_rejects_a_vanishing_denominator():
+    # Bases -3 + k for k < last: zero is reached only when last > 3.
+    assert _ratio_sum([(1, 1), (-3, -1)], 3) == 1 - F(1, 3) + F(1, 3) - 1
+    for fn in (_ratio_sum, _ratio_terms):
+        with pytest.raises(ZeroDenominator):
+            fn([(1, 1), (-3, -1)], 4)
+        # Checked before the walk, even when a numerator would stop it first.
+        with pytest.raises(ZeroDenominator):
+            fn([(-1, 1), (-3, -1)], 5)
