@@ -125,44 +125,35 @@ class SweepResult:
 
 def _expand_units(spec: SweepSpec) -> list[tuple]:
     primes = primes_upto(spec.p_max)
-    units = []
-    nlo, nhi = spec.n_range
-    qlo, qhi = spec.q_range
-    dlo, dhi = spec.d_range
+    (nlo, nhi), (qlo, qhi), (dlo, dhi) = spec.n_range, spec.q_range, spec.d_range
     morita_cap = _morita_cap() if "dflst" in spec.check_ids else None
+    triples = [((("n", n), ("q", q), ("p", p)), _out_of_hypothesis(n, q, p))
+               for n in range(max(nlo, 3), nhi + 1) for q in range(max(qlo, 1), qhi + 1)
+               for p in primes] if set(spec.check_ids) & set(_TRIPLE_CHECKS) else []
+    units = []
     for check in spec.check_ids:
         if check in _TRIPLE_CHECKS:
-            for n in range(max(nlo, 3), nhi + 1):
-                for q in range(max(qlo, 1), qhi + 1):
-                    for p in primes:
-                        parity = n % 2 == 0 or q % 2 == 1
-                        in_range = p > max(n, (q - 1) * n + 1)
-                        if parity and in_range:
-                            units.append((check, (("n", n), ("q", q), ("p", p)), False))
-                        elif spec.exploratory:
-                            units.append((check, (("n", n), ("q", q), ("p", p)), True))
+            units += [(check, items, tagged) for items, tagged in triples
+                      if spec.exploratory or not tagged]
         elif check == "guo":
-            for d in range(max(dlo, 4), dhi + 1):
-                if d % 2:
-                    continue
-                for p in primes:
-                    if (p + 1) % d == 0:
-                        units.append((check, (("d", d), ("p", p)), False))
+            units += [(check, (("d", d), ("p", p)), False)
+                      for d in range(max(dlo, 4), dhi + 1) if d % 2 == 0
+                      for p in primes if (p + 1) % d == 0]
         elif check == "sun-e":
-            for p in primes:
-                if p > 3:
-                    units.append((check, (("p", p),), False))
+            units += [(check, (("p", p),), False) for p in primes if p > 3]
         elif check == "sun-bernoulli":
-            for n in range(max(nlo, 1), nhi + 1):
-                for p in primes:
-                    if p > 3 and n % p:
-                        units.append((check, (("p", p), ("n", n)), False))
+            units += [(check, (("p", p), ("n", n)), False)
+                      for n in range(max(nlo, 1), nhi + 1) for p in primes if p > 3 and n % p]
         elif check == "dflst":
-            for n in range(max(nlo, 3), nhi + 1):
-                for p in primes:
-                    if p % n == 1 and p**3 <= morita_cap:
-                        units.append((check, (("n", n), ("p", p)), False))
+            units += [(check, (("n", n), ("p", p)), False)
+                      for n in range(max(nlo, 3), nhi + 1)
+                      for p in primes if p % n == 1 and p**3 <= morita_cap]
     return units
+
+
+def _out_of_hypothesis(n: int, q: int, p: int) -> bool:
+    # TheoremParams alone owns the parity and range hypotheses.
+    return bool(TheoremParams(n, q, p, exploratory=True).hypothesis_violations())
 
 
 def _morita_cap() -> int:
@@ -409,7 +400,10 @@ def _cmd_verify(args) -> int:
         params[name] = getattr(args, name)
     if check == "dflst":
         _morita_cap()  # a malformed cap exits 2 before any work
-    reports = _run_check(check, params, args.exploratory)
+    # Tagged exactly as sweep tags the tuple, so both report the same.
+    tagged = (args.exploratory and check in _TRIPLE_CHECKS
+              and _out_of_hypothesis(*(params[k] for k in _TRIPLE)))
+    reports = _run_unit((check, tuple(params.items()), tagged))
     for r in reports:
         print(_format_report(r))
     bad = (Verdict.FAILS, Verdict.ILL_POSED)

@@ -207,9 +207,12 @@ def morita_gamma(x, m: PrimePowerModulus) -> Residue:
     Lifts x to the integer N = x (mod p^k) with 1 <= N <= p^k and returns
     (-1)^N * prod_{1 <= j < N, p does not divide j} j  (mod p^k).
     Continuity of Gamma_p (it is 1-Lipschitz on the p-adic integers) makes
-    this equal to Gamma_p(x) at precision k.  Cost is Theta(p^k) modular
-    multiplications, hence the p^k <= 10^7 cap (override with the
-    HYPERCONG_MORITA_CAP environment variable).
+    this equal to Gamma_p(x) at precision k.  With N - 1 = a p + b, block
+    i < a holds the units i p + r, 0 < r < p, whose product is F(i p) for
+    F(t) = prod_r (r + t) = sum_{j<k} e_{p-1-j} t^j (mod p^k), e being the
+    elementary symmetric functions of 1..p-1.  That costs O(k p + k a)
+    products, a < p^(k-1), plus b tail factors.  The p^k <= 10^7 cap
+    (override with HYPERCONG_MORITA_CAP) bounds the precision.
     """
     if m.p == 2:
         raise PreconditionViolated("morita_gamma requires an odd prime")
@@ -220,11 +223,22 @@ def morita_gamma(x, m: PrimePowerModulus) -> Residue:
     lift = reduce_mod(x, m).value
     if lift == 0:
         lift = pk
-    p = m.p
+    p, k = m.p, m.k
+    blocks = (lift - 1) // p
     acc = 1
-    for j in range(1, lift):
-        if j % p:
-            acc = acc * j % pk
+    for j in range(blocks * p + 1, lift):  # the b tail factors
+        acc = acc * j % pk
+    if blocks:  # else the O(k p) coefficients would cost more than the product
+        e = [1] + [0] * (k - 1)  # e[j] = e_{p-1-j}(1..p-1) mod p^k
+        for r in range(1, p):
+            e = [(u * r + v) % pk for u, v in zip(e, [0] + e)]
+        # F(i p) by Horner in i, highest degree first, coefficients pre-scaled by p^j.
+        top, *rest = [e[j] * p**j % pk for j in reversed(range(k))]
+        for i in range(blocks):
+            value = top
+            for c in rest:
+                value = value * i + c
+            acc = acc * value % pk
     if lift % 2:
         acc = (pk - acc) % pk
     return Residue(acc, m)

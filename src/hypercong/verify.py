@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, ZeroDenominator
 from .exact_core import harmonic
 from .jets import Jet2
 from .padic import (
@@ -224,6 +224,8 @@ def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
 
     gaps = [Fraction(0)]  # sum_{i<k} 1/(c + i) - H_k
     for i in range(count - 1):
+        if c + i == 0:  # only at p = n, q = 1
+            raise ZeroDenominator(f"offset base {c} + {i} vanishes")
         gaps.append(gaps[-1] + 1 / (c + i) - Fraction(1, i + 1))
 
     h2_head = harmonic(q - 1, 2) * sum(plain)

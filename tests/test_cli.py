@@ -309,3 +309,34 @@ def test_sieve_limit_is_enforced_before_any_allocation(monkeypatch, tmp_path, ca
     assert main(["sweep", "--config", str(config)]) == 2
     assert "sieve limit" in capsys.readouterr().err
     assert main(sweep + ["--p-max", "13"]) == 0
+
+
+def test_main_verify_reports_an_inexpressible_exploratory_tuple_as_sweep_does(capsys):
+    # At p = n, q = 1 the lemma suite cannot be evaluated (q - p/n = 0).
+    argv = ["verify", "lemmas", "--n", "5", "--q", "1", "--p", "5", "--exploratory"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "lemmas [n=5 p=5 q=1] verdict=hypothesis_violated "
+        "required_ord=1 achieved_ord=- residue=-\n"
+    )
+    swept = run_sweep(spec_for(["lemmas"], n_range=(5, 5), q_range=(1, 1), p_max=5,
+                               exploratory=True))
+    at_tuple = [r for r in swept.reports if r.params == {"n": 5, "q": 1, "p": 5}]
+    assert [(r.check_id, r.verdict) for r in at_tuple] == [
+        ("lemmas", Verdict.HYPOTHESIS_VIOLATED)
+    ]
+    assert main(argv[:-1]) == 2  # outside the hypotheses without --exploratory
+
+
+def test_triple_units_follow_the_parity_and_range_hypotheses():
+    spec = spec_for(["theorem1", "lemmas"], n_range=(3, 8), q_range=(1, 4), p_max=47,
+                    exploratory=True)
+    units = cli._expand_units(spec)
+    assert len(units) == 2 * 6 * 4 * len(primes_upto(47))
+    for check, items, tagged in units:
+        n, q, p = (dict(items)[k] for k in ("n", "q", "p"))
+        in_hypothesis = (n % 2 == 0 or q % 2 == 1) and p > max(n, (q - 1) * n + 1)
+        assert tagged == (not in_hypothesis), (check, n, q, p)
+    asserted = cli._expand_units(spec_for(spec.check_ids, n_range=(3, 8), q_range=(1, 4),
+                                          p_max=47))
+    assert asserted == [u for u in units if not u[2]]

@@ -228,3 +228,57 @@ def test_harmonic_reflection_mod_p():
         for j in range(1, p):
             assert reduce_mod(harmonic(p - 1 - j, 1) - harmonic(j, 1), m).value == 0
             assert reduce_mod(harmonic(p - 1 - j, 2) + harmonic(j, 2), m).value == 0
+
+
+def _naive_gammas(p, k, top):
+    """Gamma_p(N) mod p^k for N = 1..top, one unit at a time: the oracle."""
+    pk = p**k
+    values, acc = [], 1
+    for N in range(1, top + 1):
+        values.append((pk - acc) % pk if N % 2 else acc)
+        if N % p:
+            acc = acc * N % pk
+    return values
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_morita_gamma_blocks_equal_the_unit_product(p, k):
+    m = PrimePowerModulus(p, k)
+    pk = m.modulus
+    oracle = _naive_gammas(p, k, pk)
+    if pk <= 400:
+        lifts = range(1, pk + 1)
+    else:
+        rng = random.Random(p * 100 + k)
+        a = rng.randrange(2, p ** (k - 1))
+        lifts = [rng.randint(1, pk) for _ in range(200)]
+        lifts += [1, p, p + 1, a * p, a * p + 1, pk - 1, pk]
+    for N in lifts:
+        assert morita_gamma(N, m).value == oracle[N - 1], N
+
+
+def test_morita_gamma_blocks_at_the_dflst_lifts():
+    for p in primes_upto(61):
+        ns = [n for n in range(3, 9) if p % n == 1]
+        if not ns:
+            continue
+        m = PrimePowerModulus(p, 3)
+        lifts = {n: reduce_mod(F(1, n), m).value for n in ns}
+        oracle = _naive_gammas(p, 3, max(lifts.values()))
+        for n, lift in lifts.items():
+            assert morita_gamma(F(1, n), m).value == oracle[lift - 1], (n, p)
+
+
+@pytest.mark.parametrize("p", [199, 211])
+def test_morita_gamma_reflection_formula(p):
+    # Gamma_p(x) Gamma_p(1 - x) = (-1)^x0, x0 in 1..p with x0 = x (mod p).
+    m = PrimePowerModulus(p, 3)
+    rng = random.Random(p)
+    xs = [F(1, n) for n in range(2, 9)] + [F(rng.randint(-10**6, 10**6), rng.randint(1, p - 1))
+                                            for _ in range(5)]
+    xs += [F(0), F(1), F(p), F(p * p + 3)]
+    for x in xs:
+        x0 = reduce_mod(x, PrimePowerModulus(p, 1)).value or p
+        product = morita_gamma(x, m).value * morita_gamma(1 - x, m).value
+        assert product % m.modulus == (-1) ** x0 % m.modulus, x

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypercong.errors import PreconditionViolated
+from hypercong.errors import PreconditionViolated, ZeroDenominator
 from hypercong.padic import PrimePowerModulus, factorial_valuation, ord_rational
 from hypercong.series import TheoremParams, guo_sum, lhs_theorem1
 from hypercong.verify import (
@@ -234,3 +234,9 @@ def test_residue_present_iff_p_integral_and_finite_requirement():
             assert r.residue_at_required is None
         else:
             assert (r.residue_at_required is not None) == (r.achieved_ord >= 0)
+
+
+def test_lemma_suite_raises_zero_denominator_at_p_equal_n():
+    # q - p/n = 0 at p = n, q = 1: the offset weights divide by zero.
+    with pytest.raises(ZeroDenominator):
+        verify_lemma_suite(TheoremParams(5, 1, 5, exploratory=True))
