@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -33,25 +35,31 @@ __all__ = ["SweepSpec", "SweepResult", "primes_upto", "run_sweep", "main", "CHEC
 
 # Per check: the parameters it reads, the name of its function in
 # ``hypercong.verify`` (looked up at call time, so a wrapper installed there
-# is seen) and its required valuation (carried by reports synthesized for
-# exploratory tuples that the evaluators cannot express).  The (n, q, p)
-# checks get a TheoremParams.
+# is seen), its required valuation (carried by reports synthesized for
+# exploratory tuples that the evaluators cannot express) and the grid
+# predicate that keeps a point of the sweep grid.  The (n, q, p) checks get a
+# TheoremParams, and the sweep tags their tuples outside its hypotheses.
 _TRIPLE = ("n", "q", "p")
+
+
+def _triple_point(n, q, p):
+    return n >= 3  # TheoremParams also needs q > 0, and every grid axis starts at 1
+
+
 _CHECKS = {
-    "theorem1": (_TRIPLE, "verify_theorem1", 3),
-    "theorem2": (_TRIPLE, "verify_theorem2", 3),
-    "guo": (("d", "p"), "verify_guo", 3),
-    "sun-e": (("p",), "verify_sun_e", 5),
-    "sun-bernoulli": (("p", "n"), "verify_sun_bernoulli", 5),
-    "dflst": (("n", "p"), "verify_dflst_pair", 3),
-    "lemmas": (_TRIPLE, "verify_lemma_suite", 1),
-    "taylor": (_TRIPLE, "verify_taylor", 3),
-    "identities": (_TRIPLE, "verify_exact_identities", 3),
+    "theorem1": (_TRIPLE, "verify_theorem1", 3, _triple_point),
+    "theorem2": (_TRIPLE, "verify_theorem2", 3, _triple_point),
+    "guo": (("d", "p"), "verify_guo", 3,
+            lambda d, p: d >= 4 and d % 2 == 0 and (p + 1) % d == 0),
+    "sun-e": (("p",), "verify_sun_e", 5, lambda p: p > 3),
+    "sun-bernoulli": (("p", "n"), "verify_sun_bernoulli", 5, lambda p, n: p > 3 and n % p),
+    "dflst": (("n", "p"), "verify_dflst_pair", 3,
+              lambda n, p: n >= 3 and p % n == 1 and p**3 <= _morita_cap()),
+    "lemmas": (_TRIPLE, "verify_lemma_suite", 1, _triple_point),
+    "taylor": (_TRIPLE, "verify_taylor", 3, _triple_point),
+    "identities": (_TRIPLE, "verify_exact_identities", 3, _triple_point),
 }
 CHECK_NAMES = tuple(_CHECKS)
-
-# Checks driven by a full (n, q, p) triple with the parity/range hypotheses.
-_TRIPLE_CHECKS = tuple(c for c, (names, _, _) in _CHECKS.items() if names == _TRIPLE)
 
 
 # The sieve holds one byte per integer up to its limit; larger limits are
@@ -91,6 +99,9 @@ class SweepSpec:
     output_path: str | None = None
 
     def validate(self):
+        repeated = sorted({c for c in self.check_ids if self.check_ids.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"repeated check id(s): {', '.join(repeated)}")
         unknown = [c for c in self.check_ids if c not in CHECK_NAMES]
         if unknown:
             raise ConfigError(f"unknown check id(s): {', '.join(unknown)}")
@@ -119,35 +130,30 @@ class SweepResult:
 
     @property
     def exit_code(self) -> int:
-        bad = (Verdict.FAILS, Verdict.ILL_POSED)
-        return 1 if any(r.verdict in bad for r in self.reports) else 0
+        return _exit_code(self.reports)
+
+
+def _exit_code(reports) -> int:
+    bad = (Verdict.FAILS, Verdict.ILL_POSED)
+    return 1 if any(r.verdict in bad for r in reports) else 0
 
 
 def _expand_units(spec: SweepSpec) -> list[tuple]:
-    primes = primes_upto(spec.p_max)
-    (nlo, nhi), (qlo, qhi), (dlo, dhi) = spec.n_range, spec.q_range, spec.d_range
-    morita_cap = _morita_cap() if "dflst" in spec.check_ids else None
-    triples = [((("n", n), ("q", q), ("p", p)), _out_of_hypothesis(n, q, p))
-               for n in range(max(nlo, 3), nhi + 1) for q in range(max(qlo, 1), qhi + 1)
-               for p in primes] if set(spec.check_ids) & set(_TRIPLE_CHECKS) else []
+    axes = {name: range(max(lo, 1), hi + 1) for name, (lo, hi)
+            in (("n", spec.n_range), ("q", spec.q_range), ("d", spec.d_range))}
+    axes["p"] = primes_upto(spec.p_max)
+    tag = functools.cache(_out_of_hypothesis)  # once per triple for all its checks
     units = []
     for check in spec.check_ids:
-        if check in _TRIPLE_CHECKS:
-            units += [(check, items, tagged) for items, tagged in triples
-                      if spec.exploratory or not tagged]
-        elif check == "guo":
-            units += [(check, (("d", d), ("p", p)), False)
-                      for d in range(max(dlo, 4), dhi + 1) if d % 2 == 0
-                      for p in primes if (p + 1) % d == 0]
-        elif check == "sun-e":
-            units += [(check, (("p", p),), False) for p in primes if p > 3]
-        elif check == "sun-bernoulli":
-            units += [(check, (("p", p), ("n", n)), False)
-                      for n in range(max(nlo, 1), nhi + 1) for p in primes if p > 3 and n % p]
-        elif check == "dflst":
-            units += [(check, (("n", n), ("p", p)), False)
-                      for n in range(max(nlo, 3), nhi + 1)
-                      for p in primes if p % n == 1 and p**3 <= morita_cap]
+        names, _, _, keep = _CHECKS[check]
+        grid = [name for name in "nqdp" if name in names]  # the order of the sort key
+        for values in itertools.product(*(axes[name] for name in grid)):
+            params = dict(zip(grid, values))
+            if not keep(**params):
+                continue
+            tagged = names == _TRIPLE and tag(*values)
+            if spec.exploratory or not tagged:
+                units.append((check, tuple((name, params[name]) for name in names), tagged))
     return units
 
 
@@ -165,9 +171,9 @@ def _morita_cap() -> int:
 
 
 def _run_check(check: str, params: dict, exploratory: bool) -> list[CongruenceReport]:
-    names, fn_name, _ = _CHECKS[check]
+    names, fn_name, _, _ = _CHECKS[check]
     run = getattr(verify, fn_name)
-    if check in _TRIPLE_CHECKS:
+    if names == _TRIPLE:
         result = run(TheoremParams(*(params[k] for k in names), exploratory=exploratory))
     else:
         result = run(*(params[k] for k in names))
@@ -259,24 +265,13 @@ CSV_COLUMNS = ("check_id", "n", "q", "d", "p", "required_ord", "achieved_ord",
 
 
 def render_csv(result: SweepResult) -> str:
+    # The rows of render_json with their params spread into columns; the csv
+    # module writes None and absent parameters as empty fields.
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in result.reports:
-        residue = r.residue_at_required
-        writer.writerow(
-            [
-                r.check_id,
-                r.params.get("n", ""),
-                r.params.get("q", ""),
-                r.params.get("d", ""),
-                r.params.get("p", ""),
-                _ord_to_wire(r.required_ord),
-                "" if r.achieved_ord is None else _ord_to_wire(r.achieved_ord),
-                "" if residue is None else str(residue.value),
-                r.verdict.value,
-            ]
-        )
+    writer = csv.DictWriter(buffer, CSV_COLUMNS, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    for row in map(_report_row, result.reports):
+        writer.writerow({**row.pop("params"), **row})
     return buffer.getvalue()
 
 
@@ -292,10 +287,10 @@ def _format_report(r: CongruenceReport) -> str:
     )
 
 
-def _parse_range(value) -> tuple[int, int]:
+def _parse_range(key: str, value) -> tuple[int, int]:
     if isinstance(value, (list, tuple)):
         if len(value) != 2 or not all(type(v) is int for v in value):
-            raise ConfigError(f"range must be two integer endpoints, got {value!r}")
+            raise ConfigError(f"{key} range must be two integer endpoints, got {value!r}")
         return value[0], value[1]
     if type(value) is int:
         return value, value
@@ -303,78 +298,60 @@ def _parse_range(value) -> tuple[int, int]:
     try:
         return int(lo), int(hi if dots else lo)
     except ValueError:
-        raise ConfigError(f"cannot parse range {value!r}; expected A..B") from None
+        raise ConfigError(f"cannot parse {key} range {value!r}; expected A..B") from None
 
 
-def _typed(settings: dict, key: str, *kinds: type):
+def _typed(*kinds: type):
     # Checked, not converted: int("abc") would raise and bool("false") is True.
-    value = settings[key]
-    if type(value) not in kinds:
-        raise ConfigError(f"config value {key!r} has the wrong type: {value!r}")
-    return value
+    def check(key: str, value):
+        if type(value) not in kinds:
+            raise ConfigError(f"config value {key!r} has the wrong type: {value!r}")
+        return value
+    return check
 
 
-def _parse_checks(value) -> tuple[str, ...]:
+def _parse_checks(key: str, value) -> tuple[str, ...]:
+    value = _typed(str, list)(key, value)
     if isinstance(value, str):
-        parts = [c.strip() for c in value.split(",") if c.strip()]
-    else:
-        parts = [str(c) for c in value]
-    return tuple(parts)
+        return tuple(c.strip() for c in value.split(",") if c.strip())
+    return tuple(str(c) for c in value)
+
+
+# Config key (also the flag's argparse dest): the SweepSpec field it sets and
+# its parser.  Unset keys take the SweepSpec defaults.
+_SETTINGS = {
+    "checks": ("check_ids", _parse_checks),
+    "n": ("n_range", _parse_range),
+    "q": ("q_range", _parse_range),
+    "d": ("d_range", _parse_range),
+    "p_max": ("p_max", _typed(int)),
+    "exploratory": ("exploratory", _typed(bool)),
+    "parallel": ("parallelism", _typed(int)),
+    "format": ("output_format", _typed(str)),
+    "out": ("output_path", _typed(str, type(None))),
+}
 
 
 def _build_sweep_spec(args) -> SweepSpec:
-    settings = {
-        "checks": None,
-        "n": "3..6",
-        "q": "1..3",
-        "d": "4..8",
-        "p_max": 50,
-        "exploratory": False,
-        "parallel": 1,
-        "format": "json",
-        "out": None,
-    }
+    settings = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                settings = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from None
+        if not isinstance(settings, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - set(settings)
+        unknown = set(settings) - set(_SETTINGS)
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        settings.update(loaded)
     # explicit flags override the file
-    for key, flag in (
-        ("checks", args.checks),
-        ("n", args.n),
-        ("q", args.q),
-        ("d", args.d),
-        ("p_max", args.p_max),
-        ("exploratory", args.exploratory),
-        ("parallel", args.parallel),
-        ("format", args.format),
-        ("out", args.out),
-    ):
-        if flag is not None:
-            settings[key] = flag
-    if not settings["checks"]:
+    settings.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
+    if not settings.get("checks"):
         raise ConfigError("no checks requested; pass --checks or a config file")
-    return SweepSpec(
-        check_ids=_parse_checks(_typed(settings, "checks", str, list)),
-        n_range=_parse_range(settings["n"]),
-        q_range=_parse_range(settings["q"]),
-        d_range=_parse_range(settings["d"]),
-        p_max=_typed(settings, "p_max", int),
-        exploratory=_typed(settings, "exploratory", bool),
-        parallelism=_typed(settings, "parallel", int),
-        output_format=_typed(settings, "format", str),
-        output_path=_typed(settings, "out", str, type(None)),
-    )
+    return SweepSpec(**{_SETTINGS[k][0]: _SETTINGS[k][1](k, v) for k, v in settings.items()})
 
 
 def _cmd_sweep(args) -> int:
@@ -382,8 +359,11 @@ def _cmd_sweep(args) -> int:
     result = run_sweep(spec)
     text = render_json(result) if spec.output_format == "json" else render_csv(result)
     if spec.output_path:
-        with open(spec.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(spec.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
     return result.exit_code
@@ -393,21 +373,21 @@ def _cmd_verify(args) -> int:
     check = args.check
     if check not in _CHECKS:
         raise ConfigError(f"unknown check id {check!r}; choose from {', '.join(CHECK_NAMES)}")
+    names = _CHECKS[check][0]
     params = {}
-    for name in _CHECKS[check][0]:
+    for name in names:
         if getattr(args, name) is None:
             raise ConfigError(f"check {check!r} requires --{name}")
         params[name] = getattr(args, name)
     if check == "dflst":
         _morita_cap()  # a malformed cap exits 2 before any work
     # Tagged exactly as sweep tags the tuple, so both report the same.
-    tagged = (args.exploratory and check in _TRIPLE_CHECKS
+    tagged = (args.exploratory and names == _TRIPLE
               and _out_of_hypothesis(*(params[k] for k in _TRIPLE)))
     reports = _run_unit((check, tuple(params.items()), tagged))
     for r in reports:
         print(_format_report(r))
-    bad = (Verdict.FAILS, Verdict.ILL_POSED)
-    return 1 if any(r.verdict in bad for r in reports) else 0
+    return _exit_code(reports)
 
 
 def _cmd_primes(args) -> int:

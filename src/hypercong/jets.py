@@ -173,20 +173,6 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative jet powers are not defined; divide instead")
-        result = Jet2._make(self._cap, {(0, 0): Fraction(1)})
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def inverse(self) -> "Jet2":
         """Truncated power-series inverse; requires a unit constant term."""
         c0 = self._coeffs.get((0, 0), Fraction(0))

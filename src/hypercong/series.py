@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm, perm, prod
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import (
@@ -303,24 +303,18 @@ def dflst_dual(n: int, p: int) -> Fraction:
 
 # --- jet-valued sums ---------------------------------------------------------
 #
-# Each jet is sum_k w_k X_k(x) Y_k(y), read off from scalar running sums, not
-# Jet2 products.  A factor (c + i + sign*v)^m is (c + i)^m, folded into the
-# weight w_k, times (1 + sign*v/(c + i))^m, whose log has v^j coefficient
-# -m(-sign/(c + i))^j / j.  So log X_k = sum_j P_j x^j / j with running power
-# sums P_j, and Newton's identities t e_t = sum_{j<=t} P_j e_{t-j} give the
-# coefficients e_t of X_k.  A zero base gives (sign*v)^m, a degree shift.
-# Jet2 and pochhammer_jet stay as the ring-arithmetic oracle of the tests.
+# Each jet is sum_k w_k X_k(x) Y_k(y), read off from running truncated
+# products, not Jet2 products.  A factor (c + i + sign*v)^m is (c + i)^m,
+# folded into the weight w_k, times (1 + sign*v/(c + i))^m = (1 + r*u)^m with
+# u = v/L for the lcm L of the bases on v's axis and the integer
+# r = sign*den*(L // a), where c + i = a/den.  Its u^j coefficient is the
+# integer C(m, j) r^j (C(j-m-1, j) (-r)^j for m < 0), so each running product
+# keeps its v^j coefficient times L^j as an integer.  A zero base gives the
+# monomial (sign*v)^m = (sign*L*u)^m.  Jet2 and pochhammer_jet stay as the
+# ring-arithmetic oracle of the tests.
 
 
-def _newton(sums: list[int], cap: int) -> list[int]:
-    # The integers t! L^t e_t, from power sums P_j = sums[j] / L^j.
-    e = [1]
-    for t in range(1, cap + 1):
-        e.append(sum(perm(t - 1, j - 1) * sums[j] * e[t - j] for j in range(1, t + 1)))
-    return e
-
-
-def _power_sum_jet(last: int, factors: Sequence[tuple], cap: int) -> Jet2:
+def _product_jet(last: int, factors: Sequence[tuple], cap: int) -> Jet2:
     """Jet at (0,0) of sum_{k=0}^{last} prod_{i<k} prod_f (c + i + sign*v)^m.
 
     Each factor is a (c, m, sign, axis) tuple: v is x on axis 0 and y on
@@ -328,46 +322,40 @@ def _power_sum_jet(last: int, factors: Sequence[tuple], cap: int) -> Jet2:
     must not vanish.
     """
     split = [(*c.as_integer_ratio(), m, s, a) for c, m, s, a in factors]
-    axes = {a for *_, s, a in split if s}
-    # One denominator L per axis for all its power sums: P_j = sums[j] / L^j.
     lcms = [lcm(*(n + k * d for n, d, _, s, a in split if s and a == axis
                   for k in range(last) if n + k * d)) for axis in (0, 1)]
-    sums, shift = [[0] * (cap + 1), [0] * (cap + 1)], [0, 0]
+    axes = {a for *_, s, a in split if s}  # the product on any other axis stays 1
+    prods = [[1] + [0] * cap if axis in axes else [1] for axis in (0, 1)]
     # Terms are summed relative to the current weight, so each step divides
     # by a small ratio rather than multiplying by the large weight.
     weight, rel = Fraction(1), {}
     for k in range(last + 1):
-        room = cap - sum(shift)
-        if room < 0:
-            break  # every later term is shifted at least as far
-        ex, ey = (_newton(sums[a], room) if a in axes else [1] for a in (0, 1))
+        ex, ey = prods
         for i, cx in enumerate(ex):
-            for j, cy in enumerate(ey[: room + 1 - i]):
-                key = (i, j, *shift)
-                rel[key] = rel.get(key, 0) + cx * cy
-        if k == last:
-            break
+            for j, cy in enumerate(ey[: cap + 1 - i]):
+                rel[i, j] = rel.get((i, j), 0) + cx * cy
+        if k == last or not any(ex) or not any(ey):
+            break  # a vanished product stays zero for every later term
         rn = rd = 1
         for num, den, m, sign, axis in split:
             a = num + k * den  # the base c + k is a / den
             if sign and not a and m > 0:
-                shift[axis] += m
-                rn *= sign**m
+                scale = (sign * lcms[axis]) ** m
+                prods[axis] = ([0] * m + [z * scale for z in prods[axis]])[: cap + 1]
                 continue
             rn, rd = (rn * a**m, rd * den**m) if m > 0 else (rn * den**-m, rd * a**-m)
-            if sign:
-                r = -sign * den * (lcms[axis] // a)
+            if sign:  # C(m, j) r^j from C(m, j-1) r^(j-1), exactly, for either sign of m
+                r, term, prev = sign * den * (lcms[axis] // a), 1, prods[axis][:]
                 for j in range(1, cap + 1):
-                    sums[axis][j] -= m * r**j
+                    term = term * r * (m - j + 1) // j
+                    for t in range(j, cap + 1):
+                        prods[axis][t] += term * prev[t - j]
         ratio = Fraction(rn, rd)
         weight *= ratio
         for key in rel:
             rel[key] /= ratio
-    coeffs = {}
-    for (i, j, sx, sy), z in rel.items():
-        z = weight * z / (factorial(i) * factorial(j) * lcms[0] ** i * lcms[1] ** j)
-        coeffs[i + sx, j + sy] = coeffs.get((i + sx, j + sy), 0) + z
-    return Jet2(coeffs, cap)
+    return Jet2({(i, j): weight * z / (lcms[0] ** i * lcms[1] ** j)
+                 for (i, j), z in rel.items()}, cap)
 
 
 def upsilon_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:
@@ -381,24 +369,24 @@ def upsilon_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:
     factors = [(1 - p, 1, 0, 0), (q, n - 2, 0, 0), (1, 1 - n, 0, 0)]
     for axis in (0, 1):
         factors += [(q, 1, 1, axis), (1, -1, 1, axis)]
-    return _power_sum_jet(p - 1, factors, degree_cap)
+    return _product_jet(p - 1, factors, degree_cap)
 
 
 def phi_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:
     """Jet at (0,0) of sum_{k=0}^{p-q} (q-x)_k (q-y)_k^{n-1} / (1)_k^n."""
     n, q, p = tp.n, tp.q, tp.p
     factors = [(q, 1, -1, 0), (q, n - 1, -1, 1), (1, -n, 0, 0)]
-    return _power_sum_jet(p - q, factors, degree_cap)
+    return _product_jet(p - q, factors, degree_cap)
 
 
 def psi_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:
     """Univariate jet at 0 of sum_{k=0}^{p-q} (q-x)_k^n / (1)_k^n."""
     n, q, p = tp.n, tp.q, tp.p
-    return _power_sum_jet(p - q, [(q, n, -1, 0), (1, -n, 0, 0)], degree_cap)
+    return _product_jet(p - q, [(q, n, -1, 0), (1, -n, 0, 0)], degree_cap)
 
 
 def delta_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:
     """Univariate jet at 0 of sum_{k=0}^{p-q} (q - p/n + x)_k^n / (1+x)_k^n."""
     n, q, p = tp.n, tp.q, tp.p
     offset = q - Fraction(p, n)
-    return _power_sum_jet(p - q, [(offset, n, 1, 0), (1, -n, 1, 0)], degree_cap)
+    return _product_jet(p - q, [(offset, n, 1, 0), (1, -n, 1, 0)], degree_cap)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -340,3 +341,47 @@ def test_triple_units_follow_the_parity_and_range_hypotheses():
     asserted = cli._expand_units(spec_for(spec.check_ids, n_range=(3, 8), q_range=(1, 4),
                                           p_max=47))
     assert asserted == [u for u in units if not u[2]]
+
+
+def test_exploratory_sweep_bytes_are_pinned():
+    # A fence for refactors: all nine checks over a small exploratory grid
+    # (4553 reports) must render to exactly these JSON and CSV bytes.
+    result = run_sweep(SweepSpec(check_ids=CHECK_NAMES, n_range=(3, 8), q_range=(1, 4),
+                                 d_range=(4, 8), p_max=31, exploratory=True))
+    assert len(result.reports) == 4553
+    digest = {fmt: hashlib.sha256(render(result).encode()).hexdigest()
+              for fmt, render in (("json", render_json), ("csv", render_csv))}
+    assert digest == {
+        "json": "556523238c56de4eefed723536ec891d9bdfc3da23d8bf4ad6e2a171638fe78c",
+        "csv": "f3ceceab048ee25a0cc1903a6ab48133d11643b9b66a0f9382c71ad9c5e89836",
+    }
+
+
+@pytest.mark.parametrize("target", ["missing/dir/r.json", "."], ids=["no-parent", "a-directory"])
+def test_main_sweep_unwritable_out_exits_2(tmp_path, capsys, target):
+    out = str(tmp_path / target)
+    argv = ["sweep", "--checks", "theorem1", "--n", "4..4", "--q", "1..1", "--p-max", "13",
+            "--out", out]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_main_sweep_undecodable_config_exits_2(tmp_path, capsys, content):
+    config = tmp_path / "sweep.json"
+    config.write_bytes(content)
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: config file is not valid")
+
+
+def test_repeated_check_ids_are_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="repeated check id"):
+        run_sweep(spec_for(["theorem1", "guo", "theorem1"]))
+    sweep = ["sweep", "--n", "4..4", "--q", "1..1", "--p-max", "13"]
+    assert main(sweep + ["--checks", "theorem1,theorem1"]) == 2
+    assert "repeated check id(s): theorem1" in capsys.readouterr().err
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"checks": ["guo", "sun-e", "guo"], "p_max": 13}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "repeated check id(s): guo" in capsys.readouterr().err

@@ -62,12 +62,6 @@ def test_scalar_arithmetic():
     assert (1 - j).coefficient(1, 0) == -1
 
 
-def test_power_matches_repeated_multiplication():
-    j = one_plus("x", 3) + Jet2.variable("y", 3)
-    assert j**0 == Jet2.constant(1, 3)
-    assert j**3 == j * j * j
-
-
 def test_evaluate():
     j = one_plus("x", 2) * one_plus("y", 2)
     assert j.evaluate(F(1, 2), F(1, 3)) == F(2)

@@ -35,7 +35,7 @@ from hypercong.series import (
     theorem2_prefactor,
     truncated_pfq,
     upsilon_jet,
-    _power_sum_jet,
+    _product_jet,
     _ratio_sum,
     _ratio_terms,
 )
@@ -385,7 +385,7 @@ def test_delta_jet_zero_base_is_a_degree_shift():
     assert delta_jet(TheoremParams(5, 1, 5, exploratory=True), 4) == Jet2.constant(1, 4)
 
 
-def test_power_sum_jet_zero_base_with_negative_sign():
+def test_product_jet_zero_base_with_negative_sign():
     # sum_k (-x)_k (2 + y)_k: the first x factor is -x, a shift with sign -1.
     factors = [(0, 1, -1, 0), (2, 1, 1, 1)]
     for cap in range(MAX_DEGREE_CAP + 1):
@@ -394,7 +394,7 @@ def test_power_sum_jet_zero_base_with_negative_sign():
              for k in range(5)),
             Jet2.zero(cap),
         )
-        assert _power_sum_jet(4, factors, cap) == expected
+        assert _product_jet(4, factors, cap) == expected
 
 
 # --- the term-ratio kernel against the from-scratch oracle ---------------------
