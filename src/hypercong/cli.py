@@ -109,11 +109,7 @@ class SweepSpec:
             raise ConfigError("no checks requested")
         if self.p_max < 5:
             raise ConfigError(f"p_max must be at least 5, got {self.p_max}")
-        for name, (lo, hi) in (
-            ("n", self.n_range),
-            ("q", self.q_range),
-            ("d", self.d_range),
-        ):
+        for name, (lo, hi) in zip("nqd", (self.n_range, self.q_range, self.d_range)):
             if lo > hi:
                 raise ConfigError(f"empty {name} range {lo}..{hi}")
         if self.parallelism < 1:
@@ -356,11 +352,17 @@ def _build_sweep_spec(args) -> SweepSpec:
 
 def _cmd_sweep(args) -> int:
     spec = _build_sweep_spec(args)
+    out = spec.output_path
+    # Refused before the sweep runs; an existing file keeps its bytes until it ends.
+    if out and os.path.isdir(out):
+        raise ConfigError(f"cannot write output: {out} is a directory")
+    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ConfigError(f"cannot write output: {out} has no parent directory")
     result = run_sweep(spec)
     text = render_json(result) if spec.output_format == "json" else render_csv(result)
-    if spec.output_path:
+    if out:
         try:
-            with open(spec.output_path, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}") from None

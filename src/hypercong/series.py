@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import (
@@ -307,11 +307,15 @@ def dflst_dual(n: int, p: int) -> Fraction:
 # products, not Jet2 products.  A factor (c + i + sign*v)^m is (c + i)^m,
 # folded into the weight w_k, times (1 + sign*v/(c + i))^m = (1 + r*u)^m with
 # u = v/L for the lcm L of the bases on v's axis and the integer
-# r = sign*den*(L // a), where c + i = a/den.  Its u^j coefficient is the
+# r = sign*d*(L // a), where c + i = a/d.  Its u^j coefficient is the
 # integer C(m, j) r^j (C(j-m-1, j) (-r)^j for m < 0), so each running product
 # keeps its v^j coefficient times L^j as an integer.  A zero base gives the
-# monomial (sign*v)^m = (sign*L*u)^m.  Jet2 and pochhammer_jet stay as the
-# ring-arithmetic oracle of the tests.
+# monomial (sign*v)^m = (sign*L*u)^m.  As in ``_ratio_sum``, w_k = top/den and
+# each partial-sum coefficient is an integer over den; every _REDUCE_EVERY
+# steps, dividing all of them by their gcd keeps them near reduced size at
+# large p.  Jet2 and pochhammer_jet stay as the ring-arithmetic oracle of the tests.
+
+_REDUCE_EVERY = 32
 
 
 def _product_jet(last: int, factors: Sequence[tuple], cap: int) -> Jet2:
@@ -326,36 +330,34 @@ def _product_jet(last: int, factors: Sequence[tuple], cap: int) -> Jet2:
                   for k in range(last) if n + k * d)) for axis in (0, 1)]
     axes = {a for *_, s, a in split if s}  # the product on any other axis stays 1
     prods = [[1] + [0] * cap if axis in axes else [1] for axis in (0, 1)]
-    # Terms are summed relative to the current weight, so each step divides
-    # by a small ratio rather than multiplying by the large weight.
-    weight, rel = Fraction(1), {}
+    keys = [(i, j) for i in range(len(prods[0])) for j in range(len(prods[1])) if i + j <= cap]
+    top = den = 1  # w_k = top / den; after each step's rd is folded in, the sums are acc / den
+    acc, rd = [0] * len(keys), 1
     for k in range(last + 1):
         ex, ey = prods
-        for i, cx in enumerate(ex):
-            for j, cy in enumerate(ey[: cap + 1 - i]):
-                rel[i, j] = rel.get((i, j), 0) + cx * cy
+        acc = [z * rd + top * ex[i] * ey[j] for z, (i, j) in zip(acc, keys)]
         if k == last or not any(ex) or not any(ey):
             break  # a vanished product stays zero for every later term
+        if k % _REDUCE_EVERY == _REDUCE_EVERY - 1:
+            g = gcd(top, den, *acc)
+            top, den, acc = top // g, den // g, [z // g for z in acc]
         rn = rd = 1
-        for num, den, m, sign, axis in split:
-            a = num + k * den  # the base c + k is a / den
+        for num, d, m, sign, axis in split:
+            a = num + k * d  # the base c + k is a / d
             if sign and not a and m > 0:
                 scale = (sign * lcms[axis]) ** m
                 prods[axis] = ([0] * m + [z * scale for z in prods[axis]])[: cap + 1]
                 continue
-            rn, rd = (rn * a**m, rd * den**m) if m > 0 else (rn * den**-m, rd * a**-m)
+            rn, rd = (rn * a**m, rd * d**m) if m > 0 else (rn * d**-m, rd * a**-m)
             if sign:  # C(m, j) r^j from C(m, j-1) r^(j-1), exactly, for either sign of m
-                r, term, prev = sign * den * (lcms[axis] // a), 1, prods[axis][:]
+                r, term, prev = sign * d * (lcms[axis] // a), 1, prods[axis][:]
                 for j in range(1, cap + 1):
                     term = term * r * (m - j + 1) // j
                     for t in range(j, cap + 1):
                         prods[axis][t] += term * prev[t - j]
-        ratio = Fraction(rn, rd)
-        weight *= ratio
-        for key in rel:
-            rel[key] /= ratio
-    return Jet2({(i, j): weight * z / (lcms[0] ** i * lcms[1] ** j)
-                 for (i, j), z in rel.items()}, cap)
+        top, den = top * rn, den * rd
+    return Jet2({key: Fraction(z, den * lcms[0] ** key[0] * lcms[1] ** key[1])
+                 for key, z in zip(keys, acc)}, cap)
 
 
 def upsilon_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:

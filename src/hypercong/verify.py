@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm
+from operator import mul
 
 from .errors import PreconditionViolated, ZeroDenominator
-from .exact_core import harmonic
 from .jets import Jet2
 from .padic import (
     PrimePowerModulus,
@@ -212,34 +213,34 @@ def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
 
     Weights (q)_k^n/(1)_k^n (for the five mod-p checks) and
     (q - p/n)_k^n/(1)_k^n (for the two offset checks, mod p^2 and mod p)
-    run over k = 0..p-q.
+    run over k = 0..p-q.  The harmonic numbers are integers over powers of
+    L = lcm(1..p-1), so each sum is an integer dot product (an integer-weighted
+    term-ratio walk for the offset checks) over one denominator, reduced once.
     """
     n, q, p = tp.n, tp.q, tp.p
     params = tp.as_params()
     c = q - Fraction(p, n)
-
-    count = p - q + 1
     plain = _plain_weights(tp)
     offset = [(c, n), (1, -n)]  # the walk of (c)_k^n / (1)_k^n
+    bases = [n * q + n * i - p for i in range(p - q)]  # c + i = (nq + ni - p) / n
+    if 0 in bases:  # only at p = n, q = 1
+        raise ZeroDenominator(f"offset base {c} + {bases.index(0)} vanishes")
+    scale, h1, h2 = _harmonic_prefixes(max(p, q) - 1)
+    shift1, shift2 = h1[q - 1:], h2[q - 1:]  # index k reads H_{q+k-1}
+    h2_head = Fraction(h2[q - 1] * sum(plain), scale**2)
+    h2_shift = Fraction(sum(map(mul, plain, shift2)), scale**2)
+    h2_plain = Fraction(sum(map(mul, plain, h2)), scale**2)
+    h1_shift = Fraction(sum(w * (a - b) for w, a, b in zip(plain, h1, shift1)), scale)
+    h1_shift_sq = Fraction(sum(w * (a * a - b * b) for w, a, b in zip(plain, h1, shift1)),
+                           scale**2)
 
-    gaps = [Fraction(0)]  # sum_{i<k} 1/(c + i) - H_k
-    for i in range(count - 1):
-        if c + i == 0:  # only at p = n, q = 1
-            raise ZeroDenominator(f"offset base {c} + {i} vanishes")
-        gaps.append(gaps[-1] + 1 / (c + i) - Fraction(1, i + 1))
-
-    h2_head = harmonic(q - 1, 2) * sum(plain)
-    h2_shift = sum(plain[k] * harmonic(q + k - 1, 2) for k in range(count))
-    h2_plain = sum(plain[k] * harmonic(k, 2) for k in range(count))
-    h1_shift = sum(plain[k] * (harmonic(k) - harmonic(q + k - 1)) for k in range(count))
-    h1_shift_sq = sum(
-        plain[k] * (harmonic(k) ** 2 - harmonic(q + k - 1) ** 2) for k in range(count)
-    )
-    # Integer weights over one denominator keep both walks gcd-free.
-    scale = lcm(*(g.denominator for g in gaps))
-    tops = [g.numerator * (scale // g.denominator) for g in gaps]
-    s1_diff = _ratio_sum(offset, count - 1, tops) / scale
-    s1_diff_sq = _ratio_sum(offset, count - 1, [t * t for t in tops]) / scale**2
+    # The gaps sum_{i<k} 1/(c + i) - H_k, as integer tops over one
+    # denominator, weight both offset walks.
+    gap_den = lcm(scale, *bases)
+    runs = accumulate((n * (gap_den // b) for b in bases), initial=0)
+    tops = [r - gap_den // scale * a for r, a in zip(runs, h1)]
+    s1_diff = _ratio_sum(offset, p - q, tops) / gap_den
+    s1_diff_sq = _ratio_sum(offset, p - q, [t * t for t in tops]) / gap_den**2
 
     mod_p = PrimePowerModulus(p, 1)
     mod_p2 = PrimePowerModulus(p, 2)
@@ -287,6 +288,13 @@ def _plain_weights(tp: TheoremParams) -> list[int]:
     return [comb(tp.q + k - 1, k) ** tp.n for k in range(tp.p - tp.q + 1)]
 
 
+def _harmonic_prefixes(last: int) -> tuple[int, list[int], list[int]]:
+    # L = lcm(1..last) and the integers L*H_j and L^2*H2_j for j = 0..last.
+    scale = lcm(*range(1, last + 1))
+    steps = [scale // j for j in range(1, last + 1)]
+    return scale, [0, *accumulate(steps)], [0, *accumulate(s * s for s in steps)]
+
+
 def _reflection_differences(tp: TheoremParams) -> tuple[list[int], int]:
     # (1)_k/(p/n - q + 2)_k  minus  (1)_{p-1}/(p/n - q + 2)_{p-1} *
     # (q - p/n - p)_{p-1-k}/(1 - p)_{p-1-k}, for k = 0..p-1, as integer
@@ -318,10 +326,9 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     reports.append(_check_zero_jet(upsilon_jet(tp, 2), p, "identities/upsilon-jet", params))
 
     # sum_k (q)_k^n/(1)_k^n * sum_{i<k} 1/(q + i)^2; the inner sum is H2_{q+k-1} - H2_{q-1}.
-    head = harmonic(q - 1, 2)
-    second_order = sum(w * (harmonic(q + k - 1, 2) - head)
-                       for k, w in enumerate(_plain_weights(tp)))
-    rhs = Fraction(n - 1, 2 * n) * p * p * second_order
+    scale, _, h2 = _harmonic_prefixes(max(p, q) - 1)
+    second_order = sum(w * (b - h2[q - 1]) for w, b in zip(_plain_weights(tp), h2[q - 1:]))
+    rhs = Fraction((n - 1) * p * p * second_order, 2 * n * scale**2)
     reports.append(check_congruence(lhs_theorem1(tp), rhs, m3,
                                     check_id="identities/p2-reduction", params=params))
 

@@ -357,6 +357,20 @@ def test_exploratory_sweep_bytes_are_pinned():
     }
 
 
+def test_full_grid_sweep_bytes_are_pinned():
+    # The sweep invariant of the roadmap: all nine checks over n 3..8, q 1..4,
+    # d 4..8, p <= 97 (6504 reports), long enough for the jet walks to reduce.
+    result = run_sweep(SweepSpec(check_ids=CHECK_NAMES, n_range=(3, 8), q_range=(1, 4),
+                                 d_range=(4, 8), p_max=97))
+    assert len(result.reports) == 6504
+    digest = {fmt: hashlib.sha256(render(result).encode()).hexdigest()
+              for fmt, render in (("json", render_json), ("csv", render_csv))}
+    assert digest == {
+        "json": "dc4ff4e1c0089f428a22f839d5ae4252dd48ab249691890db397cfd76dd78e65",
+        "csv": "017ace9bcb9d7ddac8109c5b0912522b28ab01130cc15078cd197ee2ead6de38",
+    }
+
+
 @pytest.mark.parametrize("target", ["missing/dir/r.json", "."], ids=["no-parent", "a-directory"])
 def test_main_sweep_unwritable_out_exits_2(tmp_path, capsys, target):
     out = str(tmp_path / target)
@@ -364,6 +378,36 @@ def test_main_sweep_unwritable_out_exits_2(tmp_path, capsys, target):
             "--out", out]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
+@pytest.mark.parametrize("target", ["missing/dir/r.json", "."], ids=["no-parent", "a-directory"])
+def test_unwritable_out_exits_2_before_the_sweep(monkeypatch, tmp_path, capsys, target):
+    def no_sweep(spec):
+        raise AssertionError("run_sweep called for an unwritable --out")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    argv = ["sweep", "--checks", "theorem1", "--n", "4..4", "--q", "1..1", "--p-max", "13",
+            "--out", str(tmp_path / target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
+def test_existing_out_keeps_its_bytes_until_the_sweep_ends(monkeypatch, tmp_path):
+    out = tmp_path / "r.json"
+    out.write_bytes(b"old report")
+    seen = []
+
+    def sweep_then_look(spec):
+        result = run_sweep(spec)
+        seen.append(out.read_bytes())
+        return result
+
+    monkeypatch.setattr(cli, "run_sweep", sweep_then_look)
+    argv = ["sweep", "--checks", "theorem1", "--n", "4..4", "--q", "1..1", "--p-max", "13",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert seen == [b"old report"]
+    assert json.loads(out.read_text())["summary"]["holds"] == 4
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000],

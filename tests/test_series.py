@@ -35,6 +35,7 @@ from hypercong.series import (
     theorem2_prefactor,
     truncated_pfq,
     upsilon_jet,
+    _REDUCE_EVERY,
     _product_jet,
     _ratio_sum,
     _ratio_terms,
@@ -373,6 +374,16 @@ def test_jets_equal_ring_arithmetic_oracle_at_every_cap(jet_fn, oracle, n, q, p)
     tp = TheoremParams(n, q, p, exploratory=True)
     for cap in range(MAX_DEGREE_CAP + 1):
         assert jet_fn(tp, cap) == oracle(tp, cap), f"cap {cap}"
+
+
+@pytest.mark.parametrize("jet_fn,oracle", JET_ORACLES, ids=["psi", "phi", "delta", "upsilon"])
+@pytest.mark.parametrize("n,q,p", [(3, 1, 71), (3, 2, 71)])
+def test_long_jet_walks_equal_the_oracle(jet_fn, oracle, n, q, p):
+    # Walks longer than two reduction periods of the integer jet walk; (3, 2)
+    # breaks the parity hypothesis.
+    assert p - q > 2 * _REDUCE_EVERY
+    tp = TheoremParams(n, q, p, exploratory=True)
+    assert jet_fn(tp, 2) == oracle(tp, 2)
 
 
 def test_delta_jet_zero_base_is_a_degree_shift():

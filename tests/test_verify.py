@@ -1,11 +1,12 @@
 import math
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
 
 from hypercong.errors import PreconditionViolated, ZeroDenominator
+from hypercong.exact_core import harmonic
 from hypercong.padic import PrimePowerModulus, factorial_valuation, ord_rational
 from hypercong.series import TheoremParams, guo_sum, lhs_theorem1
 from hypercong.verify import (
@@ -240,3 +241,75 @@ def test_lemma_suite_raises_zero_denominator_at_p_equal_n():
     # q - p/n = 0 at p = n, q = 1: the offset weights divide by zero.
     with pytest.raises(ZeroDenominator):
         verify_lemma_suite(TheoremParams(5, 1, 5, exploratory=True))
+
+
+# --- the integer harmonic prefixes against Fraction harmonic numbers ----------
+
+
+def _tagged(report, tp):
+    if tp.exploratory and tp.hypothesis_violations():
+        return replace(report, verdict=Verdict.HYPOTHESIS_VIOLATED)
+    return report
+
+
+def _reference_lemma_suite(tp):
+    # The seven lemma values from reduced Fraction harmonic numbers, term by term.
+    n, q, p = tp.n, tp.q, tp.p
+    c = q - F(p, n)
+    count = p - q + 1
+    plain = [math.comb(q + k - 1, k) ** n for k in range(count)]
+    gaps, offset = [F(0)], [F(1)]  # sum_{i<k} 1/(c + i) - H_k, and (c)_k^n / (1)_k^n
+    for i in range(count - 1):
+        if c + i == 0:
+            raise ZeroDenominator(f"offset base {c} + {i} vanishes")
+        gaps.append(gaps[-1] + 1 / (c + i) - F(1, i + 1))
+        offset.append(offset[-1] * ((c + i) / (i + 1)) ** n)
+    values = [
+        harmonic(q - 1, 2) * sum(plain),
+        sum(plain[k] * harmonic(q + k - 1, 2) for k in range(count)),
+        sum(plain[k] * harmonic(k, 2) for k in range(count)),
+        sum(plain[k] * (harmonic(k) - harmonic(q + k - 1)) for k in range(count)),
+        sum(plain[k] * (harmonic(k) ** 2 - harmonic(q + k - 1) ** 2) for k in range(count)),
+        sum(t * g for t, g in zip(offset, gaps)),
+        sum(t * g * g for t, g in zip(offset, gaps)),
+    ]
+    names = ["h2-head", "h2-shift", "h2-plain", "h1-shift", "h1-shift-sq",
+             "s1-offset", "s1-offset-sq"]
+    orders = [1, 1, 1, 1, 1, 2, 1]
+    return [_tagged(check_congruence(v, 0, PrimePowerModulus(p, k), check_id=f"lemmas/{name}",
+                                     params=tp.as_params()), tp)
+            for v, name, k in zip(values, names, orders)]
+
+
+def _reference_p2_reduction(tp):
+    n, q, p = tp.n, tp.q, tp.p
+    second_order = sum(math.comb(q + k - 1, k) ** n * (harmonic(q + k - 1, 2) - harmonic(q - 1, 2))
+                       for k in range(p - q + 1))
+    rhs = F(n - 1, 2 * n) * p * p * second_order
+    return _tagged(check_congruence(lhs_theorem1(tp), rhs, PrimePowerModulus(p, 3),
+                                    check_id="identities/p2-reduction", params=tp.as_params()), tp)
+
+
+# In-hypothesis tuples up to p = 199, then parity and range violations and a
+# sum with no terms (q > p).
+HARMONIC_TUPLES = [
+    (3, 1, 197), (4, 2, 199), (8, 3, 101), (6, 4, 193), (5, 3, 131), (4, 1, 5),
+    (3, 2, 199), (5, 4, 181), (8, 4, 23), (3, 3, 5), (4, 3, 2),
+]
+
+
+@pytest.mark.parametrize("n,q,p", HARMONIC_TUPLES)
+def test_integer_harmonic_sums_equal_the_fraction_reference(n, q, p):
+    tp = TheoremParams(n, q, p, exploratory=True)
+    assert verify_lemma_suite(tp) == _reference_lemma_suite(tp)
+    by_id = {r.check_id: r for r in verify_exact_identities(tp)}
+    assert by_id["identities/p2-reduction"] == _reference_p2_reduction(tp)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_integer_gap_loop_still_raises_at_p_equal_n(n):
+    tp = TheoremParams(n, 1, n, exploratory=True)
+    with pytest.raises(ZeroDenominator, match=r"offset base 0 \+ 0 vanishes"):
+        _reference_lemma_suite(tp)
+    with pytest.raises(ZeroDenominator, match=r"offset base 0 \+ 0 vanishes"):
+        verify_lemma_suite(tp)
