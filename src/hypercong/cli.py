@@ -40,6 +40,7 @@ __all__ = ["SweepSpec", "SweepResult", "primes_upto", "run_sweep", "main", "CHEC
 # predicate that keeps a point of the sweep grid.  The (n, q, p) checks get a
 # TheoremParams, and the sweep tags their tuples outside its hypotheses.
 _TRIPLE = ("n", "q", "p")
+_VERIFY_FLAGS = ("n", "q", "p", "d")  # every integer flag of ``verify``
 
 
 def _triple_point(n, q, p):
@@ -376,11 +377,11 @@ def _cmd_verify(args) -> int:
     if check not in _CHECKS:
         raise ConfigError(f"unknown check id {check!r}; choose from {', '.join(CHECK_NAMES)}")
     names = _CHECKS[check][0]
-    params = {}
-    for name in names:
-        if getattr(args, name) is None:
-            raise ConfigError(f"check {check!r} requires --{name}")
-        params[name] = getattr(args, name)
+    for name in _VERIFY_FLAGS:
+        if (getattr(args, name) is None) == (name in names):
+            verb = "requires" if name in names else "does not take"
+            raise ConfigError(f"check {check!r} {verb} --{name}")
+    params = {name: getattr(args, name) for name in names}
     if check == "dflst":
         _morita_cap()  # a malformed cap exits 2 before any work
     # Tagged exactly as sweep tags the tuple, so both report the same.
@@ -413,10 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one check on one parameter tuple")
     p_verify.add_argument("check", help=f"one of: {', '.join(CHECK_NAMES)}")
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--q", type=int)
-    p_verify.add_argument("--p", type=int)
-    p_verify.add_argument("--d", type=int)
+    for name in _VERIFY_FLAGS:
+        p_verify.add_argument(f"--{name}", type=int)
     p_verify.add_argument("--exploratory", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 

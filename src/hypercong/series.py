@@ -196,9 +196,8 @@ def _ratio_steps(factors: Sequence[tuple], last: int):
         yield u, v
 
 
-def _ratio_sum(factors: Sequence[tuple], last: int, weights=None) -> Fraction:
-    """sum_{k=0}^{last} t_k * weights[k] for the walk of ``_ratio_steps``; the
-    weights are integers, 1 when not given.
+def _ratio_sum(factors: Sequence[tuple], last: int) -> Fraction:
+    """sum_{k=0}^{last} t_k for the walk of ``_ratio_steps``.
 
     The partial sums are kept as one integer over one running integer
     denominator and reduced once at the end, so a step costs a few integer
@@ -206,11 +205,10 @@ def _ratio_sum(factors: Sequence[tuple], last: int, weights=None) -> Fraction:
     """
     if last < 0:
         return Fraction(0)
-    top = den = 1  # t_k = top / den, and the partial sum is acc / den
-    acc = weights[0] if weights else 1
-    for k, (u, v) in enumerate(_ratio_steps(factors, last), 1):
+    top = den = acc = 1  # t_k = top / den, and the partial sum is acc / den
+    for u, v in _ratio_steps(factors, last):
         top *= u
-        acc = acc * v + (top * weights[k] if weights else top)
+        acc = acc * v + top
         den *= v
     return Fraction(acc, den)
 

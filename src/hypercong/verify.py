@@ -31,7 +31,7 @@ from .padic import (
 )
 from .series import (
     TheoremParams,
-    _ratio_sum,
+    _ratio_steps,
     _ratio_terms,
     delta_jet,
     delta_value,
@@ -212,19 +212,18 @@ def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
     """The seven harmonic-weighted congruences feeding the main proofs.
 
     Weights (q)_k^n/(1)_k^n (for the five mod-p checks) and
-    (q - p/n)_k^n/(1)_k^n (for the two offset checks, mod p^2 and mod p)
-    run over k = 0..p-q.  The harmonic numbers are integers over powers of
-    L = lcm(1..p-1), so each sum is an integer dot product (an integer-weighted
-    term-ratio walk for the offset checks) over one denominator, reduced once.
+    t_k = (c)_k^n/(1)_k^n, c = q - p/n (for the two offset checks, mod p^2 and
+    mod p) run over k = 0..p-q.  The harmonic numbers are integers over powers
+    of L = lcm(1..p-1), so each plain sum is an integer dot product over one
+    denominator, reduced once.  The offset sums, of t_k g_k and t_k g_k^2 with
+    g_k = sum_{i<k} 1/(c + i) - H_k, come from one walk of small-integer steps.
     """
     n, q, p = tp.n, tp.q, tp.p
     params = tp.as_params()
-    c = q - Fraction(p, n)
-    plain = _plain_weights(tp)
-    offset = [(c, n), (1, -n)]  # the walk of (c)_k^n / (1)_k^n
     bases = [n * q + n * i - p for i in range(p - q)]  # c + i = (nq + ni - p) / n
     if 0 in bases:  # only at p = n, q = 1
-        raise ZeroDenominator(f"offset base {c} + {bases.index(0)} vanishes")
+        raise ZeroDenominator(f"offset base {q - Fraction(p, n)} + {bases.index(0)} vanishes")
+    plain = _plain_weights(tp)
     scale, h1, h2 = _harmonic_prefixes(max(p, q) - 1)
     shift1, shift2 = h1[q - 1:], h2[q - 1:]  # index k reads H_{q+k-1}
     h2_head = Fraction(h2[q - 1] * sum(plain), scale**2)
@@ -234,13 +233,18 @@ def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
     h1_shift_sq = Fraction(sum(w * (a * a - b * b) for w, a, b in zip(plain, h1, shift1)),
                            scale**2)
 
-    # The gaps sum_{i<k} 1/(c + i) - H_k, as integer tops over one
-    # denominator, weight both offset walks.
-    gap_den = lcm(scale, *bases)
-    runs = accumulate((n * (gap_den // b) for b in bases), initial=0)
-    tops = [r - gap_den // scale * a for r, a in zip(runs, h1)]
-    s1_diff = _ratio_sum(offset, p - q, tops) / gap_den
-    s1_diff_sq = _ratio_sum(offset, p - q, [t * t for t in tops]) / gap_den**2
+    # One walk of (t_k, t_k g_k, t_k g_k^2) and both sums, integers over one running
+    # denominator: step k multiplies t by b^n/(n(k+1))^n and adds e/f = 1/(c+k) - 1/(k+1)
+    # to g, with b = nq + nk - p, e = n(k+1) - b and f = b(k+1), all small integers.
+    t, tg, tgg, s1, s2, den = 1, 0, 0, 0, 0, 1
+    for k, b in enumerate(bases, 1):
+        u, e, f = b**n, n * k - b, b * k
+        tgg = (tgg * f * f + 2 * e * f * tg + e * e * t) * u
+        tg = (tg * f + e * t) * u * f
+        t *= u * f * f
+        step = (n * k) ** n * f * f
+        s1, s2, den = s1 * step + tg, s2 * step + tgg, den * step
+    s1_diff, s1_diff_sq = Fraction(s1, den), Fraction(s2, den)
 
     mod_p = PrimePowerModulus(p, 1)
     mod_p2 = PrimePowerModulus(p, 2)
@@ -295,15 +299,18 @@ def _harmonic_prefixes(last: int) -> tuple[int, list[int], list[int]]:
     return scale, [0, *accumulate(steps)], [0, *accumulate(s * s for s in steps)]
 
 
-def _reflection_differences(tp: TheoremParams) -> tuple[list[int], int]:
-    # (1)_k/(p/n - q + 2)_k  minus  (1)_{p-1}/(p/n - q + 2)_{p-1} *
-    # (q - p/n - p)_{p-1-k}/(1 - p)_{p-1-k}, for k = 0..p-1, as integer
-    # numerators over one common denominator.
-    n, q, p = tp.n, tp.q, tp.p
-    b = Fraction(p, n) - q + 2
-    a = q - Fraction(p, n) - p
-    lhs, lhs_den = _ratio_terms([(1, 1), (b, -1)], p - 1)
-    rhs, rhs_den = _ratio_terms([(a, 1), (1 - p, -1)], p - 1)
+def _steps_mirror(left: list, right: list, count: int) -> bool:
+    # Both walks ran all count steps and left step k undoes right step count-1-k
+    # (u1 u2 = v1 v2), so the reflection holds at every k.  False decides nothing.
+    return len(left) == len(right) == count and all(
+        u1 * u2 == v1 * v2 for (u1, v1), (u2, v2) in zip(left, reversed(right)))
+
+
+def _reflection_differences(left: list, right: list, last: int) -> tuple[list[int], int]:
+    # Left term k minus left term ``last`` times right term last-k, for k = 0..last,
+    # as integer numerators over one common denominator.
+    lhs, lhs_den = _ratio_terms(left, last)
+    rhs, rhs_den = _ratio_terms(right, last)
     return [x * rhs_den - lhs[-1] * y for x, y in zip(lhs, reversed(rhs))], lhs_den * rhs_den
 
 
@@ -332,9 +339,15 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     reports.append(check_congruence(lhs_theorem1(tp), rhs, m3,
                                     check_id="identities/p2-reduction", params=params))
 
-    diffs, den = _reflection_differences(tp)
-    achieved = min(ord_rational(d, p) for d in diffs) - ord_rational(den, p)
-    verdict = Verdict.HOLDS if not any(diffs) else Verdict.FAILS
+    # Reflection, b = p/n - q + 2, a = q - p/n - p: (1)_k/(b)_k = (1)_{p-1}/(b)_{p-1} *
+    # (a)_{p-1-k}/(1 - p)_{p-1-k}.  Step ratios decide the common case, exact differences the rest.
+    walks = [(1, 1), (Fraction(p, n) - q + 2, -1)], [(q - Fraction(p, n) - p, 1), (1 - p, -1)]
+    if _steps_mirror(*(list(_ratio_steps(w, p - 1)) for w in walks), p - 1):
+        achieved, verdict = math.inf, Verdict.HOLDS
+    else:
+        diffs, den = _reflection_differences(*walks, p - 1)
+        achieved = min(ord_rational(d, p) for d in diffs) - ord_rational(den, p)
+        verdict = Verdict.HOLDS if not any(diffs) else Verdict.FAILS
     reports.append(CongruenceReport("identities/reflection", dict(params), math.inf,
                                     achieved, None, verdict))
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +169,31 @@ def test_main_verify_paths(capsys):
     assert main(["verify", "theorem1", "--n", "4", "--q", "1"]) == 2  # missing --p
     assert main(["verify", "theorem1", "--n", "4", "--q", "2", "--p", "5"]) == 2
     assert main(["verify", "nonsense", "--p", "5"]) == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["theorem1", "--n", "3", "--q", "1", "--p", "5", "--d", "4"], "d"),
+    (["guo", "--d", "4", "--p", "19", "--n", "3"], "n"),
+    (["sun-e", "--p", "7", "--q", "2"], "q"),
+    (["dflst", "--n", "3", "--p", "7", "--d", "6"], "d"),
+])
+def test_main_verify_rejects_a_flag_the_check_does_not_read(capsys, argv, flag):
+    check = argv[0]
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: check '{check}' does not take --{flag}\n"
+    assert captured.out == ""
+    dropped = argv[:argv.index(f"--{flag}")] + argv[argv.index(f"--{flag}") + 2:]
+    assert main(["verify", *dropped]) == 0
+
+
+def test_python_dash_m_hypercong_runs_the_cli_quietly():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "hypercong", "primes", "10"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout.split(), proc.stderr) == (0, ["2", "3", "5", "7"], "")
 
 
 def test_main_primes(capsys):

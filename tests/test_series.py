@@ -478,11 +478,6 @@ def test_kernel_stops_when_a_numerator_factor_vanishes():
     assert _ratio_sum([(-3, 1), (1, -1)], 10) == 0
 
 
-def test_kernel_weighted_sum():
-    # t_k = (1/2)_k / k! = 1, 1/2, 3/8, 5/16 against integer weights.
-    assert _ratio_sum([(F(1, 2), 1), (1, -1)], 3, [5, 0, 2, 7]) == 5 + F(3, 4) + F(35, 16)
-
-
 def test_kernel_rejects_a_vanishing_denominator():
     # Bases -3 + k for k < last: zero is reached only when last > 3.
     assert _ratio_sum([(1, 1), (-3, -1)], 3) == 1 - F(1, 3) + F(1, 3) - 1

@@ -7,11 +7,14 @@ import pytest
 
 from hypercong.errors import PreconditionViolated, ZeroDenominator
 from hypercong.exact_core import harmonic
-from hypercong.padic import PrimePowerModulus, factorial_valuation, ord_rational
-from hypercong.series import TheoremParams, guo_sum, lhs_theorem1
+from hypercong import verify
+from hypercong.padic import PrimePowerModulus, factorial_valuation, is_prime, ord_rational
+from hypercong.series import TheoremParams, _ratio_steps, guo_sum, lhs_theorem1
 from hypercong.verify import (
     CongruenceReport,
     Verdict,
+    _reflection_differences,
+    _steps_mirror,
     check_congruence,
     verify_dflst_pair,
     verify_exact_identities,
@@ -313,3 +316,86 @@ def test_integer_gap_loop_still_raises_at_p_equal_n(n):
         _reference_lemma_suite(tp)
     with pytest.raises(ZeroDenominator, match=r"offset base 0 \+ 0 vanishes"):
         verify_lemma_suite(tp)
+
+
+# Large p, where the offset walk's integers reach tens of thousands of bits: in
+# the hypotheses, and outside them (n odd, q even), where the s1-offset residue
+# mod p^2 is not zero, so its sign shows.
+@pytest.mark.parametrize("n,q,p", [(8, 3, 307), (3, 2, 307)])
+def test_offset_walk_equals_the_fraction_reference_at_large_p(n, q, p):
+    tp = TheoremParams(n, q, p, exploratory=True)
+    assert verify_lemma_suite(tp) == _reference_lemma_suite(tp)
+
+
+# --- the step-ratio reflection check against the exact differences ------------
+
+
+def _reflection_walks(tp):
+    # (1)_k/(b)_k against (a)_{p-1-k}/(1 - p)_{p-1-k}, b = p/n - q + 2, a = q - p/n - p.
+    n, q, p = tp.n, tp.q, tp.p
+    return [(1, 1), (F(p, n) - q + 2, -1)], [(q - F(p, n) - p, 1), (1 - p, -1)]
+
+
+def _reflection_steps(tp):
+    return [list(_ratio_steps(walk, tp.p - 1)) for walk in _reflection_walks(tp)]
+
+
+EXPLORATORY_GRID = [TheoremParams(n, q, p, exploratory=True)
+                    for n in range(3, 9) for q in range(1, 5) for p in range(2, 62)
+                    if is_prime(p)]
+
+
+def test_step_mirror_holds_exactly_when_every_reflection_difference_is_zero():
+    decided = 0
+    for tp in EXPLORATORY_GRID:
+        try:
+            diffs, _ = _reflection_differences(*_reflection_walks(tp), tp.p - 1)
+        except ZeroDenominator:  # (p/n - q + 2)_k vanishes: only at p = n, q > 2
+            assert tp.p == tp.n and tp.q > 2
+            with pytest.raises(ZeroDenominator):
+                _reflection_steps(tp)
+            continue
+        mirrored = _steps_mirror(*_reflection_steps(tp), tp.p - 1)
+        assert mirrored == (not any(diffs)), tp.as_params()
+        decided += mirrored
+    assert decided == len(EXPLORATORY_GRID) - 6
+
+
+def _identities_or_error(tp):
+    try:
+        return verify_exact_identities(tp)
+    except ZeroDenominator as exc:
+        return f"ZeroDenominator: {exc}"
+
+
+def test_exact_reflection_path_gives_the_fast_path_reports(monkeypatch):
+    tuples = EXPLORATORY_GRID + [TheoremParams(4, 1, 797)]
+    fast = [_identities_or_error(tp) for tp in tuples]
+    assert sum(isinstance(r, str) for r in fast) == 6  # p = n, q > 2
+    for reports in fast:
+        if not isinstance(reports, str):
+            assert reports[3].check_id == "identities/reflection"
+            assert reports[3].achieved_ord == math.inf
+    monkeypatch.setattr(verify, "_steps_mirror", lambda *args: False)
+    assert [_identities_or_error(tp) for tp in tuples] == fast
+
+
+@pytest.mark.parametrize("n,q,p", [(3, 1, 2), (3, 2, 3), (6, 1, 5), (4, 2, 11), (8, 3, 61)])
+def test_step_mirror_rejects_any_perturbed_pair(n, q, p):
+    tp = TheoremParams(n, q, p, exploratory=True)
+    left, right = _reflection_steps(tp)
+    count = p - 1
+    assert _steps_mirror(left, right, count)
+    # The same ratios written over other integers are still accepted.
+    assert _steps_mirror([(3 * u, 3 * v) for u, v in left], right, count)
+    for k in range(count):
+        for steps, side in ((left, 0), (right, 1)):
+            u, v = steps[k]
+            for bad in ((u + 1, v), (u, v + 1), (-u, v)):
+                perturbed = steps[:k] + [bad] + steps[k + 1:]
+                pair = (perturbed, right) if side == 0 else (left, perturbed)
+                assert not _steps_mirror(*pair, count), (k, side, bad)
+    # A walk that stopped early, or lost or gained a step, decides nothing.
+    assert not _steps_mirror(left[:-1], right[:-1], count)
+    assert not _steps_mirror(left, right[:-1], count)
+    assert not _steps_mirror(left + left[:1], right + right[:1], count)
