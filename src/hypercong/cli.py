@@ -55,7 +55,7 @@ _CHECKS = {
     "sun-e": (("p",), "verify_sun_e", 5, lambda p: p > 3),
     "sun-bernoulli": (("p", "n"), "verify_sun_bernoulli", 5, lambda p, n: p > 3 and n % p),
     "dflst": (("n", "p"), "verify_dflst_pair", 3,
-              lambda n, p: n >= 3 and p % n == 1 and p**3 <= _morita_cap()),
+              lambda n, p: n >= 3 and p % n == 1 and p**3 <= padic.MORITA_CAP),
     "lemmas": (_TRIPLE, "verify_lemma_suite", 1, _triple_point),
     "taylor": (_TRIPLE, "verify_taylor", 3, _triple_point),
     "identities": (_TRIPLE, "verify_exact_identities", 3, _triple_point),
@@ -157,14 +157,6 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
 def _out_of_hypothesis(n: int, q: int, p: int) -> bool:
     # TheoremParams alone owns the parity and range hypotheses.
     return bool(TheoremParams(n, q, p, exploratory=True).hypothesis_violations())
-
-
-def _morita_cap() -> int:
-    # A malformed environment value is a configuration error (exit 2).
-    try:
-        return padic.morita_cap()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _run_check(check: str, params: dict, exploratory: bool) -> list[CongruenceReport]:
@@ -381,12 +373,11 @@ def _cmd_verify(args) -> int:
         if (getattr(args, name) is None) == (name in names):
             verb = "requires" if name in names else "does not take"
             raise ConfigError(f"check {check!r} {verb} --{name}")
+    if args.exploratory and names != _TRIPLE:
+        raise ConfigError(f"check {check!r} does not take --exploratory")
     params = {name: getattr(args, name) for name in names}
-    if check == "dflst":
-        _morita_cap()  # a malformed cap exits 2 before any work
     # Tagged exactly as sweep tags the tuple, so both report the same.
-    tagged = (args.exploratory and names == _TRIPLE
-              and _out_of_hypothesis(*(params[k] for k in _TRIPLE)))
+    tagged = args.exploratory and _out_of_hypothesis(**params)
     reports = _run_unit((check, tuple(params.items()), tagged))
     for r in reports:
         print(_format_report(r))
@@ -405,10 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercong",
         description="Exact verification of truncated hypergeometric supercongruences.",
-        epilog=(
-            "Environment: HYPERCONG_MORITA_CAP overrides the p^k <= 10^7 cap on "
-            "Morita Gamma precision."
-        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -133,15 +133,7 @@ class Jet2:
         other = self._coerce(other)
         if not isinstance(other, Jet2):
             return NotImplemented
-        self._check_cap(other)
-        coeffs = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            acc = coeffs.get(key, 0) - c
-            if acc:
-                coeffs[key] = acc
-            else:
-                coeffs.pop(key, None)
-        return Jet2._make(self._cap, coeffs)
+        return self + -other
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -202,8 +194,7 @@ class Jet2:
         return self * other.inverse()
 
     def __eq__(self, other):
-        if isinstance(other, _Scalar):
-            other = Jet2._make(self._cap, {(0, 0): Fraction(other)} if other else {})
+        other = self._coerce(other)
         if not isinstance(other, Jet2):
             return NotImplemented
         return self._cap == other._cap and self._coeffs == other._coeffs

@@ -9,7 +9,6 @@ representative, which keeps serialized output bit-exact across runs.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,9 +29,7 @@ __all__ = [
     "factorial_valuation",
     "bernoulli",
     "morita_gamma",
-    "MORITA_CAP_ENV",
-    "DEFAULT_MORITA_CAP",
-    "morita_cap",
+    "MORITA_CAP",
 ]
 
 # Deterministic Miller-Rabin witness set; proven sufficient far beyond the
@@ -186,19 +183,8 @@ def bernoulli(m: int) -> Fraction:
     return grown[m]
 
 
-MORITA_CAP_ENV = "HYPERCONG_MORITA_CAP"
-DEFAULT_MORITA_CAP = 10**7
-
-
-def morita_cap() -> int:
-    """Currently active p^k cap for Morita Gamma calls (env-overridable)."""
-    raw = os.environ.get(MORITA_CAP_ENV)
-    if raw is None:
-        return DEFAULT_MORITA_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{MORITA_CAP_ENV} must be an integer, got {raw!r}") from None
+# Morita Gamma precision is refused above p^k = MORITA_CAP, read at call time.
+MORITA_CAP = 10**7
 
 
 def morita_gamma(x, m: PrimePowerModulus) -> Residue:
@@ -211,15 +197,14 @@ def morita_gamma(x, m: PrimePowerModulus) -> Residue:
     i < a holds the units i p + r, 0 < r < p, whose product is F(i p) for
     F(t) = prod_r (r + t) = sum_{j<k} e_{p-1-j} t^j (mod p^k), e being the
     elementary symmetric functions of 1..p-1.  That costs O(k p + k a)
-    products, a < p^(k-1), plus b tail factors.  The p^k <= 10^7 cap
-    (override with HYPERCONG_MORITA_CAP) bounds the precision.
+    products, a < p^(k-1), plus b tail factors.  Precisions p^k above
+    MORITA_CAP = 10^7 raise PrecisionCapExceeded.
     """
     if m.p == 2:
         raise PreconditionViolated("morita_gamma requires an odd prime")
     pk = m.modulus
-    cap = morita_cap()
-    if pk > cap:
-        raise PrecisionCapExceeded(f"p^k = {pk} exceeds the Morita cap {cap}")
+    if pk > MORITA_CAP:
+        raise PrecisionCapExceeded(f"p^k = {pk} exceeds the Morita cap {MORITA_CAP}")
     lift = reduce_mod(x, m).value
     if lift == 0:
         lift = pk

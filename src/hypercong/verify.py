@@ -19,7 +19,6 @@ from math import comb, lcm
 from operator import mul
 
 from .errors import PreconditionViolated, ZeroDenominator
-from .jets import Jet2
 from .padic import (
     PrimePowerModulus,
     Residue,
@@ -43,7 +42,6 @@ from .series import (
     lhs_theorem2,
     phi_jet,
     phi_value,
-    psi_jet,
     psi_value,
     sun_bernoulli_lhs,
     sun_e_sum,
@@ -111,18 +109,12 @@ def check_congruence(lhs, rhs, m: PrimePowerModulus, *, check_id: str = "congrue
     return CongruenceReport(check_id, params, m.k, achieved, residue, verdict)
 
 
-def _check_exact(value: Fraction, p: int, check_id: str, params: dict) -> CongruenceReport:
-    # Exact identity: the value must be the rational zero.
-    achieved = ord_rational(value, p)
-    verdict = Verdict.HOLDS if not value else Verdict.FAILS
-    return CongruenceReport(check_id, dict(params), math.inf, achieved, None, verdict)
-
-
-def _check_zero_jet(jet: Jet2, p: int, check_id: str, params: dict) -> CongruenceReport:
-    achieved = min(
-        (ord_rational(c, p) for c in jet.coefficients.values()), default=math.inf
-    )
-    verdict = Verdict.HOLDS if jet.is_zero else Verdict.FAILS
+def _exact_report(values, p: int, check_id: str, params: dict) -> CongruenceReport:
+    # Exact identity: every value must be the rational zero.  The valuation is
+    # the least over the values, inf when there are none.
+    values = list(values)
+    achieved = min((ord_rational(v, p) for v in values), default=math.inf)
+    verdict = Verdict.FAILS if any(values) else Verdict.HOLDS
     return CongruenceReport(check_id, dict(params), math.inf, achieved, None, verdict)
 
 
@@ -272,10 +264,12 @@ def verify_taylor(tp: TheoremParams) -> list[CongruenceReport]:
     params = tp.as_params()
     displacement = Fraction(p, tp.n)
 
+    # psi(x) = phi(x, x), so one jet serves both Taylor values.
+    phi = phi_jet(tp, 2)
     psi_exact = psi_value(tp, displacement)
-    psi_taylor = psi_jet(tp, 2).evaluate(displacement)
+    psi_taylor = phi.evaluate(displacement, displacement)
     phi_exact = phi_value(tp, p, 0)
-    phi_taylor = phi_jet(tp, 2).evaluate(p, 0)
+    phi_taylor = phi.evaluate(p, 0)
     delta_exact = delta_value(tp, -p)
     delta_taylor = delta_jet(tp, 2).evaluate(-p)
 
@@ -329,8 +323,9 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     m3 = PrimePowerModulus(p, 3)
     reports = []
 
-    reports.append(_check_exact(phi_value(tp, p, 0), p, "identities/phi-p0", params))
-    reports.append(_check_zero_jet(upsilon_jet(tp, 2), p, "identities/upsilon-jet", params))
+    reports.append(_exact_report([phi_value(tp, p, 0)], p, "identities/phi-p0", params))
+    reports.append(_exact_report(upsilon_jet(tp, 2).coefficients.values(), p,
+                                 "identities/upsilon-jet", params))
 
     # sum_k (q)_k^n/(1)_k^n * sum_{i<k} 1/(q + i)^2; the inner sum is H2_{q+k-1} - H2_{q-1}.
     scale, _, h2 = _harmonic_prefixes(max(p, q) - 1)
@@ -343,13 +338,11 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     # (a)_{p-1-k}/(1 - p)_{p-1-k}.  Step ratios decide the common case, exact differences the rest.
     walks = [(1, 1), (Fraction(p, n) - q + 2, -1)], [(q - Fraction(p, n) - p, 1), (1 - p, -1)]
     if _steps_mirror(*(list(_ratio_steps(w, p - 1)) for w in walks), p - 1):
-        achieved, verdict = math.inf, Verdict.HOLDS
+        differences = []
     else:
         diffs, den = _reflection_differences(*walks, p - 1)
-        achieved = min(ord_rational(d, p) for d in diffs) - ord_rational(den, p)
-        verdict = Verdict.HOLDS if not any(diffs) else Verdict.FAILS
-    reports.append(CongruenceReport("identities/reflection", dict(params), math.inf,
-                                    achieved, None, verdict))
+        differences = [Fraction(d, den) for d in diffs]
+    reports.append(_exact_report(differences, p, "identities/reflection", params))
 
     if q == 1:
         reports.append(CongruenceReport("identities/dual-reduction", dict(params), 3,

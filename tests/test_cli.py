@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hypercong import cli
+from hypercong import cli, padic
 from hypercong.cli import (
     CHECK_NAMES,
     SweepResult,
@@ -20,7 +20,6 @@ from hypercong.cli import (
     run_sweep,
 )
 from hypercong.errors import CapExceeded, ConfigError
-from hypercong.padic import MORITA_CAP_ENV
 from hypercong.verify import CongruenceReport, Verdict
 
 
@@ -154,7 +153,7 @@ def test_exit_code_contract_on_synthetic_failure():
 
 def test_dflst_grid_respects_morita_cap(monkeypatch):
     unrestricted = run_sweep(spec_for(["dflst"], n_range=(3, 3), p_max=31))
-    monkeypatch.setenv(MORITA_CAP_ENV, str(29 * 29 * 29))
+    monkeypatch.setattr(padic, "MORITA_CAP", 29 * 29 * 29)
     capped = run_sweep(spec_for(["dflst"], n_range=(3, 3), p_max=31))
     trimmed = {r.params["p"] for r in unrestricted.reports} - {
         r.params["p"] for r in capped.reports
@@ -185,6 +184,21 @@ def test_main_verify_rejects_a_flag_the_check_does_not_read(capsys, argv, flag):
     assert captured.out == ""
     dropped = argv[:argv.index(f"--{flag}")] + argv[argv.index(f"--{flag}") + 2:]
     assert main(["verify", *dropped]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["guo", "--d", "4", "--p", "7"],
+    ["sun-e", "--p", "7"],
+    ["sun-bernoulli", "--p", "7", "--n", "3"],
+    ["dflst", "--n", "3", "--p", "7"],
+], ids=lambda argv: argv[0])
+def test_main_verify_refuses_exploratory_for_checks_without_a_triple(capsys, argv):
+    check = argv[0]
+    assert main(["verify", *argv, "--exploratory"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: check '{check}' does not take --exploratory\n"
+    assert captured.out == ""
+    assert main(["verify", *argv]) == 0
 
 
 def test_python_dash_m_hypercong_runs_the_cli_quietly():
@@ -312,15 +326,18 @@ def test_run_sweep_clamps_pool_size(monkeypatch, parallelism, cpus, p_max, expec
     assert _RecordingPool.calls == ([] if expected is None else [expected])
 
 
-def test_malformed_morita_cap_exits_2_only_where_the_cap_is_read(monkeypatch, capsys):
-    monkeypatch.setenv(MORITA_CAP_ENV, "abc")
-    sweep = ["sweep", "--n", "3..4", "--q", "1..1", "--p-max", "13"]
-    assert main(sweep + ["--checks", "theorem1,dflst"]) == 2
-    assert MORITA_CAP_ENV in capsys.readouterr().err
-    assert main(["verify", "dflst", "--n", "3", "--p", "7"]) == 2
-    assert MORITA_CAP_ENV in capsys.readouterr().err
-    # A sweep without dflst never reads the cap.
-    assert main(sweep + ["--checks", "theorem1"]) == 0
+def test_the_environment_does_not_change_the_sweep(monkeypatch, capsys):
+    # HYPERCONG_MORITA_CAP once overrode the Morita cap; it is now ignored.
+    sweep = ["sweep", "--checks", "theorem1,dflst", "--n", "3..4", "--q", "1..1",
+             "--p-max", "31", "--format", "csv"]
+    monkeypatch.delenv("HYPERCONG_MORITA_CAP", raising=False)
+    expected = (main(sweep), capsys.readouterr())
+    assert expected[0] == 0 and expected[1].out.count("dflst/") == 16
+    for value in ("1000", "abc"):
+        monkeypatch.setenv("HYPERCONG_MORITA_CAP", value)
+        assert (main(sweep), capsys.readouterr()) == expected, value
+        assert main(["verify", "dflst", "--n", "3", "--p", "7"]) == 0
+        capsys.readouterr()
 
 
 def test_sieve_limit_is_enforced_before_any_allocation(monkeypatch, tmp_path, capsys):

@@ -16,7 +16,6 @@ from hypercong import padic
 from hypercong.exact_core import harmonic
 from hypercong.cli import primes_upto
 from hypercong.padic import (
-    MORITA_CAP_ENV,
     PrimePowerModulus,
     Residue,
     bernoulli,
@@ -201,15 +200,13 @@ def test_morita_gamma_requires_p_integral():
         morita_gamma(F(1, 5), PrimePowerModulus(5, 1))
 
 
-def test_morita_gamma_cap_and_env_override(monkeypatch):
-    monkeypatch.setenv(MORITA_CAP_ENV, "100")
+def test_morita_gamma_cap_is_the_fixed_constant():
+    assert padic.MORITA_CAP == 10**7
+    # 211^3 < 10^7 < 223^3.  Gamma_p(1/2)^2 = (-1)^((p+1)/2) by the reflection formula.
+    half = morita_gamma(F(1, 2), PrimePowerModulus(211, 3))
+    assert pow(half.value, 2, 211**3) == 1
     with pytest.raises(PrecisionCapExceeded):
-        morita_gamma(F(1), PrimePowerModulus(11, 2))
-    monkeypatch.setenv(MORITA_CAP_ENV, "200")
-    assert morita_gamma(F(2), PrimePowerModulus(11, 2)).value == 1
-    monkeypatch.setenv(MORITA_CAP_ENV, "not-a-number")
-    with pytest.raises(ValueError):
-        morita_gamma(F(2), PrimePowerModulus(11, 2))
+        morita_gamma(F(1, 2), PrimePowerModulus(223, 3))
 
 
 def test_wolstenholme_valuations():

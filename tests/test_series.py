@@ -386,6 +386,16 @@ def test_long_jet_walks_equal_the_oracle(jet_fn, oracle, n, q, p):
     assert jet_fn(tp, 2) == oracle(tp, 2)
 
 
+@pytest.mark.parametrize("n,q,p", ORACLE_TUPLES)
+def test_psi_jet_is_the_diagonal_of_phi_jet(n, q, p):
+    # psi(x) = phi(x, x): verify_taylor reads both Taylor values from phi's jet.
+    tp = TheoremParams(n, q, p, exploratory=True)
+    for cap in range(MAX_DEGREE_CAP + 1):
+        phi, psi = phi_jet(tp, cap), psi_jet(tp, cap)
+        for d in range(cap + 1):
+            assert psi.coefficient(d) == sum(phi.coefficient(i, d - i) for i in range(d + 1))
+
+
 def test_delta_jet_zero_base_is_a_degree_shift():
     # At p = n, q = 1 every term past k = 0 carries the factor x^n.
     tp = TheoremParams(3, 1, 3, exploratory=True)
