@@ -37,8 +37,8 @@ __all__ = ["SweepSpec", "SweepResult", "primes_upto", "run_sweep", "main", "CHEC
 # ``hypercong.verify`` (looked up at call time, so a wrapper installed there
 # is seen), its required valuation (carried by reports synthesized for
 # exploratory tuples that the evaluators cannot express) and the grid
-# predicate that keeps a point of the sweep grid.  The (n, q, p) checks get a
-# TheoremParams, and the sweep tags their tuples outside its hypotheses.
+# predicate that keeps a point of the sweep grid.  The (n, q, p) checks take
+# one TheoremParams, which alone says whether a tuple is outside the hypotheses.
 _TRIPLE = ("n", "q", "p")
 _VERIFY_FLAGS = ("n", "q", "p", "d")  # every integer flag of ``verify``
 
@@ -66,6 +66,9 @@ CHECK_NAMES = tuple(_CHECKS)
 # The sieve holds one byte per integer up to its limit; larger limits are
 # refused before anything is allocated.
 SIEVE_LIMIT = 10**7
+# Candidate points of a sweep grid, summed over its checks, counted before
+# any unit is built.
+GRID_LIMIT = 10**5
 
 
 def primes_upto(limit: int) -> list[int]:
@@ -136,53 +139,46 @@ def _exit_code(reports) -> int:
 
 
 def _expand_units(spec: SweepSpec) -> list[tuple]:
+    # A unit is (check id, the positional arguments of its verify function).
     axes = {name: range(max(lo, 1), hi + 1) for name, (lo, hi)
             in (("n", spec.n_range), ("q", spec.q_range), ("d", spec.d_range))}
     axes["p"] = primes_upto(spec.p_max)
-    tag = functools.cache(_out_of_hypothesis)  # once per triple for all its checks
+    grids = {check: [name for name in "nqdp" if name in _CHECKS[check][0]]
+             for check in spec.check_ids}  # in the order of the sort key
+    points = sum(math.prod(len(axes[name]) for name in grid) for grid in grids.values())
+    if points > GRID_LIMIT:
+        raise ConfigError(f"the grid has {points} candidate points, above the cap {GRID_LIMIT}")
+    # One TheoremParams per triple, shared by its checks, owns the hypotheses.
+    triple = functools.cache(lambda n, q, p: TheoremParams(n, q, p, exploratory=True))
     units = []
-    for check in spec.check_ids:
+    for check, grid in grids.items():
         names, _, _, keep = _CHECKS[check]
-        grid = [name for name in "nqdp" if name in names]  # the order of the sort key
         for values in itertools.product(*(axes[name] for name in grid)):
             params = dict(zip(grid, values))
             if not keep(**params):
                 continue
-            tagged = names == _TRIPLE and tag(*values)
-            if spec.exploratory or not tagged:
-                units.append((check, tuple((name, params[name]) for name in names), tagged))
+            args = tuple(params[name] for name in names)
+            if names == _TRIPLE:
+                args = (triple(*args),)
+                if not (spec.exploratory or args[0].in_hypothesis):
+                    continue
+            units.append((check, args))
     return units
 
 
-def _out_of_hypothesis(n: int, q: int, p: int) -> bool:
-    # TheoremParams alone owns the parity and range hypotheses.
-    return bool(TheoremParams(n, q, p, exploratory=True).hypothesis_violations())
-
-
-def _run_check(check: str, params: dict, exploratory: bool) -> list[CongruenceReport]:
-    names, fn_name, _, _ = _CHECKS[check]
-    run = getattr(verify, fn_name)
-    if names == _TRIPLE:
-        result = run(TheoremParams(*(params[k] for k in names), exploratory=exploratory))
-    else:
-        result = run(*(params[k] for k in names))
-    return list(result) if isinstance(result, (list, tuple)) else [result]
-
-
 def _run_unit(unit: tuple) -> list[CongruenceReport]:
-    check, items, tagged = unit
-    params = dict(items)
+    check, args = unit
+    names, fn_name, required, _ = _CHECKS[check]
     try:
-        return _run_check(check, params, tagged)
-    except (HypercongError, ZeroDivisionError):
-        if not tagged:
+        result = getattr(verify, fn_name)(*args)
+    except HypercongError:
+        if names != _TRIPLE or args[0].in_hypothesis:
             raise
         # Exploratory tuple the evaluators cannot even express: record the
         # attempt rather than dropping the grid point.
-        return [
-            CongruenceReport(check, params, _CHECKS[check][2], None, None,
-                             Verdict.HYPOTHESIS_VIOLATED)
-        ]
+        return [CongruenceReport(check, args[0].as_params(), required, None, None,
+                                 Verdict.HYPOTHESIS_VIOLATED)]
+    return list(result) if isinstance(result, (list, tuple)) else [result]
 
 
 def _sort_key(report: CongruenceReport):
@@ -375,10 +371,10 @@ def _cmd_verify(args) -> int:
             raise ConfigError(f"check {check!r} {verb} --{name}")
     if args.exploratory and names != _TRIPLE:
         raise ConfigError(f"check {check!r} does not take --exploratory")
-    params = {name: getattr(args, name) for name in names}
-    # Tagged exactly as sweep tags the tuple, so both report the same.
-    tagged = args.exploratory and _out_of_hypothesis(**params)
-    reports = _run_unit((check, tuple(params.items()), tagged))
+    values = tuple(getattr(args, name) for name in names)
+    if names == _TRIPLE:  # refuses a tuple outside the hypotheses unless exploratory
+        values = (TheoremParams(*values, exploratory=args.exploratory),)
+    reports = _run_unit((check, values))
     for r in reports:
         print(_format_report(r))
     return _exit_code(reports)
@@ -431,7 +427,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, HypercongError) as exc:
+    except HypercongError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -216,9 +216,9 @@ def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
     if 0 in bases:  # only at p = n, q = 1
         raise ZeroDenominator(f"offset base {q - Fraction(p, n)} + {bases.index(0)} vanishes")
     plain = _plain_weights(tp)
-    scale, h1, h2 = _harmonic_prefixes(max(p, q) - 1)
+    scale, h1, h2 = _harmonic_prefixes(p - 1)  # at q > p there are no weights
     shift1, shift2 = h1[q - 1:], h2[q - 1:]  # index k reads H_{q+k-1}
-    h2_head = Fraction(h2[q - 1] * sum(plain), scale**2)
+    h2_head = Fraction(h2[min(q, p) - 1] * sum(plain), scale**2)
     h2_shift = Fraction(sum(map(mul, plain, shift2)), scale**2)
     h2_plain = Fraction(sum(map(mul, plain, h2)), scale**2)
     h1_shift = Fraction(sum(w * (a - b) for w, a, b in zip(plain, h1, shift1)), scale)
@@ -328,8 +328,9 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
                                  "identities/upsilon-jet", params))
 
     # sum_k (q)_k^n/(1)_k^n * sum_{i<k} 1/(q + i)^2; the inner sum is H2_{q+k-1} - H2_{q-1}.
-    scale, _, h2 = _harmonic_prefixes(max(p, q) - 1)
-    second_order = sum(w * (b - h2[q - 1]) for w, b in zip(_plain_weights(tp), h2[q - 1:]))
+    scale, _, h2 = _harmonic_prefixes(p - 1)  # at q > p there are no weights
+    head = h2[min(q, p) - 1]
+    second_order = sum(w * (b - head) for w, b in zip(_plain_weights(tp), h2[q - 1:]))
     rhs = Fraction((n - 1) * p * p * second_order, 2 * n * scale**2)
     reports.append(check_congruence(lhs_theorem1(tp), rhs, m3,
                                     check_id="identities/p2-reduction", params=params))

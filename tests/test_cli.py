@@ -1,14 +1,16 @@
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from hypercong import cli, padic
+from hypercong import cli, padic, verify
 from hypercong.cli import (
     CHECK_NAMES,
     SweepResult,
@@ -19,7 +21,7 @@ from hypercong.cli import (
     render_json,
     run_sweep,
 )
-from hypercong.errors import CapExceeded, ConfigError
+from hypercong.errors import CapExceeded, ConfigError, PreconditionViolated
 from hypercong.verify import CongruenceReport, Verdict
 
 
@@ -373,6 +375,16 @@ def test_main_verify_reports_an_inexpressible_exploratory_tuple_as_sweep_does(ca
         ("lemmas", Verdict.HYPOTHESIS_VIOLATED)
     ]
     assert main(argv[:-1]) == 2  # outside the hypotheses without --exploratory
+    # At p = n, q >= 3 the theorem2 and dual bases p/n - q + 2 + k vanish.
+    for check in ("theorem2", "identities"):
+        argv = ["verify", check, "--n", "3", "--q", "3", "--p", "3", "--exploratory"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            f"{check} [n=3 p=3 q=3] verdict=hypothesis_violated "
+            "required_ord=3 achieved_ord=- residue=-\n"
+        )
+        assert main(argv[:-1]) == 2
+        assert "range: need p > 7, got p=3" in capsys.readouterr().err
 
 
 def test_triple_units_follow_the_parity_and_range_hypotheses():
@@ -380,13 +392,92 @@ def test_triple_units_follow_the_parity_and_range_hypotheses():
                     exploratory=True)
     units = cli._expand_units(spec)
     assert len(units) == 2 * 6 * 4 * len(primes_upto(47))
-    for check, items, tagged in units:
-        n, q, p = (dict(items)[k] for k in ("n", "q", "p"))
+    for check, (tp,) in units:
+        n, q, p = tp.n, tp.q, tp.p
         in_hypothesis = (n % 2 == 0 or q % 2 == 1) and p > max(n, (q - 1) * n + 1)
-        assert tagged == (not in_hypothesis), (check, n, q, p)
+        assert tp.in_hypothesis == in_hypothesis, (check, n, q, p)
     asserted = cli._expand_units(spec_for(spec.check_ids, n_range=(3, 8), q_range=(1, 4),
                                           p_max=47))
-    assert asserted == [u for u in units if not u[2]]
+    assert asserted == [u for u in units if u[1][0].in_hypothesis]
+
+
+def test_the_triple_checks_of_one_tuple_share_one_theorem_params():
+    triple_checks = [c for c in CHECK_NAMES if cli._CHECKS[c][0] == ("n", "q", "p")]
+    assert len(triple_checks) == 5
+    units = cli._expand_units(spec_for(CHECK_NAMES, n_range=(3, 5), q_range=(1, 3),
+                                       p_max=31, exploratory=True))
+    shared = {}
+    for check, args in units:
+        if check in triple_checks:
+            (tp,) = args
+            assert tp.exploratory
+            assert shared.setdefault((tp.n, tp.q, tp.p), tp) is tp, check
+    assert len(shared) == 3 * 3 * len(primes_upto(31))
+
+
+@pytest.mark.parametrize("check,names", [("guo", "dp"), ("sun-e", "p"),
+                                         ("sun-bernoulli", "pn"), ("dflst", "np")])
+def test_grid_predicates_keep_exactly_the_points_verify_accepts(check, names):
+    _, fn_name, _, keep = cli._CHECKS[check]
+    run = getattr(verify, fn_name)
+    points = {tuple({"p": p, "n": m, "d": m}[name] for name in names)
+              for m, p in itertools.product(range(1, 13), primes_upto(61))}
+    for args in sorted(points):
+        try:
+            run(*args)
+            accepted = True
+        except PreconditionViolated:
+            accepted = False
+        assert bool(keep(**dict(zip(names, args)))) == accepted, args
+
+
+def test_the_sweep_grid_is_bounded_before_it_is_expanded(monkeypatch, tmp_path, capsys):
+    huge = ["sweep", "--checks", "theorem1", "--n", "3..100000000", "--q", "1..1",
+            "--p-max", "5"]
+    start = time.perf_counter()
+    assert main(huge) == 2
+    assert "299999994 candidate points, above the cap 100000" in capsys.readouterr().err
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"checks": "theorem1", "n": [3, 100000000], "q": "1..1",
+                                  "p_max": 5}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "above the cap" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5
+    # theorem1 at n = 4, q = 1 has one candidate point per prime: six up to 13.
+    monkeypatch.setattr(cli, "GRID_LIMIT", 6)
+    sweep = ["sweep", "--checks", "theorem1", "--n", "4..4", "--q", "1..1"]
+    assert main(sweep + ["--p-max", "13"]) == 0
+    capsys.readouterr()
+    assert main(sweep + ["--p-max", "17"]) == 2
+    assert "7 candidate points, above the cap 6" in capsys.readouterr().err
+
+
+def test_harmonic_prefixes_are_sized_by_p_not_by_q(monkeypatch, capsys):
+    # At q > p the weights are empty; prefixes sized by q would need lcm(1..q-1).
+    original = verify._harmonic_prefixes
+
+    def sized_by_p(last):
+        assert last == 4, last
+        return original(last)
+
+    monkeypatch.setattr(verify, "_harmonic_prefixes", sized_by_p)
+    argv = ["--n", "3", "--q", "100000", "--p", "5", "--exploratory"]
+    assert main(["verify", "lemmas", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and all("achieved_ord=inf " in line for line in lines)
+    assert main(["verify", "identities", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all("verdict=hypothesis_violated " in line for line in lines)
+
+
+def test_exploratory_sweeps_tag_only_hypercong_errors(monkeypatch):
+    def broken(tp):
+        raise ZeroDivisionError("not an evaluator error")
+
+    monkeypatch.setattr(verify, "verify_lemma_suite", broken)
+    with pytest.raises(ZeroDivisionError):
+        run_sweep(spec_for(["lemmas"], n_range=(5, 5), q_range=(1, 1), p_max=5,
+                           exploratory=True))
 
 
 def test_exploratory_sweep_bytes_are_pinned():
