@@ -261,15 +261,12 @@ def render_csv(result: SweepResult) -> str:
 
 
 def _format_report(r: CongruenceReport) -> str:
-    params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
-    req = _ord_to_wire(r.required_ord)
-    ach = "-" if r.achieved_ord is None else _ord_to_wire(r.achieved_ord)
-    residue = r.residue_at_required
-    res = "-" if residue is None else residue.value
-    return (
-        f"{r.check_id} [{params}] verdict={r.verdict.value} "
-        f"required_ord={req} achieved_ord={ach} residue={res}"
-    )
+    # The row of render_json on one line, with "-" for its nulls.
+    row = {k: "-" if v is None else v for k, v in _report_row(r).items()}
+    params = " ".join(f"{k}={v}" for k, v in sorted(row["params"].items()))
+    fields = " ".join(f"{k}={row[k]}"
+                      for k in ("verdict", "required_ord", "achieved_ord", "residue"))
+    return f"{row['check_id']} [{params}] {fields}"
 
 
 def _parse_range(key: str, value) -> tuple[int, int]:

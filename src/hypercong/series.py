@@ -213,22 +213,6 @@ def _ratio_sum(factors: Sequence[tuple], last: int) -> Fraction:
     return Fraction(acc, den)
 
 
-def _ratio_terms(factors: Sequence[tuple], last: int) -> tuple[list[int], int]:
-    """The terms t_0..t_last of the walk of ``_ratio_steps``, unreduced, as
-    integer numerators over one common denominator: t_k = nums[k] / den."""
-    if last < 0:
-        return [], 1
-    steps = list(_ratio_steps(factors, last))
-    # nums[k] = prod(u[:k]) * prod(v[k:]), filled backwards by exact division.
-    num = prod(u for u, _ in steps)
-    nums = [num]
-    for u, v in reversed(steps):
-        num = num // u * v
-        nums.append(num)
-    nums.reverse()
-    return nums + [0] * (last - len(steps)), prod(v for _, v in steps)
-
-
 def psi_value(tp: TheoremParams, x) -> Fraction:
     """sum_{k=0}^{p-q} (q-x)_k^n / (1)_k^n at an exact rational x."""
     return _ratio_sum([(tp.q - Fraction(x), tp.n), (1, -tp.n)], tp.p - tp.q)
@@ -267,11 +251,8 @@ def dual_reduction_sum(tp: TheoremParams) -> Fraction:
 def theorem2_prefactor(tp: TheoremParams) -> Fraction:
     """p^n (1)_{p-1}^n / (p/n - q + 2)_{p-1}^n, the unit carried by reflection."""
     base = Fraction(tp.p, tp.n) - tp.q + 2
-    if _vanishing_lower(base, tp.p - 1):
-        raise ZeroDenominator(f"prefactor base {base} vanishes within range")
-    den = pochhammer(base, tp.p - 1)
-    num = pochhammer(Fraction(1), tp.p - 1)
-    return Fraction(tp.p) ** tp.n * (num / den) ** tp.n
+    steps = list(_ratio_steps([(1, tp.n), (base, -tp.n)], tp.p - 1))
+    return Fraction(tp.p**tp.n * prod(u for u, _ in steps), prod(v for _, v in steps))
 
 
 def guo_sum(d: int, p: int) -> Fraction:

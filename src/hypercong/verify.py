@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
-from .errors import PreconditionViolated, ZeroDenominator
+from .errors import CapExceeded, PreconditionViolated, ZeroDenominator
 from .padic import (
     PrimePowerModulus,
     Residue,
@@ -31,7 +31,6 @@ from .padic import (
 from .series import (
     TheoremParams,
     _ratio_steps,
-    _ratio_terms,
     delta_jet,
     delta_value,
     dflst_dual,
@@ -62,6 +61,10 @@ __all__ = [
     "verify_taylor",
     "verify_exact_identities",
 ]
+
+# The harmonic prefixes of the lemma suite and the identities hold p integers of
+# about 3p bits each; a larger p is refused before any sum is evaluated.
+PREFIX_LIMIT = 10**4
 
 
 class Verdict(str, Enum):
@@ -119,8 +122,8 @@ def _exact_report(values, p: int, check_id: str, params: dict) -> CongruenceRepo
 
 
 def _tag(report: CongruenceReport, tp: TheoremParams) -> CongruenceReport:
-    # Exploratory out-of-hypothesis runs are observations, never assertions.
-    if tp.exploratory and tp.hypothesis_violations() and report.verdict is not Verdict.SKIPPED:
+    # Out-of-hypothesis runs (only exploratory ones exist) are observations, never assertions.
+    if not tp.in_hypothesis and report.verdict is not Verdict.SKIPPED:
         return replace(report, verdict=Verdict.HYPOTHESIS_VIOLATED)
     return report
 
@@ -210,6 +213,7 @@ def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
     denominator, reduced once.  The offset sums, of t_k g_k and t_k g_k^2 with
     g_k = sum_{i<k} 1/(c + i) - H_k, come from one walk of small-integer steps.
     """
+    _check_prefix_limit(tp.p)
     n, q, p = tp.n, tp.q, tp.p
     params = tp.as_params()
     bases = [n * q + n * i - p for i in range(p - q)]  # c + i = (nq + ni - p) / n
@@ -286,6 +290,11 @@ def _plain_weights(tp: TheoremParams) -> list[int]:
     return [comb(tp.q + k - 1, k) ** tp.n for k in range(tp.p - tp.q + 1)]
 
 
+def _check_prefix_limit(p: int) -> None:
+    if p > PREFIX_LIMIT:
+        raise CapExceeded(f"p = {p} exceeds the harmonic-prefix cap {PREFIX_LIMIT}")
+
+
 def _harmonic_prefixes(last: int) -> tuple[int, list[int], list[int]]:
     # L = lcm(1..last) and the integers L*H_j and L^2*H2_j for j = 0..last.
     scale = lcm(*range(1, last + 1))
@@ -300,14 +309,6 @@ def _steps_mirror(left: list, right: list, count: int) -> bool:
         u1 * u2 == v1 * v2 for (u1, v1), (u2, v2) in zip(left, reversed(right)))
 
 
-def _reflection_differences(left: list, right: list, last: int) -> tuple[list[int], int]:
-    # Left term k minus left term ``last`` times right term last-k, for k = 0..last,
-    # as integer numerators over one common denominator.
-    lhs, lhs_den = _ratio_terms(left, last)
-    rhs, rhs_den = _ratio_terms(right, last)
-    return [x * rhs_den - lhs[-1] * y for x, y in zip(lhs, reversed(rhs))], lhs_den * rhs_den
-
-
 def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     """Exact identities and reductions underpinning the two main congruences:
 
@@ -318,6 +319,7 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     - for q > 1, the reflected dual sum vanishes mod p^3 (skipped at q = 1,
       where the dual congruence already follows from the p^n prefactor).
     """
+    _check_prefix_limit(tp.p)
     n, q, p = tp.n, tp.q, tp.p
     params = tp.as_params()
     m3 = PrimePowerModulus(p, 3)
@@ -336,13 +338,16 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
                                     check_id="identities/p2-reduction", params=params))
 
     # Reflection, b = p/n - q + 2, a = q - p/n - p: (1)_k/(b)_k = (1)_{p-1}/(b)_{p-1} *
-    # (a)_{p-1-k}/(1 - p)_{p-1-k}.  Step ratios decide the common case, exact differences the rest.
+    # (a)_{p-1-k}/(1 - p)_{p-1-k}.  Left step k is (1 + k)/(b + k) and right step p - 2 - k is
+    # (a + p - 2 - k)/(-1 - k) = (b + k)/(1 + k), so the steps mirror whenever both walks run
+    # to the end.  If one stopped early, the exact terms from the same pairs decide.
     walks = [(1, 1), (Fraction(p, n) - q + 2, -1)], [(q - Fraction(p, n) - p, 1), (1 - p, -1)]
-    if _steps_mirror(*(list(_ratio_steps(w, p - 1)) for w in walks), p - 1):
-        differences = []
-    else:
-        diffs, den = _reflection_differences(*walks, p - 1)
-        differences = [Fraction(d, den) for d in diffs]
+    left, right = (list(_ratio_steps(w, p - 1)) for w in walks)
+    differences = []
+    if not _steps_mirror(left, right, p - 1):  # terms are zero after a walk stopped
+        tl, tr = ([*accumulate((Fraction(u, v) for u, v in steps), mul, initial=Fraction(1)),
+                   *[0] * (p - 1 - len(steps))] for steps in (left, right))
+        differences = [x - tl[-1] * y for x, y in zip(tl, reversed(tr))]
     reports.append(_exact_report(differences, p, "identities/reflection", params))
 
     if q == 1:

@@ -470,6 +470,26 @@ def test_harmonic_prefixes_are_sized_by_p_not_by_q(monkeypatch, capsys):
     assert len(lines) == 5 and all("verdict=hypothesis_violated " in line for line in lines)
 
 
+def test_lemmas_and_identities_refuse_p_above_the_prefix_limit(monkeypatch, capsys):
+    # The prefixes hold p integers of about 3p bits: p is bounded before any sum.
+    def never(*args):
+        raise AssertionError("evaluated above the prefix limit")
+
+    monkeypatch.setattr(verify, "_harmonic_prefixes", never)
+    monkeypatch.setattr(verify, "phi_value", never)
+    for check in ("lemmas", "identities"):
+        start = time.perf_counter()
+        assert main(["verify", check, "--n", "4", "--q", "1", "--p", "100003"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "p = 100003 exceeds the harmonic-prefix cap 10000" in capsys.readouterr().err
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "PREFIX_LIMIT", 13)
+    for check in ("lemmas", "identities"):
+        assert main(["verify", check, "--n", "4", "--q", "1", "--p", "13"]) == 0
+        assert main(["verify", check, "--n", "4", "--q", "1", "--p", "17"]) == 2
+        assert "p = 17 exceeds the harmonic-prefix cap 13" in capsys.readouterr().err
+
+
 def test_exploratory_sweeps_tag_only_hypercong_errors(monkeypatch):
     def broken(tp):
         raise ZeroDivisionError("not an evaluator error")

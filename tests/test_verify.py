@@ -6,14 +6,19 @@ from fractions import Fraction
 import pytest
 
 from hypercong.errors import PreconditionViolated, ZeroDenominator
-from hypercong.exact_core import harmonic
+from hypercong.exact_core import harmonic, pochhammer
 from hypercong import verify
 from hypercong.padic import PrimePowerModulus, factorial_valuation, is_prime, ord_rational
-from hypercong.series import TheoremParams, _ratio_steps, guo_sum, lhs_theorem1
+from hypercong.series import (
+    TheoremParams,
+    _ratio_steps,
+    guo_sum,
+    lhs_theorem1,
+    theorem2_prefactor,
+)
 from hypercong.verify import (
     CongruenceReport,
     Verdict,
-    _reflection_differences,
     _steps_mirror,
     check_congruence,
     verify_dflst_pair,
@@ -345,12 +350,29 @@ EXPLORATORY_GRID = [TheoremParams(n, q, p, exploratory=True)
                     if is_prime(p)]
 
 
+def _reflection_terms(tp):
+    # Independent of the kernel: the running Pochhammer products (1)_k/(b)_k and
+    # (a)_k/(1 - p)_k for k = 0..p-1; a vanishing (b)_k raises ZeroDivisionError.
+    n, q, p = tp.n, tp.q, tp.p
+    b, a = F(p, n) - q + 2, q - F(p, n) - p
+    left, right = [F(1)], [F(1)]
+    for k in range(p - 1):
+        left.append(left[-1] * (1 + k) / (b + k))
+        right.append(right[-1] * (a + k) / (1 - p + k))
+    return left, right
+
+
+def _reflection_differences(left, right):
+    # Left term k minus left term p-1 times right term p-1-k.
+    return [x - left[-1] * y for x, y in zip(left, reversed(right))]
+
+
 def test_step_mirror_holds_exactly_when_every_reflection_difference_is_zero():
     decided = 0
     for tp in EXPLORATORY_GRID:
         try:
-            diffs, _ = _reflection_differences(*_reflection_walks(tp), tp.p - 1)
-        except ZeroDenominator:  # (p/n - q + 2)_k vanishes: only at p = n, q > 2
+            diffs = _reflection_differences(*_reflection_terms(tp))
+        except ZeroDivisionError:  # (p/n - q + 2)_k vanishes: only at p = n, q > 2
             assert tp.p == tp.n and tp.q > 2
             with pytest.raises(ZeroDenominator):
                 _reflection_steps(tp)
@@ -378,6 +400,48 @@ def test_exact_reflection_path_gives_the_fast_path_reports(monkeypatch):
             assert reports[3].achieved_ord == math.inf
     monkeypatch.setattr(verify, "_steps_mirror", lambda *args: False)
     assert [_identities_or_error(tp) for tp in tuples] == fast
+
+
+@pytest.mark.parametrize("n,q,p", [(4, 1, 13), (3, 1, 11), (6, 1, 7)])
+def test_a_broken_reflection_walk_fails_on_the_exact_path(monkeypatch, n, q, p):
+    # Each case edits the step pairs of one walk and the reference terms alike.
+    # Scaling one step by 1 + p^5 leaves one difference, -p^5; a walk that stops one
+    # step early leaves unmatched terms, of valuation 0 at q = 1.
+    tp = TheoremParams(n, q, p)
+    left, right = _reflection_terms(tp)
+    scale = 1 + p**5
+    cases = [  # (walk, edit of its step pairs, reference terms, valuation)
+        ("left", lambda s: [(s[0][0] * scale, s[0][1])] + s[1:],
+         ([left[0]] + [t * scale for t in left[1:]], right), 5),
+        ("right", lambda s: s[:-1] + [(s[-1][0] * scale, s[-1][1])],
+         (left, right[:-1] + [right[-1] * scale]), 5),
+        ("left", lambda s: s[:-1], (left[:-1] + [0], right), 0),
+        ("right", lambda s: s[:-1], (left, right[:-1] + [0]), 0),
+    ]
+    original = verify._ratio_steps
+    for walk, edit, terms, valuation in cases:
+        def edited(factors, last, walk=walk, edit=edit):
+            steps = list(original(factors, last))
+            return edit(steps) if (factors[0] == (1, 1)) == (walk == "left") else steps
+
+        monkeypatch.setattr(verify, "_ratio_steps", edited)
+        report = verify_exact_identities(tp)[3]
+        assert min(ord_rational(d, p) for d in _reflection_differences(*terms)) == valuation
+        assert report.check_id == "identities/reflection"
+        assert report.verdict is Verdict.FAILS
+        assert report.achieved_ord == valuation, (walk, valuation, report.achieved_ord)
+
+
+def test_theorem2_prefactor_is_the_pochhammer_ratio():
+    for tp in EXPLORATORY_GRID:
+        n, q, p = tp.n, tp.q, tp.p
+        b = F(p, n) - q + 2
+        if p == n and 3 <= q <= p + 1:  # b + k = 0 at k = q - 3 < p - 1
+            with pytest.raises(ZeroDenominator):
+                theorem2_prefactor(tp)
+            continue
+        expected = F(p) ** n * (pochhammer(F(1), p - 1) / pochhammer(b, p - 1)) ** n
+        assert theorem2_prefactor(tp) == expected, tp.as_params()
 
 
 @pytest.mark.parametrize("n,q,p", [(3, 1, 2), (3, 2, 3), (6, 1, 5), (4, 2, 11), (8, 3, 61)])
