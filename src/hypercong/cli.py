@@ -26,41 +26,15 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import padic, verify
+from . import verify
 from .errors import CapExceeded, ConfigError, HypercongError
 from .series import TheoremParams
-from .verify import CongruenceReport, Verdict
+from .verify import _TRIPLE, CongruenceReport, Verdict
 
 __all__ = ["SweepSpec", "SweepResult", "primes_upto", "run_sweep", "main", "CHECK_NAMES"]
 
-# Per check: the parameters it reads, the name of its function in
-# ``hypercong.verify`` (looked up at call time, so a wrapper installed there
-# is seen), its required valuation (carried by reports synthesized for
-# exploratory tuples that the evaluators cannot express) and the grid
-# predicate that keeps a point of the sweep grid.  The (n, q, p) checks take
-# one TheoremParams, which alone says whether a tuple is outside the hypotheses.
-_TRIPLE = ("n", "q", "p")
+CHECK_NAMES = tuple(verify.CHECKS)
 _VERIFY_FLAGS = ("n", "q", "p", "d")  # every integer flag of ``verify``
-
-
-def _triple_point(n, q, p):
-    return n >= 3  # TheoremParams also needs q > 0, and every grid axis starts at 1
-
-
-_CHECKS = {
-    "theorem1": (_TRIPLE, "verify_theorem1", 3, _triple_point),
-    "theorem2": (_TRIPLE, "verify_theorem2", 3, _triple_point),
-    "guo": (("d", "p"), "verify_guo", 3,
-            lambda d, p: d >= 4 and d % 2 == 0 and (p + 1) % d == 0),
-    "sun-e": (("p",), "verify_sun_e", 5, lambda p: p > 3),
-    "sun-bernoulli": (("p", "n"), "verify_sun_bernoulli", 5, lambda p, n: p > 3 and n % p),
-    "dflst": (("n", "p"), "verify_dflst_pair", 3,
-              lambda n, p: n >= 3 and p % n == 1 and p**3 <= padic.MORITA_CAP),
-    "lemmas": (_TRIPLE, "verify_lemma_suite", 1, _triple_point),
-    "taylor": (_TRIPLE, "verify_taylor", 3, _triple_point),
-    "identities": (_TRIPLE, "verify_exact_identities", 3, _triple_point),
-}
-CHECK_NAMES = tuple(_CHECKS)
 
 
 # The sieve holds one byte per integer up to its limit; larger limits are
@@ -92,7 +66,7 @@ def primes_upto(limit: int) -> list[int]:
 class SweepSpec:
     """Grid description for a batch run."""
 
-    check_ids: tuple[str, ...]
+    check_ids: tuple[str, ...] = ()
     n_range: tuple[int, int] = (3, 6)
     q_range: tuple[int, int] = (1, 3)
     d_range: tuple[int, int] = (4, 8)
@@ -143,21 +117,18 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
     axes = {name: range(max(lo, 1), hi + 1) for name, (lo, hi)
             in (("n", spec.n_range), ("q", spec.q_range), ("d", spec.d_range))}
     axes["p"] = primes_upto(spec.p_max)
-    grids = {check: [name for name in "nqdp" if name in _CHECKS[check][0]]
-             for check in spec.check_ids}  # in the order of the sort key
-    points = sum(math.prod(len(axes[name]) for name in grid) for grid in grids.values())
+    checks = {check: verify.CHECKS[check] for check in spec.check_ids}
+    points = sum(math.prod(len(axes[name]) for name in c.params) for c in checks.values())
     if points > GRID_LIMIT:
         raise ConfigError(f"the grid has {points} candidate points, above the cap {GRID_LIMIT}")
+    verify._check_p_caps(spec.check_ids, axes["p"][-1])  # p_max >= 5, so a prime exists
     # One TheoremParams per triple, shared by its checks, owns the hypotheses.
     triple = functools.cache(lambda n, q, p: TheoremParams(n, q, p, exploratory=True))
     units = []
-    for check, grid in grids.items():
-        names, _, _, keep = _CHECKS[check]
-        for values in itertools.product(*(axes[name] for name in grid)):
-            params = dict(zip(grid, values))
-            if not keep(**params):
+    for check, (names, _, _, domain) in checks.items():
+        for args in itertools.product(*(axes[name] for name in names)):
+            if not domain(*args):
                 continue
-            args = tuple(params[name] for name in names)
             if names == _TRIPLE:
                 args = (triple(*args),)
                 if not (spec.exploratory or args[0].in_hypothesis):
@@ -168,9 +139,9 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
 
 def _run_unit(unit: tuple) -> list[CongruenceReport]:
     check, args = unit
-    names, fn_name, required, _ = _CHECKS[check]
+    names, function, required, _ = verify.CHECKS[check]
     try:
-        result = getattr(verify, fn_name)(*args)
+        result = getattr(verify, function)(*args)
     except HypercongError:
         if names != _TRIPLE or args[0].in_hypothesis:
             raise
@@ -200,9 +171,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     else:
         batches = [_run_unit(u) for u in units]
     reports = sorted((r for batch in batches for r in batch), key=_sort_key)
-    summary = {v.value: 0 for v in Verdict}
-    for r in reports:
-        summary[r.verdict.value] += 1
+    summary = {v.value: sum(r.verdict is v for r in reports) for v in Verdict}
     return SweepResult(spec, tuple(reports), summary)
 
 
@@ -274,8 +243,6 @@ def _parse_range(key: str, value) -> tuple[int, int]:
         if len(value) != 2 or not all(type(v) is int for v in value):
             raise ConfigError(f"{key} range must be two integer endpoints, got {value!r}")
         return value[0], value[1]
-    if type(value) is int:
-        return value, value
     lo, dots, hi = str(value).partition("..")
     try:
         return int(lo), int(hi if dots else lo)
@@ -331,8 +298,6 @@ def _build_sweep_spec(args) -> SweepSpec:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     # explicit flags override the file
     settings.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
-    if not settings.get("checks"):
-        raise ConfigError("no checks requested; pass --checks or a config file")
     return SweepSpec(**{_SETTINGS[k][0]: _SETTINGS[k][1](k, v) for k, v in settings.items()})
 
 
@@ -359,9 +324,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     check = args.check
-    if check not in _CHECKS:
+    if check not in verify.CHECKS:
         raise ConfigError(f"unknown check id {check!r}; choose from {', '.join(CHECK_NAMES)}")
-    names = _CHECKS[check][0]
+    names = verify.CHECKS[check].params
     for name in _VERIFY_FLAGS:
         if (getattr(args, name) is None) == (name in names):
             verb = "requires" if name in names else "does not take"

@@ -29,6 +29,7 @@ __all__ = [
     "factorial_valuation",
     "bernoulli",
     "morita_gamma",
+    "BERNOULLI_CAP",
     "MORITA_CAP",
 ]
 
@@ -149,8 +150,13 @@ def factorial_valuation(r: int, p: int) -> int:
     return total
 
 
-_BERNOULLI_CAP = 10**4
+BERNOULLI_CAP = 10**4
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
+
+
+def _check_bernoulli_index(m: int) -> None:
+    if m > BERNOULLI_CAP:
+        raise CapExceeded(f"bernoulli({m}) exceeds the documented cap {BERNOULLI_CAP}")
 
 
 def bernoulli(m: int) -> Fraction:
@@ -158,18 +164,17 @@ def bernoulli(m: int) -> Fraction:
 
     Even indices come from the integer tangent numbers T_k (Brent & Harvey,
     arXiv:1108.0286): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  Odd indices
-    above 1 are zero.  Indices above 10^4 raise CapExceeded.
+    above 1 are zero.  Indices above BERNOULLI_CAP = 10^4 raise CapExceeded.
     """
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if m > _BERNOULLI_CAP:
-        raise CapExceeded(f"bernoulli({m}) exceeds the documented cap {_BERNOULLI_CAP}")
+    _check_bernoulli_index(m)
     global _bernoulli_cache
     cache = _bernoulli_cache
     if m < len(cache):
         return cache[m]
     # At least double the table, so ascending calls cost O(m^2) in total.
-    half = min(max(m, 2 * len(cache)), _BERNOULLI_CAP) // 2
+    half = min(max(m, 2 * len(cache)), BERNOULLI_CAP) // 2
     # tangent[k] = T_k for 1 <= k <= half by the in-place triangle; no gcd.
     tangent = [0] + [math.factorial(k - 1) for k in range(1, half + 1)]
     for k in range(2, half + 1):

@@ -11,6 +11,7 @@ residue is attached.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -18,6 +19,7 @@ from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
+from . import padic
 from .errors import CapExceeded, PreconditionViolated, ZeroDenominator
 from .padic import (
     PrimePowerModulus,
@@ -65,6 +67,48 @@ __all__ = [
 # The harmonic prefixes of the lemma suite and the identities hold p integers of
 # about 3p bits each; a larger p is refused before any sum is evaluated.
 PREFIX_LIMIT = 10**4
+
+
+# A check: its verify function's positional parameters and name (looked up at call time,
+# so a wrapper installed here is seen), the required_ord of the bare report an inexpressible
+# exploratory tuple gets, and its domain: given those arguments, is the check defined.
+Check = namedtuple("Check", "params function required_ord domain")
+_TRIPLE = ("n", "q", "p")
+
+
+def _triple_domain(n, q, p):
+    return n > 2  # TheoremParams owns the rest; every grid axis starts at 1, so q > 0
+
+
+CHECKS = {
+    "theorem1": Check(_TRIPLE, "verify_theorem1", 3, _triple_domain),
+    "theorem2": Check(_TRIPLE, "verify_theorem2", 3, _triple_domain),
+    "guo": Check(("d", "p"), "verify_guo", 3,
+                 lambda d, p: d >= 4 and d % 2 == 0 and (p + 1) % d == 0 and is_prime(p)),
+    "sun-e": Check(("p",), "verify_sun_e", 5, lambda p: p > 3 and is_prime(p)),
+    "sun-bernoulli": Check(("p", "n"), "verify_sun_bernoulli", 5,
+                           lambda p, n: p > 3 and n >= 1 and n % p != 0 and is_prime(p)),
+    "dflst": Check(("n", "p"), "verify_dflst_pair", 3, lambda n, p: n >= 3 and p % n == 1
+                   and p**3 <= padic.MORITA_CAP and is_prime(p)),
+    "lemmas": Check(_TRIPLE, "verify_lemma_suite", 1, _triple_domain),
+    "taylor": Check(_TRIPLE, "verify_taylor", 3, _triple_domain),
+    "identities": Check(_TRIPLE, "verify_exact_identities", 3, _triple_domain),
+}
+
+
+def _refuse_outside_domain(check: str, words: str, *args) -> None:
+    # The one refusal of a check that takes no TheoremParams: words state its domain.
+    if not CHECKS[check].domain(*args):
+        given = ", ".join(f"{name}={value}" for name, value in zip(CHECKS[check].params, args))
+        raise PreconditionViolated(f"{check} needs {words}, got {given}")
+
+
+def _check_p_caps(check_ids, p: int) -> None:
+    # Lets a sweep refuse its largest prime before any unit runs, as the checks would.
+    if {"lemmas", "identities"} & set(check_ids):
+        _check_prefix_limit(p)
+    if "sun-bernoulli" in check_ids:
+        padic._check_bernoulli_index(p - 3)
 
 
 class Verdict(str, Enum):
@@ -148,32 +192,21 @@ def verify_guo(d: int, p: int) -> CongruenceReport:
     The sum is exactly the theorem1 left side at n = d, q = (p+1)/d, which is
     how the congruence is proved; the tests pin that equality.
     """
-    if d < 4 or d % 2:
-        raise PreconditionViolated(f"d must be an even integer >= 4, got {d}")
-    if not is_prime(p):
-        raise PreconditionViolated(f"p = {p} is not prime")
-    if (p + 1) % d:
-        raise PreconditionViolated(f"need p = -1 (mod {d}), got p = {p}")
+    _refuse_outside_domain("guo", "an even d >= 4 and a prime p = -1 (mod d)", d, p)
     return check_congruence(guo_sum(d, p), 0, PrimePowerModulus(p, 3),
                             check_id="guo", params={"d": d, "p": p})
 
 
 def verify_sun_e(p: int) -> CongruenceReport:
     """sum_{k=0}^{p-1} (1/(p+1))_k^{p+1} / k!^{p+1} = 0 (mod p^5) for p > 3."""
-    if not is_prime(p) or p <= 3:
-        raise PreconditionViolated(f"need a prime p > 3, got {p}")
+    _refuse_outside_domain("sun-e", "a prime p > 3", p)
     return check_congruence(sun_e_sum(p), 0, PrimePowerModulus(p, 5),
                             check_id="sun-e", params={"p": p})
 
 
 def verify_sun_bernoulli(p: int, n: int) -> CongruenceReport:
     """sum (1 - p/n)_k^n / (1)_k^n = (n-1)(7n-5)/(36 n^2) p^4 B_{p-3} (mod p^5)."""
-    if not is_prime(p) or p <= 3:
-        raise PreconditionViolated(f"need a prime p > 3, got {p}")
-    if n < 1:
-        raise PreconditionViolated(f"n must be a positive integer, got {n}")
-    if n % p == 0:
-        raise PreconditionViolated(f"need p coprime to n, got p={p}, n={n}")
+    _refuse_outside_domain("sun-bernoulli", "a prime p > 3 and a positive n coprime to p", p, n)
     rhs = Fraction((n - 1) * (7 * n - 5), 36 * n * n) * Fraction(p) ** 4 * bernoulli(p - 3)
     return check_congruence(sun_bernoulli_lhs(p, n), rhs, PrimePowerModulus(p, 5),
                             check_id="sun-bernoulli", params={"p": p, "n": n})
@@ -188,12 +221,8 @@ def verify_dflst_pair(n: int, p: int) -> tuple[CongruenceReport, CongruenceRepor
     The right side is the n-th power of the Morita Gamma residue at
     precision p^3; achieved valuations are relative to its canonical lift.
     """
-    if n < 3:
-        raise PreconditionViolated(f"n must be at least 3, got {n}")
-    if not is_prime(p):
-        raise PreconditionViolated(f"p = {p} is not prime")
-    if p % n != 1:
-        raise PreconditionViolated(f"need p = 1 (mod {n}), got p = {p}")
+    _refuse_outside_domain("dflst", "n >= 3 and a prime p = 1 (mod n) with p^3 <= "
+                           f"the Morita cap {padic.MORITA_CAP}", n, p)
     m = PrimePowerModulus(p, 3)
     gamma = morita_gamma(Fraction(1, n), m).value
     rhs = Fraction((-pow(gamma, n, m.modulus)) % m.modulus)

@@ -402,7 +402,7 @@ def test_triple_units_follow_the_parity_and_range_hypotheses():
 
 
 def test_the_triple_checks_of_one_tuple_share_one_theorem_params():
-    triple_checks = [c for c in CHECK_NAMES if cli._CHECKS[c][0] == ("n", "q", "p")]
+    triple_checks = [c for c in CHECK_NAMES if verify.CHECKS[c][0] == ("n", "q", "p")]
     assert len(triple_checks) == 5
     units = cli._expand_units(spec_for(CHECK_NAMES, n_range=(3, 5), q_range=(1, 3),
                                        p_max=31, exploratory=True))
@@ -418,7 +418,7 @@ def test_the_triple_checks_of_one_tuple_share_one_theorem_params():
 @pytest.mark.parametrize("check,names", [("guo", "dp"), ("sun-e", "p"),
                                          ("sun-bernoulli", "pn"), ("dflst", "np")])
 def test_grid_predicates_keep_exactly_the_points_verify_accepts(check, names):
-    _, fn_name, _, keep = cli._CHECKS[check]
+    _, fn_name, _, keep = verify.CHECKS[check]
     run = getattr(verify, fn_name)
     points = {tuple({"p": p, "n": m, "d": m}[name] for name in names)
               for m, p in itertools.product(range(1, 13), primes_upto(61))}
@@ -586,3 +586,97 @@ def test_repeated_check_ids_are_rejected(tmp_path, capsys):
     config.write_text(json.dumps({"checks": ["guo", "sun-e", "guo"], "p_max": 13}))
     assert main(["sweep", "--config", str(config)]) == 2
     assert "repeated check id(s): guo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["guo", "--d", "4", "--p", "5"],
+     "guo needs an even d >= 4 and a prime p = -1 (mod d), got d=4, p=5"),
+    (["sun-e", "--p", "9"], "sun-e needs a prime p > 3, got p=9"),
+    (["sun-bernoulli", "--p", "5", "--n", "10"],
+     "sun-bernoulli needs a prime p > 3 and a positive n coprime to p, got p=5, n=10"),
+    (["dflst", "--n", "3", "--p", "11"],
+     "dflst needs n >= 3 and a prime p = 1 (mod n) with p^3 <= the Morita cap 10000000, "
+     "got n=3, p=11"),
+], ids=["guo", "sun-e", "sun-bernoulli", "dflst"])
+def test_main_verify_outside_a_domain_names_the_check_its_domain_and_the_values(
+        capsys, argv, message):
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("check,owner,cap,message", [
+    ("lemmas", verify, "PREFIX_LIMIT", "p = 17 exceeds the harmonic-prefix cap 13"),
+    ("identities", verify, "PREFIX_LIMIT", "p = 17 exceeds the harmonic-prefix cap 13"),
+    ("sun-bernoulli", padic, "BERNOULLI_CAP", "bernoulli(14) exceeds the documented cap 10"),
+])
+def test_a_sweep_refuses_its_largest_prime_above_a_cap_before_any_unit_runs(
+        monkeypatch, capsys, check, owner, cap, message):
+    # At 13 the prefix cap holds p = 13 and the Bernoulli cap 10 holds B_{13-3}.
+    monkeypatch.setattr(owner, cap, {"PREFIX_LIMIT": 13, "BERNOULLI_CAP": 10}[cap])
+    function = verify.CHECKS[check].function
+    calls = []
+    run = getattr(verify, function)
+    monkeypatch.setattr(verify, function, lambda *args: calls.append(args) or run(*args))
+    # n = 3, q = 2 breaks the parity hypothesis: an exploratory sweep refuses too.
+    sweep = ["sweep", "--checks", check, "--n", "3..4", "--q", "1..2"]
+    for extra in ([], ["--exploratory"]):
+        start = time.perf_counter()
+        assert main(sweep + ["--p-max", "17", *extra]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+    # The largest prime up to 16 is 13: p_max above the cap is not refused by itself.
+    assert main(sweep + ["--p-max", "16"]) == 0
+    primes = {args[0] if check == "sun-bernoulli" else args[0].p for args in calls}
+    assert max(primes) == 13
+
+
+def test_run_sweep_refuses_a_spec_without_checks():
+    with pytest.raises(ConfigError, match="no checks requested"):
+        run_sweep(SweepSpec(check_ids=()))
+
+
+def test_a_bare_integer_range_is_one_point(tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["sweep", "--checks", "theorem1", "--n", "4", "--q", "1", "--p-max", "13"]
+    assert main(argv + ["--out", str(out)]) == 0
+    from_flags = json.loads(out.read_text())
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"checks": "theorem1", "n": 4, "q": 1, "p_max": 13}))
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == from_flags
+    assert (from_flags["spec"]["n_range"], from_flags["spec"]["q_range"]) == ([4, 4], [1, 1])
+    assert {r["params"]["p"] for r in from_flags["reports"]} == {5, 7, 11, 13}
+
+
+def test_an_unparsable_range_exits_2(capsys):
+    assert main(["sweep", "--checks", "theorem1", "--n", "4..x", "--p-max", "13"]) == 2
+    assert "cannot parse n range '4..x'; expected A..B" in capsys.readouterr().err
+
+
+def test_an_unknown_config_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"checks": "theorem1", "p_max": 13, "pmax": 97}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "unknown config key(s): pmax" in capsys.readouterr().err
+
+
+def test_an_out_that_cannot_be_opened_after_the_sweep_exits_2(monkeypatch, tmp_path, capsys):
+    swept = []
+
+    def sweep(spec):
+        swept.append(spec)
+        return run_sweep(spec)
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(f"permission denied: {path}")
+
+    monkeypatch.setattr(cli, "run_sweep", sweep)
+    monkeypatch.setattr(cli, "open", refuse, raising=False)  # shadows the builtin in cli only
+    out = tmp_path / "r.json"
+    argv = ["sweep", "--checks", "theorem1", "--n", "4..4", "--q", "1..1", "--p-max", "13",
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output: permission denied")
+    assert captured.out == "" and swept and not out.exists()

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from dataclasses import FrozenInstanceError, replace
@@ -7,7 +8,7 @@ import pytest
 
 from hypercong.errors import PreconditionViolated, ZeroDenominator
 from hypercong.exact_core import harmonic, pochhammer
-from hypercong import verify
+from hypercong import padic, verify
 from hypercong.padic import PrimePowerModulus, factorial_valuation, is_prime, ord_rational
 from hypercong.series import (
     TheoremParams,
@@ -463,3 +464,36 @@ def test_step_mirror_rejects_any_perturbed_pair(n, q, p):
     assert not _steps_mirror(left[:-1], right[:-1], count)
     assert not _steps_mirror(left, right[:-1], count)
     assert not _steps_mirror(left + left[:1], right + right[:1], count)
+
+
+def test_every_check_names_a_verify_function_and_its_positional_parameters():
+    assert len(verify.CHECKS) == 9
+    for check, (names, function, required, domain) in verify.CHECKS.items():
+        run = getattr(verify, function)
+        assert function in verify.__all__, check
+        positional = [p.name for p in inspect.signature(run).parameters.values()
+                      if p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD]
+        expected = ["tp"] if names == ("n", "q", "p") else list(names)
+        assert positional == expected, check
+        assert list(inspect.signature(domain).parameters) == list(names), check
+        assert required in (1, 3, 5), check
+
+
+def test_dflst_above_the_morita_cap_is_refused_by_the_domain_guard(monkeypatch):
+    def never(*args):
+        raise AssertionError("morita_gamma called above the cap")
+
+    monkeypatch.setattr(verify, "morita_gamma", never)
+    monkeypatch.setattr(padic, "MORITA_CAP", 29**3)
+    with pytest.raises(PreconditionViolated, match=r"dflst needs .* p\^3 <= the Morita cap "
+                       r"24389, got n=3, p=31$"):
+        verify_dflst_pair(3, 31)
+    monkeypatch.undo()
+    monkeypatch.setattr(padic, "MORITA_CAP", 31**3)
+    assert [r.verdict for r in verify_dflst_pair(3, 31)] == [Verdict.HOLDS] * 2
+
+
+def test_a_skipped_report_observes_nothing():
+    (skip,) = [r for r in verify_exact_identities(TheoremParams(4, 1, 7))
+               if r.verdict is Verdict.SKIPPED]
+    assert skip.observed_holds is None
