@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .errors import (
     CapExceeded,
@@ -23,6 +24,7 @@ from .errors import (
 __all__ = [
     "PrimePowerModulus",
     "Residue",
+    "Unreduced",
     "is_prime",
     "ord_rational",
     "reduce_mod",
@@ -101,11 +103,60 @@ class Residue:
         return self.value
 
 
+def _ratio(value) -> tuple[int, int]:
+    # An exact value's numerator and denominator.  A float, Decimal or str is refused,
+    # not read as the binary fraction or the text it happens to be.
+    if isinstance(value, Unreduced):
+        return value.num, value.den
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"exact values are int, Fraction or Unreduced, not {type(value).__name__}")
+    return value.numerator, value.denominator
+
+
+def _ord_int(x: int, p: int) -> int:
+    # ord_p of a nonzero integer: the least v with x not divisible by p^(v+1).
+    return next(v for v in count() if x % p ** (v + 1))
+
+
+class Unreduced:
+    """The exact rational num/den, kept as the pair it was computed as: its valuation
+    and residues are read without the gcd that reducing it would cost.  Each part is
+    an int, Fraction or Unreduced (anything else raises TypeError); den is nonzero."""
+
+    def __init__(self, num, den=1):
+        (a, b), (c, d) = _ratio(num), _ratio(den)
+        if not c:
+            raise ZeroDivisionError("an Unreduced value needs a nonzero denominator")
+        self.num, self.den = a * d, b * c
+
+    def __bool__(self) -> bool:
+        return self.num != 0
+
+    def __eq__(self, other) -> bool:
+        c, d = _ratio(other)
+        return self.num * d == c * self.den
+
+    def __sub__(self, other) -> Unreduced:
+        c, d = _ratio(other)  # cross-multiplied, with no gcd
+        return Unreduced(self.num * d - c * self.den, self.den * d) if c else self
+
+    def ord(self, p: int):
+        """ord_p(num) - ord_p(den), math.inf for zero.  p must be prime."""
+        return _ord_int(self.num, p) - _ord_int(self.den, p) if self.num else math.inf
+
+    def residue(self, m: PrimePowerModulus) -> Residue:
+        """num/den mod p^k, p^ord_p(den) cancelled first; NotPIntegral if ord_p < 0."""
+        pb, pk = m.p ** _ord_int(self.den, m.p), m.modulus
+        if self.num % pb:
+            raise NotPIntegral(f"the value has negative {m.p}-adic valuation")
+        return Residue(self.num // pb * pow(self.den // pb % pk, -1, pk) % pk, m)
+
+
 def ord_rational(r, p: int):
     """p-adic valuation of a rational; math.inf for zero."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    r = Fraction(r)
+    r = r if isinstance(r, Fraction) else Fraction(*_ratio(r))
     if not r:
         return math.inf
     num, den = r.numerator, r.denominator
@@ -128,7 +179,7 @@ def reduce_mod(r, m: PrimePowerModulus) -> Residue:
     The result t is the unique value in [0, p^k) with den*t = num (mod p^k).
     Raises NotPIntegral when ord_p(r) < 0.
     """
-    r = Fraction(r)
+    r = r if isinstance(r, Fraction) else Fraction(*_ratio(r))
     if r.denominator % m.p == 0:
         raise NotPIntegral(f"{r} has negative {m.p}-adic valuation")
     pk = m.modulus

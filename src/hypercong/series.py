@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .exact_core import pochhammer
 from .jets import Jet2
-from .padic import is_prime
+from .padic import Unreduced, is_prime
 
 __all__ = [
     "HyperSeriesSpec",
@@ -127,7 +128,8 @@ def karlsson_minton_sum(a, pairs: Sequence[tuple]) -> KarlssonMintonResult:
         factors += [(b + m, 1), (b, -1)]
         total_m += m
     violated = not length > total_m
-    return KarlssonMintonResult(_ratio_sum(factors, length), violated)
+    value = _ratio_sum(factors, length)
+    return KarlssonMintonResult(Fraction(value.num, value.den), violated)
 
 
 @dataclass(frozen=True)
@@ -196,34 +198,48 @@ def _ratio_steps(factors: Sequence[tuple], last: int):
         yield u, v
 
 
-def _ratio_sum(factors: Sequence[tuple], last: int) -> Fraction:
-    """sum_{k=0}^{last} t_k for the walk of ``_ratio_steps``.
+def _ratio_sum(factors: Sequence[tuple], last: int, first: int = 1) -> Unreduced:
+    """sum_{k=0}^{last} t_k for the walk of ``_ratio_steps`` started at t_0 = first.
 
     The partial sums are kept as one integer over one running integer
-    denominator and reduced once at the end, so a step costs a few integer
-    products instead of a gcd of large numbers.
+    denominator, so a step costs a few integer products instead of a gcd of
+    large numbers, and the sum is returned as that unreduced pair.
     """
     if last < 0:
-        return Fraction(0)
-    top = den = acc = 1  # t_k = top / den, and the partial sum is acc / den
+        return Unreduced(0)
+    top, acc, den = first, first, 1  # t_k = top / den, and the partial sum is acc / den
     for u, v in _ratio_steps(factors, last):
         top *= u
         acc = acc * v + top
         den *= v
-    return Fraction(acc, den)
+    return Unreduced(acc, den)
 
 
+def _reduced(unreduced_sum):
+    # The public evaluator of a sum whose body returns an Unreduced: the same call, giving
+    # the Fraction its annotation names.  verify calls the body itself, ``_unreduced``.
+    @wraps(unreduced_sum)
+    def evaluator(*args, **kwargs):
+        value = unreduced_sum(*args, **kwargs)
+        return Fraction(value.num, value.den)
+    evaluator._unreduced = unreduced_sum
+    return evaluator
+
+
+@_reduced
 def psi_value(tp: TheoremParams, x) -> Fraction:
     """sum_{k=0}^{p-q} (q-x)_k^n / (1)_k^n at an exact rational x."""
     return _ratio_sum([(tp.q - Fraction(x), tp.n), (1, -tp.n)], tp.p - tp.q)
 
 
+@_reduced
 def phi_value(tp: TheoremParams, x, y) -> Fraction:
     """sum_{k=0}^{p-q} (q-x)_k (q-y)_k^{n-1} / (1)_k^n at exact rationals."""
     n, q, p = tp.n, tp.q, tp.p
     return _ratio_sum([(q - Fraction(x), 1), (q - Fraction(y), n - 1), (1, -n)], p - q)
 
 
+@_reduced
 def delta_value(tp: TheoremParams, x) -> Fraction:
     """sum_{k=0}^{p-q} (q - p/n + x)_k^n / (1+x)_k^n at an exact rational x."""
     x = Fraction(x)
@@ -231,17 +247,20 @@ def delta_value(tp: TheoremParams, x) -> Fraction:
     return _ratio_sum([(offset, tp.n), (1 + x, -tp.n)], tp.p - tp.q)
 
 
+@_reduced
 def lhs_theorem1(tp: TheoremParams) -> Fraction:
     """Full sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n."""
     return _ratio_sum([(tp.q - Fraction(tp.p, tp.n), tp.n), (1, -tp.n)], tp.p - 1)
 
 
+@_reduced
 def lhs_theorem2(tp: TheoremParams) -> Fraction:
     """p^n * sum_{k=0}^{p-1} (1)_k^n / (p/n - q + 2)_k^n."""
     base = Fraction(tp.p, tp.n) - tp.q + 2
-    return Fraction(tp.p) ** tp.n * _ratio_sum([(1, tp.n), (base, -tp.n)], tp.p - 1)
+    return _ratio_sum([(1, tp.n), (base, -tp.n)], tp.p - 1, tp.p**tp.n)
 
 
+@_reduced
 def dual_reduction_sum(tp: TheoremParams) -> Fraction:
     """sum_{k=0}^{p-1} (q - p/n - p)_k^n / (1-p)_k^n, the reflected dual sum."""
     a = tp.q - Fraction(tp.p, tp.n) - tp.p
@@ -255,29 +274,34 @@ def theorem2_prefactor(tp: TheoremParams) -> Fraction:
     return Fraction(tp.p**tp.n * prod(u for u, _ in steps), prod(v for _, v in steps))
 
 
+@_reduced
 def guo_sum(d: int, p: int) -> Fraction:
     """sum_{k=0}^{p-1} (1/d)_k^d / k!^d."""
     return _ratio_sum([(Fraction(1, d), d), (1, -d)], p - 1)
 
 
+@_reduced
 def sun_e_sum(p: int) -> Fraction:
     """sum_{k=0}^{p-1} (1/(p+1))_k^{p+1} / k!^{p+1}."""
     return _ratio_sum([(Fraction(1, p + 1), p + 1), (1, -p - 1)], p - 1)
 
 
+@_reduced
 def sun_bernoulli_lhs(p: int, n: int) -> Fraction:
     """sum_{k=0}^{p-1} (1 - p/n)_k^n / (1)_k^n."""
     return _ratio_sum([(1 - Fraction(p, n), n), (1, -n)], p - 1)
 
 
+@_reduced
 def dflst_sum(n: int, p: int) -> Fraction:
     """sum_{k=0}^{p-1} (1 - 1/n)_k^n / (1)_k^n."""
     return _ratio_sum([(1 - Fraction(1, n), n), (1, -n)], p - 1)
 
 
+@_reduced
 def dflst_dual(n: int, p: int) -> Fraction:
     """p^n * sum_{k=0}^{p-1} (1)_k^n / (1 + 1/n)_k^n."""
-    return Fraction(p) ** n * _ratio_sum([(1, n), (1 + Fraction(1, n), -n)], p - 1)
+    return _ratio_sum([(1, n), (1 + Fraction(1, n), -n)], p - 1, p**n)
 
 
 # --- jet-valued sums ---------------------------------------------------------

@@ -3,9 +3,11 @@ named check returning a structured :class:`CongruenceReport`.
 
 A report's achieved valuation is always computed exactly on the rational
 difference, never by trial division of residues, so it cannot be capped by
-the modulus precision.  Exact identities (value must be zero, not just zero
-mod p^k) are encoded with ``required_ord = math.inf``; for those no finite
-residue is attached.
+the modulus precision.  It is computed on the unreduced difference: every
+sum reaches ``check_congruence`` as a ``padic.Unreduced`` (num, den) pair,
+whose valuation and residue need no gcd.  Exact identities (value must be
+zero, not just zero mod p^k) are encoded with ``required_ord = math.inf``;
+for those no finite residue is attached.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from .errors import CapExceeded, PreconditionViolated, ZeroDenominator
 from .padic import (
     PrimePowerModulus,
     Residue,
+    Unreduced,
     bernoulli,
     is_prime,
     morita_gamma,
-    ord_rational,
-    reduce_mod,
 )
 from .series import (
     TheoremParams,
@@ -146,12 +147,12 @@ class CongruenceReport:
 def check_congruence(lhs, rhs, m: PrimePowerModulus, *, check_id: str = "congruence",
                      params: dict | None = None) -> CongruenceReport:
     """Compare lhs and rhs mod p^k; verdict holds iff ord_p(lhs - rhs) >= k."""
-    diff = Fraction(lhs) - Fraction(rhs)
-    achieved = ord_rational(diff, m.p)
+    diff = Unreduced(lhs) - rhs  # each an int, Fraction or Unreduced; never reduced
+    achieved = diff.ord(m.p)
     params = dict(params or {})
     if achieved < 0:
         return CongruenceReport(check_id, params, m.k, achieved, None, Verdict.ILL_POSED)
-    residue = reduce_mod(diff, m)
+    residue = diff.residue(m)
     verdict = Verdict.HOLDS if achieved >= m.k else Verdict.FAILS
     return CongruenceReport(check_id, params, m.k, achieved, residue, verdict)
 
@@ -159,8 +160,8 @@ def check_congruence(lhs, rhs, m: PrimePowerModulus, *, check_id: str = "congrue
 def _exact_report(values, p: int, check_id: str, params: dict) -> CongruenceReport:
     # Exact identity: every value must be the rational zero.  The valuation is
     # the least over the values, inf when there are none.
-    values = list(values)
-    achieved = min((ord_rational(v, p) for v in values), default=math.inf)
+    values = [Unreduced(v) for v in values]
+    achieved = min((v.ord(p) for v in values), default=math.inf)
     verdict = Verdict.FAILS if any(values) else Verdict.HOLDS
     return CongruenceReport(check_id, dict(params), math.inf, achieved, None, verdict)
 
@@ -175,14 +176,14 @@ def _tag(report: CongruenceReport, tp: TheoremParams) -> CongruenceReport:
 def verify_theorem1(tp: TheoremParams) -> CongruenceReport:
     """sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n = 0 (mod p^3)."""
     m = PrimePowerModulus(tp.p, 3)
-    return _tag(check_congruence(lhs_theorem1(tp), 0, m,
+    return _tag(check_congruence(lhs_theorem1._unreduced(tp), 0, m,
                                  check_id="theorem1", params=tp.as_params()), tp)
 
 
 def verify_theorem2(tp: TheoremParams) -> CongruenceReport:
     """p^n sum_{k=0}^{p-1} (1)_k^n / (p/n - q + 2)_k^n = 0 (mod p^3)."""
     m = PrimePowerModulus(tp.p, 3)
-    return _tag(check_congruence(lhs_theorem2(tp), 0, m,
+    return _tag(check_congruence(lhs_theorem2._unreduced(tp), 0, m,
                                  check_id="theorem2", params=tp.as_params()), tp)
 
 
@@ -193,14 +194,14 @@ def verify_guo(d: int, p: int) -> CongruenceReport:
     how the congruence is proved; the tests pin that equality.
     """
     _refuse_outside_domain("guo", "an even d >= 4 and a prime p = -1 (mod d)", d, p)
-    return check_congruence(guo_sum(d, p), 0, PrimePowerModulus(p, 3),
+    return check_congruence(guo_sum._unreduced(d, p), 0, PrimePowerModulus(p, 3),
                             check_id="guo", params={"d": d, "p": p})
 
 
 def verify_sun_e(p: int) -> CongruenceReport:
     """sum_{k=0}^{p-1} (1/(p+1))_k^{p+1} / k!^{p+1} = 0 (mod p^5) for p > 3."""
     _refuse_outside_domain("sun-e", "a prime p > 3", p)
-    return check_congruence(sun_e_sum(p), 0, PrimePowerModulus(p, 5),
+    return check_congruence(sun_e_sum._unreduced(p), 0, PrimePowerModulus(p, 5),
                             check_id="sun-e", params={"p": p})
 
 
@@ -208,7 +209,7 @@ def verify_sun_bernoulli(p: int, n: int) -> CongruenceReport:
     """sum (1 - p/n)_k^n / (1)_k^n = (n-1)(7n-5)/(36 n^2) p^4 B_{p-3} (mod p^5)."""
     _refuse_outside_domain("sun-bernoulli", "a prime p > 3 and a positive n coprime to p", p, n)
     rhs = Fraction((n - 1) * (7 * n - 5), 36 * n * n) * Fraction(p) ** 4 * bernoulli(p - 3)
-    return check_congruence(sun_bernoulli_lhs(p, n), rhs, PrimePowerModulus(p, 5),
+    return check_congruence(sun_bernoulli_lhs._unreduced(p, n), rhs, PrimePowerModulus(p, 5),
                             check_id="sun-bernoulli", params={"p": p, "n": n})
 
 
@@ -225,11 +226,10 @@ def verify_dflst_pair(n: int, p: int) -> tuple[CongruenceReport, CongruenceRepor
                            f"the Morita cap {padic.MORITA_CAP}", n, p)
     m = PrimePowerModulus(p, 3)
     gamma = morita_gamma(Fraction(1, n), m).value
-    rhs = Fraction((-pow(gamma, n, m.modulus)) % m.modulus)
+    rhs = -pow(gamma, n, m.modulus) % m.modulus
     params = {"n": n, "p": p}
-    first = check_congruence(dflst_sum(n, p), rhs, m, check_id="dflst/sum", params=params)
-    second = check_congruence(dflst_dual(n, p), rhs, m, check_id="dflst/dual", params=params)
-    return first, second
+    sums = {"dflst/sum": dflst_sum._unreduced(n, p), "dflst/dual": dflst_dual._unreduced(n, p)}
+    return tuple(check_congruence(v, rhs, m, check_id=c, params=params) for c, v in sums.items())
 
 
 def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
@@ -251,12 +251,12 @@ def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
     plain = _plain_weights(tp)
     scale, h1, h2 = _harmonic_prefixes(p - 1)  # at q > p there are no weights
     shift1, shift2 = h1[q - 1:], h2[q - 1:]  # index k reads H_{q+k-1}
-    h2_head = Fraction(h2[min(q, p) - 1] * sum(plain), scale**2)
-    h2_shift = Fraction(sum(map(mul, plain, shift2)), scale**2)
-    h2_plain = Fraction(sum(map(mul, plain, h2)), scale**2)
-    h1_shift = Fraction(sum(w * (a - b) for w, a, b in zip(plain, h1, shift1)), scale)
-    h1_shift_sq = Fraction(sum(w * (a * a - b * b) for w, a, b in zip(plain, h1, shift1)),
-                           scale**2)
+    h2_head = Unreduced(h2[min(q, p) - 1] * sum(plain), scale**2)
+    h2_shift = Unreduced(sum(map(mul, plain, shift2)), scale**2)
+    h2_plain = Unreduced(sum(map(mul, plain, h2)), scale**2)
+    h1_shift = Unreduced(sum(w * (a - b) for w, a, b in zip(plain, h1, shift1)), scale)
+    h1_shift_sq = Unreduced(sum(w * (a * a - b * b) for w, a, b in zip(plain, h1, shift1)),
+                            scale**2)
 
     # One walk of (t_k, t_k g_k, t_k g_k^2) and both sums, integers over one running
     # denominator: step k multiplies t by b^n/(n(k+1))^n and adds e/f = 1/(c+k) - 1/(k+1)
@@ -269,7 +269,7 @@ def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
         t *= u * f * f
         step = (n * k) ** n * f * f
         s1, s2, den = s1 * step + tg, s2 * step + tgg, den * step
-    s1_diff, s1_diff_sq = Fraction(s1, den), Fraction(s2, den)
+    s1_diff, s1_diff_sq = Unreduced(s1, den), Unreduced(s2, den)
 
     mod_p = PrimePowerModulus(p, 1)
     mod_p2 = PrimePowerModulus(p, 2)
@@ -295,23 +295,17 @@ def verify_taylor(tp: TheoremParams) -> list[CongruenceReport]:
     p = tp.p
     m = PrimePowerModulus(p, 3)
     params = tp.as_params()
-    displacement = Fraction(p, tp.n)
+    x = Fraction(p, tp.n)  # the displacement p/n
 
     # psi(x) = phi(x, x), so one jet serves both Taylor values.
     phi = phi_jet(tp, 2)
-    psi_exact = psi_value(tp, displacement)
-    psi_taylor = phi.evaluate(displacement, displacement)
-    phi_exact = phi_value(tp, p, 0)
-    phi_taylor = phi.evaluate(p, 0)
-    delta_exact = delta_value(tp, -p)
-    delta_taylor = delta_jet(tp, 2).evaluate(-p)
-
-    reports = [
-        check_congruence(psi_exact, psi_taylor, m, check_id="taylor/psi", params=params),
-        check_congruence(phi_exact, phi_taylor, m, check_id="taylor/phi", params=params),
-        check_congruence(delta_exact, delta_taylor, m, check_id="taylor/delta", params=params),
-    ]
-    return [_tag(r, tp) for r in reports]
+    values = {  # check id: the exact value and its degree-2 Taylor value
+        "taylor/psi": (psi_value._unreduced(tp, x), phi.evaluate(x, x)),
+        "taylor/phi": (phi_value._unreduced(tp, p, 0), phi.evaluate(p, 0)),
+        "taylor/delta": (delta_value._unreduced(tp, -p), delta_jet(tp, 2).evaluate(-p)),
+    }
+    return [_tag(check_congruence(exact, taylor, m, check_id=c, params=params), tp)
+            for c, (exact, taylor) in values.items()]
 
 
 def _plain_weights(tp: TheoremParams) -> list[int]:
@@ -354,7 +348,8 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     m3 = PrimePowerModulus(p, 3)
     reports = []
 
-    reports.append(_exact_report([phi_value(tp, p, 0)], p, "identities/phi-p0", params))
+    reports.append(_exact_report([phi_value._unreduced(tp, p, 0)], p, "identities/phi-p0",
+                                 params))
     reports.append(_exact_report(upsilon_jet(tp, 2).coefficients.values(), p,
                                  "identities/upsilon-jet", params))
 
@@ -362,8 +357,8 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     scale, _, h2 = _harmonic_prefixes(p - 1)  # at q > p there are no weights
     head = h2[min(q, p) - 1]
     second_order = sum(w * (b - head) for w, b in zip(_plain_weights(tp), h2[q - 1:]))
-    rhs = Fraction((n - 1) * p * p * second_order, 2 * n * scale**2)
-    reports.append(check_congruence(lhs_theorem1(tp), rhs, m3,
+    rhs = Unreduced((n - 1) * p * p * second_order, 2 * n * scale**2)
+    reports.append(check_congruence(lhs_theorem1._unreduced(tp), rhs, m3,
                                     check_id="identities/p2-reduction", params=params))
 
     # Reflection, b = p/n - q + 2, a = q - p/n - p: (1)_k/(b)_k = (1)_{p-1}/(b)_{p-1} *
@@ -383,6 +378,6 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
         reports.append(CongruenceReport("identities/dual-reduction", dict(params), 3,
                                         None, None, Verdict.SKIPPED))
     else:
-        reports.append(check_congruence(dual_reduction_sum(tp), 0, m3,
+        reports.append(check_congruence(dual_reduction_sum._unreduced(tp), 0, m3,
                                         check_id="identities/dual-reduction", params=params))
     return [_tag(r, tp) for r in reports]

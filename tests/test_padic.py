@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from hypercong.cli import primes_upto
 from hypercong.padic import (
     PrimePowerModulus,
     Residue,
+    Unreduced,
     bernoulli,
     factorial_valuation,
     is_prime,
@@ -95,6 +97,72 @@ def test_reduce_mod_round_trip():
             continue
         t = reduce_mod(r, PrimePowerModulus(p, k)).value
         assert (r.denominator * t - r.numerator) % p**k == 0
+
+
+# --- the unreduced exact value ------------------------------------------------
+
+
+@pytest.mark.parametrize("inexact", [0.2, Decimal("0.2"), "1/5"], ids=["float", "decimal", "str"])
+def test_the_exact_api_refuses_inexact_values(inexact):
+    # 0.2 would be read as 3602879701896397/2^54 (5-adic order 0, where 1/5 has -1),
+    # and "1/5" would be parsed; each is refused instead.
+    m = PrimePowerModulus(5, 2)
+    for call in (lambda: Unreduced(inexact), lambda: Unreduced(1, inexact),
+                 lambda: Unreduced(1) - inexact, lambda: Unreduced(1) == inexact,
+                 lambda: ord_rational(inexact, 5), lambda: reduce_mod(inexact, m)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_unreduced_reads_int_fraction_and_unreduced_parts():
+    assert Unreduced(F(2, 3), 4) == F(1, 6)
+    assert Unreduced(3, F(1, 2)) == 6
+    value = Unreduced(Unreduced(10, 4), Unreduced(3, 6))  # (10/4) / (3/6)
+    assert (value.num, value.den) == (60, 12) and value == 5
+    assert Unreduced(7).den == 1
+    with pytest.raises(ZeroDivisionError):
+        Unreduced(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        Unreduced(1, Unreduced(0, 5))
+
+
+def test_unreduced_subtracts_and_compares_without_reducing():
+    a, b = Unreduced(6, 4), Unreduced(2, 6)
+    diff = a - b
+    assert (diff.num, diff.den) == (6 * 6 - 2 * 4, 24)  # 28/24, kept as it is
+    assert diff == F(7, 6) and not diff == F(7, 5)
+    assert a - 0 is a and a - F(0) is a and a - Unreduced(0, 9) is a
+    assert not Unreduced(0, 12) and Unreduced(-1, 12)
+    assert not a - F(3, 2)
+    assert (Unreduced(-3, -9).num, Unreduced(-3, -9).den) == (-3, -9)
+
+
+def test_unreduced_pairs_with_p_in_both_parts():
+    # p^5 u / (p^2 v) with units u, v: ord 3, and every residue is that of the reduced value.
+    rng = random.Random(5)
+    for p in (3, 5, 7, 31):
+        for _ in range(20):
+            u, v = (rng.choice([-1, 1]) * rng.randrange(1, 10**6, 1) for _ in range(2))
+            if u % p == 0 or v % p == 0:
+                continue
+            for extra in (1, 2, p**3):  # a common factor the pair is not reduced by
+                pair = Unreduced(p**5 * u * extra, p**2 * v * extra)
+                assert pair.ord(p) == 3 == ord_rational(F(p**3 * u, v), p)
+                for k in range(1, 7):
+                    m = PrimePowerModulus(p, k)
+                    assert pair.residue(m) == reduce_mod(F(p**3 * u, v), m)
+
+
+def test_unreduced_zero_and_negative_valuation():
+    m = PrimePowerModulus(7, 3)
+    zero = Unreduced(0, 7**4 * 3)
+    assert zero.ord(7) == math.inf
+    assert zero.residue(m).value == 0
+    negative = Unreduced(7**2 * 5, 7**4 * 3)  # 5 / (7^2 * 3)
+    assert negative.ord(7) == -2 == ord_rational(F(5, 7**2 * 3), 7)
+    with pytest.raises(NotPIntegral):
+        negative.residue(m)
+    assert Unreduced(7**4 * 5, 7**4 * 3).residue(m) == reduce_mod(F(5, 3), m)
 
 
 def test_factorial_valuation_examples():

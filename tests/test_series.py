@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from math import factorial
@@ -13,7 +14,7 @@ from hypercong.errors import (
 from hypercong.cli import primes_upto
 from hypercong.exact_core import ShiftedSumSpec, harmonic, pochhammer, shifted_power_sum
 from hypercong.jets import MAX_DEGREE_CAP, Jet2, pochhammer_jet
-from hypercong.padic import PrimePowerModulus, ord_rational, reduce_mod
+from hypercong.padic import PrimePowerModulus, Unreduced, ord_rational, reduce_mod
 from hypercong.series import (
     HyperSeriesSpec,
     TheoremParams,
@@ -494,3 +495,82 @@ def test_kernel_rejects_a_vanishing_denominator():
         # Checked before the walk, even when a numerator would stop it first.
         with pytest.raises(ZeroDenominator):
             fn([(-1, 1), (-3, -1)], 5)
+
+
+# --- the unreduced sums verify reads, against the reduced evaluators ----------
+
+# The exploratory grid n 3..8, q 1..4, p <= 31.
+PAIR_GRID = [TheoremParams(n, q, p, exploratory=True)
+             for n in range(3, 9) for q in range(1, 5) for p in primes_upto(31)]
+
+PAIR_EVALUATORS = {  # each public scalar evaluator verify reads unreduced: its parameters
+    psi_value: ("tp", "x"), phi_value: ("tp", "x", "y"), delta_value: ("tp", "x"),
+    lhs_theorem1: ("tp",), lhs_theorem2: ("tp",), dual_reduction_sum: ("tp",),
+    guo_sum: ("d", "p"), sun_e_sum: ("p",), sun_bernoulli_lhs: ("p", "n"),
+    dflst_sum: ("n", "p"), dflst_dual: ("n", "p"),
+}
+
+
+def _pair_sums(tp):
+    # (evaluator, arguments) at the points verify evaluates them for tp.
+    n, p = tp.n, tp.p
+    return [(psi_value, (tp, F(p, n))), (phi_value, (tp, p, 0)), (delta_value, (tp, -p)),
+            (lhs_theorem1, (tp,)), (lhs_theorem2, (tp,)), (dual_reduction_sum, (tp,)),
+            (guo_sum, (n, p)), (sun_e_sum, (p,)), (sun_bernoulli_lhs, (p, n)),
+            (dflst_sum, (n, p)), (dflst_dual, (n, p))]
+
+
+def _evaluate_both(fn, args):
+    # The reduced value and the unreduced pair, or None when both refuse the point.
+    try:
+        reduced = fn(*args)
+    except ZeroDenominator:
+        with pytest.raises(ZeroDenominator):
+            fn._unreduced(*args)
+        return None
+    return reduced, fn._unreduced(*args)
+
+
+def test_public_evaluators_keep_their_signatures():
+    assert {fn for fn, _ in _pair_sums(PAIR_GRID[0])} == set(PAIR_EVALUATORS)
+    for fn, params in PAIR_EVALUATORS.items():
+        signature = inspect.signature(fn)
+        assert tuple(signature.parameters) == params, fn.__name__
+        assert signature.return_annotation in (Fraction, "Fraction"), fn.__name__
+        assert fn.__module__ == "hypercong.series" and not fn.__name__.startswith("_")
+
+
+def test_public_evaluators_reduce_their_unreduced_pairs():
+    for tp in PAIR_GRID:
+        for fn, args in _pair_sums(tp):
+            both = _evaluate_both(fn, args)
+            if both is None:
+                continue
+            reduced, pair = both
+            assert type(reduced) is Fraction, (fn.__name__, tp.as_params())
+            assert isinstance(pair, Unreduced)
+            assert reduced == Fraction(pair.num, pair.den), (fn.__name__, tp.as_params())
+
+
+def test_unreduced_sums_give_the_oracle_valuation_and_residues():
+    kinds = {"p in den": 0, "negative": 0, "zero": 0}
+    for tp in PAIR_GRID:
+        p = tp.p
+        for fn, args in _pair_sums(tp):
+            both = _evaluate_both(fn, args)
+            if both is None:
+                continue
+            reduced, pair = both
+            where = (fn.__name__, tp.as_params())
+            achieved = pair.ord(p)
+            assert achieved == ord_rational(reduced, p), where
+            kinds["p in den"] += pair.den % p == 0 and achieved >= 0
+            kinds["negative"] += achieved < 0
+            kinds["zero"] += not reduced
+            if achieved < 0:
+                continue
+            for k in range(1, 6):
+                m = PrimePowerModulus(p, k)
+                assert pair.residue(m) == reduce_mod(reduced, m), (where, k)
+    # The grid reaches every case the residue must handle.
+    assert all(kinds.values()), kinds

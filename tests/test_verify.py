@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 from dataclasses import FrozenInstanceError, replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,14 @@ import pytest
 from hypercong.errors import PreconditionViolated, ZeroDenominator
 from hypercong.exact_core import harmonic, pochhammer
 from hypercong import padic, verify
-from hypercong.padic import PrimePowerModulus, factorial_valuation, is_prime, ord_rational
+from hypercong.padic import (
+    PrimePowerModulus,
+    Unreduced,
+    factorial_valuation,
+    is_prime,
+    ord_rational,
+    reduce_mod,
+)
 from hypercong.series import (
     TheoremParams,
     _ratio_steps,
@@ -62,6 +70,38 @@ def test_check_congruence_failing():
     assert report.verdict is Verdict.FAILS
     assert report.achieved_ord == 1
     assert report.residue_at_required.value == 5
+
+
+@pytest.mark.parametrize("inexact", [0.2, Decimal("0.2"), "25/3"], ids=["float", "decimal", "str"])
+def test_check_congruence_refuses_inexact_values(inexact):
+    # 0.2 would be read as 3602879701896397/2^54 and reported as fails with ord 0,
+    # where 1/5 is ill-posed with ord -1.
+    m = PrimePowerModulus(5, 2)
+    for lhs, rhs in ((inexact, 0), (0, inexact), (Unreduced(1, 5), inexact)):
+        with pytest.raises(TypeError):
+            check_congruence(lhs, rhs, m)
+    assert check_congruence(F(1, 5), 0, m).achieved_ord == -1
+
+
+def test_check_congruence_on_unreduced_pairs():
+    p, m = 7, PrimePowerModulus(7, 3)
+    # p^5 u / (p^2 v), with a common factor 3 * p left in: ord 3, holds mod p^3.
+    pair = Unreduced(p**5 * 11 * 3 * p, p**2 * 4 * 3 * p)
+    report = check_congruence(pair, 0, m)
+    assert (report.verdict, report.achieved_ord) == (Verdict.HOLDS, 3)
+    assert report.residue_at_required == reduce_mod(F(p**3 * 11, 4), m)
+    # Against a rhs: (p^5 u / p^2 v) - p^2 has ord 2 and fails.
+    report = check_congruence(pair, p**2, m)
+    assert (report.verdict, report.achieved_ord) == (Verdict.FAILS, 2)
+    assert report.residue_at_required == reduce_mod(F(p**3 * 11, 4) - p**2, m)
+    # Negative valuation: ill-posed, with no residue.
+    report = check_congruence(Unreduced(p * 5, p**3 * 2), F(1, 3), m)
+    assert (report.verdict, report.achieved_ord) == (Verdict.ILL_POSED, -2)
+    assert report.residue_at_required is None
+    # Zero, written over a denominator that carries p.
+    report = check_congruence(Unreduced(0, p**4), Unreduced(0, 5), m)
+    assert (report.verdict, report.achieved_ord) == (Verdict.HOLDS, math.inf)
+    assert report.residue_at_required.value == 0
 
 
 def test_reports_are_frozen_values():
@@ -497,3 +537,43 @@ def test_a_skipped_report_observes_nothing():
     (skip,) = [r for r in verify_exact_identities(TheoremParams(4, 1, 7))
                if r.verdict is Verdict.SKIPPED]
     assert skip.observed_holds is None
+
+
+# --- the unreduced values on the verify path ------------------------------------
+
+TP797 = TheoremParams(4, 1, 797)
+
+
+@pytest.mark.parametrize("call,bits", [
+    (lambda: verify_theorem1(TP797), 20000),
+    (lambda: verify_theorem2(TP797), 20000),
+    (lambda: verify_guo(6, 599), 20000),
+    (lambda: verify_sun_e(101), 20000),
+    (lambda: verify_sun_bernoulli(797, 4), 20000),
+    (lambda: verify_dflst_pair(3, 211), 4000),
+    (lambda: verify_lemma_suite(TP797), 20000),
+    (lambda: verify_exact_identities(TheoremParams(4, 2, 797)), 20000),
+    (lambda: verify_taylor(TP797), 20000),
+], ids=["theorem1", "theorem2", "guo", "sun-e", "sun-bernoulli", "dflst", "lemmas",
+        "identities", "taylor"])
+def test_verify_reduces_no_sum_by_a_gcd(monkeypatch, call, bits):
+    # Fraction normalisation calls math.gcd.  Every sum each check reads here has more
+    # than `bits` bits (dflst's about 5000 at p = 211, the others above 25000), so a gcd
+    # that wide means a sum was reduced.  What is still reduced is narrower: the jets of
+    # taylor and identities (under 16000 bits) and sun-bernoulli's Bernoulli side (6000).
+    widest = []
+    gcd = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: widest.append(
+        max(abs(a).bit_length() for a in args)) or gcd(*args))
+    call()
+    assert max(widest, default=0) < bits
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,achieved", [(16843, 5), (16829, 4)])
+def test_theorem1_known_answers_beyond_the_grid(p, achieved):
+    # At q = 1 the sum is = (n-1)(7n-5)/(36n^2) p^4 B_{p-3} (mod p^5), so its order is 4
+    # unless p divides B_{p-3}: 16843 is a Wolstenholme prime, and 16829 is not.
+    report = verify_theorem1(TheoremParams(4, 1, p))
+    assert report.verdict is Verdict.HOLDS
+    assert report.achieved_ord == achieved
