@@ -243,6 +243,26 @@ def bernoulli(m: int) -> Fraction:
 MORITA_CAP = 10**7
 
 
+def _shift(f, s: int, pk: int) -> list[int]:
+    # f(t + s) mod pk for f of degree < len(f), by repeated synthetic division.
+    g = list(f)
+    for i in range(len(g) - 1):
+        for j in reversed(range(i, len(g) - 1)):
+            g[j] = (g[j] + s * g[j + 1]) % pk
+    return g
+
+
+def _block_product(g, a: int, pk: int) -> list[int]:
+    # prod_{i<a} g(t + i) mod (pk, t^k), k = len(g), a >= 1, doubling over the bits of a.
+    h, length = g, 1
+    for bit in bin(a)[3:]:
+        for factor, size in [(h, length), (g, 1)][: 1 + (bit == "1")]:
+            s = _shift(factor, length, pk)
+            h = [sum(h[i] * s[j - i] for i in range(j + 1)) % pk for j in range(len(h))]
+            length += size
+    return h
+
+
 def morita_gamma(x, m: PrimePowerModulus) -> Residue:
     """Morita's p-adic Gamma function at a p-integral rational, mod p^k.
 
@@ -250,20 +270,19 @@ def morita_gamma(x, m: PrimePowerModulus) -> Residue:
     (-1)^N * prod_{1 <= j < N, p does not divide j} j  (mod p^k).
     Continuity of Gamma_p (it is 1-Lipschitz on the p-adic integers) makes
     this equal to Gamma_p(x) at precision k.  With N - 1 = a p + b, block
-    i < a holds the units i p + r, 0 < r < p, whose product is F(i p) for
-    F(t) = prod_r (r + t) = sum_{j<k} e_{p-1-j} t^j (mod p^k), e being the
-    elementary symmetric functions of 1..p-1.  That costs O(k p + k a)
-    products, a < p^(k-1), plus b tail factors.  Precisions p^k above
-    MORITA_CAP = 10^7 raise PrecisionCapExceeded.
+    i < a holds the units i p + r, 0 < r < p, whose product is G(i) for
+    G(t) = prod_r (r + p t) = sum_{j<k} e_{p-1-j} p^j t^j (mod p^k), e being the
+    elementary symmetric functions of 1..p-1.  The blocks multiply to H_a(0), H_L(t) =
+    prod_{i<L} G(t + i), by doubling H_2L(t) = H_L(t) H_L(t + L) in (Z/p^k)[t]/(t^k):
+    exact, as p^j divides each t^j coefficient.  O(k p + k^2 log a) products, plus b
+    tail factors.  Precisions p^k above MORITA_CAP = 10^7 raise PrecisionCapExceeded.
     """
     if m.p == 2:
         raise PreconditionViolated("morita_gamma requires an odd prime")
     pk = m.modulus
     if pk > MORITA_CAP:
         raise PrecisionCapExceeded(f"p^k = {pk} exceeds the Morita cap {MORITA_CAP}")
-    lift = reduce_mod(x, m).value
-    if lift == 0:
-        lift = pk
+    lift = reduce_mod(x, m).value or pk
     p, k = m.p, m.k
     blocks = (lift - 1) // p
     acc = 1
@@ -273,13 +292,8 @@ def morita_gamma(x, m: PrimePowerModulus) -> Residue:
         e = [1] + [0] * (k - 1)  # e[j] = e_{p-1-j}(1..p-1) mod p^k
         for r in range(1, p):
             e = [(u * r + v) % pk for u, v in zip(e, [0] + e)]
-        # F(i p) by Horner in i, highest degree first, coefficients pre-scaled by p^j.
-        top, *rest = [e[j] * p**j % pk for j in reversed(range(k))]
-        for i in range(blocks):
-            value = top
-            for c in rest:
-                value = value * i + c
-            acc = acc * value % pk
+        g = [c * p**j % pk for j, c in enumerate(e)]
+        acc = acc * _block_product(g, blocks, pk)[0] % pk
     if lift % 2:
         acc = (pk - acc) % pk
     return Residue(acc, m)

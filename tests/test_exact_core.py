@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -127,3 +128,22 @@ def test_results_are_normalized(x, k):
     for value in (pochhammer(x, k), binomial_general(x, k)):
         assert value.denominator > 0
         assert math.gcd(value.numerator, value.denominator) == 1
+
+
+@pytest.mark.parametrize("inexact", [0.1, Decimal("0.1"), "1/10"], ids=["float", "decimal", "str"])
+def test_inexact_values_are_refused(inexact):
+    # 0.1 would be read as its binary fraction and "1/10" parsed as text; each is refused.
+    for call in (lambda: pochhammer(inexact, 2), lambda: pochhammer(inexact, 0),
+                 lambda: binomial_general(inexact, 2), lambda: ShiftedSumSpec(inexact, 1, 2)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_ints_and_fractions_are_read_exactly():
+    assert pochhammer(3, 2) == pochhammer(F(3), 2) == 12
+    assert pochhammer(F(1, 10), 2) == F(11, 100)
+    assert binomial_general(5, 2) == binomial_general(F(5), 2) == 10
+    assert binomial_general(F(1, 10), 2) == F(-9, 200)
+    spec = ShiftedSumSpec(2, 1, 2)
+    assert type(spec.base) is Fraction and shifted_power_sum(spec) == F(5, 6)
+    assert shifted_power_sum(ShiftedSumSpec(F(1, 10), 1, 1)) == 10

@@ -347,3 +347,81 @@ def test_morita_gamma_reflection_formula(p):
         x0 = reduce_mod(x, PrimePowerModulus(p, 1)).value or p
         product = morita_gamma(x, m).value * morita_gamma(1 - x, m).value
         assert product % m.modulus == (-1) ** x0 % m.modulus, x
+
+
+# --- the block product by doubling --------------------------------------------
+
+
+def test_taylor_shift_is_the_binomial_expansion():
+    rng = random.Random(17)
+    for p, k in ((3, 6), (5, 4), (7, 1), (211, 3)):
+        pk = p**k
+        for _ in range(20):
+            f = [rng.randrange(pk) for _ in range(k)]
+            s = rng.randrange(-pk, pk)
+            expected = [sum(f[j] * math.comb(j, i) * s ** (j - i) for j in range(i, k)) % pk
+                        for i in range(k)]
+            assert padic._shift(f, s, pk) == expected, (p, k, f, s)
+
+
+def test_block_product_equals_the_term_by_term_product():
+    # g(t) = G(p t) for a random G, so p^j divides its t^j coefficient, as in morita_gamma.
+    # The oracle multiplies the a shifted factors one at a time, each shift expanded by
+    # the binomial theorem; only the doubling needs the divisibility to truncate exactly.
+    rng = random.Random(19)
+    for p, k in ((3, 5), (5, 3), (7, 4), (11, 2), (13, 1)):
+        pk = p**k
+        for _ in range(3):
+            g = [rng.randrange(pk) * p**j % pk for j in range(k)]
+            product = [1] + [0] * (k - 1)
+            for a in range(1, 41):
+                shifted = [sum(g[j] * math.comb(j, i) * (a - 1) ** (j - i) for j in range(i, k))
+                           for i in range(k)]
+                product = [sum(product[i] * shifted[j - i] for i in range(j + 1)) % pk
+                           for j in range(k)]
+                assert padic._block_product(g, a, pk) == product, (p, k, g, a)
+
+
+@pytest.mark.parametrize("p, k", [(3, 6), (5, 5), (7, 4)])
+def test_morita_gamma_at_every_lift_against_the_unit_product(p, k):
+    # Every block count below p^(k-1): 243, 625 and 343 of them.
+    m = PrimePowerModulus(p, k)
+    oracle = _naive_gammas(p, k, m.modulus)
+    for N in range(1, m.modulus + 1):
+        assert morita_gamma(N, m).value == oracle[N - 1], N
+
+
+def test_morita_gamma_far_above_the_cap(monkeypatch):
+    # p^3 is about 10^12 at p = 10007: one step per block would take about 10^8 steps a
+    # call.  Reflection Gamma_p(x) Gamma_p(1 - x) = (-1)^x0, the step relation, and
+    # Gamma_p(1/2)^2 = (-1)^((p+1)/2) hold at the full precision p^3.
+    monkeypatch.setattr(padic, "MORITA_CAP", 10**13)
+    p = 10007
+    m = PrimePowerModulus(p, 3)
+    pk = m.modulus
+    rng = random.Random(p)
+    xs = [F(1, n) for n in range(2, 9)]
+    xs += [F(rng.randint(-10**9, 10**9), rng.randint(1, p - 1)) for _ in range(3)]
+    for x in xs:
+        x0 = reduce_mod(x, PrimePowerModulus(p, 1)).value or p
+        product = morita_gamma(x, m).value * morita_gamma(1 - x, m).value
+        assert product % pk == (-1) ** x0 % pk, x
+    for N in [pk - 1, pk - 2, pk - p, p * p] + [rng.randrange(1, pk) for _ in range(3)]:
+        step = -morita_gamma(N, m).value * (N if N % p else 1)
+        assert morita_gamma(N + 1, m).value == step % pk, N
+    half = morita_gamma(F(1, 2), m).value
+    assert half * half % pk == (-1) ** ((p + 1) // 2) % pk
+
+
+@pytest.mark.slow
+def test_morita_gamma_at_the_deepest_precision_under_the_cap():
+    p, k = 3, 14  # 3^14 = 4782969 <= MORITA_CAP, block counts up to 3^13 - 1
+    m = PrimePowerModulus(p, k)
+    pk = m.modulus
+    assert pk <= padic.MORITA_CAP
+    oracle = _naive_gammas(p, k, pk)
+    rng = random.Random(314)
+    a = rng.randrange(2, p ** (k - 1))
+    lifts = [rng.randint(1, pk) for _ in range(200)] + [1, p, p * a, pk - 1, pk]
+    for N in lifts:
+        assert morita_gamma(N, m).value == oracle[N - 1], N

@@ -1,5 +1,6 @@
 import inspect
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -126,6 +127,43 @@ def test_karlsson_minton_random_draws_vanish():
         result = karlsson_minton_sum(-length, pairs)
         assert not result.hypothesis_violated
         assert result.value == 0
+
+
+
+@pytest.mark.parametrize("inexact", [0.1, Decimal("0.1"), "1/10"], ids=["float", "decimal", "str"])
+def test_entry_points_refuse_inexact_values(inexact):
+    # 0.1 would be read as its binary fraction and "1/10" parsed as text; each is refused.
+    tp = TheoremParams(4, 1, 7)
+    for call in (lambda: psi_value(tp, inexact), lambda: phi_value(tp, inexact, 0),
+                 lambda: phi_value(tp, 0, inexact), lambda: delta_value(tp, inexact),
+                 lambda: HyperSeriesSpec((inexact,), (), 1, 3),
+                 lambda: HyperSeriesSpec((), (inexact,), 1, 3),
+                 lambda: HyperSeriesSpec((), (), inexact, 3),
+                 lambda: karlsson_minton_sum(inexact, []),
+                 lambda: karlsson_minton_sum(-3, [(inexact, 1)])):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_entry_points_read_ints_and_fractions_exactly():
+    tp = TheoremParams(4, 1, 7)
+    n, q, p = tp.n, tp.q, tp.p
+
+    def pfq(upper, lower):
+        return truncated_pfq(HyperSeriesSpec(upper, lower, F(1), p - q))
+
+    for x in (2, F(2), F(1, 10), F(-7, 3)):
+        y = F(1, 3)
+        assert psi_value(tp, x) == pfq((q - F(x),) * n, (F(1),) * (n - 1)), x
+        assert phi_value(tp, x, y) == pfq((q - F(x),) + (q - y,) * (n - 1), (F(1),) * (n - 1)), x
+        offset = q - F(p, n) + F(x)
+        assert delta_value(tp, x) == pfq((offset,) * n + (F(1),), (1 + F(x),) * n), x
+    spec = HyperSeriesSpec((2,), (3,), 5, 4)
+    assert spec == HyperSeriesSpec((F(2),), (F(3),), F(5), 4)
+    assert all(type(v) is Fraction for v in (*spec.upper, *spec.lower, spec.argument))
+    for b in (2, F(2), F(1, 10)):
+        expected = truncated_pfq(HyperSeriesSpec((F(-5), F(b) + 2), (F(b),), F(1), 5))
+        assert karlsson_minton_sum(-5, [(b, 2)]).value == expected, b
 
 
 # --- parameter triples --------------------------------------------------------
