@@ -2,10 +2,10 @@
 
 Two code paths exist on purpose.  ``truncated_pfq`` computes each term from
 scratch with explicit Pochhammer products; the specialized evaluators below
-it walk incremental term ratios (term_{k+1} = term_k * ratio_k) in integers
-over one running denominator (``_ratio_steps``), which keeps a full sweep
-near-linear in the number of terms.  Tests pin the two routes against each
-other.
+it sum incremental term ratios (term_{k+1} = term_k * ratio_k, as integer
+pairs from ``_ratio_steps``) by binary splitting into one integer over one
+denominator, so the big products are balanced instead of one per term.
+Tests pin the two routes against each other.
 """
 
 from __future__ import annotations
@@ -198,21 +198,33 @@ def _ratio_steps(factors: Sequence[tuple], last: int):
         yield u, v
 
 
+def _split(steps: list, lo: int, hi: int, spine: bool) -> tuple:
+    # (P, Q, T) of steps[lo:hi] for _ratio_sum.  Nothing reads P on the right spine, so
+    # it is not formed there.
+    if hi - lo <= 8:
+        p, q, t = 1, 1, 0
+        for u, v in steps[lo:hi]:
+            p *= u
+            t, q = t * v + p, q * v
+        return p, q, t
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _split(steps, lo, mid, False)
+    p2, q2, t2 = _split(steps, mid, hi, spine)
+    return None if spine else p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
 def _ratio_sum(factors: Sequence[tuple], last: int, first: int = 1) -> Unreduced:
     """sum_{k=0}^{last} t_k for the walk of ``_ratio_steps`` started at t_0 = first.
 
-    The partial sums are kept as one integer over one running integer
-    denominator, so a step costs a few integer products instead of a gcd of
-    large numbers, and the sum is returned as that unreduced pair.
+    Binary splitting (Haible & Papanikolaou): steps a..b-1 carry P = prod u, Q = prod v
+    and T = sum_{a<k<=b} (u_a...u_{k-1}) (v_k...v_{b-1}); halves combine as P1 P2, Q1 Q2,
+    T1 Q2 + P1 T2.  The sum is first (Q + T) / Q, returned unreduced: no gcd is taken.
     """
     if last < 0:
         return Unreduced(0)
-    top, acc, den = first, first, 1  # t_k = top / den, and the partial sum is acc / den
-    for u, v in _ratio_steps(factors, last):
-        top *= u
-        acc = acc * v + top
-        den *= v
-    return Unreduced(acc, den)
+    steps = list(_ratio_steps(factors, last))
+    _, q, t = _split(steps, 0, len(steps), True)
+    return Unreduced(first * (q + t), q)
 
 
 def _reduced(unreduced_sum):
@@ -313,10 +325,10 @@ def dflst_dual(n: int, p: int) -> Fraction:
 # r = sign*d*(L // a), where c + i = a/d.  Its u^j coefficient is the
 # integer C(m, j) r^j (C(j-m-1, j) (-r)^j for m < 0), so each running product
 # keeps its v^j coefficient times L^j as an integer.  A zero base gives the
-# monomial (sign*v)^m = (sign*L*u)^m.  As in ``_ratio_sum``, w_k = top/den and
-# each partial-sum coefficient is an integer over den; every _REDUCE_EVERY
-# steps, dividing all of them by their gcd keeps them near reduced size at
-# large p.  Jet2 and pochhammer_jet stay as the ring-arithmetic oracle of the tests.
+# monomial (sign*v)^m = (sign*L*u)^m.  Unlike ``_ratio_sum``, the walk goes one
+# step at a time: w_k = top/den, each partial-sum coefficient is an integer over den,
+# and every _REDUCE_EVERY steps, dividing all of them by their gcd keeps them near
+# reduced size at large p.  Jet2 and pochhammer_jet stay the tests' ring-arithmetic oracle.
 
 _REDUCE_EVERY = 32
 

@@ -12,6 +12,7 @@ from hypercong.errors import (
     ZeroDenominator,
     ZeroLowerFactor,
 )
+from hypercong import series
 from hypercong.cli import primes_upto
 from hypercong.exact_core import ShiftedSumSpec, harmonic, pochhammer, shifted_power_sum
 from hypercong.jets import MAX_DEGREE_CAP, Jet2, pochhammer_jet
@@ -533,6 +534,61 @@ def test_kernel_rejects_a_vanishing_denominator():
         # Checked before the walk, even when a numerator would stop it first.
         with pytest.raises(ZeroDenominator):
             fn([(-1, 1), (-3, -1)], 5)
+
+
+# --- binary splitting against the one-step walk ------------------------------
+
+
+def _stepwise_sum(factors, last, first=1):
+    """The one-step walk of ``_ratio_steps``: the pair binary splitting must give."""
+    if last < 0:
+        return Unreduced(0)
+    top, acc, den = first, first, 1  # t_k = top / den, and the partial sum is acc / den
+    for u, v in _ratio_steps(factors, last):
+        top *= u
+        acc = acc * v + top
+        den *= v
+    return Unreduced(acc, den)
+
+
+def test_binary_splitting_gives_the_stepwise_pair_on_random_walks():
+    # The same (num, den), not just the same value.  Lengths 0..40 put 7, 8, 9, 16, 17
+    # and 33 steps on either side of the 8-step leaf and of each split of the spine.
+    rng = random.Random(1409)
+    full, cut, refused = set(), set(), 0
+    for last in range(-1, 41):
+        for _ in range(8):
+            factors = [(F(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 7])),
+                        rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(rng.randint(1, 4))]
+            first = rng.choice([1, rng.choice([5, 7, 11]) ** rng.randint(1, 4)])
+            try:
+                expected = _stepwise_sum(factors, last, first)
+            except ZeroDenominator:
+                with pytest.raises(ZeroDenominator):
+                    _ratio_sum(factors, last, first)
+                refused += 1
+                continue
+            got = _ratio_sum(factors, last, first)
+            assert (got.num, got.den) == (expected.num, expected.den), (factors, last, first)
+            steps = len(list(_ratio_steps(factors, last)))
+            if steps < last:  # a numerator factor vanished
+                cut.add(steps)
+            else:
+                full.add(last)
+    assert full >= {-1, 0, 7, 8, 9, 16, 17, 33, 40}, full
+    assert max(cut) > 8 and refused
+
+
+@pytest.mark.parametrize("fn,args", [
+    (lhs_theorem1, (TheoremParams(4, 1, 797),)),
+    (lhs_theorem2, (TheoremParams(4, 1, 797),)),
+    (sun_e_sum, (101,)),
+], ids=["theorem1", "theorem2", "sun-e"])
+def test_binary_splitting_gives_the_stepwise_pair_on_the_deep_sums(monkeypatch, fn, args):
+    got = fn._unreduced(*args)
+    monkeypatch.setattr(series, "_ratio_sum", _stepwise_sum)
+    expected = fn._unreduced(*args)
+    assert (got.num, got.den) == (expected.num, expected.den)
 
 
 # --- the unreduced sums verify reads, against the reduced evaluators ----------

@@ -569,7 +569,6 @@ def test_verify_reduces_no_sum_by_a_gcd(monkeypatch, call, bits):
     assert max(widest, default=0) < bits
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("p,achieved", [(16843, 5), (16829, 4)])
 def test_theorem1_known_answers_beyond_the_grid(p, achieved):
     # At q = 1 the sum is = (n-1)(7n-5)/(36n^2) p^4 B_{p-3} (mod p^5), so its order is 4
@@ -577,3 +576,14 @@ def test_theorem1_known_answers_beyond_the_grid(p, achieved):
     report = verify_theorem1(TheoremParams(4, 1, p))
     assert report.verdict is Verdict.HOLDS
     assert report.achieved_ord == achieved
+
+
+@pytest.mark.parametrize("p", [
+    211,
+    pytest.param(401, marks=pytest.mark.slow),  # about 3 s
+])
+def test_sun_e_known_answers_beyond_the_grid(p):
+    # The sum is 0 (mod p^5) for every prime p > 3; at these two its order is exactly 5.
+    report = verify_sun_e(p)
+    assert report.verdict is Verdict.HOLDS
+    assert report.achieved_ord == 5
