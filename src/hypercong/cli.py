@@ -7,9 +7,10 @@ registered check (optionally across processes) and emits JSON or CSV;
 
 Exit codes are a stable contract for CI: 0 when no asserted check fails,
 1 when any asserted check fails (or is ill-posed), 2 on configuration or
-precondition errors.  Sweep output is byte-identical for a given spec
-regardless of the parallelism level: results are merged and sorted before
-emission, and the echoed spec deliberately omits execution-only fields.
+precondition errors and when memory runs out, which says nothing of a check.
+Sweep output is byte-identical for a given spec regardless of the parallelism
+level: results are merged and sorted before emission, and the echoed spec
+deliberately omits execution-only fields.
 """
 
 from __future__ import annotations
@@ -391,6 +392,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except HypercongError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -2,7 +2,8 @@
 
 A ``Jet2`` stores the coefficients of a polynomial in x and y truncated at a
 total degree cap D <= 4.  Ring operations are exact; division is truncated
-power-series inversion and requires a unit (nonzero constant term).  The
+power-series inversion and requires a unit (nonzero constant term).  Scalars
+are ints and Fractions: a float, Decimal or str raises TypeError.  The
 coefficient of x^i y^j times i!*j! is the mixed partial derivative at the
 origin, which is how every derivative in this library is extracted.
 """
@@ -13,6 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import CapExceeded, CapMismatch, DivByNonUnit
+from .padic import _fraction
 
 __all__ = ["Jet2", "MAX_DEGREE_CAP", "pochhammer_jet", "partial_coefficient"]
 
@@ -38,7 +40,7 @@ class Jet2:
                 raise ValueError(f"negative exponent pair ({i}, {j})")
             if i + j > cap:
                 raise CapExceeded(f"exponent pair ({i}, {j}) exceeds cap {cap}")
-            c = Fraction(c)
+            c = _fraction(c)
             if c:
                 coeffs[(i, j)] = c
         self._cap = cap
@@ -57,7 +59,7 @@ class Jet2:
 
     @classmethod
     def constant(cls, value, degree_cap: int) -> "Jet2":
-        return cls({(0, 0): Fraction(value)}, degree_cap)
+        return cls({(0, 0): _fraction(value)}, degree_cap)
 
     @classmethod
     def variable(cls, var: str, degree_cap: int) -> "Jet2":
@@ -68,7 +70,7 @@ class Jet2:
         """The jet of constant + sign*var."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        coeffs = {(0, 0): Fraction(constant)}
+        coeffs = {(0, 0): _fraction(constant)}
         if degree_cap >= 1:
             coeffs[_VAR_EXPONENT[var]] = Fraction(sign)
         return cls(coeffs, degree_cap)
@@ -97,8 +99,7 @@ class Jet2:
 
     def evaluate(self, x, y=0) -> Fraction:
         """Evaluate the truncated polynomial at exact rational arguments."""
-        x = Fraction(x)
-        y = Fraction(y)
+        x, y = _fraction(x), _fraction(y)
         total = Fraction(0)
         for (i, j), c in self._coeffs.items():
             total += c * x**i * y**j
@@ -219,7 +220,7 @@ def pochhammer_jet(base, sign: int, var: str, k: int, degree_cap: int) -> Jet2:
     """
     if k < 0:
         raise ValueError("pochhammer index must be nonnegative")
-    base = Fraction(base)
+    base = _fraction(base)
     result = Jet2.constant(1, degree_cap)
     for i in range(k):
         result = result * Jet2.linear(base + i, var, sign, degree_cap)

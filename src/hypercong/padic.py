@@ -113,6 +113,11 @@ def _ratio(value) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
+def _fraction(value) -> Fraction:
+    # An exact value as a Fraction: one passes as it is, not rebuilt by another gcd.
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+
+
 def _ord_int(x: int, p: int) -> int:
     # ord_p of a nonzero integer: the least v with x not divisible by p^(v+1).
     return next(v for v in count() if x % p ** (v + 1))
@@ -156,7 +161,7 @@ def ord_rational(r, p: int):
     """p-adic valuation of a rational; math.inf for zero."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    r = r if isinstance(r, Fraction) else Fraction(*_ratio(r))
+    r = _fraction(r)
     if not r:
         return math.inf
     num, den = r.numerator, r.denominator
@@ -179,7 +184,7 @@ def reduce_mod(r, m: PrimePowerModulus) -> Residue:
     The result t is the unique value in [0, p^k) with den*t = num (mod p^k).
     Raises NotPIntegral when ord_p(r) < 0.
     """
-    r = r if isinstance(r, Fraction) else Fraction(*_ratio(r))
+    r = _fraction(r)
     if r.denominator % m.p == 0:
         raise NotPIntegral(f"{r} has negative {m.p}-adic valuation")
     pk = m.modulus

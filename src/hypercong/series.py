@@ -5,15 +5,16 @@ scratch with explicit Pochhammer products; the specialized evaluators below
 it sum incremental term ratios (term_{k+1} = term_k * ratio_k, as integer
 pairs from ``_ratio_steps``) by binary splitting into one integer over one
 denominator, so the big products are balanced instead of one per term.
-Tests pin the two routes against each other.
+Each returns that pair as a ``padic.Unreduced``, exact and never reduced by a
+gcd; ``Fraction(v.num, v.den)`` gives the reduced value.  Tests pin the two
+routes against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -227,91 +228,70 @@ def _ratio_sum(factors: Sequence[tuple], last: int, first: int = 1) -> Unreduced
     return Unreduced(first * (q + t), q)
 
 
-def _reduced(unreduced_sum):
-    # The public evaluator of a sum whose body returns an Unreduced: the same call, giving
-    # the Fraction its annotation names.  verify calls the body itself, ``_unreduced``.
-    @wraps(unreduced_sum)
-    def evaluator(*args, **kwargs):
-        value = unreduced_sum(*args, **kwargs)
-        return Fraction(value.num, value.den)
-    evaluator._unreduced = unreduced_sum
-    return evaluator
-
-
-@_reduced
-def psi_value(tp: TheoremParams, x) -> Fraction:
+def psi_value(tp: TheoremParams, x) -> Unreduced:
     """sum_{k=0}^{p-q} (q-x)_k^n / (1)_k^n at an exact rational x."""
     return _ratio_sum([(tp.q - Fraction(*_ratio(x)), tp.n), (1, -tp.n)], tp.p - tp.q)
 
 
-@_reduced
-def phi_value(tp: TheoremParams, x, y) -> Fraction:
+def phi_value(tp: TheoremParams, x, y) -> Unreduced:
     """sum_{k=0}^{p-q} (q-x)_k (q-y)_k^{n-1} / (1)_k^n at exact rationals."""
     a, b = (tp.q - Fraction(*_ratio(v)) for v in (x, y))
     return _ratio_sum([(a, 1), (b, tp.n - 1), (1, -tp.n)], tp.p - tp.q)
 
 
-@_reduced
-def delta_value(tp: TheoremParams, x) -> Fraction:
+def delta_value(tp: TheoremParams, x) -> Unreduced:
     """sum_{k=0}^{p-q} (q - p/n + x)_k^n / (1+x)_k^n at an exact rational x."""
     x = Fraction(*_ratio(x))
     offset = tp.q - Fraction(tp.p, tp.n) + x
     return _ratio_sum([(offset, tp.n), (1 + x, -tp.n)], tp.p - tp.q)
 
 
-@_reduced
-def lhs_theorem1(tp: TheoremParams) -> Fraction:
+def lhs_theorem1(tp: TheoremParams) -> Unreduced:
     """Full sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n."""
     return _ratio_sum([(tp.q - Fraction(tp.p, tp.n), tp.n), (1, -tp.n)], tp.p - 1)
 
 
-@_reduced
-def lhs_theorem2(tp: TheoremParams) -> Fraction:
+def lhs_theorem2(tp: TheoremParams) -> Unreduced:
     """p^n * sum_{k=0}^{p-1} (1)_k^n / (p/n - q + 2)_k^n."""
     base = Fraction(tp.p, tp.n) - tp.q + 2
     return _ratio_sum([(1, tp.n), (base, -tp.n)], tp.p - 1, tp.p**tp.n)
 
 
-@_reduced
-def dual_reduction_sum(tp: TheoremParams) -> Fraction:
+def dual_reduction_sum(tp: TheoremParams) -> Unreduced:
     """sum_{k=0}^{p-1} (q - p/n - p)_k^n / (1-p)_k^n, the reflected dual sum."""
     a = tp.q - Fraction(tp.p, tp.n) - tp.p
     return _ratio_sum([(a, tp.n), (1 - tp.p, -tp.n)], tp.p - 1)
 
 
-def theorem2_prefactor(tp: TheoremParams) -> Fraction:
+def theorem2_prefactor(tp: TheoremParams) -> Unreduced:
     """p^n (1)_{p-1}^n / (p/n - q + 2)_{p-1}^n, the unit carried by reflection."""
     base = Fraction(tp.p, tp.n) - tp.q + 2
     steps = list(_ratio_steps([(1, tp.n), (base, -tp.n)], tp.p - 1))
-    return Fraction(tp.p**tp.n * prod(u for u, _ in steps), prod(v for _, v in steps))
+    top, bottom, _ = _split(steps, 0, len(steps), False)
+    return Unreduced(tp.p**tp.n * top, bottom)
 
 
-@_reduced
-def guo_sum(d: int, p: int) -> Fraction:
+def guo_sum(d: int, p: int) -> Unreduced:
     """sum_{k=0}^{p-1} (1/d)_k^d / k!^d."""
     return _ratio_sum([(Fraction(1, d), d), (1, -d)], p - 1)
 
 
-@_reduced
-def sun_e_sum(p: int) -> Fraction:
+def sun_e_sum(p: int) -> Unreduced:
     """sum_{k=0}^{p-1} (1/(p+1))_k^{p+1} / k!^{p+1}."""
     return _ratio_sum([(Fraction(1, p + 1), p + 1), (1, -p - 1)], p - 1)
 
 
-@_reduced
-def sun_bernoulli_lhs(p: int, n: int) -> Fraction:
+def sun_bernoulli_lhs(p: int, n: int) -> Unreduced:
     """sum_{k=0}^{p-1} (1 - p/n)_k^n / (1)_k^n."""
     return _ratio_sum([(1 - Fraction(p, n), n), (1, -n)], p - 1)
 
 
-@_reduced
-def dflst_sum(n: int, p: int) -> Fraction:
+def dflst_sum(n: int, p: int) -> Unreduced:
     """sum_{k=0}^{p-1} (1 - 1/n)_k^n / (1)_k^n."""
     return _ratio_sum([(1 - Fraction(1, n), n), (1, -n)], p - 1)
 
 
-@_reduced
-def dflst_dual(n: int, p: int) -> Fraction:
+def dflst_dual(n: int, p: int) -> Unreduced:
     """p^n * sum_{k=0}^{p-1} (1)_k^n / (1 + 1/n)_k^n."""
     return _ratio_sum([(1, n), (1 + Fraction(1, n), -n)], p - 1, p**n)
 

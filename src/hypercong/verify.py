@@ -176,14 +176,14 @@ def _tag(report: CongruenceReport, tp: TheoremParams) -> CongruenceReport:
 def verify_theorem1(tp: TheoremParams) -> CongruenceReport:
     """sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n = 0 (mod p^3)."""
     m = PrimePowerModulus(tp.p, 3)
-    return _tag(check_congruence(lhs_theorem1._unreduced(tp), 0, m,
+    return _tag(check_congruence(lhs_theorem1(tp), 0, m,
                                  check_id="theorem1", params=tp.as_params()), tp)
 
 
 def verify_theorem2(tp: TheoremParams) -> CongruenceReport:
     """p^n sum_{k=0}^{p-1} (1)_k^n / (p/n - q + 2)_k^n = 0 (mod p^3)."""
     m = PrimePowerModulus(tp.p, 3)
-    return _tag(check_congruence(lhs_theorem2._unreduced(tp), 0, m,
+    return _tag(check_congruence(lhs_theorem2(tp), 0, m,
                                  check_id="theorem2", params=tp.as_params()), tp)
 
 
@@ -194,14 +194,14 @@ def verify_guo(d: int, p: int) -> CongruenceReport:
     how the congruence is proved; the tests pin that equality.
     """
     _refuse_outside_domain("guo", "an even d >= 4 and a prime p = -1 (mod d)", d, p)
-    return check_congruence(guo_sum._unreduced(d, p), 0, PrimePowerModulus(p, 3),
+    return check_congruence(guo_sum(d, p), 0, PrimePowerModulus(p, 3),
                             check_id="guo", params={"d": d, "p": p})
 
 
 def verify_sun_e(p: int) -> CongruenceReport:
     """sum_{k=0}^{p-1} (1/(p+1))_k^{p+1} / k!^{p+1} = 0 (mod p^5) for p > 3."""
     _refuse_outside_domain("sun-e", "a prime p > 3", p)
-    return check_congruence(sun_e_sum._unreduced(p), 0, PrimePowerModulus(p, 5),
+    return check_congruence(sun_e_sum(p), 0, PrimePowerModulus(p, 5),
                             check_id="sun-e", params={"p": p})
 
 
@@ -209,7 +209,7 @@ def verify_sun_bernoulli(p: int, n: int) -> CongruenceReport:
     """sum (1 - p/n)_k^n / (1)_k^n = (n-1)(7n-5)/(36 n^2) p^4 B_{p-3} (mod p^5)."""
     _refuse_outside_domain("sun-bernoulli", "a prime p > 3 and a positive n coprime to p", p, n)
     rhs = Fraction((n - 1) * (7 * n - 5), 36 * n * n) * Fraction(p) ** 4 * bernoulli(p - 3)
-    return check_congruence(sun_bernoulli_lhs._unreduced(p, n), rhs, PrimePowerModulus(p, 5),
+    return check_congruence(sun_bernoulli_lhs(p, n), rhs, PrimePowerModulus(p, 5),
                             check_id="sun-bernoulli", params={"p": p, "n": n})
 
 
@@ -228,7 +228,7 @@ def verify_dflst_pair(n: int, p: int) -> tuple[CongruenceReport, CongruenceRepor
     gamma = morita_gamma(Fraction(1, n), m).value
     rhs = -pow(gamma, n, m.modulus) % m.modulus
     params = {"n": n, "p": p}
-    sums = {"dflst/sum": dflst_sum._unreduced(n, p), "dflst/dual": dflst_dual._unreduced(n, p)}
+    sums = {"dflst/sum": dflst_sum(n, p), "dflst/dual": dflst_dual(n, p)}
     return tuple(check_congruence(v, rhs, m, check_id=c, params=params) for c, v in sums.items())
 
 
@@ -300,9 +300,9 @@ def verify_taylor(tp: TheoremParams) -> list[CongruenceReport]:
     # psi(x) = phi(x, x), so one jet serves both Taylor values.
     phi = phi_jet(tp, 2)
     values = {  # check id: the exact value and its degree-2 Taylor value
-        "taylor/psi": (psi_value._unreduced(tp, x), phi.evaluate(x, x)),
-        "taylor/phi": (phi_value._unreduced(tp, p, 0), phi.evaluate(p, 0)),
-        "taylor/delta": (delta_value._unreduced(tp, -p), delta_jet(tp, 2).evaluate(-p)),
+        "taylor/psi": (psi_value(tp, x), phi.evaluate(x, x)),
+        "taylor/phi": (phi_value(tp, p, 0), phi.evaluate(p, 0)),
+        "taylor/delta": (delta_value(tp, -p), delta_jet(tp, 2).evaluate(-p)),
     }
     return [_tag(check_congruence(exact, taylor, m, check_id=c, params=params), tp)
             for c, (exact, taylor) in values.items()]
@@ -348,8 +348,7 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     m3 = PrimePowerModulus(p, 3)
     reports = []
 
-    reports.append(_exact_report([phi_value._unreduced(tp, p, 0)], p, "identities/phi-p0",
-                                 params))
+    reports.append(_exact_report([phi_value(tp, p, 0)], p, "identities/phi-p0", params))
     reports.append(_exact_report(upsilon_jet(tp, 2).coefficients.values(), p,
                                  "identities/upsilon-jet", params))
 
@@ -358,7 +357,7 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     head = h2[min(q, p) - 1]
     second_order = sum(w * (b - head) for w, b in zip(_plain_weights(tp), h2[q - 1:]))
     rhs = Unreduced((n - 1) * p * p * second_order, 2 * n * scale**2)
-    reports.append(check_congruence(lhs_theorem1._unreduced(tp), rhs, m3,
+    reports.append(check_congruence(lhs_theorem1(tp), rhs, m3,
                                     check_id="identities/p2-reduction", params=params))
 
     # Reflection, b = p/n - q + 2, a = q - p/n - p: (1)_k/(b)_k = (1)_{p-1}/(b)_{p-1} *
@@ -378,6 +377,6 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
         reports.append(CongruenceReport("identities/dual-reduction", dict(params), 3,
                                         None, None, Verdict.SKIPPED))
     else:
-        reports.append(check_congruence(dual_reduction_sum._unreduced(tp), 0, m3,
+        reports.append(check_congruence(dual_reduction_sum(tp), 0, m3,
                                         check_id="identities/dual-reduction", params=params))
     return [_tag(r, tp) for r in reports]

@@ -680,3 +680,19 @@ def test_an_out_that_cannot_be_opened_after_the_sweep_exits_2(monkeypatch, tmp_p
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot write output: permission denied")
     assert captured.out == "" and swept and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem1", "--n", "4", "--q", "1", "--p", "7"],
+    ["sweep", "--checks", "theorem1", "--n", "4..4", "--q", "1..1", "--p-max", "13",
+     "--parallel", "1"],
+], ids=["verify", "sweep"])
+def test_running_out_of_memory_exits_2_not_1(monkeypatch, capsys, argv):
+    # Exit 1 means a failed congruence; a MemoryError says nothing about the check.
+    def exhausted(tp):
+        raise MemoryError
+
+    monkeypatch.setattr(verify, "verify_theorem1", exhausted)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n" and captured.out == ""

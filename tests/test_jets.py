@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -171,3 +172,27 @@ def test_division_inverse_law(j):
     one = Jet2.constant(1, j.degree_cap)
     assert j * (one / j) == one
     assert (j / j) == one
+
+
+@pytest.mark.parametrize("inexact", [0.1, Decimal("0.1"), "1/3"], ids=["float", "decimal", "str"])
+@pytest.mark.parametrize("entry", [
+    lambda v: Jet2({(0, 0): v}, 2),
+    lambda v: Jet2.constant(v, 2),
+    lambda v: Jet2.linear(v, "x", 1, 2),
+    lambda v: Jet2.variable("x", 2).evaluate(v),
+    lambda v: Jet2.variable("y", 2).evaluate(0, v),
+    lambda v: pochhammer_jet(v, 1, "x", 2, 2),
+], ids=["init", "constant", "linear", "evaluate-x", "evaluate-y", "pochhammer_jet"])
+def test_jet_entry_points_refuse_inexact_scalars(entry, inexact):
+    # 0.1 would be read as its binary fraction and "1/3" parsed as text; each is refused.
+    with pytest.raises(TypeError):
+        entry(inexact)
+
+
+def test_jet_entry_points_read_ints_and_fractions_exactly():
+    third = F(1, 3)
+    assert Jet2({(0, 0): third}, 2).coefficient(0, 0) is third  # a Fraction is kept as it is
+    assert Jet2.constant(2, 2).coefficients == {(0, 0): F(2)}
+    assert Jet2.linear(third, "x", -1, 2).coefficients == {(0, 0): third, (1, 0): -1}
+    assert Jet2.variable("x", 2).evaluate(F(1, 10)) == F(1, 10)
+    assert pochhammer_jet(third, 1, "x", 2, 2).coefficient(0, 0) == F(4, 9)

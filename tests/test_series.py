@@ -47,6 +47,11 @@ from hypercong.series import (
 F = Fraction
 
 
+def _fraction(value):
+    """The reduced value of an evaluator's exact Unreduced pair."""
+    return F(value.num, value.den)
+
+
 # --- truncated series --------------------------------------------------------
 
 
@@ -313,7 +318,8 @@ def test_theorem2_prefactor_valuation_and_factorization():
     q1_tp = TheoremParams(4, 1, 7)
     assert ord_rational(theorem2_prefactor(q1_tp), 7) == q1_tp.n
     for tp in (unit_tp, q1_tp):
-        assert lhs_theorem2(tp) == theorem2_prefactor(tp) * dual_reduction_sum(tp)
+        product = _fraction(theorem2_prefactor(tp)) * _fraction(dual_reduction_sum(tp))
+        assert lhs_theorem2(tp) == product
 
 
 def test_upsilon_first_and_second_order_consequences_vanish():
@@ -495,7 +501,7 @@ def test_kernel_evaluators_equal_truncated_pfq(n, q, p):
         (lambda: phi_value(tp, p, 0), [q - F(p)] + [F(q)] * (n - 1), [F(1)] * n, p - q),
         (lambda: delta_value(tp, x), [c + x] * n, [1 + x] * n, p - q),
         (lambda: lhs_theorem1(tp), [c] * n, [F(1)] * n, p - 1),
-        (lambda: lhs_theorem2(tp) / F(p) ** n, [F(1)] * n, [b] * n, p - 1),
+        (lambda: _fraction(lhs_theorem2(tp)) / F(p) ** n, [F(1)] * n, [b] * n, p - 1),
         (lambda: dual_reduction_sum(tp), [c - p] * n, [F(1 - p)] * n, p - 1),
         (lambda: sun_bernoulli_lhs(p, n), [1 - F(p, n)] * n, [F(1)] * n, p - 1),
         (lambda: guo_sum(2 * n, p), [F(1, 2 * n)] * (2 * n), [F(1)] * (2 * n), p - 1),
@@ -585,19 +591,19 @@ def test_binary_splitting_gives_the_stepwise_pair_on_random_walks():
     (sun_e_sum, (101,)),
 ], ids=["theorem1", "theorem2", "sun-e"])
 def test_binary_splitting_gives_the_stepwise_pair_on_the_deep_sums(monkeypatch, fn, args):
-    got = fn._unreduced(*args)
+    got = fn(*args)
     monkeypatch.setattr(series, "_ratio_sum", _stepwise_sum)
-    expected = fn._unreduced(*args)
+    expected = fn(*args)
     assert (got.num, got.den) == (expected.num, expected.den)
 
 
-# --- the unreduced sums verify reads, against the reduced evaluators ----------
+# --- the unreduced sums verify reads, against the reducing oracles ------------
 
 # The exploratory grid n 3..8, q 1..4, p <= 31.
 PAIR_GRID = [TheoremParams(n, q, p, exploratory=True)
              for n in range(3, 9) for q in range(1, 5) for p in primes_upto(31)]
 
-PAIR_EVALUATORS = {  # each public scalar evaluator verify reads unreduced: its parameters
+PAIR_EVALUATORS = {  # each public scalar evaluator verify reads: its parameters
     psi_value: ("tp", "x"), phi_value: ("tp", "x", "y"), delta_value: ("tp", "x"),
     lhs_theorem1: ("tp",), lhs_theorem2: ("tp",), dual_reduction_sum: ("tp",),
     guo_sum: ("d", "p"), sun_e_sum: ("p",), sun_bernoulli_lhs: ("p", "n"),
@@ -614,36 +620,21 @@ def _pair_sums(tp):
             (dflst_sum, (n, p)), (dflst_dual, (n, p))]
 
 
-def _evaluate_both(fn, args):
-    # The reduced value and the unreduced pair, or None when both refuse the point.
+def _evaluate(fn, args):
+    # The unreduced pair, or None where the evaluator refuses the point.
     try:
-        reduced = fn(*args)
+        return fn(*args)
     except ZeroDenominator:
-        with pytest.raises(ZeroDenominator):
-            fn._unreduced(*args)
         return None
-    return reduced, fn._unreduced(*args)
 
 
 def test_public_evaluators_keep_their_signatures():
     assert {fn for fn, _ in _pair_sums(PAIR_GRID[0])} == set(PAIR_EVALUATORS)
-    for fn, params in PAIR_EVALUATORS.items():
+    for fn, params in {**PAIR_EVALUATORS, theorem2_prefactor: ("tp",)}.items():
         signature = inspect.signature(fn)
         assert tuple(signature.parameters) == params, fn.__name__
-        assert signature.return_annotation in (Fraction, "Fraction"), fn.__name__
+        assert signature.return_annotation in (Unreduced, "Unreduced"), fn.__name__
         assert fn.__module__ == "hypercong.series" and not fn.__name__.startswith("_")
-
-
-def test_public_evaluators_reduce_their_unreduced_pairs():
-    for tp in PAIR_GRID:
-        for fn, args in _pair_sums(tp):
-            both = _evaluate_both(fn, args)
-            if both is None:
-                continue
-            reduced, pair = both
-            assert type(reduced) is Fraction, (fn.__name__, tp.as_params())
-            assert isinstance(pair, Unreduced)
-            assert reduced == Fraction(pair.num, pair.den), (fn.__name__, tp.as_params())
 
 
 def test_unreduced_sums_give_the_oracle_valuation_and_residues():
@@ -651,10 +642,11 @@ def test_unreduced_sums_give_the_oracle_valuation_and_residues():
     for tp in PAIR_GRID:
         p = tp.p
         for fn, args in _pair_sums(tp):
-            both = _evaluate_both(fn, args)
-            if both is None:
+            pair = _evaluate(fn, args)
+            if pair is None:
                 continue
-            reduced, pair = both
+            assert type(pair) is Unreduced
+            reduced = _fraction(pair)
             where = (fn.__name__, tp.as_params())
             achieved = pair.ord(p)
             assert achieved == ord_rational(reduced, p), where

@@ -9,7 +9,7 @@ import pytest
 
 from hypercong.errors import PreconditionViolated, ZeroDenominator
 from hypercong.exact_core import harmonic, pochhammer
-from hypercong import padic, verify
+from hypercong import padic, series, verify
 from hypercong.padic import (
     PrimePowerModulus,
     Unreduced,
@@ -135,7 +135,8 @@ def test_unit_multiplier_does_not_change_valuation():
         while den % 7 == 0:
             den = rng.randint(1, 300)
         unit = F(num, den)
-        scaled = check_congruence(lhs_theorem1(tp) * unit, 0, PrimePowerModulus(7, 3))
+        value = lhs_theorem1(tp)
+        scaled = check_congruence(F(value.num, value.den) * unit, 0, PrimePowerModulus(7, 3))
         assert scaled.achieved_ord == base.achieved_ord
         assert scaled.verdict == base.verdict
 
@@ -561,12 +562,43 @@ def test_verify_reduces_no_sum_by_a_gcd(monkeypatch, call, bits):
     # than `bits` bits (dflst's about 5000 at p = 211, the others above 25000), so a gcd
     # that wide means a sum was reduced.  What is still reduced is narrower: the jets of
     # taylor and identities (under 16000 bits) and sun-bernoulli's Bernoulli side (6000).
+    assert _widest_gcd(monkeypatch, call) < bits
+
+
+def _widest_gcd(monkeypatch, call) -> int:
+    # The widest argument, in bits, of any math.gcd that call() makes.
     widest = []
     gcd = math.gcd
     monkeypatch.setattr(math, "gcd", lambda *args: widest.append(
         max(abs(a).bit_length() for a in args)) or gcd(*args))
     call()
-    assert max(widest, default=0) < bits
+    return max(widest, default=0)
+
+
+EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's bound
+    ("psi_value", (TP797, F(797, 4)), 20000),
+    ("phi_value", (TP797, 797, 0), 20000),
+    ("delta_value", (TP797, -797), 20000),
+    ("lhs_theorem1", (TP797,), 20000),
+    ("lhs_theorem2", (TP797,), 20000),
+    ("dual_reduction_sum", (TheoremParams(4, 2, 797),), 20000),
+    ("theorem2_prefactor", (TP797,), 20000),
+    ("guo_sum", (6, 599), 20000),
+    ("sun_e_sum", (101,), 20000),
+    ("sun_bernoulli_lhs", (797, 4), 20000),
+    ("dflst_sum", (3, 211), 4000),
+    ("dflst_dual", (3, 211), 4000),
+]
+
+
+@pytest.mark.parametrize("name,args,bits", EVALUATOR_SIZES, ids=[c[0] for c in EVALUATOR_SIZES])
+def test_public_scalar_evaluators_reduce_no_sum_by_a_gcd(monkeypatch, name, args, bits):
+    # The same spy, sizes and bounds on each public evaluator: its Unreduced pair is the
+    # exact sum as computed, and nothing on the way reduces it.
+    fn = getattr(series, name)
+    value = fn(*args)
+    assert type(value) is Unreduced and max(value.num.bit_length(), value.den.bit_length()) > bits
+    assert _widest_gcd(monkeypatch, lambda: fn(*args)) < bits
 
 
 @pytest.mark.parametrize("p,achieved", [(16843, 5), (16829, 4)])
