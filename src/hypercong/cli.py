@@ -122,7 +122,7 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
     points = sum(math.prod(len(axes[name]) for name in c.params) for c in checks.values())
     if points > GRID_LIMIT:
         raise ConfigError(f"the grid has {points} candidate points, above the cap {GRID_LIMIT}")
-    verify._check_p_caps(spec.check_ids, axes["p"][-1])  # p_max >= 5, so a prime exists
+    verify._check_p_caps(axes["p"][-1], *spec.check_ids)  # p_max >= 5: a prime exists
     # One TheoremParams per triple, shared by its checks, owns the hypotheses.
     triple = functools.cache(lambda n, q, p: TheoremParams(n, q, p, exploratory=True))
     units = []

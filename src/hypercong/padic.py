@@ -134,6 +134,11 @@ class Unreduced:
             raise ZeroDivisionError("an Unreduced value needs a nonzero denominator")
         self.num, self.den = a * d, b * c
 
+    def __repr__(self) -> str:  # an integer above 64 bits shows as its bit length
+        num, den = (repr(v) if v.bit_length() <= 64 else f"{'-' * (v < 0)}<{v.bit_length()} bits>"
+                    for v in (self.num, self.den))
+        return f"Unreduced(num={num}, den={den})"
+
     def __bool__(self) -> bool:
         return self.num != 0
 

@@ -45,6 +45,8 @@ __all__ = [
     "sun_bernoulli_lhs",
     "dflst_sum",
     "dflst_dual",
+    "taylor_values",
+    "upsilon_coefficients",
     "upsilon_jet",
     "phi_jet",
     "psi_jet",
@@ -296,19 +298,60 @@ def dflst_dual(n: int, p: int) -> Unreduced:
     return _ratio_sum([(1, n), (1 + Fraction(1, n), -n)], p - 1, p**n)
 
 
+def _harmonic_walk(steps, first: int = 1) -> tuple[int, int, int, int, int]:
+    """(S0, S1, S2, Sh, D): the sums of t_k, t_k g_k, t_k g_k^2 and t_k h_k over D, from
+    t_0 = first and g_0 = h_0 = 0.  A step (u, v, a, b, c) of small integers sets t <- t u/v,
+    g <- g + a/b and h <- h + c/b^2, or ends the walk if u = 0.  The state is integers over
+    the running D, which gains v b^2 a step: no gcd and no lcm."""
+    t, tg, tgg, th, s0, s1, s2, sh, den = first, 0, 0, 0, first, 0, 0, 0, 1
+    for u, v, a, b, c in steps:
+        if not u:
+            break  # every later term is zero
+        bb, step = b * b, v * b * b
+        t, tg, tgg, th = (t * u * bb, (tg * b + a * t) * u * b,
+                          (tgg * bb + 2 * a * b * tg + a * a * t) * u, (th * bb + c * t) * u)
+        s0, s1, s2, sh, den = (s0 * step + t, s1 * step + tg, s2 * step + tgg,
+                               sh * step + th, den * step)
+    return s0, s1, s2, sh, den
+
+
+def taylor_values(tp: TheoremParams) -> tuple[Unreduced, Unreduced, Unreduced]:
+    """The degree-2 Taylor values at 0 of psi at p/n, phi at (p, 0) and Delta at -p: through
+    degree 2, each term t_k exp(log-series) is a polynomial in g_k and h_k."""
+    n, q, p = tp.n, tp.q, tp.p
+    # (q-x)_k/(1)_k = C(q+k-1, k) exp(-x g - x^2 h/2 - ...), g and h summing 1/(q+i)^(1, 2).
+    s0, s1, s2, sh, den = _harmonic_walk(
+        (((q + k) ** n, (k + 1) ** n, 1, q + k, 1) for k in range(p - q)), int(p >= q))
+    psi = Unreduced(2 * n * (s0 - p * s1) + p * p * (n * s2 - sh), 2 * n * den)
+    phi = Unreduced(2 * (s0 - p * s1) + p * p * (s2 - sh), 2 * den)
+    # (c+x)_k/(1+x)_k, c = q - p/n: g sums 1/(c+i) - 1/(1+i) = e/(b (i+1)) with b = n(c+i),
+    # h the squares.  b = 0 only at (p, q) = (n, 1), where the later terms are O(x^n).
+    e = p - n * (q - 1)
+    s0, s1, s2, sh, den = _harmonic_walk(
+        (((n * k - e) ** n, (n * k) ** n, e, (n * k - e) * k, e * (2 * n * k - e))
+         for k in range(1, p - q + 1)), int(p >= q))
+    return psi, phi, Unreduced(2 * (s0 - n * p * s1) + n * p * p * (n * s2 - sh), 2 * den)
+
+
+def upsilon_coefficients(tp: TheoremParams) -> tuple[Unreduced, ...]:
+    """The coefficients of 1, x, y, x^2, y^2 and xy in upsilon_jet(tp, 2).  Each axis
+    gives (q+v)_k/(1+v)_k: g and h sum 1/(q+i) - 1/(1+i) and the squares."""
+    n, q, p = tp.n, tp.q, tp.p
+    s0, s1, s2, sh, den = _harmonic_walk(
+        ((q + k) ** n * (1 - p + k), (k + 1) ** (n + 1), 1 - q, (q + k) * (k + 1),
+         (1 - q) * (2 * k + 1 + q)) for k in range(p - 1))
+    linear, square = Unreduced(s1, den), Unreduced(s2 - sh, 2 * den)
+    return Unreduced(s0, den), linear, linear, square, square, Unreduced(s2, den)
+
+
 # --- jet-valued sums ---------------------------------------------------------
 #
-# Each jet is sum_k w_k X_k(x) Y_k(y), read off from running truncated
-# products, not Jet2 products.  A factor (c + i + sign*v)^m is (c + i)^m,
-# folded into the weight w_k, times (1 + sign*v/(c + i))^m = (1 + r*u)^m with
-# u = v/L for the lcm L of the bases on v's axis and the integer
-# r = sign*d*(L // a), where c + i = a/d.  Its u^j coefficient is the
-# integer C(m, j) r^j (C(j-m-1, j) (-r)^j for m < 0), so each running product
-# keeps its v^j coefficient times L^j as an integer.  A zero base gives the
-# monomial (sign*v)^m = (sign*L*u)^m.  Unlike ``_ratio_sum``, the walk goes one
-# step at a time: w_k = top/den, each partial-sum coefficient is an integer over den,
-# and every _REDUCE_EVERY steps, dividing all of them by their gcd keeps them near
-# reduced size at large p.  Jet2 and pochhammer_jet stay the tests' ring-arithmetic oracle.
+# The oracle for taylor_values and upsilon_coefficients, off the verify path.  Each jet is
+# sum_k w_k X_k(x) Y_k(y) from running truncated products: a factor (c + i + sign*v)^m is
+# (c + i)^m, folded into w_k, times (1 + r*u)^m with u = v/L, L the lcm of the bases on v's
+# axis, and r = sign*d*(L // a) where c + i = a/d, so its u^j coefficient C(m, j) r^j is an
+# integer.  A zero base gives (sign*L*u)^m.  w_k = top/den, each partial-sum coefficient is
+# an integer over den, and every _REDUCE_EVERY steps their gcd divides all of them.
 
 _REDUCE_EVERY = 32
 

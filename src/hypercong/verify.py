@@ -34,7 +34,6 @@ from .padic import (
 from .series import (
     TheoremParams,
     _ratio_steps,
-    delta_jet,
     delta_value,
     dflst_dual,
     dflst_sum,
@@ -42,12 +41,12 @@ from .series import (
     guo_sum,
     lhs_theorem1,
     lhs_theorem2,
-    phi_jet,
     phi_value,
     psi_value,
     sun_bernoulli_lhs,
     sun_e_sum,
-    upsilon_jet,
+    taylor_values,
+    upsilon_coefficients,
 )
 
 __all__ = [
@@ -65,9 +64,12 @@ __all__ = [
     "verify_exact_identities",
 ]
 
-# The harmonic prefixes of the lemma suite and the identities hold p integers of
-# about 3p bits each; a larger p is refused before any sum is evaluated.
+# The largest p of each check, refused before any sum is built.  The harmonic prefixes of
+# lemmas and identities hold p integers of about 3p bits each.  At the other caps one call
+# takes about a minute or less (2 vCPUs, Python 3.11): theorem1 and theorem2 37 s at
+# (4, 1, 200003), sun-e 53 s at 1009, taylor 18 s at (4, 1, 9973).
 PREFIX_LIMIT = 10**4
+P_CAPS = {"theorem1": 250_000, "theorem2": 250_000, "guo": 250_000, "sun-e": 1100, "taylor": 10**4}
 
 
 # A check: its verify function's positional parameters and name (looked up at call time,
@@ -104,12 +106,15 @@ def _refuse_outside_domain(check: str, words: str, *args) -> None:
         raise PreconditionViolated(f"{check} needs {words}, got {given}")
 
 
-def _check_p_caps(check_ids, p: int) -> None:
-    # Lets a sweep refuse its largest prime before any unit runs, as the checks would.
-    if {"lemmas", "identities"} & set(check_ids):
-        _check_prefix_limit(p)
-    if "sun-bernoulli" in check_ids:
-        padic._check_bernoulli_index(p - 3)
+def _check_p_caps(p: int, *checks: str) -> None:
+    # Each check refuses its p here, and a sweep its largest prime before any unit runs.
+    for check in checks:
+        if check == "sun-bernoulli":
+            padic._check_bernoulli_index(p - 3)
+        name, cap = (("harmonic-prefix", PREFIX_LIMIT) if check in ("lemmas", "identities")
+                     else (check, P_CAPS.get(check, p)))
+        if p > cap:
+            raise CapExceeded(f"p = {p} exceeds the {name} cap {cap}")
 
 
 class Verdict(str, Enum):
@@ -175,6 +180,7 @@ def _tag(report: CongruenceReport, tp: TheoremParams) -> CongruenceReport:
 
 def verify_theorem1(tp: TheoremParams) -> CongruenceReport:
     """sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n = 0 (mod p^3)."""
+    _check_p_caps(tp.p, "theorem1")
     m = PrimePowerModulus(tp.p, 3)
     return _tag(check_congruence(lhs_theorem1(tp), 0, m,
                                  check_id="theorem1", params=tp.as_params()), tp)
@@ -182,6 +188,7 @@ def verify_theorem1(tp: TheoremParams) -> CongruenceReport:
 
 def verify_theorem2(tp: TheoremParams) -> CongruenceReport:
     """p^n sum_{k=0}^{p-1} (1)_k^n / (p/n - q + 2)_k^n = 0 (mod p^3)."""
+    _check_p_caps(tp.p, "theorem2")
     m = PrimePowerModulus(tp.p, 3)
     return _tag(check_congruence(lhs_theorem2(tp), 0, m,
                                  check_id="theorem2", params=tp.as_params()), tp)
@@ -194,6 +201,7 @@ def verify_guo(d: int, p: int) -> CongruenceReport:
     how the congruence is proved; the tests pin that equality.
     """
     _refuse_outside_domain("guo", "an even d >= 4 and a prime p = -1 (mod d)", d, p)
+    _check_p_caps(p, "guo")
     return check_congruence(guo_sum(d, p), 0, PrimePowerModulus(p, 3),
                             check_id="guo", params={"d": d, "p": p})
 
@@ -201,6 +209,7 @@ def verify_guo(d: int, p: int) -> CongruenceReport:
 def verify_sun_e(p: int) -> CongruenceReport:
     """sum_{k=0}^{p-1} (1/(p+1))_k^{p+1} / k!^{p+1} = 0 (mod p^5) for p > 3."""
     _refuse_outside_domain("sun-e", "a prime p > 3", p)
+    _check_p_caps(p, "sun-e")
     return check_congruence(sun_e_sum(p), 0, PrimePowerModulus(p, 5),
                             check_id="sun-e", params={"p": p})
 
@@ -242,7 +251,7 @@ def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
     denominator, reduced once.  The offset sums, of t_k g_k and t_k g_k^2 with
     g_k = sum_{i<k} 1/(c + i) - H_k, come from one walk of small-integer steps.
     """
-    _check_prefix_limit(tp.p)
+    _check_p_caps(tp.p, "lemmas")
     n, q, p = tp.n, tp.q, tp.p
     params = tp.as_params()
     bases = [n * q + n * i - p for i in range(p - q)]  # c + i = (nq + ni - p) / n
@@ -290,32 +299,18 @@ def verify_taylor(tp: TheoremParams) -> list[CongruenceReport]:
 
     Checks the three displacement evaluations: the diagonal sum at p/n, the
     two-variable sum at (p, 0) and the dual sum at -p, each against the
-    degree-2 polynomial evaluated from its jet at the origin.
+    degree-2 Taylor polynomial at the origin, from ``series.taylor_values``.
     """
-    p = tp.p
-    m = PrimePowerModulus(p, 3)
-    params = tp.as_params()
-    x = Fraction(p, tp.n)  # the displacement p/n
-
-    # psi(x) = phi(x, x), so one jet serves both Taylor values.
-    phi = phi_jet(tp, 2)
-    values = {  # check id: the exact value and its degree-2 Taylor value
-        "taylor/psi": (psi_value(tp, x), phi.evaluate(x, x)),
-        "taylor/phi": (phi_value(tp, p, 0), phi.evaluate(p, 0)),
-        "taylor/delta": (delta_value(tp, -p), delta_jet(tp, 2).evaluate(-p)),
-    }
-    return [_tag(check_congruence(exact, taylor, m, check_id=c, params=params), tp)
-            for c, (exact, taylor) in values.items()]
+    _check_p_caps(tp.p, "taylor")
+    p, m, params = tp.p, PrimePowerModulus(tp.p, 3), tp.as_params()
+    exact = psi_value(tp, Fraction(p, tp.n)), phi_value(tp, p, 0), delta_value(tp, -p)
+    return [_tag(check_congruence(e, t, m, check_id=f"taylor/{c}", params=params), tp)
+            for c, e, t in zip(("psi", "phi", "delta"), exact, taylor_values(tp))]
 
 
 def _plain_weights(tp: TheoremParams) -> list[int]:
     # (q)_k^n / (1)_k^n = C(q + k - 1, k)^n, k = 0..p-q: small exact integers.
     return [comb(tp.q + k - 1, k) ** tp.n for k in range(tp.p - tp.q + 1)]
-
-
-def _check_prefix_limit(p: int) -> None:
-    if p > PREFIX_LIMIT:
-        raise CapExceeded(f"p = {p} exceeds the harmonic-prefix cap {PREFIX_LIMIT}")
 
 
 def _harmonic_prefixes(last: int) -> tuple[int, list[int], list[int]]:
@@ -342,15 +337,12 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     - for q > 1, the reflected dual sum vanishes mod p^3 (skipped at q = 1,
       where the dual congruence already follows from the p^n prefactor).
     """
-    _check_prefix_limit(tp.p)
+    _check_p_caps(tp.p, "identities")
     n, q, p = tp.n, tp.q, tp.p
     params = tp.as_params()
     m3 = PrimePowerModulus(p, 3)
-    reports = []
-
-    reports.append(_exact_report([phi_value(tp, p, 0)], p, "identities/phi-p0", params))
-    reports.append(_exact_report(upsilon_jet(tp, 2).coefficients.values(), p,
-                                 "identities/upsilon-jet", params))
+    reports = [_exact_report([phi_value(tp, p, 0)], p, "identities/phi-p0", params),
+               _exact_report(upsilon_coefficients(tp), p, "identities/upsilon-jet", params)]
 
     # sum_k (q)_k^n/(1)_k^n * sum_{i<k} 1/(q + i)^2; the inner sum is H2_{q+k-1} - H2_{q-1}.
     scale, _, h2 = _harmonic_prefixes(p - 1)  # at q > p there are no weights

@@ -631,6 +631,46 @@ def test_a_sweep_refuses_its_largest_prime_above_a_cap_before_any_unit_runs(
     assert max(primes) == 13
 
 
+@pytest.mark.parametrize("argv", [
+    ["theorem1", "--n", "4", "--q", "1"],
+    ["theorem2", "--n", "4", "--q", "1"],
+    ["guo", "--d", "4"],
+    ["sun-e"],
+    ["taylor", "--n", "4", "--q", "1"],
+], ids=lambda argv: argv[0])
+def test_checks_refuse_p_above_their_cap_before_any_sum(monkeypatch, capsys, argv):
+    # Without the cap, p = 10^9 + 7 ran until the sums' allocation failed.
+    def never(*args):
+        raise AssertionError("a sum was evaluated above the cap")
+
+    for name in ("lhs_theorem1", "lhs_theorem2", "guo_sum", "sun_e_sum", "taylor_values"):
+        monkeypatch.setattr(verify, name, never)
+    check = argv[0]
+    start = time.perf_counter()
+    assert main(["verify", *argv, "--p", "1000000007"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: p = 1000000007 exceeds the {check} cap {verify.P_CAPS[check]}\n")
+
+
+@pytest.mark.parametrize("check", sorted(verify.P_CAPS))
+def test_a_sweep_refuses_its_largest_prime_above_a_p_cap_before_any_unit_runs(
+        monkeypatch, capsys, check):
+    monkeypatch.setitem(verify.P_CAPS, check, 13)
+    function = verify.CHECKS[check].function
+    calls = []
+    run = getattr(verify, function)
+    monkeypatch.setattr(verify, function, lambda *args: calls.append(args) or run(*args))
+    sweep = ["sweep", "--checks", check, "--n", "3..4", "--q", "1..2", "--d", "4..4"]
+    for extra in ([], ["--exploratory"]):
+        assert main(sweep + ["--p-max", "17", *extra]) == 2
+        assert capsys.readouterr().err == f"error: p = 17 exceeds the {check} cap 13\n"
+        assert calls == []
+    # The largest prime up to 16 is 13, which the cap holds.
+    assert main(sweep + ["--p-max", "16"]) == 0
+    assert calls
+
+
 def test_run_sweep_refuses_a_spec_without_checks():
     with pytest.raises(ConfigError, match="no checks requested"):
         run_sweep(SweepSpec(check_ids=()))

@@ -137,6 +137,14 @@ def test_unreduced_subtracts_and_compares_without_reducing():
     assert (Unreduced(-3, -9).num, Unreduced(-3, -9).den) == (-3, -9)
 
 
+def test_unreduced_repr_shows_the_pair_and_elides_wide_integers():
+    assert repr(Unreduced(6, 4)) == "Unreduced(num=6, den=4)"
+    assert repr(Unreduced(-3, -9)) == "Unreduced(num=-3, den=-9)"
+    widest = 2**64 - 1  # 64 bits is still shown
+    assert repr(Unreduced(-widest, widest)) == f"Unreduced(num={-widest}, den={widest})"
+    assert repr(Unreduced(-(2**64), 3**500)) == "Unreduced(num=-<65 bits>, den=<793 bits>)"
+
+
 def test_unreduced_pairs_with_p_in_both_parts():
     # p^5 u / (p^2 v) with units u, v: ord 3, and every residue is that of the reduced value.
     rng = random.Random(5)

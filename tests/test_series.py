@@ -35,8 +35,10 @@ from hypercong.series import (
     psi_value,
     sun_bernoulli_lhs,
     sun_e_sum,
+    taylor_values,
     theorem2_prefactor,
     truncated_pfq,
+    upsilon_coefficients,
     upsilon_jet,
     _REDUCE_EVERY,
     _product_jet,
@@ -434,12 +436,49 @@ def test_long_jet_walks_equal_the_oracle(jet_fn, oracle, n, q, p):
 
 @pytest.mark.parametrize("n,q,p", ORACLE_TUPLES)
 def test_psi_jet_is_the_diagonal_of_phi_jet(n, q, p):
-    # psi(x) = phi(x, x): verify_taylor reads both Taylor values from phi's jet.
+    # psi(x) = phi(x, x): the oracle for both Taylor values of taylor_values is phi's jet.
     tp = TheoremParams(n, q, p, exploratory=True)
     for cap in range(MAX_DEGREE_CAP + 1):
         phi, psi = phi_jet(tp, cap), psi_jet(tp, cap)
         for d in range(cap + 1):
             assert psi.coefficient(d) == sum(phi.coefficient(i, d - i) for i in range(d + 1))
+
+
+# Every exploratory tuple of a small grid: it holds the zero-base tuples (3, 1, 3),
+# (5, 1, 5) and (7, 1, 7), where Delta's walk ends at its first step, and every q > p.
+HARMONIC_GRID = [TheoremParams(n, q, p, exploratory=True)
+                 for n in range(3, 9) for q in range(1, 7) for p in primes_upto(47)]
+UPSILON_KEYS = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]  # upsilon_coefficients' order
+
+
+def _assert_harmonic_sums_equal_the_jets(tp):
+    n, p = tp.n, tp.p
+    phi = phi_jet(tp, 2)
+    oracle = (phi.evaluate(F(p, n), F(p, n)), phi.evaluate(p, 0), delta_jet(tp, 2).evaluate(-p))
+    values = taylor_values(tp)
+    assert all(type(v) is Unreduced for v in values)
+    assert tuple(map(_fraction, values)) == oracle, tp
+    upsilon = upsilon_jet(tp, 2)
+    assert [_fraction(v) for v in upsilon_coefficients(tp)] == [
+        upsilon.coefficient(*key) for key in UPSILON_KEYS], tp
+
+
+def test_harmonic_sums_equal_the_jets_on_a_grid():
+    assert {(3, 1, 3), (5, 1, 5), (7, 1, 7)} <= {(tp.n, tp.q, tp.p) for tp in HARMONIC_GRID}
+    assert any(tp.q > tp.p for tp in HARMONIC_GRID)
+    for tp in HARMONIC_GRID:
+        _assert_harmonic_sums_equal_the_jets(tp)
+
+
+@pytest.mark.parametrize("n,q,p", [(3, 100000, 5), (4, 1, 797)])
+def test_harmonic_sums_equal_the_jets_far_from_the_grid(n, q, p):
+    _assert_harmonic_sums_equal_the_jets(TheoremParams(n, q, p, exploratory=True))
+
+
+def test_harmonic_sums_at_a_zero_base_and_with_no_terms():
+    # At p = n, q = 1 the Delta walk stops before step 1: its Taylor value is term 0.
+    assert taylor_values(TheoremParams(3, 1, 3, exploratory=True))[2] == 1
+    assert taylor_values(TheoremParams(3, 100000, 5, exploratory=True)) == (0, 0, 0)
 
 
 def test_delta_jet_zero_base_is_a_degree_shift():

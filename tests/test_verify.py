@@ -553,15 +553,17 @@ TP797 = TheoremParams(4, 1, 797)
     (lambda: verify_sun_bernoulli(797, 4), 20000),
     (lambda: verify_dflst_pair(3, 211), 4000),
     (lambda: verify_lemma_suite(TP797), 20000),
-    (lambda: verify_exact_identities(TheoremParams(4, 2, 797)), 20000),
-    (lambda: verify_taylor(TP797), 20000),
+    (lambda: verify_exact_identities(TheoremParams(4, 2, 797)), 64),
+    (lambda: verify_taylor(TP797), 64),
 ], ids=["theorem1", "theorem2", "guo", "sun-e", "sun-bernoulli", "dflst", "lemmas",
         "identities", "taylor"])
 def test_verify_reduces_no_sum_by_a_gcd(monkeypatch, call, bits):
     # Fraction normalisation calls math.gcd.  Every sum each check reads here has more
-    # than `bits` bits (dflst's about 5000 at p = 211, the others above 25000), so a gcd
-    # that wide means a sum was reduced.  What is still reduced is narrower: the jets of
-    # taylor and identities (under 16000 bits) and sun-bernoulli's Bernoulli side (6000).
+    # than 20000 bits (dflst's about 5000 at p = 211, the others above 25000), so a gcd
+    # that wide means a sum was reduced.  What is still reduced is narrower:
+    # sun-bernoulli's Bernoulli side (6000 bits).  Taylor values and the Upsilon
+    # coefficients are unreduced sums too, so taylor and identities reduce only small
+    # scalars such as p/n (10 bits at p = 797).
     assert _widest_gcd(monkeypatch, call) < bits
 
 
@@ -588,16 +590,20 @@ EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's
     ("sun_bernoulli_lhs", (797, 4), 20000),
     ("dflst_sum", (3, 211), 4000),
     ("dflst_dual", (3, 211), 4000),
+    ("taylor_values", (TP797,), 20000),
+    ("upsilon_coefficients", (TP797,), 20000),
 ]
 
 
 @pytest.mark.parametrize("name,args,bits", EVALUATOR_SIZES, ids=[c[0] for c in EVALUATOR_SIZES])
 def test_public_scalar_evaluators_reduce_no_sum_by_a_gcd(monkeypatch, name, args, bits):
-    # The same spy, sizes and bounds on each public evaluator: its Unreduced pair is the
-    # exact sum as computed, and nothing on the way reduces it.
+    # The same spy, sizes and bounds on each public evaluator: its Unreduced pair (each of
+    # them, for a tuple) is the exact sum as computed, and nothing on the way reduces it.
     fn = getattr(series, name)
-    value = fn(*args)
-    assert type(value) is Unreduced and max(value.num.bit_length(), value.den.bit_length()) > bits
+    values = fn(*args)
+    for value in values if isinstance(values, tuple) else [values]:
+        assert type(value) is Unreduced
+        assert max(value.num.bit_length(), value.den.bit_length()) > bits
     assert _widest_gcd(monkeypatch, lambda: fn(*args)) < bits
 
 
@@ -619,3 +625,31 @@ def test_sun_e_known_answers_beyond_the_grid(p):
     report = verify_sun_e(p)
     assert report.verdict is Verdict.HOLDS
     assert report.achieved_ord == 5
+
+
+def test_taylor_and_identities_build_no_jet(monkeypatch):
+    # The jets stay the oracle for taylor_values and upsilon_coefficients, off the verify path.
+    tuples = [TP797, TheoremParams(4, 2, 11), *(TheoremParams(*t, exploratory=True)
+                                                for t in [(3, 1, 3), (3, 2, 7), (3, 100000, 5)])]
+    expected = [(verify_taylor(tp), verify_exact_identities(tp)) for tp in tuples]
+
+    def never(*args):
+        raise AssertionError("a jet was built")
+
+    monkeypatch.setattr(series, "_product_jet", never)
+    with pytest.raises(AssertionError, match="a jet was built"):
+        series.phi_jet(TP797)
+    assert [(verify_taylor(tp), verify_exact_identities(tp)) for tp in tuples] == expected
+
+
+@pytest.mark.slow
+def test_taylor_and_identities_known_answers_beyond_the_grid():
+    # About 3 s.  At (4, 1) the delta Taylor step holds to order 6, and Upsilon vanishes.
+    tp = TheoremParams(4, 1, 4001)
+    taylor = verify_taylor(tp)
+    assert [r.achieved_ord for r in taylor] == [3, 3, 6]
+    identities = {r.check_id: r for r in verify_exact_identities(tp)}
+    assert identities["identities/p2-reduction"].achieved_ord == 4
+    assert identities["identities/upsilon-jet"].achieved_ord == math.inf
+    assert all(r.verdict is Verdict.HOLDS for r in taylor + list(identities.values())
+               if r.check_id != "identities/dual-reduction")
