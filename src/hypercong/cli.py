@@ -143,11 +143,11 @@ def _run_unit(unit: tuple) -> list[CongruenceReport]:
     names, function, required, _ = verify.CHECKS[check]
     try:
         result = getattr(verify, function)(*args)
-    except HypercongError:
-        if names != _TRIPLE or args[0].in_hypothesis:
+    except HypercongError as exc:
+        if names != _TRIPLE or args[0].in_hypothesis or isinstance(exc, CapExceeded):
             raise
         # Exploratory tuple the evaluators cannot even express: record the
-        # attempt rather than dropping the grid point.
+        # attempt rather than dropping the grid point.  A p above a cap still exits 2.
         return [CongruenceReport(check, args[0].as_params(), required, None, None,
                                  Verdict.HYPOTHESIS_VIOLATED)]
     return list(result) if isinstance(result, (list, tuple)) else [result]

@@ -46,6 +46,8 @@ __all__ = [
     "dflst_sum",
     "dflst_dual",
     "taylor_values",
+    "second_order_sum",
+    "lemma_sums",
     "upsilon_coefficients",
     "upsilon_jet",
     "phi_jet",
@@ -298,50 +300,106 @@ def dflst_dual(n: int, p: int) -> Unreduced:
     return _ratio_sum([(1, n), (1 + Fraction(1, n), -n)], p - 1, p**n)
 
 
-def _harmonic_walk(steps, first: int = 1) -> tuple[int, int, int, int, int]:
-    """(S0, S1, S2, Sh, D): the sums of t_k, t_k g_k, t_k g_k^2 and t_k h_k over D, from
-    t_0 = first and g_0 = h_0 = 0.  A step (u, v, a, b, c) of small integers sets t <- t u/v,
-    g <- g + a/b and h <- h + c/b^2, or ends the walk if u = 0.  The state is integers over
-    the running D, which gains v b^2 a step: no gcd and no lcm."""
-    t, tg, tgg, th, s0, s1, s2, sh, den = first, 0, 0, 0, first, 0, 0, 0, 1
-    for u, v, a, b, c in steps:
-        if not u:
-            break  # every later term is zero
-        bb, step = b * b, v * b * b
-        t, tg, tgg, th = (t * u * bb, (tg * b + a * t) * u * b,
-                          (tgg * bb + 2 * a * b * tg + a * a * t) * u, (th * bb + c * t) * u)
+# --- harmonic-weighted sums --------------------------------------------------
+#
+# Each is S0 = sum t_k, S1 = sum t_k g_k, S2 = sum t_k g_k^2 or Sh = sum t_k h_k, g_k and h_k
+# prefix sums of 1/base and 1/base^2: one kernel for integer weights, one for the offset base.
+
+
+def _binomial_sums(n: int, q: int, last: int, scale: int, plus: int, minus: int = 0,
+                   g: int = 0, h: int = 0, top: int | None = None) -> tuple[int, int, int, int]:
+    """(S0, S1, S2, Sh) over k = 0..last, integers over 1, L, L^2 and L^2 for L = scale, with
+    t_k = C(q+k-1, k)^n, times (-1)^k C(top, k) if top is given.  g and h start at the given
+    integers; with a = L/(plus+k-1) and b = L/(minus+k-1), or b = 0 if minus is 0, the step
+    to k adds a - b to g and a^2 - b^2 to h.  Each of those bases must divide L."""
+    s0 = s1 = s2 = sh = 0
+    c = d = 1  # C(q+k-1, k) and (-1)^k C(top, k), by their exact recurrences
+    for k in range(last + 1):
+        if k:
+            c = c * (q + k - 1) // k
+            if top is not None:
+                d = -d * (top - k + 1) // k
+            a, b = scale // (plus + k - 1), (scale // (minus + k - 1) if minus else 0)
+            g, h = g + a - b, h + (a - b) * (a + b)
+        t = c**n * d
+        tg = t * g
+        s0, s1, s2, sh = s0 + t, s1 + tg, s2 + tg * g, sh + t * h
+    return s0, s1, s2, sh
+
+
+def _shifted_sums(tp: TheoremParams) -> tuple[int, int, int, int, int]:
+    # (q-x)_k/(q)_k = exp(-x g - x^2 h/2 - ...), g and h summing 1/(q+i)^(1, 2), i < k.
+    scale = lcm(*range(tp.q, tp.p))
+    return (*_binomial_sums(tp.n, tp.q, tp.p - tp.q, scale, tp.q), scale)
+
+
+def _offset_walk(tp: TheoremParams) -> tuple[int, int, int, int, int]:
+    """(S0, S1, S2, Sh, D) over k = 0..p-q, all over D, for t_k = (c)_k^n/(1)_k^n, c = q - p/n,
+    g_k = sum_{i<k} 1/(c+i) - 1/(1+i) and h_k the same sum of squares.  With e = p - n(q-1) and
+    b = nk - e = n(c+k-1), the step to k multiplies t by (b/(nk))^n and adds e/(bk) to g and
+    e(2nk-e)/(bk)^2 to h: integers over the running D, which gains (nk)^n (bk)^2 a step.  b = 0
+    only at (p, q) = (n, 1), k = 1, where the walk ends: every later term is zero."""
+    n, q, p = tp.n, tp.q, tp.p
+    e = p - n * (q - 1)
+    t = s0 = int(p >= q)
+    tg = tgg = th = s1 = s2 = sh = 0
+    den = 1
+    for k in range(1, p - q + 1):
+        b = n * k - e
+        if not b:
+            break
+        u, f, ff = b**n, b * k, (b * k) ** 2
+        et, ftg, step = e * t, f * tg, (n * k) ** n * ff  # small factors first, each big once
+        t, tg, tgg, th = (t * (u * ff), (ftg + et) * (u * f), (tgg * ff + (2 * ftg + et) * e) * u,
+                          (th * ff + (2 * n * k - e) * et) * u)
         s0, s1, s2, sh, den = (s0 * step + t, s1 * step + tg, s2 * step + tgg,
                                sh * step + th, den * step)
     return s0, s1, s2, sh, den
 
 
 def taylor_values(tp: TheoremParams) -> tuple[Unreduced, Unreduced, Unreduced]:
-    """The degree-2 Taylor values at 0 of psi at p/n, phi at (p, 0) and Delta at -p: through
-    degree 2, each term t_k exp(log-series) is a polynomial in g_k and h_k."""
-    n, q, p = tp.n, tp.q, tp.p
-    # (q-x)_k/(1)_k = C(q+k-1, k) exp(-x g - x^2 h/2 - ...), g and h summing 1/(q+i)^(1, 2).
-    s0, s1, s2, sh, den = _harmonic_walk(
-        (((q + k) ** n, (k + 1) ** n, 1, q + k, 1) for k in range(p - q)), int(p >= q))
-    psi = Unreduced(2 * n * (s0 - p * s1) + p * p * (n * s2 - sh), 2 * n * den)
-    phi = Unreduced(2 * (s0 - p * s1) + p * p * (s2 - sh), 2 * den)
-    # (c+x)_k/(1+x)_k, c = q - p/n: g sums 1/(c+i) - 1/(1+i) = e/(b (i+1)) with b = n(c+i),
-    # h the squares.  b = 0 only at (p, q) = (n, 1), where the later terms are O(x^n).
-    e = p - n * (q - 1)
-    s0, s1, s2, sh, den = _harmonic_walk(
-        (((n * k - e) ** n, (n * k) ** n, e, (n * k - e) * k, e * (2 * n * k - e))
-         for k in range(1, p - q + 1)), int(p >= q))
+    """The degree-2 Taylor values at 0 of psi at p/n, phi at (p, 0) and Delta at -p."""
+    n, p = tp.n, tp.p
+    s0, s1, s2, sh, scale = _shifted_sums(tp)
+    low = 2 * (s0 * scale - p * s1) * scale  # the terms of degree 0 and 1, over 2 L^2
+    psi = Unreduced(n * low + p * p * (n * s2 - sh), 2 * n * scale**2)
+    phi = Unreduced(low + p * p * (s2 - sh), 2 * scale**2)
+    # (c+x)_k/(1+x)_k = (c)_k/(1)_k exp(x g - x^2 h/2 - ...), to the n-th power, at x = -p.
+    s0, s1, s2, sh, den = _offset_walk(tp)
     return psi, phi, Unreduced(2 * (s0 - n * p * s1) + n * p * p * (n * s2 - sh), 2 * den)
+
+
+def second_order_sum(tp: TheoremParams) -> Unreduced:
+    """sum_{k=0}^{p-q} (q)_k^n/(1)_k^n sum_{i<k} 1/(q+i)^2, the p2-reduction's second-order sum."""
+    *_, sh, scale = _shifted_sums(tp)
+    return Unreduced(sh, scale**2)
+
+
+def lemma_sums(tp: TheoremParams) -> tuple[Unreduced, ...]:
+    """H2_{q-1} S, sum w_k H2_{q+k-1}, sum w_k H2_k, sum w_k (H_k - H_{q+k-1}) and
+    sum w_k (H_k^2 - H_{q+k-1}^2), w_k = (q)_k^n/(1)_k^n over k = 0..p-q and S = sum w_k, then
+    sum t_k g_k and sum t_k g_k^2 of the offset walk."""
+    n, q, p = tp.n, tp.q, tp.p
+    if p == n and q == 1:  # c + i = 0 means p = n(q+i): p = n, q = 1, i = 0 for a prime p
+        raise ZeroDenominator("offset base 0 + 0 vanishes")
+    scale = lcm(*range(1, p))
+    head = [scale // j for j in range(1, q)] if q <= p else []  # no weights at q > p
+    g, h = sum(head), sum(v * v for v in head)
+    s0, s1, s2, sh = _binomial_sums(n, q, p - q, scale, q, g=g, h=h)  # H_{q+k-1}
+    _, a1, a2, ah = _binomial_sums(n, q, p - q, scale, 1)  # H_k
+    _, o1, o2, _, den = _offset_walk(tp)
+    return (*(Unreduced(v, scale**2) for v in (h * s0, sh, ah)), Unreduced(a1 - s1, scale),
+            Unreduced(a2 - s2, scale**2), Unreduced(o1, den), Unreduced(o2, den))
 
 
 def upsilon_coefficients(tp: TheoremParams) -> tuple[Unreduced, ...]:
     """The coefficients of 1, x, y, x^2, y^2 and xy in upsilon_jet(tp, 2).  Each axis
     gives (q+v)_k/(1+v)_k: g and h sum 1/(q+i) - 1/(1+i) and the squares."""
     n, q, p = tp.n, tp.q, tp.p
-    s0, s1, s2, sh, den = _harmonic_walk(
-        ((q + k) ** n * (1 - p + k), (k + 1) ** (n + 1), 1 - q, (q + k) * (k + 1),
-         (1 - q) * (2 * k + 1 + q)) for k in range(p - 1))
-    linear, square = Unreduced(s1, den), Unreduced(s2 - sh, 2 * den)
-    return Unreduced(s0, den), linear, linear, square, square, Unreduced(s2, den)
+    scale = lcm(*range(1, p), *range(q, q + p - 1))
+    s0, s1, s2, sh = _binomial_sums(n, q, p - 1, scale, q, 1, top=p - 1)
+    linear, square = Unreduced(s1, scale), Unreduced(s2 - sh, 2 * scale**2)
+    return Unreduced(s0), linear, linear, square, square, Unreduced(s2, scale**2)
 
 
 # --- jet-valued sums ---------------------------------------------------------

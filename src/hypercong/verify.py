@@ -18,11 +18,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm
 from operator import mul
 
 from . import padic
-from .errors import CapExceeded, PreconditionViolated, ZeroDenominator
+from .errors import CapExceeded, PreconditionViolated
 from .padic import (
     PrimePowerModulus,
     Residue,
@@ -39,10 +38,12 @@ from .series import (
     dflst_sum,
     dual_reduction_sum,
     guo_sum,
+    lemma_sums,
     lhs_theorem1,
     lhs_theorem2,
     phi_value,
     psi_value,
+    second_order_sum,
     sun_bernoulli_lhs,
     sun_e_sum,
     taylor_values,
@@ -64,12 +65,11 @@ __all__ = [
     "verify_exact_identities",
 ]
 
-# The largest p of each check, refused before any sum is built.  The harmonic prefixes of
-# lemmas and identities hold p integers of about 3p bits each.  At the other caps one call
-# takes about a minute or less (2 vCPUs, Python 3.11): theorem1 and theorem2 37 s at
-# (4, 1, 200003), sun-e 53 s at 1009, taylor 18 s at (4, 1, 9973).
-PREFIX_LIMIT = 10**4
-P_CAPS = {"theorem1": 250_000, "theorem2": 250_000, "guo": 250_000, "sun-e": 1100, "taylor": 10**4}
+# The largest p of each check, refused before any sum is built.  At each cap one call takes
+# about a minute or less (2 vCPUs, Python 3.11): theorem1 and theorem2 37 s at (4, 1, 200003),
+# sun-e 53 s at 1009, taylor 18 s, lemmas 21 s and identities 5 s at (4, 1, 9973).
+P_CAPS = {"theorem1": 250_000, "theorem2": 250_000, "guo": 250_000, "sun-e": 1100,
+          "taylor": 10**4, "lemmas": 10**4, "identities": 10**4}
 
 
 # A check: its verify function's positional parameters and name (looked up at call time,
@@ -111,10 +111,8 @@ def _check_p_caps(p: int, *checks: str) -> None:
     for check in checks:
         if check == "sun-bernoulli":
             padic._check_bernoulli_index(p - 3)
-        name, cap = (("harmonic-prefix", PREFIX_LIMIT) if check in ("lemmas", "identities")
-                     else (check, P_CAPS.get(check, p)))
-        if p > cap:
-            raise CapExceeded(f"p = {p} exceeds the {name} cap {cap}")
+        if p > P_CAPS.get(check, p):
+            raise CapExceeded(f"p = {p} exceeds the {check} cap {P_CAPS[check]}")
 
 
 class Verdict(str, Enum):
@@ -242,56 +240,15 @@ def verify_dflst_pair(n: int, p: int) -> tuple[CongruenceReport, CongruenceRepor
 
 
 def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
-    """The seven harmonic-weighted congruences feeding the main proofs.
-
-    Weights (q)_k^n/(1)_k^n (for the five mod-p checks) and
-    t_k = (c)_k^n/(1)_k^n, c = q - p/n (for the two offset checks, mod p^2 and
-    mod p) run over k = 0..p-q.  The harmonic numbers are integers over powers
-    of L = lcm(1..p-1), so each plain sum is an integer dot product over one
-    denominator, reduced once.  The offset sums, of t_k g_k and t_k g_k^2 with
-    g_k = sum_{i<k} 1/(c + i) - H_k, come from one walk of small-integer steps.
-    """
+    """The seven harmonic-weighted congruences feeding the main proofs, on the sums of
+    ``series.lemma_sums``: s1-offset mod p^2, the others mod p."""
     _check_p_caps(tp.p, "lemmas")
-    n, q, p = tp.n, tp.q, tp.p
-    params = tp.as_params()
-    bases = [n * q + n * i - p for i in range(p - q)]  # c + i = (nq + ni - p) / n
-    if 0 in bases:  # only at p = n, q = 1
-        raise ZeroDenominator(f"offset base {q - Fraction(p, n)} + {bases.index(0)} vanishes")
-    plain = _plain_weights(tp)
-    scale, h1, h2 = _harmonic_prefixes(p - 1)  # at q > p there are no weights
-    shift1, shift2 = h1[q - 1:], h2[q - 1:]  # index k reads H_{q+k-1}
-    h2_head = Unreduced(h2[min(q, p) - 1] * sum(plain), scale**2)
-    h2_shift = Unreduced(sum(map(mul, plain, shift2)), scale**2)
-    h2_plain = Unreduced(sum(map(mul, plain, h2)), scale**2)
-    h1_shift = Unreduced(sum(w * (a - b) for w, a, b in zip(plain, h1, shift1)), scale)
-    h1_shift_sq = Unreduced(sum(w * (a * a - b * b) for w, a, b in zip(plain, h1, shift1)),
-                            scale**2)
-
-    # One walk of (t_k, t_k g_k, t_k g_k^2) and both sums, integers over one running
-    # denominator: step k multiplies t by b^n/(n(k+1))^n and adds e/f = 1/(c+k) - 1/(k+1)
-    # to g, with b = nq + nk - p, e = n(k+1) - b and f = b(k+1), all small integers.
-    t, tg, tgg, s1, s2, den = 1, 0, 0, 0, 0, 1
-    for k, b in enumerate(bases, 1):
-        u, e, f = b**n, n * k - b, b * k
-        tgg = (tgg * f * f + 2 * e * f * tg + e * e * t) * u
-        tg = (tg * f + e * t) * u * f
-        t *= u * f * f
-        step = (n * k) ** n * f * f
-        s1, s2, den = s1 * step + tg, s2 * step + tgg, den * step
-    s1_diff, s1_diff_sq = Unreduced(s1, den), Unreduced(s2, den)
-
-    mod_p = PrimePowerModulus(p, 1)
-    mod_p2 = PrimePowerModulus(p, 2)
-    reports = [
-        check_congruence(h2_head, 0, mod_p, check_id="lemmas/h2-head", params=params),
-        check_congruence(h2_shift, 0, mod_p, check_id="lemmas/h2-shift", params=params),
-        check_congruence(h2_plain, 0, mod_p, check_id="lemmas/h2-plain", params=params),
-        check_congruence(h1_shift, 0, mod_p, check_id="lemmas/h1-shift", params=params),
-        check_congruence(h1_shift_sq, 0, mod_p, check_id="lemmas/h1-shift-sq", params=params),
-        check_congruence(s1_diff, 0, mod_p2, check_id="lemmas/s1-offset", params=params),
-        check_congruence(s1_diff_sq, 0, mod_p, check_id="lemmas/s1-offset-sq", params=params),
-    ]
-    return [_tag(r, tp) for r in reports]
+    # Literal ids and two moduli, shared by every report a sweep keeps.
+    ids = ["lemmas/h2-head", "lemmas/h2-shift", "lemmas/h2-plain", "lemmas/h1-shift",
+           "lemmas/h1-shift-sq", "lemmas/s1-offset", "lemmas/s1-offset-sq"]
+    mod_p, mod_p2 = PrimePowerModulus(tp.p, 1), PrimePowerModulus(tp.p, 2)
+    return [_tag(check_congruence(v, 0, m, check_id=i, params=tp.as_params()), tp)
+            for v, i, m in zip(lemma_sums(tp), ids, [mod_p] * 5 + [mod_p2, mod_p])]
 
 
 def verify_taylor(tp: TheoremParams) -> list[CongruenceReport]:
@@ -306,18 +263,6 @@ def verify_taylor(tp: TheoremParams) -> list[CongruenceReport]:
     exact = psi_value(tp, Fraction(p, tp.n)), phi_value(tp, p, 0), delta_value(tp, -p)
     return [_tag(check_congruence(e, t, m, check_id=f"taylor/{c}", params=params), tp)
             for c, e, t in zip(("psi", "phi", "delta"), exact, taylor_values(tp))]
-
-
-def _plain_weights(tp: TheoremParams) -> list[int]:
-    # (q)_k^n / (1)_k^n = C(q + k - 1, k)^n, k = 0..p-q: small exact integers.
-    return [comb(tp.q + k - 1, k) ** tp.n for k in range(tp.p - tp.q + 1)]
-
-
-def _harmonic_prefixes(last: int) -> tuple[int, list[int], list[int]]:
-    # L = lcm(1..last) and the integers L*H_j and L^2*H2_j for j = 0..last.
-    scale = lcm(*range(1, last + 1))
-    steps = [scale // j for j in range(1, last + 1)]
-    return scale, [0, *accumulate(steps)], [0, *accumulate(s * s for s in steps)]
 
 
 def _steps_mirror(left: list, right: list, count: int) -> bool:
@@ -344,11 +289,8 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     reports = [_exact_report([phi_value(tp, p, 0)], p, "identities/phi-p0", params),
                _exact_report(upsilon_coefficients(tp), p, "identities/upsilon-jet", params)]
 
-    # sum_k (q)_k^n/(1)_k^n * sum_{i<k} 1/(q + i)^2; the inner sum is H2_{q+k-1} - H2_{q-1}.
-    scale, _, h2 = _harmonic_prefixes(p - 1)  # at q > p there are no weights
-    head = h2[min(q, p) - 1]
-    second_order = sum(w * (b - head) for w, b in zip(_plain_weights(tp), h2[q - 1:]))
-    rhs = Unreduced((n - 1) * p * p * second_order, 2 * n * scale**2)
+    second = second_order_sum(tp)
+    rhs = Unreduced((n - 1) * p * p * second.num, 2 * n * second.den)
     reports.append(check_congruence(lhs_theorem1(tp), rhs, m3,
                                     check_id="identities/p2-reduction", params=params))
 

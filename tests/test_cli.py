@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hypercong import cli, padic, verify
+from hypercong import cli, padic, series, verify
 from hypercong.cli import (
     CHECK_NAMES,
     SweepResult,
@@ -452,42 +452,54 @@ def test_the_sweep_grid_is_bounded_before_it_is_expanded(monkeypatch, tmp_path, 
     assert "7 candidate points, above the cap 6" in capsys.readouterr().err
 
 
-def test_harmonic_prefixes_are_sized_by_p_not_by_q(monkeypatch, capsys):
-    # At q > p the weights are empty; prefixes sized by q would need lcm(1..q-1).
-    original = verify._harmonic_prefixes
+def test_harmonic_sums_are_sized_by_p_not_by_q(monkeypatch, capsys):
+    # At q > p the weights are empty; a sum sized by q would need lcm(1..q-1).  The widest
+    # lcm, Upsilon's, takes the bases 1..p-1 and q..q+p-2.
+    def bounded(*bases):
+        assert len(bases) <= 2 * 5, len(bases)
+        return math.lcm(*bases)
 
-    def sized_by_p(last):
-        assert last == 4, last
-        return original(last)
-
-    monkeypatch.setattr(verify, "_harmonic_prefixes", sized_by_p)
+    monkeypatch.setattr(series, "lcm", bounded)
     argv = ["--n", "3", "--q", "100000", "--p", "5", "--exploratory"]
+    start = time.perf_counter()
     assert main(["verify", "lemmas", *argv]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 7 and all("achieved_ord=inf " in line for line in lines)
     assert main(["verify", "identities", *argv]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5 and all("verdict=hypothesis_violated " in line for line in lines)
+    assert time.perf_counter() - start < 1
 
 
-def test_lemmas_and_identities_refuse_p_above_the_prefix_limit(monkeypatch, capsys):
-    # The prefixes hold p integers of about 3p bits: p is bounded before any sum.
+def test_lemmas_and_identities_refuse_p_above_their_cap(monkeypatch, capsys):
+    # Each check's p is bounded before any sum is evaluated.
     def never(*args):
-        raise AssertionError("evaluated above the prefix limit")
+        raise AssertionError("evaluated above the cap")
 
-    monkeypatch.setattr(verify, "_harmonic_prefixes", never)
-    monkeypatch.setattr(verify, "phi_value", never)
+    for name in ("lemma_sums", "second_order_sum", "phi_value"):
+        monkeypatch.setattr(verify, name, never)
     for check in ("lemmas", "identities"):
         start = time.perf_counter()
         assert main(["verify", check, "--n", "4", "--q", "1", "--p", "100003"]) == 2
         assert time.perf_counter() - start < 1
-        assert "p = 100003 exceeds the harmonic-prefix cap 10000" in capsys.readouterr().err
+        assert f"p = 100003 exceeds the {check} cap 10000" in capsys.readouterr().err
     monkeypatch.undo()
-    monkeypatch.setattr(verify, "PREFIX_LIMIT", 13)
     for check in ("lemmas", "identities"):
+        monkeypatch.setitem(verify.P_CAPS, check, 13)
         assert main(["verify", check, "--n", "4", "--q", "1", "--p", "13"]) == 0
         assert main(["verify", check, "--n", "4", "--q", "1", "--p", "17"]) == 2
-        assert "p = 17 exceeds the harmonic-prefix cap 13" in capsys.readouterr().err
+        assert f"p = 17 exceeds the {check} cap 13" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["theorem1", "--n", "3", "--q", "2", "--p", "1000003"],
+     "p = 1000003 exceeds the theorem1 cap 250000"),
+    (["lemmas", "--n", "3", "--q", "2", "--p", "10007"], "p = 10007 exceeds the lemmas cap 10000"),
+], ids=["theorem1", "lemmas"])
+def test_an_exploratory_verify_refuses_p_above_a_cap(capsys, argv, message):
+    # n = 3, q = 2 breaks the parity hypothesis; a cap refuses the tuple all the same.
+    assert main(["verify", *argv, "--exploratory"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_exploratory_sweeps_tag_only_hypercong_errors(monkeypatch):
@@ -605,14 +617,17 @@ def test_main_verify_outside_a_domain_names_the_check_its_domain_and_the_values(
 
 
 @pytest.mark.parametrize("check,owner,cap,message", [
-    ("lemmas", verify, "PREFIX_LIMIT", "p = 17 exceeds the harmonic-prefix cap 13"),
-    ("identities", verify, "PREFIX_LIMIT", "p = 17 exceeds the harmonic-prefix cap 13"),
+    ("lemmas", verify, "P_CAPS", "p = 17 exceeds the lemmas cap 13"),
+    ("identities", verify, "P_CAPS", "p = 17 exceeds the identities cap 13"),
     ("sun-bernoulli", padic, "BERNOULLI_CAP", "bernoulli(14) exceeds the documented cap 10"),
 ])
 def test_a_sweep_refuses_its_largest_prime_above_a_cap_before_any_unit_runs(
         monkeypatch, capsys, check, owner, cap, message):
-    # At 13 the prefix cap holds p = 13 and the Bernoulli cap 10 holds B_{13-3}.
-    monkeypatch.setattr(owner, cap, {"PREFIX_LIMIT": 13, "BERNOULLI_CAP": 10}[cap])
+    # At 13 the p cap holds p = 13 and the Bernoulli cap 10 holds B_{13-3}.
+    if cap == "P_CAPS":
+        monkeypatch.setitem(owner.P_CAPS, check, 13)
+    else:
+        monkeypatch.setattr(owner, cap, 10)
     function = verify.CHECKS[check].function
     calls = []
     run = getattr(verify, function)

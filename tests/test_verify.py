@@ -293,7 +293,7 @@ def test_lemma_suite_raises_zero_denominator_at_p_equal_n():
         verify_lemma_suite(TheoremParams(5, 1, 5, exploratory=True))
 
 
-# --- the integer harmonic prefixes against Fraction harmonic numbers ----------
+# --- the integer harmonic sums against Fraction harmonic numbers --------------
 
 
 def _tagged(report, tp):
@@ -302,7 +302,7 @@ def _tagged(report, tp):
     return report
 
 
-def _reference_lemma_suite(tp):
+def _reference_lemma_values(tp):
     # The seven lemma values from reduced Fraction harmonic numbers, term by term.
     n, q, p = tp.n, tp.q, tp.p
     c = q - F(p, n)
@@ -314,7 +314,7 @@ def _reference_lemma_suite(tp):
             raise ZeroDenominator(f"offset base {c} + {i} vanishes")
         gaps.append(gaps[-1] + 1 / (c + i) - F(1, i + 1))
         offset.append(offset[-1] * ((c + i) / (i + 1)) ** n)
-    values = [
+    return [
         harmonic(q - 1, 2) * sum(plain),
         sum(plain[k] * harmonic(q + k - 1, 2) for k in range(count)),
         sum(plain[k] * harmonic(k, 2) for k in range(count)),
@@ -323,19 +323,27 @@ def _reference_lemma_suite(tp):
         sum(t * g for t, g in zip(offset, gaps)),
         sum(t * g * g for t, g in zip(offset, gaps)),
     ]
+
+
+def _reference_lemma_suite(tp):
+    values = _reference_lemma_values(tp)
     names = ["h2-head", "h2-shift", "h2-plain", "h1-shift", "h1-shift-sq",
              "s1-offset", "s1-offset-sq"]
     orders = [1, 1, 1, 1, 1, 2, 1]
-    return [_tagged(check_congruence(v, 0, PrimePowerModulus(p, k), check_id=f"lemmas/{name}",
+    return [_tagged(check_congruence(v, 0, PrimePowerModulus(tp.p, k), check_id=f"lemmas/{name}",
                                      params=tp.as_params()), tp)
             for v, name, k in zip(values, names, orders)]
 
 
-def _reference_p2_reduction(tp):
+def _reference_second_order(tp):
     n, q, p = tp.n, tp.q, tp.p
-    second_order = sum(math.comb(q + k - 1, k) ** n * (harmonic(q + k - 1, 2) - harmonic(q - 1, 2))
-                       for k in range(p - q + 1))
-    rhs = F(n - 1, 2 * n) * p * p * second_order
+    return sum(math.comb(q + k - 1, k) ** n * (harmonic(q + k - 1, 2) - harmonic(q - 1, 2))
+               for k in range(p - q + 1))
+
+
+def _reference_p2_reduction(tp):
+    n, p = tp.n, tp.p
+    rhs = F(n - 1, 2 * n) * p * p * _reference_second_order(tp)
     return _tagged(check_congruence(lhs_theorem1(tp), rhs, PrimePowerModulus(p, 3),
                                     check_id="identities/p2-reduction", params=tp.as_params()), tp)
 
@@ -354,6 +362,15 @@ def test_integer_harmonic_sums_equal_the_fraction_reference(n, q, p):
     assert verify_lemma_suite(tp) == _reference_lemma_suite(tp)
     by_id = {r.check_id: r for r in verify_exact_identities(tp)}
     assert by_id["identities/p2-reduction"] == _reference_p2_reduction(tp)
+
+
+@pytest.mark.parametrize("n,q,p", HARMONIC_TUPLES)
+def test_lemma_and_second_order_sums_equal_the_fraction_reference(n, q, p):
+    # The reports above compare valuations and residues; these are the exact values.
+    tp = TheoremParams(n, q, p, exploratory=True)
+    assert [F(v.num, v.den) for v in series.lemma_sums(tp)] == _reference_lemma_values(tp)
+    second = series.second_order_sum(tp)
+    assert F(second.num, second.den) == _reference_second_order(tp)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -590,8 +607,13 @@ EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's
     ("sun_bernoulli_lhs", (797, 4), 20000),
     ("dflst_sum", (3, 211), 4000),
     ("dflst_dual", (3, 211), 4000),
-    ("taylor_values", (TP797,), 20000),
-    ("upsilon_coefficients", (TP797,), 20000),
+    # Over L = lcm(1..796) or a power of it, psi/phi about 2.3k bits; the Taylor delta and the
+    # offset lemmas over the offset walk's denominator, far wider.
+    ("taylor_values", (TP797,), 1000),
+    ("second_order_sum", (TP797,), 1000),
+    ("lemma_sums", (TP797,), 1000),
+    # The Upsilon coefficients are exact zeros in range; out of range all six are nonzero.
+    ("upsilon_coefficients", (TheoremParams(4, 300, 797, exploratory=True),), 1000),
 ]
 
 
@@ -640,6 +662,21 @@ def test_taylor_and_identities_build_no_jet(monkeypatch):
     with pytest.raises(AssertionError, match="a jet was built"):
         series.phi_jet(TP797)
     assert [(verify_taylor(tp), verify_exact_identities(tp)) for tp in tuples] == expected
+
+
+@pytest.mark.parametrize("n,q,p,lemmas,identities,taylor", [
+    (8, 3, 1009, [1, 1, 1, 2, 1, 2, 1], [math.inf, math.inf, 3, math.inf, 3], [3, 3, 4]),
+    pytest.param(4, 1, 2003, [math.inf, 2, 2, math.inf, math.inf, 3, 2],
+                 [math.inf, math.inf, 4, math.inf, None], [3, 3, 6],
+                 marks=pytest.mark.slow),  # about 2 s
+], ids=["8-3-1009", "4-1-2003"])
+def test_lemmas_identities_and_taylor_known_answers_beyond_the_reference(
+        n, q, p, lemmas, identities, taylor):
+    # The Fraction reference stops at p = 307; these orders pin the integer kernels above it.
+    tp = TheoremParams(n, q, p)
+    reports = [verify_lemma_suite(tp), verify_exact_identities(tp), verify_taylor(tp)]
+    assert [[r.achieved_ord for r in rs] for rs in reports] == [lemmas, identities, taylor]
+    assert all(r.verdict in (Verdict.HOLDS, Verdict.SKIPPED) for rs in reports for r in rs)
 
 
 @pytest.mark.slow
