@@ -122,7 +122,8 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
     points = sum(math.prod(len(axes[name]) for name in c.params) for c in checks.values())
     if points > GRID_LIMIT:
         raise ConfigError(f"the grid has {points} candidate points, above the cap {GRID_LIMIT}")
-    verify._check_p_caps(axes["p"][-1], *spec.check_ids)  # p_max >= 5: a prime exists
+    # p_max >= 5: a prime exists.  An empty axis leaves no unit that reads it.
+    verify._check_p_caps({name: axis[-1] for name, axis in axes.items() if axis}, *spec.check_ids)
     # One TheoremParams per triple, shared by its checks, owns the hypotheses.
     triple = functools.cache(lambda n, q, p: TheoremParams(n, q, p, exploratory=True))
     units = []

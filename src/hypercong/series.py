@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Sequence
 
@@ -40,6 +41,7 @@ __all__ = [
     "lhs_theorem2",
     "dual_reduction_sum",
     "theorem2_prefactor",
+    "reflection_differences",
     "guo_sum",
     "sun_e_sum",
     "sun_bernoulli_lhs",
@@ -273,6 +275,26 @@ def theorem2_prefactor(tp: TheoremParams) -> Unreduced:
     steps = list(_ratio_steps([(1, tp.n), (base, -tp.n)], tp.p - 1))
     top, bottom, _ = _split(steps, 0, len(steps), False)
     return Unreduced(tp.p**tp.n * top, bottom)
+
+
+def _steps_mirror(left: list, right: list, count: int) -> bool:
+    return len(left) == len(right) == count and all(
+        u1 * u2 == v1 * v2 for (u1, v1), (u2, v2) in zip(left, reversed(right)))
+
+
+def reflection_differences(tp: TheoremParams) -> tuple[Fraction, ...]:
+    """(1)_k/(b)_k - (1)_{p-1}/(b)_{p-1} (a)_{p-1-k}/(1-p)_{p-1-k} for k < p, b = p/n - q + 2,
+    a = q - p/n - p = 2 - p - b; () when left step k, (1+k)/(b+k), undoes right step p-2-k,
+    (a+p-2-k)/(-1-k) = (b+k)/(1+k), as it does when both walks run to the end.  If one stopped
+    early, the exact terms from the same pairs, zero after the stop, give the differences."""
+    p, b = tp.p, Fraction(tp.p, tp.n) - tp.q + 2
+    walks = [(1, 1), (b, -1)], [(2 - p - b, 1), (1 - p, -1)]
+    left, right = (list(_ratio_steps(w, p - 1)) for w in walks)
+    if _steps_mirror(left, right, p - 1):
+        return ()
+    tl, tr = ([*accumulate(steps, lambda t, s: t * s[0] / s[1], initial=Fraction(1)),
+               *[0] * (p - 1 - len(steps))] for steps in (left, right))
+    return tuple(x - tl[-1] * y for x, y in zip(tl, reversed(tr)))
 
 
 def guo_sum(d: int, p: int) -> Unreduced:

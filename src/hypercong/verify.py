@@ -17,8 +17,6 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
 
 from . import padic
 from .errors import CapExceeded, PreconditionViolated
@@ -32,7 +30,6 @@ from .padic import (
 )
 from .series import (
     TheoremParams,
-    _ratio_steps,
     delta_value,
     dflst_dual,
     dflst_sum,
@@ -43,6 +40,7 @@ from .series import (
     lhs_theorem2,
     phi_value,
     psi_value,
+    reflection_differences,
     second_order_sum,
     sun_bernoulli_lhs,
     sun_e_sum,
@@ -67,9 +65,12 @@ __all__ = [
 
 # The largest p of each check, refused before any sum is built.  At each cap one call takes
 # about a minute or less (2 vCPUs, Python 3.11): theorem1 and theorem2 37 s at (4, 1, 200003),
-# sun-e 53 s at 1009, taylor 18 s, lemmas 21 s and identities 5 s at (4, 1, 9973).
+# sun-e 53 s at 1009, taylor 18 s, lemmas 21 s and identities 5 s at (4, 1, 9973).  Each was
+# timed at exponent 4 (sun-e's is p + 1), so a check with an exponent n or d also refuses p
+# times it above 4 times its cap.  sun-bernoulli, whose p the Bernoulli cap bounds, evaluates
+# the theorem1 sum and has its cap.
 P_CAPS = {"theorem1": 250_000, "theorem2": 250_000, "guo": 250_000, "sun-e": 1100,
-          "taylor": 10**4, "lemmas": 10**4, "identities": 10**4}
+          "sun-bernoulli": 250_000, "taylor": 10**4, "lemmas": 10**4, "identities": 10**4}
 
 
 # A check: its verify function's positional parameters and name (looked up at call time,
@@ -106,13 +107,20 @@ def _refuse_outside_domain(check: str, words: str, *args) -> None:
         raise PreconditionViolated(f"{check} needs {words}, got {given}")
 
 
-def _check_p_caps(p: int, *checks: str) -> None:
-    # Each check refuses its p here, and a sweep its largest prime before any unit runs.
+def _check_p_caps(largest: dict, *checks: str) -> None:
+    # Each check refuses its p here, and p times its exponent n or d, given its parameters by
+    # name; a sweep refuses the largest value of each axis before any unit runs.
+    p = largest["p"]
     for check in checks:
         if check == "sun-bernoulli":
             padic._check_bernoulli_index(p - 3)
-        if p > P_CAPS.get(check, p):
-            raise CapExceeded(f"p = {p} exceeds the {check} cap {P_CAPS[check]}")
+        cap = P_CAPS.get(check, math.inf)
+        if p > cap:
+            raise CapExceeded(f"p = {p} exceeds the {check} cap {cap}")
+        for name in {"n", "d"}.intersection(CHECKS[check].params):
+            if p * largest.get(name, 0) > 4 * cap:
+                raise CapExceeded(f"p * {name} = {p} * {largest[name]} exceeds 4 times the "
+                                  f"{check} cap {cap}")
 
 
 class Verdict(str, Enum):
@@ -178,7 +186,7 @@ def _tag(report: CongruenceReport, tp: TheoremParams) -> CongruenceReport:
 
 def verify_theorem1(tp: TheoremParams) -> CongruenceReport:
     """sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n = 0 (mod p^3)."""
-    _check_p_caps(tp.p, "theorem1")
+    _check_p_caps(tp.as_params(), "theorem1")
     m = PrimePowerModulus(tp.p, 3)
     return _tag(check_congruence(lhs_theorem1(tp), 0, m,
                                  check_id="theorem1", params=tp.as_params()), tp)
@@ -186,7 +194,7 @@ def verify_theorem1(tp: TheoremParams) -> CongruenceReport:
 
 def verify_theorem2(tp: TheoremParams) -> CongruenceReport:
     """p^n sum_{k=0}^{p-1} (1)_k^n / (p/n - q + 2)_k^n = 0 (mod p^3)."""
-    _check_p_caps(tp.p, "theorem2")
+    _check_p_caps(tp.as_params(), "theorem2")
     m = PrimePowerModulus(tp.p, 3)
     return _tag(check_congruence(lhs_theorem2(tp), 0, m,
                                  check_id="theorem2", params=tp.as_params()), tp)
@@ -199,7 +207,7 @@ def verify_guo(d: int, p: int) -> CongruenceReport:
     how the congruence is proved; the tests pin that equality.
     """
     _refuse_outside_domain("guo", "an even d >= 4 and a prime p = -1 (mod d)", d, p)
-    _check_p_caps(p, "guo")
+    _check_p_caps({"d": d, "p": p}, "guo")
     return check_congruence(guo_sum(d, p), 0, PrimePowerModulus(p, 3),
                             check_id="guo", params={"d": d, "p": p})
 
@@ -207,7 +215,7 @@ def verify_guo(d: int, p: int) -> CongruenceReport:
 def verify_sun_e(p: int) -> CongruenceReport:
     """sum_{k=0}^{p-1} (1/(p+1))_k^{p+1} / k!^{p+1} = 0 (mod p^5) for p > 3."""
     _refuse_outside_domain("sun-e", "a prime p > 3", p)
-    _check_p_caps(p, "sun-e")
+    _check_p_caps({"p": p}, "sun-e")
     return check_congruence(sun_e_sum(p), 0, PrimePowerModulus(p, 5),
                             check_id="sun-e", params={"p": p})
 
@@ -215,6 +223,7 @@ def verify_sun_e(p: int) -> CongruenceReport:
 def verify_sun_bernoulli(p: int, n: int) -> CongruenceReport:
     """sum (1 - p/n)_k^n / (1)_k^n = (n-1)(7n-5)/(36 n^2) p^4 B_{p-3} (mod p^5)."""
     _refuse_outside_domain("sun-bernoulli", "a prime p > 3 and a positive n coprime to p", p, n)
+    _check_p_caps({"p": p, "n": n}, "sun-bernoulli")
     rhs = Fraction((n - 1) * (7 * n - 5), 36 * n * n) * Fraction(p) ** 4 * bernoulli(p - 3)
     return check_congruence(sun_bernoulli_lhs(p, n), rhs, PrimePowerModulus(p, 5),
                             check_id="sun-bernoulli", params={"p": p, "n": n})
@@ -242,7 +251,7 @@ def verify_dflst_pair(n: int, p: int) -> tuple[CongruenceReport, CongruenceRepor
 def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
     """The seven harmonic-weighted congruences feeding the main proofs, on the sums of
     ``series.lemma_sums``: s1-offset mod p^2, the others mod p."""
-    _check_p_caps(tp.p, "lemmas")
+    _check_p_caps(tp.as_params(), "lemmas")
     # Literal ids and two moduli, shared by every report a sweep keeps.
     ids = ["lemmas/h2-head", "lemmas/h2-shift", "lemmas/h2-plain", "lemmas/h1-shift",
            "lemmas/h1-shift-sq", "lemmas/s1-offset", "lemmas/s1-offset-sq"]
@@ -258,18 +267,11 @@ def verify_taylor(tp: TheoremParams) -> list[CongruenceReport]:
     two-variable sum at (p, 0) and the dual sum at -p, each against the
     degree-2 Taylor polynomial at the origin, from ``series.taylor_values``.
     """
-    _check_p_caps(tp.p, "taylor")
+    _check_p_caps(tp.as_params(), "taylor")
     p, m, params = tp.p, PrimePowerModulus(tp.p, 3), tp.as_params()
     exact = psi_value(tp, Fraction(p, tp.n)), phi_value(tp, p, 0), delta_value(tp, -p)
     return [_tag(check_congruence(e, t, m, check_id=f"taylor/{c}", params=params), tp)
             for c, e, t in zip(("psi", "phi", "delta"), exact, taylor_values(tp))]
-
-
-def _steps_mirror(left: list, right: list, count: int) -> bool:
-    # Both walks ran all count steps and left step k undoes right step count-1-k
-    # (u1 u2 = v1 v2), so the reflection holds at every k.  False decides nothing.
-    return len(left) == len(right) == count and all(
-        u1 * u2 == v1 * v2 for (u1, v1), (u2, v2) in zip(left, reversed(right)))
 
 
 def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
@@ -282,30 +284,15 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     - for q > 1, the reflected dual sum vanishes mod p^3 (skipped at q = 1,
       where the dual congruence already follows from the p^n prefactor).
     """
-    _check_p_caps(tp.p, "identities")
-    n, q, p = tp.n, tp.q, tp.p
-    params = tp.as_params()
+    n, q, p, params = tp.n, tp.q, tp.p, tp.as_params()
+    _check_p_caps(params, "identities")
     m3 = PrimePowerModulus(p, 3)
+    rhs = Unreduced(second_order_sum(tp), Unreduced(2 * n, (n - 1) * p * p))  # S (n-1)p^2/(2n)
     reports = [_exact_report([phi_value(tp, p, 0)], p, "identities/phi-p0", params),
-               _exact_report(upsilon_coefficients(tp), p, "identities/upsilon-jet", params)]
-
-    second = second_order_sum(tp)
-    rhs = Unreduced((n - 1) * p * p * second.num, 2 * n * second.den)
-    reports.append(check_congruence(lhs_theorem1(tp), rhs, m3,
-                                    check_id="identities/p2-reduction", params=params))
-
-    # Reflection, b = p/n - q + 2, a = q - p/n - p: (1)_k/(b)_k = (1)_{p-1}/(b)_{p-1} *
-    # (a)_{p-1-k}/(1 - p)_{p-1-k}.  Left step k is (1 + k)/(b + k) and right step p - 2 - k is
-    # (a + p - 2 - k)/(-1 - k) = (b + k)/(1 + k), so the steps mirror whenever both walks run
-    # to the end.  If one stopped early, the exact terms from the same pairs decide.
-    walks = [(1, 1), (Fraction(p, n) - q + 2, -1)], [(q - Fraction(p, n) - p, 1), (1 - p, -1)]
-    left, right = (list(_ratio_steps(w, p - 1)) for w in walks)
-    differences = []
-    if not _steps_mirror(left, right, p - 1):  # terms are zero after a walk stopped
-        tl, tr = ([*accumulate((Fraction(u, v) for u, v in steps), mul, initial=Fraction(1)),
-                   *[0] * (p - 1 - len(steps))] for steps in (left, right))
-        differences = [x - tl[-1] * y for x, y in zip(tl, reversed(tr))]
-    reports.append(_exact_report(differences, p, "identities/reflection", params))
+               _exact_report(upsilon_coefficients(tp), p, "identities/upsilon-jet", params),
+               check_congruence(lhs_theorem1(tp), rhs, m3, check_id="identities/p2-reduction",
+                                params=params),
+               _exact_report(reflection_differences(tp), p, "identities/reflection", params)]
 
     if q == 1:
         reports.append(CongruenceReport("identities/dual-reduction", dict(params), 3,

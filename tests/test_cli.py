@@ -668,6 +668,52 @@ def test_checks_refuse_p_above_their_cap_before_any_sum(monkeypatch, capsys, arg
         f"error: p = 1000000007 exceeds the {check} cap {verify.P_CAPS[check]}\n")
 
 
+BIG_N = "1000000000"
+
+
+@pytest.mark.parametrize("argv,product,check", [
+    (["verify", "guo", "--d", "2004", "--p", "2003"], "p * d = 2003 * 2004", "guo"),
+    (["verify", "theorem1", "--n", "2002", "--q", "1", "--p", "2003"], "p * n = 2003 * 2002",
+     "theorem1"),
+    (["verify", "sun-bernoulli", "--p", "7", "--n", "1000000002"], "p * n = 7 * 1000000002",
+     "sun-bernoulli"),
+    (["verify", "theorem1", "--n", BIG_N, "--q", "1", "--p", "7", "--exploratory"],
+     f"p * n = 7 * {BIG_N}", "theorem1"),
+    (["verify", "taylor", "--n", BIG_N, "--q", "1", "--p", "7", "--exploratory"],
+     f"p * n = 7 * {BIG_N}", "taylor"),
+    (["sweep", "--checks", "theorem1", "--n", f"{BIG_N}..{BIG_N}", "--q", "1..1", "--p-max", "7",
+      "--exploratory"], f"p * n = 7 * {BIG_N}", "theorem1"),
+], ids=["guo", "theorem1", "sun-bernoulli", "theorem1-exploratory", "taylor-exploratory",
+        "sweep"])
+def test_p_times_the_exponent_above_a_cap_is_refused_before_any_sum(
+        monkeypatch, capsys, argv, product, check):
+    # Each cap was timed at exponent 4, and p is within it here.  Without the bound on p
+    # times n or d, each of these ran on past 15 s; guo at d = p + 1 is the sun-e sum.
+    def never(*args):
+        raise AssertionError("a sum was evaluated above the cap")
+
+    for name in ("lhs_theorem1", "guo_sum", "sun_bernoulli_lhs", "bernoulli", "taylor_values",
+                 "psi_value"):
+        monkeypatch.setattr(verify, name, never)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    cap = verify.P_CAPS[check]
+    assert capsys.readouterr().err == f"error: {product} exceeds 4 times the {check} cap {cap}\n"
+
+
+def test_guo_at_d_p_plus_1_is_refused_no_later_than_sun_e(capsys):
+    # guo(p + 1, p) is sun_e_sum(p), and p (p + 1) grows with p: every p above the sun-e cap
+    # has p (p + 1) above 4 times the guo cap.  1103 is the first prime above 1100.
+    cap = verify.P_CAPS["sun-e"]
+    assert (cap + 1) * (cap + 2) > 4 * verify.P_CAPS["guo"]
+    assert main(["verify", "sun-e", "--p", "1103"]) == 2
+    assert main(["verify", "guo", "--d", "1104", "--p", "1103"]) == 2
+    err = capsys.readouterr().err
+    assert "p = 1103 exceeds the sun-e cap 1100" in err
+    assert "p * d = 1103 * 1104 exceeds 4 times the guo cap 250000" in err
+
+
 @pytest.mark.parametrize("check", sorted(verify.P_CAPS))
 def test_a_sweep_refuses_its_largest_prime_above_a_p_cap_before_any_unit_runs(
         monkeypatch, capsys, check):

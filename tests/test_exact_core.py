@@ -112,6 +112,8 @@ def test_binomial_general_values():
     assert binomial_general(5, 0) == 1
     assert binomial_general(-1, 4) == 1
     assert binomial_general(F(1, 2), 2) == F(-1, 8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        binomial_general(5, -1)
 
 
 @given(st.integers(1, 40), st.integers(0, 40))

@@ -41,6 +41,8 @@ def test_constructor_validates_cap_and_exponents():
         Jet2({(-1, 0): F(1)}, 2)
     with pytest.raises(CapExceeded):
         Jet2({(2, 1): F(1)}, 2)
+    with pytest.raises(ValueError, match="sign must be"):
+        Jet2.linear(1, "x", 2)
 
 
 def test_cap_mismatch_raises():
@@ -61,6 +63,8 @@ def test_scalar_arithmetic():
     assert (j / 2).coefficient(1, 0) == F(1, 2)
     assert (j + 1).coefficient(0, 0) == 2
     assert (1 - j).coefficient(1, 0) == -1
+    with pytest.raises(ZeroDivisionError):
+        j / 0
 
 
 def test_evaluate():
@@ -77,6 +81,14 @@ def test_pochhammer_jet_rising_pair():
 
 def test_pochhammer_jet_empty():
     assert pochhammer_jet(F(5, 3), 1, "x", 0, 3) == Jet2.constant(1, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pochhammer_jet(F(5, 3), 1, "x", -1, 3)
+
+
+def test_repr_lists_the_terms_by_exponent_pair():
+    assert repr(Jet2.zero(2)) == "Jet2(0; cap=2)"
+    jet = Jet2({(0, 0): 2, (0, 1): F(-1, 3), (1, 1): 1, (3, 0): 5}, 4)
+    assert repr(jet) == "Jet2(2 + -1/3*y + 1*xy + 5*x^3; cap=4)"
 
 
 def test_pochhammer_jet_falling_truncated():

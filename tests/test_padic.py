@@ -177,6 +177,10 @@ def test_factorial_valuation_examples():
     assert factorial_valuation(0, 5) == 0
     assert factorial_valuation(10, 5) == 2
     assert factorial_valuation(25, 5) == 6
+    with pytest.raises(ValueError, match="nonnegative"):
+        factorial_valuation(-1, 5)
+    with pytest.raises(NotPrime):
+        factorial_valuation(10, 4)
 
 
 def test_factorial_valuation_legendre_bound_and_exactness():
@@ -231,6 +235,8 @@ def test_bernoulli_tangent_numbers_against_sympy_in_any_call_order(monkeypatch):
 def test_bernoulli_cap():
     with pytest.raises(CapExceeded):
         bernoulli(10**4 + 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bernoulli(-1)
 
 
 def test_morita_gamma_at_small_integers():

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import math
 import random
@@ -20,7 +21,7 @@ from hypercong.padic import (
 )
 from hypercong.series import (
     TheoremParams,
-    _ratio_steps,
+    _steps_mirror,
     guo_sum,
     lhs_theorem1,
     theorem2_prefactor,
@@ -28,7 +29,6 @@ from hypercong.series import (
 from hypercong.verify import (
     CongruenceReport,
     Verdict,
-    _steps_mirror,
     check_congruence,
     verify_dflst_pair,
     verify_exact_identities,
@@ -394,16 +394,6 @@ def test_offset_walk_equals_the_fraction_reference_at_large_p(n, q, p):
 # --- the step-ratio reflection check against the exact differences ------------
 
 
-def _reflection_walks(tp):
-    # (1)_k/(b)_k against (a)_{p-1-k}/(1 - p)_{p-1-k}, b = p/n - q + 2, a = q - p/n - p.
-    n, q, p = tp.n, tp.q, tp.p
-    return [(1, 1), (F(p, n) - q + 2, -1)], [(q - F(p, n) - p, 1), (1 - p, -1)]
-
-
-def _reflection_steps(tp):
-    return [list(_ratio_steps(walk, tp.p - 1)) for walk in _reflection_walks(tp)]
-
-
 EXPLORATORY_GRID = [TheoremParams(n, q, p, exploratory=True)
                     for n in range(3, 9) for q in range(1, 5) for p in range(2, 62)
                     if is_prime(p)]
@@ -434,9 +424,9 @@ def test_step_mirror_holds_exactly_when_every_reflection_difference_is_zero():
         except ZeroDivisionError:  # (p/n - q + 2)_k vanishes: only at p = n, q > 2
             assert tp.p == tp.n and tp.q > 2
             with pytest.raises(ZeroDenominator):
-                _reflection_steps(tp)
+                series.reflection_differences(tp)
             continue
-        mirrored = _steps_mirror(*_reflection_steps(tp), tp.p - 1)
+        mirrored = series.reflection_differences(tp) == ()
         assert mirrored == (not any(diffs)), tp.as_params()
         decided += mirrored
     assert decided == len(EXPLORATORY_GRID) - 6
@@ -457,7 +447,7 @@ def test_exact_reflection_path_gives_the_fast_path_reports(monkeypatch):
         if not isinstance(reports, str):
             assert reports[3].check_id == "identities/reflection"
             assert reports[3].achieved_ord == math.inf
-    monkeypatch.setattr(verify, "_steps_mirror", lambda *args: False)
+    monkeypatch.setattr(series, "_steps_mirror", lambda *args: False)
     assert [_identities_or_error(tp) for tp in tuples] == fast
 
 
@@ -477,13 +467,13 @@ def test_a_broken_reflection_walk_fails_on_the_exact_path(monkeypatch, n, q, p):
         ("left", lambda s: s[:-1], (left[:-1] + [0], right), 0),
         ("right", lambda s: s[:-1], (left, right[:-1] + [0]), 0),
     ]
-    original = verify._ratio_steps
+    original = series._ratio_steps
     for walk, edit, terms, valuation in cases:
         def edited(factors, last, walk=walk, edit=edit):
             steps = list(original(factors, last))
             return edit(steps) if (factors[0] == (1, 1)) == (walk == "left") else steps
 
-        monkeypatch.setattr(verify, "_ratio_steps", edited)
+        monkeypatch.setattr(series, "_ratio_steps", edited)
         report = verify_exact_identities(tp)[3]
         assert min(ord_rational(d, p) for d in _reflection_differences(*terms)) == valuation
         assert report.check_id == "identities/reflection"
@@ -504,9 +494,12 @@ def test_theorem2_prefactor_is_the_pochhammer_ratio():
 
 
 @pytest.mark.parametrize("n,q,p", [(3, 1, 2), (3, 2, 3), (6, 1, 5), (4, 2, 11), (8, 3, 61)])
-def test_step_mirror_rejects_any_perturbed_pair(n, q, p):
+def test_step_mirror_rejects_any_perturbed_pair(monkeypatch, n, q, p):
     tp = TheoremParams(n, q, p, exploratory=True)
-    left, right = _reflection_steps(tp)
+    seen = []  # the two step lists series.reflection_differences hands its mirror test
+    monkeypatch.setattr(series, "_steps_mirror", lambda *args: seen.append(args[:2]))
+    series.reflection_differences(tp)
+    [(left, right)] = seen
     count = p - 1
     assert _steps_mirror(left, right, count)
     # The same ratios written over other integers are still accepted.
@@ -614,6 +607,8 @@ EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's
     ("lemma_sums", (TP797,), 1000),
     # The Upsilon coefficients are exact zeros in range; out of range all six are nonzero.
     ("upsilon_coefficients", (TheoremParams(4, 300, 797, exploratory=True),), 1000),
+    # No differences when the step pairs mirror, as they do here: only p/n is reduced.
+    ("reflection_differences", (TheoremParams(4, 2, 797),), 64),
 ]
 
 
@@ -627,6 +622,21 @@ def test_public_scalar_evaluators_reduce_no_sum_by_a_gcd(monkeypatch, name, args
         assert type(value) is Unreduced
         assert max(value.num.bit_length(), value.den.bit_length()) > bits
     assert _widest_gcd(monkeypatch, lambda: fn(*args)) < bits
+
+
+def test_verify_reads_series_only_by_public_names_and_builds_no_pair():
+    # Every sum verify decides on comes whole from a public series evaluator: verify
+    # imports or reads no private series name and takes no Unreduced apart.
+    tree = ast.parse(inspect.getsource(verify))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "series"
+               for alias in node.names if alias.name.startswith("_")]
+    private += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "series"
+                and node.attr.startswith("_")]
+    parts = [node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("num", "den")]
+    assert private == [] and parts == []
 
 
 @pytest.mark.parametrize("p,achieved", [(16843, 5), (16829, 4)])
