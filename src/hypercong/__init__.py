@@ -1,60 +1,19 @@
 """hypercong: exact-arithmetic verification of truncated hypergeometric
-supercongruences, prime by prime, over arbitrary-precision rationals."""
+supercongruences, prime by prime, over arbitrary-precision rationals.
 
-from .exact_core import (
-    Rational,
-    ShiftedSumSpec,
-    binomial_general,
-    harmonic,
-    pochhammer,
-    shifted_power_sum,
-)
-from .jets import Jet2, partial_coefficient, pochhammer_jet
-from .padic import (
-    PrimePowerModulus,
-    Residue,
-    bernoulli,
-    factorial_valuation,
-    is_prime,
-    morita_gamma,
-    ord_rational,
-    reduce_mod,
-)
-from .series import (
-    HyperSeriesSpec,
-    KarlssonMintonResult,
-    TheoremParams,
-    delta_jet,
-    delta_value,
-    dual_reduction_sum,
-    guo_sum,
-    karlsson_minton_sum,
-    lhs_theorem1,
-    lhs_theorem2,
-    phi_jet,
-    phi_value,
-    psi_jet,
-    psi_value,
-    sun_bernoulli_lhs,
-    sun_e_sum,
-    theorem2_prefactor,
-    truncated_pfq,
-    upsilon_jet,
-)
-from .verify import (
-    CongruenceReport,
-    Verdict,
-    check_congruence,
-    verify_dflst_pair,
-    verify_exact_identities,
-    verify_guo,
-    verify_lemma_suite,
-    verify_sun_bernoulli,
-    verify_sun_e,
-    verify_taylor,
-    verify_theorem1,
-    verify_theorem2,
-)
-from .cli import SweepSpec, SweepResult, primes_upto, run_sweep
+The package exports each module's ``__all__``, the one list of its public
+names.  Caps are in no list: read them through their module, at call time.
+"""
+
+from .exact_core import *  # noqa: F403
+from .jets import *  # noqa: F403
+from .padic import *  # noqa: F403
+from .series import *  # noqa: F403
+from .verify import *  # noqa: F403
+from .cli import *  # noqa: F403
+from . import cli, exact_core, jets, padic, series, verify
+
+__all__ = [*exact_core.__all__, *jets.__all__, *padic.__all__,
+           *series.__all__, *verify.__all__, *cli.__all__]
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ registered check (optionally across processes) and emits JSON or CSV;
 
 Exit codes are a stable contract for CI: 0 when no asserted check fails,
 1 when any asserted check fails (or is ill-posed), 2 on configuration or
-precondition errors and when memory runs out, which says nothing of a check.
+precondition errors, when memory runs out and when a sweep's worker process
+dies or cannot start, which says nothing of a check.
 Sweep output is byte-identical for a given spec regardless of the parallelism
 level: results are merged and sorted before emission, and the echoed spec
 deliberately omits execution-only fields.
@@ -25,6 +26,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from . import verify
@@ -168,8 +170,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     workers = min(spec.parallelism, len(units), os.cpu_count() or 1)
     if workers > 1:
         chunksize = max(1, len(units) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_unit, units, chunksize=chunksize))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                batches = list(pool.map(_run_unit, units, chunksize=chunksize))
+        except (BrokenProcessPool, OSError) as exc:  # a worker was killed, or could not start
+            raise HypercongError(f"the sweep's process pool failed: {exc}") from None
     else:
         batches = [_run_unit(u) for u in units]
     reports = sorted((r for batch in batches for r in batch), key=_sort_key)

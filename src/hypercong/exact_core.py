@@ -2,9 +2,8 @@
 shifted power sums and generalized binomial coefficients.
 
 Every function here is a pure total map over arbitrary-precision rationals.
-``Rational`` is an alias for :class:`fractions.Fraction`, which already
-guarantees the normal form we rely on everywhere: lowest terms, positive
-denominator, zero stored as 0/1.
+:class:`fractions.Fraction` already guarantees the normal form we rely on
+everywhere: lowest terms, positive denominator, zero stored as 0/1.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ from math import factorial
 from .errors import ZeroDenominator
 from .padic import _ratio
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "ShiftedSumSpec",
     "pochhammer",
     "harmonic",

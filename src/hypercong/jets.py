@@ -16,7 +16,7 @@ from math import factorial
 from .errors import CapExceeded, CapMismatch, DivByNonUnit
 from .padic import _fraction
 
-__all__ = ["Jet2", "MAX_DEGREE_CAP", "pochhammer_jet", "partial_coefficient"]
+__all__ = ["Jet2", "pochhammer_jet"]
 
 MAX_DEGREE_CAP = 4
 
@@ -225,8 +225,3 @@ def pochhammer_jet(base, sign: int, var: str, k: int, degree_cap: int) -> Jet2:
     for i in range(k):
         result = result * Jet2.linear(base + i, var, sign, degree_cap)
     return result
-
-
-def partial_coefficient(jet: Jet2, i: int, jdx: int = 0) -> Fraction:
-    """Mixed partial derivative of the jet at the origin (i!*jdx!*coefficient)."""
-    return jet.partial(i, jdx)

@@ -31,8 +31,6 @@ __all__ = [
     "factorial_valuation",
     "bernoulli",
     "morita_gamma",
-    "BERNOULLI_CAP",
-    "MORITA_CAP",
 ]
 
 # Deterministic Miller-Rabin witness set; proven sufficient far beyond the
@@ -292,7 +290,7 @@ def morita_gamma(x, m: PrimePowerModulus) -> Residue:
     pk = m.modulus
     if pk > MORITA_CAP:
         raise PrecisionCapExceeded(f"p^k = {pk} exceeds the Morita cap {MORITA_CAP}")
-    lift = reduce_mod(x, m).value or pk
+    lift = Unreduced(x).residue(m).value or pk
     p, k = m.p, m.k
     blocks = (lift - 1) // p
     acc = 1

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import json
@@ -797,3 +798,37 @@ def test_running_out_of_memory_exits_2_not_1(monkeypatch, capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: out of memory\n" and captured.out == ""
+
+
+_PYTEST_PID = os.getpid()
+_RUN_UNIT = cli._run_unit
+
+
+def _run_unit_dying_at_p_23(unit):
+    # A worker killed mid-sweep, as by the OOM killer: it ends without raising, so the
+    # parent sees only a broken pool.
+    if os.getpid() != _PYTEST_PID and unit[1][0].p == 23:
+        os._exit(3)
+    return _RUN_UNIT(unit)
+
+
+def _no_process_can_start(*args, **kwargs):
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")  # as from fork()
+
+
+@pytest.mark.parametrize("pool_failure", ["a worker dies", "no worker starts"])
+def test_a_failed_process_pool_exits_2_not_1(monkeypatch, capsys, pool_failure):
+    # Like running out of memory, a pool that loses or cannot start a worker says nothing
+    # of a check: one error line and exit 2, never a traceback.  At most 2 processes start.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    if pool_failure == "a worker dies":
+        monkeypatch.setattr(cli, "_run_unit", _run_unit_dying_at_p_23)
+    else:
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_process_can_start)
+    argv = ["sweep", "--checks", "theorem1", "--n", "3..4", "--q", "1..1", "--p-max", "23",
+            "--parallel", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the sweep's process pool failed: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

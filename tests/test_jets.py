@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hypercong.errors import CapExceeded, CapMismatch, DivByNonUnit
 from hypercong.exact_core import ShiftedSumSpec, pochhammer, shifted_power_sum
-from hypercong.jets import Jet2, pochhammer_jet, partial_coefficient
+from hypercong.jets import Jet2, pochhammer_jet
 
 F = Fraction
 
@@ -100,12 +100,12 @@ def test_pochhammer_jet_falling_truncated():
 
 def test_partial_coefficient_examples():
     j = pochhammer_jet(1, 1, "x", 2, 2)
-    assert partial_coefficient(j, 1, 0) == 3
-    assert partial_coefficient(Jet2.constant(1, 2), 1, 0) == 0
+    assert j.partial(1, 0) == 3
+    assert Jet2.constant(1, 2).partial(1, 0) == 0
     xy = Jet2.variable("x", 2) * Jet2.variable("y", 2)
-    assert partial_coefficient(xy, 1, 1) == 1
+    assert xy.partial(1, 1) == 1
     with pytest.raises(CapExceeded):
-        partial_coefficient(j, 2, 1)
+        j.partial(2, 1)
 
 
 @pytest.mark.parametrize("base", [F(1, 2), F(2), F(5, 3)])

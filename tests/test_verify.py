@@ -453,11 +453,14 @@ def test_exact_reflection_path_gives_the_fast_path_reports(monkeypatch):
 
 @pytest.mark.parametrize("n,q,p", [(4, 1, 13), (3, 1, 11), (6, 1, 7)])
 def test_a_broken_reflection_walk_fails_on_the_exact_path(monkeypatch, n, q, p):
-    # Each case edits the step pairs of one walk and the reference terms alike.
-    # Scaling one step by 1 + p^5 leaves one difference, -p^5; a walk that stops one
-    # step early leaves unmatched terms, of valuation 0 at q = 1.
+    # Each case edits the step pairs of one reflection walk, and no other walk, and the
+    # reference terms alike.  Scaling one step by 1 + p^5 leaves one difference, -p^5; a
+    # walk that stops one step early leaves unmatched terms, of valuation 0 at q = 1.
     tp = TheoremParams(n, q, p)
     left, right = _reflection_terms(tp)
+    b = F(p, n) - q + 2
+    walks = {"left": [(1, 1), (b, -1)], "right": [(2 - p - b, 1), (1 - p, -1)]}
+    unedited = verify_exact_identities(tp)
     scale = 1 + p**5
     cases = [  # (walk, edit of its step pairs, reference terms, valuation)
         ("left", lambda s: [(s[0][0] * scale, s[0][1])] + s[1:],
@@ -471,10 +474,12 @@ def test_a_broken_reflection_walk_fails_on_the_exact_path(monkeypatch, n, q, p):
     for walk, edit, terms, valuation in cases:
         def edited(factors, last, walk=walk, edit=edit):
             steps = list(original(factors, last))
-            return edit(steps) if (factors[0] == (1, 1)) == (walk == "left") else steps
+            return edit(steps) if list(factors) == walks[walk] else steps
 
         monkeypatch.setattr(series, "_ratio_steps", edited)
-        report = verify_exact_identities(tp)[3]
+        reports = verify_exact_identities(tp)
+        assert [reports[i] for i in (0, 1, 2, 4)] == [unedited[i] for i in (0, 1, 2, 4)]
+        report = reports[3]
         assert min(ord_rational(d, p) for d in _reflection_differences(*terms)) == valuation
         assert report.check_id == "identities/reflection"
         assert report.verdict is Verdict.FAILS
