@@ -128,7 +128,9 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
     verify._check_p_caps({name: axis[-1] for name, axis in axes.items() if axis}, *spec.check_ids)
     # One TheoremParams per triple, shared by its checks, owns the hypotheses.
     triple = functools.cache(lambda n, q, p: TheoremParams(n, q, p, exploratory=True))
-    units = []
+    # Tuple-major: the checks of one point run back to back, in CHECKS order, so the sums they
+    # share are built once (series keeps its last few).  Reports are sorted, so bytes hold.
+    by_point = {}
     for check, (names, _, _, domain) in checks.items():
         for args in itertools.product(*(axes[name] for name in names)):
             if not domain(*args):
@@ -137,8 +139,8 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
                 args = (triple(*args),)
                 if not (spec.exploratory or args[0].in_hypothesis):
                     continue
-            units.append((check, args))
-    return units
+            by_point.setdefault((names, args), []).append((check, args))
+    return [unit for units in by_point.values() for unit in units]
 
 
 def _run_unit(unit: tuple) -> list[CongruenceReport]:

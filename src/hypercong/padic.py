@@ -150,6 +150,8 @@ class Unreduced:
 
     def ord(self, p: int):
         """ord_p(num) - ord_p(den), math.inf for zero.  p must be prime."""
+        if p < 2:  # p = 1 or -1 would never end the loop below; is_prime costs too much here
+            raise NotPrime(f"{p} is not prime")
         return _ord_int(self.num, p) - _ord_int(self.den, p) if self.num else math.inf
 
     def residue(self, m: PrimePowerModulus) -> Residue:

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, repeat
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -135,7 +137,7 @@ def karlsson_minton_sum(a, pairs: Sequence[tuple]) -> KarlssonMintonResult:
         factors += [(b + m, 1), (b, -1)]
         total_m += m
     violated = not length > total_m
-    value = _ratio_sum(factors, length)
+    value = _ratio_sum(tuple(factors), length)
     return KarlssonMintonResult(Fraction(value.num, value.den), violated)
 
 
@@ -143,7 +145,7 @@ def karlsson_minton_sum(a, pairs: Sequence[tuple]) -> KarlssonMintonResult:
 class TheoremParams:
     """Parameter triple (n, q, p) for the main congruence family.
 
-    Hard requirements (always enforced): n > 2, q > 0, p prime.  The working
+    Hard requirements (always enforced): int n > 2, int q > 0, prime int p.  The working
     hypotheses -- parity (n even or q odd) and range (p > max(n, (q-1)n+1))
     -- are enforced at construction unless ``exploratory`` is set, in which
     case downstream checks report instead of asserting.
@@ -155,6 +157,8 @@ class TheoremParams:
     exploratory: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.n, self.q, self.p)):  # bool, float refused
+            raise TypeError(f"n, q and p must be int, got {self.n!r}, {self.q!r}, {self.p!r}")
         if self.n <= 2:
             raise PreconditionViolated(f"n must exceed 2, got {self.n}")
         if self.q < 1:
@@ -183,7 +187,7 @@ class TheoremParams:
         return {"n": self.n, "q": self.q, "p": self.p}
 
 
-def _ratio_steps(factors: Sequence[tuple], last: int):
+def _ratio_steps(factors: Sequence[tuple], last: int) -> list:
     """Integer pairs (u, v) with t_{k+1} / t_k = u / v, for k < last, of the walk
     t_0 = 1, t_{k+1} = t_k * prod_f (c + k)^m.
 
@@ -195,14 +199,17 @@ def _ratio_steps(factors: Sequence[tuple], last: int):
     split = [(*Fraction(c).as_integer_ratio(), m) for c, m in factors]
     if any(m < 0 and den == 1 and -last < num <= 0 for num, den, m in split):
         raise ZeroDenominator(f"a denominator base vanishes within {last + 1} terms")
-    for k in range(last):
-        u = v = 1
-        for num, den, m in split:
-            base = num + k * den  # c + k = base / den
-            u, v = (u * base**m, v * den**m) if m > 0 else (u * den**-m, v * base**-m)
-        if not u:
-            return
-        yield u, v
+    # c + k = (num + k den) / den vanishes only if den = 1, at k = -num: the columns stop there.
+    last = min([last, *(-num for num, den, m in split if m > 0 and den == 1 and num <= 0)])
+    sides = [[], []]  # the columns multiplied into u and into v: bases^|m| and den^|m|
+    for num, den, m in split:
+        if m:
+            sides[m < 0].append(map(pow, range(num, num + last * den, den), repeat(abs(m))))
+            if den != 1:
+                sides[m > 0].append(repeat(den ** abs(m)))
+    u, v = (reduce(partial(map, mul), side[1:], side[0]) if side else repeat(1, last)
+            for side in sides)
+    return list(zip(u, v))
 
 
 def _split(steps: list, lo: int, hi: int, spine: bool) -> tuple:
@@ -220,59 +227,63 @@ def _split(steps: list, lo: int, hi: int, spine: bool) -> tuple:
     return None if spine else p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-def _ratio_sum(factors: Sequence[tuple], last: int, first: int = 1) -> Unreduced:
+# The five checks of a grid tuple read six sums.  typed: a float last or first, as in
+# guo_sum(4, 23.0), is another key than its integer twin, and is refused as on a cold call.
+@lru_cache(maxsize=8, typed=True)
+def _ratio_sum(factors: tuple, last: int, first: int = 1) -> Unreduced:
     """sum_{k=0}^{last} t_k for the walk of ``_ratio_steps`` started at t_0 = first.
 
     Binary splitting (Haible & Papanikolaou): steps a..b-1 carry P = prod u, Q = prod v
     and T = sum_{a<k<=b} (u_a...u_{k-1}) (v_k...v_{b-1}); halves combine as P1 P2, Q1 Q2,
     T1 Q2 + P1 T2.  The sum is first (Q + T) / Q, returned unreduced: no gcd is taken.
+    The last few sums are kept, and a repeated call returns the same Unreduced object.
     """
     if last < 0:
         return Unreduced(0)
-    steps = list(_ratio_steps(factors, last))
+    steps = _ratio_steps(factors, last)
     _, q, t = _split(steps, 0, len(steps), True)
     return Unreduced(first * (q + t), q)
 
 
 def psi_value(tp: TheoremParams, x) -> Unreduced:
     """sum_{k=0}^{p-q} (q-x)_k^n / (1)_k^n at an exact rational x."""
-    return _ratio_sum([(tp.q - Fraction(*_ratio(x)), tp.n), (1, -tp.n)], tp.p - tp.q)
+    return _ratio_sum(((tp.q - Fraction(*_ratio(x)), tp.n), (1, -tp.n)), tp.p - tp.q)
 
 
 def phi_value(tp: TheoremParams, x, y) -> Unreduced:
     """sum_{k=0}^{p-q} (q-x)_k (q-y)_k^{n-1} / (1)_k^n at exact rationals."""
     a, b = (tp.q - Fraction(*_ratio(v)) for v in (x, y))
-    return _ratio_sum([(a, 1), (b, tp.n - 1), (1, -tp.n)], tp.p - tp.q)
+    return _ratio_sum(((a, 1), (b, tp.n - 1), (1, -tp.n)), tp.p - tp.q)
 
 
 def delta_value(tp: TheoremParams, x) -> Unreduced:
     """sum_{k=0}^{p-q} (q - p/n + x)_k^n / (1+x)_k^n at an exact rational x."""
     x = Fraction(*_ratio(x))
     offset = tp.q - Fraction(tp.p, tp.n) + x
-    return _ratio_sum([(offset, tp.n), (1 + x, -tp.n)], tp.p - tp.q)
+    return _ratio_sum(((offset, tp.n), (1 + x, -tp.n)), tp.p - tp.q)
 
 
 def lhs_theorem1(tp: TheoremParams) -> Unreduced:
     """Full sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n."""
-    return _ratio_sum([(tp.q - Fraction(tp.p, tp.n), tp.n), (1, -tp.n)], tp.p - 1)
+    return _ratio_sum(((tp.q - Fraction(tp.p, tp.n), tp.n), (1, -tp.n)), tp.p - 1)
 
 
 def lhs_theorem2(tp: TheoremParams) -> Unreduced:
     """p^n * sum_{k=0}^{p-1} (1)_k^n / (p/n - q + 2)_k^n."""
     base = Fraction(tp.p, tp.n) - tp.q + 2
-    return _ratio_sum([(1, tp.n), (base, -tp.n)], tp.p - 1, tp.p**tp.n)
+    return _ratio_sum(((1, tp.n), (base, -tp.n)), tp.p - 1, tp.p**tp.n)
 
 
 def dual_reduction_sum(tp: TheoremParams) -> Unreduced:
     """sum_{k=0}^{p-1} (q - p/n - p)_k^n / (1-p)_k^n, the reflected dual sum."""
     a = tp.q - Fraction(tp.p, tp.n) - tp.p
-    return _ratio_sum([(a, tp.n), (1 - tp.p, -tp.n)], tp.p - 1)
+    return _ratio_sum(((a, tp.n), (1 - tp.p, -tp.n)), tp.p - 1)
 
 
 def theorem2_prefactor(tp: TheoremParams) -> Unreduced:
     """p^n (1)_{p-1}^n / (p/n - q + 2)_{p-1}^n, the unit carried by reflection."""
     base = Fraction(tp.p, tp.n) - tp.q + 2
-    steps = list(_ratio_steps([(1, tp.n), (base, -tp.n)], tp.p - 1))
+    steps = _ratio_steps([(1, tp.n), (base, -tp.n)], tp.p - 1)
     top, bottom, _ = _split(steps, 0, len(steps), False)
     return Unreduced(tp.p**tp.n * top, bottom)
 
@@ -289,7 +300,7 @@ def reflection_differences(tp: TheoremParams) -> tuple[Fraction, ...]:
     early, the exact terms from the same pairs, zero after the stop, give the differences."""
     p, b = tp.p, Fraction(tp.p, tp.n) - tp.q + 2
     walks = [(1, 1), (b, -1)], [(2 - p - b, 1), (1 - p, -1)]
-    left, right = (list(_ratio_steps(w, p - 1)) for w in walks)
+    left, right = (_ratio_steps(w, p - 1) for w in walks)
     if _steps_mirror(left, right, p - 1):
         return ()
     tl, tr = ([*accumulate(steps, lambda t, s: t * s[0] / s[1], initial=Fraction(1)),
@@ -299,27 +310,27 @@ def reflection_differences(tp: TheoremParams) -> tuple[Fraction, ...]:
 
 def guo_sum(d: int, p: int) -> Unreduced:
     """sum_{k=0}^{p-1} (1/d)_k^d / k!^d."""
-    return _ratio_sum([(Fraction(1, d), d), (1, -d)], p - 1)
+    return _ratio_sum(((Fraction(1, d), d), (1, -d)), p - 1)
 
 
 def sun_e_sum(p: int) -> Unreduced:
     """sum_{k=0}^{p-1} (1/(p+1))_k^{p+1} / k!^{p+1}."""
-    return _ratio_sum([(Fraction(1, p + 1), p + 1), (1, -p - 1)], p - 1)
+    return _ratio_sum(((Fraction(1, p + 1), p + 1), (1, -p - 1)), p - 1)
 
 
 def sun_bernoulli_lhs(p: int, n: int) -> Unreduced:
     """sum_{k=0}^{p-1} (1 - p/n)_k^n / (1)_k^n."""
-    return _ratio_sum([(1 - Fraction(p, n), n), (1, -n)], p - 1)
+    return _ratio_sum(((1 - Fraction(p, n), n), (1, -n)), p - 1)
 
 
 def dflst_sum(n: int, p: int) -> Unreduced:
     """sum_{k=0}^{p-1} (1 - 1/n)_k^n / (1)_k^n."""
-    return _ratio_sum([(1 - Fraction(1, n), n), (1, -n)], p - 1)
+    return _ratio_sum(((1 - Fraction(1, n), n), (1, -n)), p - 1)
 
 
 def dflst_dual(n: int, p: int) -> Unreduced:
     """p^n * sum_{k=0}^{p-1} (1)_k^n / (1 + 1/n)_k^n."""
-    return _ratio_sum([(1, n), (1 + Fraction(1, n), -n)], p - 1, p**n)
+    return _ratio_sum(((1, n), (1 + Fraction(1, n), -n)), p - 1, p**n)
 
 
 # --- harmonic-weighted sums --------------------------------------------------
@@ -349,12 +360,14 @@ def _binomial_sums(n: int, q: int, last: int, scale: int, plus: int, minus: int 
     return s0, s1, s2, sh
 
 
+@lru_cache(maxsize=2, typed=True)  # taylor and identities read one tuple's sums in turn
 def _shifted_sums(tp: TheoremParams) -> tuple[int, int, int, int, int]:
     # (q-x)_k/(q)_k = exp(-x g - x^2 h/2 - ...), g and h summing 1/(q+i)^(1, 2), i < k.
     scale = lcm(*range(tp.q, tp.p))
     return (*_binomial_sums(tp.n, tp.q, tp.p - tp.q, scale, tp.q), scale)
 
 
+@lru_cache(maxsize=2, typed=True)  # so do lemmas and taylor
 def _offset_walk(tp: TheoremParams) -> tuple[int, int, int, int, int]:
     """(S0, S1, S2, Sh, D) over k = 0..p-q, all over D, for t_k = (c)_k^n/(1)_k^n, c = q - p/n,
     g_k = sum_{i<k} 1/(c+i) - 1/(1+i) and h_k the same sum of squares.  With e = p - n(q-1) and

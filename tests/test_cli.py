@@ -453,7 +453,7 @@ def test_the_sweep_grid_is_bounded_before_it_is_expanded(monkeypatch, tmp_path, 
     assert "7 candidate points, above the cap 6" in capsys.readouterr().err
 
 
-def test_harmonic_sums_are_sized_by_p_not_by_q(monkeypatch, capsys):
+def test_harmonic_sums_are_sized_by_p_not_by_q(monkeypatch, capsys, clear_memos):
     # At q > p the weights are empty; a sum sized by q would need lcm(1..q-1).  The widest
     # lcm, Upsilon's, takes the bases 1..p-1 and q..q+p-2.
     def bounded(*bases):
@@ -461,6 +461,7 @@ def test_harmonic_sums_are_sized_by_p_not_by_q(monkeypatch, capsys):
         return math.lcm(*bases)
 
     monkeypatch.setattr(series, "lcm", bounded)
+    clear_memos()  # so each lcm is taken here
     argv = ["--n", "3", "--q", "100000", "--p", "5", "--exploratory"]
     start = time.perf_counter()
     assert main(["verify", "lemmas", *argv]) == 0
@@ -527,18 +528,31 @@ def test_exploratory_sweep_bytes_are_pinned():
     }
 
 
+FULL_GRID_DIGESTS = {
+    "json": "dc4ff4e1c0089f428a22f839d5ae4252dd48ab249691890db397cfd76dd78e65",
+    "csv": "017ace9bcb9d7ddac8109c5b0912522b28ab01130cc15078cd197ee2ead6de38",
+}
+
+
+def _full_grid_digests(parallelism: int) -> dict:
+    result = run_sweep(SweepSpec(check_ids=CHECK_NAMES, n_range=(3, 8), q_range=(1, 4),
+                                 d_range=(4, 8), p_max=97, parallelism=parallelism))
+    assert len(result.reports) == 6504
+    return {fmt: hashlib.sha256(render(result).encode()).hexdigest()
+            for fmt, render in (("json", render_json), ("csv", render_csv))}
+
+
 def test_full_grid_sweep_bytes_are_pinned():
     # The sweep invariant of the roadmap: all nine checks over n 3..8, q 1..4,
     # d 4..8, p <= 97 (6504 reports), long enough for the jet walks to reduce.
-    result = run_sweep(SweepSpec(check_ids=CHECK_NAMES, n_range=(3, 8), q_range=(1, 4),
-                                 d_range=(4, 8), p_max=97))
-    assert len(result.reports) == 6504
-    digest = {fmt: hashlib.sha256(render(result).encode()).hexdigest()
-              for fmt, render in (("json", render_json), ("csv", render_csv))}
-    assert digest == {
-        "json": "dc4ff4e1c0089f428a22f839d5ae4252dd48ab249691890db397cfd76dd78e65",
-        "csv": "017ace9bcb9d7ddac8109c5b0912522b28ab01130cc15078cd197ee2ead6de38",
-    }
+    assert _full_grid_digests(1) == FULL_GRID_DIGESTS
+
+
+def test_full_grid_sweep_bytes_are_pinned_at_parallelism_2(monkeypatch):
+    # The pool's chunks split the tuple-major units at other points than a sequential
+    # sweep passes from tuple to tuple; the bytes hold.  At most 2 workers start.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _full_grid_digests(2) == FULL_GRID_DIGESTS
 
 
 @pytest.mark.parametrize("target", ["missing/dir/r.json", "."], ids=["no-parent", "a-directory"])

@@ -126,6 +126,15 @@ def test_unreduced_reads_int_fraction_and_unreduced_parts():
         Unreduced(1, Unreduced(0, 5))
 
 
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_unreduced_ord_refuses_p_below_2(p):
+    # Its valuation loop never ended at p = 1 or -1, and divided by zero at p = 0.
+    with pytest.raises(NotPrime):
+        Unreduced(12).ord(p)
+    with pytest.raises(NotPrime):
+        Unreduced(0, 5).ord(p)
+
+
 def test_unreduced_subtracts_and_compares_without_reducing():
     a, b = Unreduced(6, 4), Unreduced(2, 6)
     diff = a - b

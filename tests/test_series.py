@@ -1,5 +1,7 @@
 import inspect
 import random
+import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial
@@ -13,7 +15,7 @@ from hypercong.errors import (
     ZeroLowerFactor,
 )
 from hypercong import series
-from hypercong.cli import primes_upto
+from hypercong.cli import CHECK_NAMES, SweepSpec, primes_upto, run_sweep
 from hypercong.exact_core import ShiftedSumSpec, harmonic, pochhammer, shifted_power_sum
 from hypercong.jets import MAX_DEGREE_CAP, Jet2, pochhammer_jet
 from hypercong.padic import PrimePowerModulus, Unreduced, ord_rational, reduce_mod
@@ -190,6 +192,18 @@ def test_theorem_params_validation():
         TheoremParams(4, 0, 7)
     with pytest.raises(PreconditionViolated):
         TheoremParams(4, 1, 9)
+
+
+@pytest.mark.parametrize("field", ["n", "q", "p"])
+@pytest.mark.parametrize("kind", [float, F, bool, str], ids=["float", "fraction", "bool", "str"])
+def test_theorem_params_refuse_a_field_that_is_not_an_int(field, kind):
+    # TheoremParams(3, 1.0, 7) equalled (3, 1, 7), yet theorem1 on it summed the binary
+    # fraction of q - p/n and failed at order 0 where (3, 1, 7) holds at order 4.
+    values = {"n": 4, "q": 1, "p": 7}
+    values[field] = kind(values[field])
+    for exploratory in (False, True):
+        with pytest.raises(TypeError, match="n, q and p must be int"):
+            TheoremParams(**values, exploratory=exploratory)
 
 
 def test_theorem_params_exploratory_mode():
@@ -567,18 +581,18 @@ def test_kernel_stops_when_a_numerator_factor_vanishes():
     tp = TheoremParams(3, 1, 11)
     assert psi_value(tp, 3) == 2 + (-2) ** 3 == _oracle_sum([F(-2)] * 3, [F(1)] * 3, 10)
     # sum_k (-3)_k / k! = (1 - 1)^3: the walk ends after k = 3.
-    assert _ratio_sum([(-3, 1), (1, -1)], 10) == 0
+    assert _ratio_sum(((-3, 1), (1, -1)), 10) == 0
 
 
 def test_kernel_rejects_a_vanishing_denominator():
     # Bases -3 + k for k < last: zero is reached only when last > 3.
-    assert _ratio_sum([(1, 1), (-3, -1)], 3) == 1 - F(1, 3) + F(1, 3) - 1
+    assert _ratio_sum(((1, 1), (-3, -1)), 3) == 1 - F(1, 3) + F(1, 3) - 1
     for fn in (_ratio_sum, lambda *args: list(_ratio_steps(*args))):
         with pytest.raises(ZeroDenominator):
-            fn([(1, 1), (-3, -1)], 4)
+            fn(((1, 1), (-3, -1)), 4)
         # Checked before the walk, even when a numerator would stop it first.
         with pytest.raises(ZeroDenominator):
-            fn([(-1, 1), (-3, -1)], 5)
+            fn(((-1, 1), (-3, -1)), 5)
 
 
 # --- binary splitting against the one-step walk ------------------------------
@@ -603,8 +617,8 @@ def test_binary_splitting_gives_the_stepwise_pair_on_random_walks():
     full, cut, refused = set(), set(), 0
     for last in range(-1, 41):
         for _ in range(8):
-            factors = [(F(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 7])),
-                        rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(rng.randint(1, 4))]
+            factors = tuple((F(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 7])),
+                             rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(rng.randint(1, 4)))
             first = rng.choice([1, rng.choice([5, 7, 11]) ** rng.randint(1, 4)])
             try:
                 expected = _stepwise_sum(factors, last, first)
@@ -631,8 +645,10 @@ def test_binary_splitting_gives_the_stepwise_pair_on_random_walks():
 ], ids=["theorem1", "theorem2", "sun-e"])
 def test_binary_splitting_gives_the_stepwise_pair_on_the_deep_sums(monkeypatch, fn, args):
     got = fn(*args)
-    monkeypatch.setattr(series, "_ratio_sum", _stepwise_sum)
+    calls = []  # the swap takes _ratio_sum's memo with it: the stepwise walk runs, got or not
+    monkeypatch.setattr(series, "_ratio_sum", lambda *a: calls.append(a) or _stepwise_sum(*a))
     expected = fn(*args)
+    assert len(calls) == 1
     assert (got.num, got.den) == (expected.num, expected.den)
 
 
@@ -699,3 +715,68 @@ def test_unreduced_sums_give_the_oracle_valuation_and_residues():
                 assert pair.residue(m) == reduce_mod(reduced, m), (where, k)
     # The grid reaches every case the residue must handle.
     assert all(kinds.values()), kinds
+
+
+# --- the memo: each grid tuple's shared sums built once -----------------------
+
+
+def test_every_series_memo_is_bounded_typed_and_listed(memos):
+    # A fixed maxsize, set by no option; typed, so a float argument is another key.
+    kept = [v for v in vars(series).values() if hasattr(v, "cache_info")]
+    assert sorted(m.__name__ for m in kept) == sorted(m.__name__ for m in memos)
+    for memo in memos:
+        params = memo.cache_parameters()
+        assert type(params["maxsize"]) is int and params["typed"], memo.__name__
+
+
+def test_a_sequential_sweep_builds_each_shared_sum_once(memos, clear_memos):
+    # theorem1 and identities read the theorem1 sum, taylor and identities phi at (p, 0)
+    # and, at q = 1, taylor's psi at p/n is the theorem1 sum; lemmas and taylor share the
+    # offset walk, taylor and identities the shifted sums.  A profiler hook counts each run
+    # of a memo's own body, with its key.
+    bodies = {memo.__wrapped__.__code__: memo.__name__ for memo in memos}
+    builds = Counter()
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code in bodies:
+            args = frame.f_locals
+            key = args["tp"] if "tp" in args else (args["factors"], args["last"], args["first"])
+            builds[bodies[frame.f_code], key] += 1
+
+    triple_checks = ("theorem1", "theorem2", "lemmas", "taylor", "identities")
+    spec = SweepSpec(check_ids=triple_checks, n_range=(3, 6), q_range=(1, 3), p_max=31)
+    sys.setprofile(spy)
+    try:
+        result = run_sweep(spec)
+    finally:
+        sys.setprofile(None)
+    tuples = {TheoremParams(**r.params) for r in result.reports}
+    for name in ("_shifted_sums", "_offset_walk"):
+        assert {key for (memo, key) in builds if memo == name} == tuples, name
+    # Six scalar sums a tuple; at q = 1 psi is the theorem1 sum, and no dual sum is read.
+    assert sum(memo == "_ratio_sum" for memo, _ in builds) == sum(
+        6 - 2 * (tp.q == 1) for tp in tuples)
+    assert set(builds.values()) == {1}, [k for k, v in builds.items() if v > 1]
+
+
+@pytest.mark.parametrize("fn,good,bad", [
+    (guo_sum, (4, 23), (4, 23.0)),
+    (dflst_sum, (3, 7), (3, 7.0)),
+    (dflst_dual, (3, 7), (3, 7.0)),
+], ids=["guo", "dflst-sum", "dflst-dual"])
+def test_a_warm_memo_refuses_what_a_cold_one_refuses(clear_memos, fn, good, bad):
+    # 23.0 - 1 == 22 and both hash alike: an untyped memo returned the integer twin's sum.
+    with pytest.raises(TypeError) as cold:
+        fn(*bad)
+    fn(*good)
+    with pytest.raises(TypeError) as warm:
+        fn(*bad)
+    assert str(warm.value) == str(cold.value)
+
+
+def test_the_memos_stay_within_their_bounds_over_the_full_grid(memos, clear_memos):
+    run_sweep(SweepSpec(check_ids=CHECK_NAMES, n_range=(3, 8), q_range=(1, 4),
+                        d_range=(4, 8), p_max=97))
+    for memo in memos:
+        info = memo.cache_info()
+        assert 0 < info.currsize <= info.maxsize, (memo.__name__, info)

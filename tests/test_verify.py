@@ -447,12 +447,14 @@ def test_exact_reflection_path_gives_the_fast_path_reports(monkeypatch):
         if not isinstance(reports, str):
             assert reports[3].check_id == "identities/reflection"
             assert reports[3].achieved_ord == math.inf
-    monkeypatch.setattr(series, "_steps_mirror", lambda *args: False)
+    calls = []
+    monkeypatch.setattr(series, "_steps_mirror", lambda *args: calls.append(args) or False)
     assert [_identities_or_error(tp) for tp in tuples] == fast
+    assert len(calls) == len(tuples) - 6
 
 
 @pytest.mark.parametrize("n,q,p", [(4, 1, 13), (3, 1, 11), (6, 1, 7)])
-def test_a_broken_reflection_walk_fails_on_the_exact_path(monkeypatch, n, q, p):
+def test_a_broken_reflection_walk_fails_on_the_exact_path(monkeypatch, clear_memos, n, q, p):
     # Each case edits the step pairs of one reflection walk, and no other walk, and the
     # reference terms alike.  Scaling one step by 1 + p^5 leaves one difference, -p^5; a
     # walk that stops one step early leaves unmatched terms, of valuation 0 at q = 1.
@@ -477,6 +479,7 @@ def test_a_broken_reflection_walk_fails_on_the_exact_path(monkeypatch, n, q, p):
             return edit(steps) if list(factors) == walks[walk] else steps
 
         monkeypatch.setattr(series, "_ratio_steps", edited)
+        clear_memos()  # every walk of the check goes through edited, not only the reflection's
         reports = verify_exact_identities(tp)
         assert [reports[i] for i in (0, 1, 2, 4)] == [unedited[i] for i in (0, 1, 2, 4)]
         report = reports[3]
@@ -572,22 +575,24 @@ TP797 = TheoremParams(4, 1, 797)
     (lambda: verify_taylor(TP797), 64),
 ], ids=["theorem1", "theorem2", "guo", "sun-e", "sun-bernoulli", "dflst", "lemmas",
         "identities", "taylor"])
-def test_verify_reduces_no_sum_by_a_gcd(monkeypatch, call, bits):
+def test_verify_reduces_no_sum_by_a_gcd(monkeypatch, clear_memos, call, bits):
     # Fraction normalisation calls math.gcd.  Every sum each check reads here has more
     # than 20000 bits (dflst's about 5000 at p = 211, the others above 25000), so a gcd
     # that wide means a sum was reduced.  What is still reduced is narrower:
     # sun-bernoulli's Bernoulli side (6000 bits).  Taylor values and the Upsilon
     # coefficients are unreduced sums too, so taylor and identities reduce only small
     # scalars such as p/n (10 bits at p = 797).
-    assert _widest_gcd(monkeypatch, call) < bits
+    assert _widest_gcd(monkeypatch, clear_memos, call) < bits
 
 
-def _widest_gcd(monkeypatch, call) -> int:
-    # The widest argument, in bits, of any math.gcd that call() makes.
+def _widest_gcd(monkeypatch, clear_memos, call) -> int:
+    # The widest argument, in bits, of any math.gcd that call() makes, with every sum built
+    # anew: a sum a memo kept would make no gcd at all.
     widest = []
     gcd = math.gcd
     monkeypatch.setattr(math, "gcd", lambda *args: widest.append(
         max(abs(a).bit_length() for a in args)) or gcd(*args))
+    clear_memos()
     call()
     return max(widest, default=0)
 
@@ -618,7 +623,8 @@ EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's
 
 
 @pytest.mark.parametrize("name,args,bits", EVALUATOR_SIZES, ids=[c[0] for c in EVALUATOR_SIZES])
-def test_public_scalar_evaluators_reduce_no_sum_by_a_gcd(monkeypatch, name, args, bits):
+def test_public_scalar_evaluators_reduce_no_sum_by_a_gcd(monkeypatch, clear_memos, name, args,
+                                                          bits):
     # The same spy, sizes and bounds on each public evaluator: its Unreduced pair (each of
     # them, for a tuple) is the exact sum as computed, and nothing on the way reduces it.
     fn = getattr(series, name)
@@ -626,7 +632,7 @@ def test_public_scalar_evaluators_reduce_no_sum_by_a_gcd(monkeypatch, name, args
     for value in values if isinstance(values, tuple) else [values]:
         assert type(value) is Unreduced
         assert max(value.num.bit_length(), value.den.bit_length()) > bits
-    assert _widest_gcd(monkeypatch, lambda: fn(*args)) < bits
+    assert _widest_gcd(monkeypatch, clear_memos, lambda: fn(*args)) < bits
 
 
 def test_verify_reads_series_only_by_public_names_and_builds_no_pair():
@@ -664,7 +670,7 @@ def test_sun_e_known_answers_beyond_the_grid(p):
     assert report.achieved_ord == 5
 
 
-def test_taylor_and_identities_build_no_jet(monkeypatch):
+def test_taylor_and_identities_build_no_jet(monkeypatch, clear_memos):
     # The jets stay the oracle for taylor_values and upsilon_coefficients, off the verify path.
     tuples = [TP797, TheoremParams(4, 2, 11), *(TheoremParams(*t, exploratory=True)
                                                 for t in [(3, 1, 3), (3, 2, 7), (3, 100000, 5)])]
@@ -674,6 +680,7 @@ def test_taylor_and_identities_build_no_jet(monkeypatch):
         raise AssertionError("a jet was built")
 
     monkeypatch.setattr(series, "_product_jet", never)
+    clear_memos()
     with pytest.raises(AssertionError, match="a jet was built"):
         series.phi_jet(TP797)
     assert [(verify_taylor(tp), verify_exact_identities(tp)) for tp in tuples] == expected
