@@ -122,15 +122,25 @@ def _ord_int(x: int, p: int) -> int:
 
 
 class Unreduced:
-    """The exact rational num/den, kept as the pair it was computed as: its valuation
-    and residues are read without the gcd that reducing it would cost.  Each part is
-    an int, Fraction or Unreduced (anything else raises TypeError); den is nonzero."""
+    """The exact rational num/den, kept as the pair it was computed as, so its valuation and
+    residues need no gcd.  Each part is an int, Fraction or Unreduced (else TypeError); den is
+    nonzero.  Immutable, since memoized evaluators hand one value to every caller."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
         (a, b), (c, d) = _ratio(num), _ratio(den)
         if not c:
             raise ZeroDivisionError("an Unreduced value needs a nonzero denominator")
-        self.num, self.den = a * d, b * c
+        object.__setattr__(self, "num", a * d)
+        object.__setattr__(self, "den", b * c)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Unreduced values are immutable: {name!r} cannot change")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy rebuild the value through __init__
+        return Unreduced, (self.num, self.den)
 
     def __repr__(self) -> str:  # an integer above 64 bits shows as its bit length
         num, den = (repr(v) if v.bit_length() <= 64 else f"{'-' * (v < 0)}<{v.bit_length()} bits>"

@@ -59,6 +59,8 @@ __all__ = [
     "delta_jet",
 ]
 
+_LEAF = 8  # the most steps a product-tree leaf takes one at a time
+
 
 def _vanishing_lower(b: Fraction, terms: int) -> bool:
     # (b)_k = 0 for some k <= terms  iff  b is an integer in [-(terms-1), 0]
@@ -215,7 +217,7 @@ def _ratio_steps(factors: Sequence[tuple], last: int) -> list:
 def _split(steps: list, lo: int, hi: int, spine: bool) -> tuple:
     # (P, Q, T) of steps[lo:hi] for _ratio_sum.  Nothing reads P on the right spine, so
     # it is not formed there.
-    if hi - lo <= 8:
+    if hi - lo <= _LEAF:
         p, q, t = 1, 1, 0
         for u, v in steps[lo:hi]:
             p *= u
@@ -336,7 +338,30 @@ def dflst_dual(n: int, p: int) -> Unreduced:
 # --- harmonic-weighted sums --------------------------------------------------
 #
 # Each is S0 = sum t_k, S1 = sum t_k g_k, S2 = sum t_k g_k^2 or Sh = sum t_k h_k, g_k and h_k
-# prefix sums of 1/base and 1/base^2: one kernel for integer weights, one for the offset base.
+# prefix sums of 1/base and 1/base^2: a flat kernel for integer weights, a tree for the offset.
+
+
+def _harmonic_split(steps: list, lo: int, hi: int) -> tuple:
+    """(P, W, F, A, C, S0, S1, S2, SC) of steps[lo:hi], each (u, w, f, a, c) taking t to t u/w,
+    g to g + a/f and h to h + c/f^2 from t = 1, g = h = 0: P, W, F = prod u, w, f, A = F sum a/f,
+    C = F^2 sum c/f^2, then sum t, t g, t g^2, t h after each step over W, W F, W F^2, W F^2.
+    Halves combine with no gcd, as in _split."""
+    if hi - lo <= _LEAF:
+        p = w = f = 1
+        a = c = s0 = s1 = s2 = sc = 0
+        for uk, wk, fk, ak, ck in steps[lo:hi]:
+            a, c, p, wf = a * fk + ak * f, c * fk * fk + ck * f * f, p * uk, wk * fk
+            f, w, pa = f * fk, w * wk, p * a
+            s0, s1, s2, sc = s0 * wk + p, s1 * wf + pa, s2 * wf * fk + pa * a, sc * wf * fk + p * c
+        return p, w, f, a, c, s0, s1, s2, sc
+    mid = (lo + hi) // 2
+    p1, w1, f1, a1, c1, s01, s11, s21, sc1 = _harmonic_split(steps, lo, mid)
+    p2, w2, f2, a2, c2, s02, s12, s22, sc2 = _harmonic_split(steps, mid, hi)
+    ff1, ff2, wf, x, y = f1 * f1, f2 * f2, w2 * f2, a1 * f2 * s02, s12 * f1
+    return (p1 * p2, w1 * w2, f1 * f2, a1 * f2 + a2 * f1, c1 * ff2 + c2 * ff1,
+            s01 * w2 + p1 * s02, s11 * wf + p1 * (x + y),
+            s21 * wf * f2 + p1 * (a1 * f2 * (x + 2 * y) + s22 * ff1),
+            sc1 * wf * f2 + p1 * (c1 * s02 * ff2 + sc2 * ff1))
 
 
 def _binomial_sums(n: int, q: int, last: int, scale: int, plus: int, minus: int = 0,
@@ -369,27 +394,16 @@ def _shifted_sums(tp: TheoremParams) -> tuple[int, int, int, int, int]:
 
 @lru_cache(maxsize=2, typed=True)  # so do lemmas and taylor
 def _offset_walk(tp: TheoremParams) -> tuple[int, int, int, int, int]:
-    """(S0, S1, S2, Sh, D) over k = 0..p-q, all over D, for t_k = (c)_k^n/(1)_k^n, c = q - p/n,
-    g_k = sum_{i<k} 1/(c+i) - 1/(1+i) and h_k the same sum of squares.  With e = p - n(q-1) and
-    b = nk - e = n(c+k-1), the step to k multiplies t by (b/(nk))^n and adds e/(bk) to g and
-    e(2nk-e)/(bk)^2 to h: integers over the running D, which gains (nk)^n (bk)^2 a step.  b = 0
-    only at (p, q) = (n, 1), k = 1, where the walk ends: every later term is zero."""
+    """(S0, S1, S2, Sh, D) over k = 0..p-q, all over D = W F^2 of _harmonic_split, for
+    t_k = (c)_k^n/(1)_k^n, c = q - p/n, g_k = sum_{i<k} 1/(c+i) - 1/(1+i) and h_k its squares.
+    With e = p - n(q-1) and b = nk - e = n(c+k-1), step k is (b^n, (nk)^n, bk, e, e(2nk-e)).
+    b = 0 only at (p, q) = (n, 1), k = 1, where the walk ends: every later term is zero."""
     n, q, p = tp.n, tp.q, tp.p
     e = p - n * (q - 1)
-    t = s0 = int(p >= q)
-    tg = tgg = th = s1 = s2 = sh = 0
-    den = 1
-    for k in range(1, p - q + 1):
-        b = n * k - e
-        if not b:
-            break
-        u, f, ff = b**n, b * k, (b * k) ** 2
-        et, ftg, step = e * t, f * tg, (n * k) ** n * ff  # small factors first, each big once
-        t, tg, tgg, th = (t * (u * ff), (ftg + et) * (u * f), (tgg * ff + (2 * ftg + et) * e) * u,
-                          (th * ff + (2 * n * k - e) * et) * u)
-        s0, s1, s2, sh, den = (s0 * step + t, s1 * step + tg, s2 * step + tgg,
-                               sh * step + th, den * step)
-    return s0, s1, s2, sh, den
+    steps = [((n * k - e) ** n, (n * k) ** n, (n * k - e) * k, e, e * (2 * n * k - e))
+             for k in range(1, 1 if p == n * q else p - q + 1)]
+    _, w, f, _, _, s0, s1, s2, sc = _harmonic_split(steps, 0, len(steps))
+    return (w * (p >= q) + s0) * f * f, s1 * f, s2, sc, w * f * f  # no t_0 term when p < q
 
 
 def taylor_values(tp: TheoremParams) -> tuple[Unreduced, Unreduced, Unreduced]:

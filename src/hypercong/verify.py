@@ -65,12 +65,12 @@ __all__ = [
 
 # The largest p of each check, refused before any sum is built.  At each cap one call takes
 # about a minute or less (2 vCPUs, Python 3.11): theorem1 and theorem2 37 s at (4, 1, 200003),
-# sun-e 53 s at 1009, taylor 18 s, lemmas 21 s and identities 5 s at (4, 1, 9973).  Each was
-# timed at exponent 4 (sun-e's is p + 1), so a check with an exponent n or d also refuses p
-# times it above 4 times its cap.  sun-bernoulli, whose p the Bernoulli cap bounds, evaluates
-# the theorem1 sum and has its cap.
+# sun-e 53 s at 1009, and at (4, 1, p) taylor 61 s and 37 MB peak RSS at 29989, lemmas 65 s and
+# 32 MB at 24989, identities 5 s at 9973.  Each was timed at exponent 4 (sun-e's is p + 1), so
+# a check with an exponent n or d also refuses p times it above 4 times its cap.  sun-bernoulli,
+# whose p the Bernoulli cap bounds, evaluates the theorem1 sum and has its cap.
 P_CAPS = {"theorem1": 250_000, "theorem2": 250_000, "guo": 250_000, "sun-e": 1100,
-          "sun-bernoulli": 250_000, "taylor": 10**4, "lemmas": 10**4, "identities": 10**4}
+          "sun-bernoulli": 250_000, "taylor": 30_000, "lemmas": 25_000, "identities": 10**4}
 
 
 # A check: its verify function's positional parameters and name (looked up at call time,
@@ -158,7 +158,7 @@ class CongruenceReport:
 def check_congruence(lhs, rhs, m: PrimePowerModulus, *, check_id: str = "congruence",
                      params: dict | None = None) -> CongruenceReport:
     """Compare lhs and rhs mod p^k; verdict holds iff ord_p(lhs - rhs) >= k."""
-    diff = Unreduced(lhs) - rhs  # each an int, Fraction or Unreduced; never reduced
+    diff = (lhs if isinstance(lhs, Unreduced) else Unreduced(lhs)) - rhs  # never reduced
     achieved = diff.ord(m.p)
     params = dict(params or {})
     if achieved < 0:
@@ -171,7 +171,7 @@ def check_congruence(lhs, rhs, m: PrimePowerModulus, *, check_id: str = "congrue
 def _exact_report(values, p: int, check_id: str, params: dict) -> CongruenceReport:
     # Exact identity: every value must be the rational zero.  The valuation is
     # the least over the values, inf when there are none.
-    values = [Unreduced(v) for v in values]
+    values = [v if isinstance(v, Unreduced) else Unreduced(v) for v in values]
     achieved = min((v.ord(p) for v in values), default=math.inf)
     verdict = Verdict.FAILS if any(values) else Verdict.HOLDS
     return CongruenceReport(check_id, dict(params), math.inf, achieved, None, verdict)

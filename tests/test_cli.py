@@ -484,7 +484,8 @@ def test_lemmas_and_identities_refuse_p_above_their_cap(monkeypatch, capsys):
         start = time.perf_counter()
         assert main(["verify", check, "--n", "4", "--q", "1", "--p", "100003"]) == 2
         assert time.perf_counter() - start < 1
-        assert f"p = 100003 exceeds the {check} cap 10000" in capsys.readouterr().err
+        cap = {"lemmas": 25000, "identities": 10000}[check]
+        assert f"p = 100003 exceeds the {check} cap {cap}" in capsys.readouterr().err
     monkeypatch.undo()
     for check in ("lemmas", "identities"):
         monkeypatch.setitem(verify.P_CAPS, check, 13)
@@ -496,7 +497,7 @@ def test_lemmas_and_identities_refuse_p_above_their_cap(monkeypatch, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["theorem1", "--n", "3", "--q", "2", "--p", "1000003"],
      "p = 1000003 exceeds the theorem1 cap 250000"),
-    (["lemmas", "--n", "3", "--q", "2", "--p", "10007"], "p = 10007 exceeds the lemmas cap 10000"),
+    (["lemmas", "--n", "3", "--q", "2", "--p", "25013"], "p = 25013 exceeds the lemmas cap 25000"),
 ], ids=["theorem1", "lemmas"])
 def test_an_exploratory_verify_refuses_p_above_a_cap(capsys, argv, message):
     # n = 3, q = 2 breaks the parity hypothesis; a cap refuses the tuple all the same.

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -144,6 +146,18 @@ def test_unreduced_subtracts_and_compares_without_reducing():
     assert not Unreduced(0, 12) and Unreduced(-1, 12)
     assert not a - F(3, 2)
     assert (Unreduced(-3, -9).num, Unreduced(-3, -9).den) == (-3, -9)
+
+
+def test_unreduced_values_are_immutable_and_copy_as_values():
+    value = Unreduced(6, 4)
+    for name in ("num", "den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert (value.num, value.den) == (6, 4)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is Unreduced and (twin.num, twin.den) == (6, 4)
 
 
 def test_unreduced_repr_shows_the_pair_and_elides_wide_integers():

@@ -4,9 +4,12 @@ import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercong.errors import (
     NotTerminating,
@@ -493,6 +496,43 @@ def test_harmonic_sums_at_a_zero_base_and_with_no_terms():
     # At p = n, q = 1 the Delta walk stops before step 1: its Taylor value is term 0.
     assert taylor_values(TheoremParams(3, 1, 3, exploratory=True))[2] == 1
     assert taylor_values(TheoremParams(3, 100000, 5, exploratory=True)) == (0, 0, 0)
+
+
+# Steps (u, w, f, a, c) of the offset walk's product tree: u and w nonzero, f positive.
+_nonzero = st.integers(-999, 999).filter(bool)
+harmonic_steps = st.lists(st.tuples(_nonzero, _nonzero, st.integers(1, 99),
+                                    st.integers(-999, 999), st.integers(-999, 999)), max_size=40)
+
+
+def _folded_node(steps):
+    """What series._harmonic_split must give for steps, from a Fraction fold: t, g and h
+    start at 1, 0, 0; each step takes t to t u/w, g to g + a/f and h to h + c/f^2, and the
+    sums of t, t g, t g^2 and t h are taken after each step."""
+    t, g, h, sums = F(1), F(0), F(0), [F(0)] * 4
+    for u, w, f, a, c in steps:
+        t, g, h = t * F(u, w), g + F(a, f), h + F(c, f * f)
+        sums = [s + v for s, v in zip(sums, (t, t * g, t * g * g, t * h))]
+    return g, h, sums
+
+
+@settings(max_examples=150)
+@given(harmonic_steps)
+def test_the_offset_walk_node_equals_a_fraction_fold(steps):
+    p, w, f, a, c, s0, s1, s2, sc = series._harmonic_split(steps, 0, len(steps))
+    g, h, sums = _folded_node(steps)
+    assert (p, w, f) == tuple(prod(step[i] for step in steps) for i in range(3))
+    assert (F(a, f), F(c, f * f)) == (g, h)
+    assert [F(s0, w), F(s1, w * f), F(s2, w * f * f), F(sc, w * f * f)] == sums
+
+
+@settings(max_examples=100)
+@given(harmonic_steps)
+def test_the_offset_walk_node_does_not_depend_on_where_ranges_split(steps):
+    # Every part is an integer over a fixed product, so each leaf size gives the same nine.
+    expected = series._harmonic_split(steps, 0, len(steps))
+    for leaf in (1, 2, 3):
+        with patch.object(series, "_LEAF", leaf):
+            assert series._harmonic_split(steps, 0, len(steps)) == expected, leaf
 
 
 def test_delta_jet_zero_base_is_a_degree_shift():

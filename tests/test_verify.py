@@ -110,6 +110,19 @@ def test_reports_are_frozen_values():
         report.check_id = "other"
 
 
+def test_a_caller_cannot_change_a_memoized_sum():
+    # lhs_theorem1 hands its kept sum to every caller: setting its num to 0 once made the
+    # next verify_theorem1 at (4, 1, 23) report order inf where it reports 5.
+    tp = TheoremParams(4, 1, 23)
+    before = verify_theorem1(tp)
+    value = lhs_theorem1(tp)
+    assert lhs_theorem1(tp) is value
+    for name in ("num", "den"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    assert verify_theorem1(tp) == before and before.achieved_ord == 5
+
+
 def test_verdict_iff_valuation_reaches_requirement():
     rng = random.Random(7)
     for _ in range(100):
