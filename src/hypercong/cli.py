@@ -128,32 +128,33 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
     verify._check_p_caps({name: axis[-1] for name, axis in axes.items() if axis}, *spec.check_ids)
     # One TheoremParams per triple, shared by its checks, owns the hypotheses.
     triple = functools.cache(lambda n, q, p: TheoremParams(n, q, p, exploratory=True))
-    # Tuple-major: the checks of one point run back to back, in CHECKS order, so the sums they
-    # share are built once (series keeps its last few).  Reports are sorted, so bytes hold.
+    # Point-major: the checks whose sums sit at one (n, q, p) run back to back, in CHECKS order,
+    # so each sum is built once (series keeps its last few).  Reports are sorted: bytes hold.
     by_point = {}
-    for check, (names, _, _, domain) in checks.items():
-        for args in itertools.product(*(axes[name] for name in names)):
-            if not domain(*args):
+    for check, c in checks.items():
+        for args in itertools.product(*(axes[name] for name in c.params)):
+            if not c.domain(*args):
                 continue
-            if names == _TRIPLE:
+            point = c.point(*args)
+            if c.params == _TRIPLE:
                 args = (triple(*args),)
                 if not (spec.exploratory or args[0].in_hypothesis):
                     continue
-            by_point.setdefault((names, args), []).append((check, args))
+            by_point.setdefault(point, []).append((check, args))
     return [unit for units in by_point.values() for unit in units]
 
 
 def _run_unit(unit: tuple) -> list[CongruenceReport]:
     check, args = unit
-    names, function, required, _ = verify.CHECKS[check]
+    c = verify.CHECKS[check]
     try:
-        result = getattr(verify, function)(*args)
+        result = getattr(verify, c.function)(*args)
     except HypercongError as exc:
-        if names != _TRIPLE or args[0].in_hypothesis or isinstance(exc, CapExceeded):
+        if c.params != _TRIPLE or args[0].in_hypothesis or isinstance(exc, CapExceeded):
             raise
         # Exploratory tuple the evaluators cannot even express: record the
         # attempt rather than dropping the grid point.  A p above a cap still exits 2.
-        return [CongruenceReport(check, args[0].as_params(), required, None, None,
+        return [CongruenceReport(check, args[0].as_params(), c.required_ord, None, None,
                                  Verdict.HYPOTHESIS_VIOLATED)]
     return list(result) if isinstance(result, (list, tuple)) else [result]
 

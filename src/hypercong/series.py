@@ -39,16 +39,12 @@ __all__ = [
     "psi_value",
     "phi_value",
     "delta_value",
+    "theorem_sum",
     "lhs_theorem1",
     "lhs_theorem2",
     "dual_reduction_sum",
     "theorem2_prefactor",
     "reflection_differences",
-    "guo_sum",
-    "sun_e_sum",
-    "sun_bernoulli_lhs",
-    "dflst_sum",
-    "dflst_dual",
     "taylor_values",
     "second_order_sum",
     "lemma_sums",
@@ -229,8 +225,8 @@ def _split(steps: list, lo: int, hi: int, spine: bool) -> tuple:
     return None if spine else p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-# The five checks of a grid tuple read six sums.  typed: a float last or first, as in
-# guo_sum(4, 23.0), is another key than its integer twin, and is refused as on a cold call.
+# A grid tuple's checks read six sums, guo, sun-e and sun-bernoulli none of their own.  typed:
+# a float last or first is another key than its integer twin, and is refused as on a cold call.
 @lru_cache(maxsize=8, typed=True)
 def _ratio_sum(factors: tuple, last: int, first: int = 1) -> Unreduced:
     """sum_{k=0}^{last} t_k for the walk of ``_ratio_steps`` started at t_0 = first.
@@ -265,15 +261,27 @@ def delta_value(tp: TheoremParams, x) -> Unreduced:
     return _ratio_sum(((offset, tp.n), (1 + x, -tp.n)), tp.p - tp.q)
 
 
+def _theorem_factors(n: int, q: int, p: int, dual: bool) -> tuple:
+    # The only statement of either theorem walk: (q - p/n + k)^n / (1 + k)^n, or the dual's.
+    return ((1, n), (Fraction(p, n) - q + 2, -n)) if dual else ((q - Fraction(p, n), n), (1, -n))
+
+
+def theorem_sum(n: int, q: int, p: int, dual: bool = False) -> Unreduced:
+    """sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n, or with dual p^n sum_{k=0}^{p-1} (1)_k^n /
+    (p/n - q + 2)_k^n.  Plain ints: no TheoremParams holds sun-bernoulli's n = 1 or 2.  The
+    guo, sun-e, sun-bernoulli and dflst sums are these at the points of verify.CHECKS."""
+    factors = _theorem_factors(n, q, p, dual)
+    return _ratio_sum(factors, p - 1, p**n) if dual else _ratio_sum(factors, p - 1)
+
+
 def lhs_theorem1(tp: TheoremParams) -> Unreduced:
     """Full sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n."""
-    return _ratio_sum(((tp.q - Fraction(tp.p, tp.n), tp.n), (1, -tp.n)), tp.p - 1)
+    return theorem_sum(tp.n, tp.q, tp.p)
 
 
 def lhs_theorem2(tp: TheoremParams) -> Unreduced:
     """p^n * sum_{k=0}^{p-1} (1)_k^n / (p/n - q + 2)_k^n."""
-    base = Fraction(tp.p, tp.n) - tp.q + 2
-    return _ratio_sum(((1, tp.n), (base, -tp.n)), tp.p - 1, tp.p**tp.n)
+    return theorem_sum(tp.n, tp.q, tp.p, dual=True)
 
 
 def dual_reduction_sum(tp: TheoremParams) -> Unreduced:
@@ -284,8 +292,7 @@ def dual_reduction_sum(tp: TheoremParams) -> Unreduced:
 
 def theorem2_prefactor(tp: TheoremParams) -> Unreduced:
     """p^n (1)_{p-1}^n / (p/n - q + 2)_{p-1}^n, the unit carried by reflection."""
-    base = Fraction(tp.p, tp.n) - tp.q + 2
-    steps = _ratio_steps([(1, tp.n), (base, -tp.n)], tp.p - 1)
+    steps = _ratio_steps(_theorem_factors(tp.n, tp.q, tp.p, True), tp.p - 1)
     top, bottom, _ = _split(steps, 0, len(steps), False)
     return Unreduced(tp.p**tp.n * top, bottom)
 
@@ -308,31 +315,6 @@ def reflection_differences(tp: TheoremParams) -> tuple[Fraction, ...]:
     tl, tr = ([*accumulate(steps, lambda t, s: t * s[0] / s[1], initial=Fraction(1)),
                *[0] * (p - 1 - len(steps))] for steps in (left, right))
     return tuple(x - tl[-1] * y for x, y in zip(tl, reversed(tr)))
-
-
-def guo_sum(d: int, p: int) -> Unreduced:
-    """sum_{k=0}^{p-1} (1/d)_k^d / k!^d."""
-    return _ratio_sum(((Fraction(1, d), d), (1, -d)), p - 1)
-
-
-def sun_e_sum(p: int) -> Unreduced:
-    """sum_{k=0}^{p-1} (1/(p+1))_k^{p+1} / k!^{p+1}."""
-    return _ratio_sum(((Fraction(1, p + 1), p + 1), (1, -p - 1)), p - 1)
-
-
-def sun_bernoulli_lhs(p: int, n: int) -> Unreduced:
-    """sum_{k=0}^{p-1} (1 - p/n)_k^n / (1)_k^n."""
-    return _ratio_sum(((1 - Fraction(p, n), n), (1, -n)), p - 1)
-
-
-def dflst_sum(n: int, p: int) -> Unreduced:
-    """sum_{k=0}^{p-1} (1 - 1/n)_k^n / (1)_k^n."""
-    return _ratio_sum(((1 - Fraction(1, n), n), (1, -n)), p - 1)
-
-
-def dflst_dual(n: int, p: int) -> Unreduced:
-    """p^n * sum_{k=0}^{p-1} (1)_k^n / (1 + 1/n)_k^n."""
-    return _ratio_sum(((1, n), (1 + Fraction(1, n), -n)), p - 1, p**n)
 
 
 # --- harmonic-weighted sums --------------------------------------------------
@@ -365,12 +347,12 @@ def _harmonic_split(steps: list, lo: int, hi: int) -> tuple:
 
 
 def _binomial_sums(n: int, q: int, last: int, scale: int, plus: int, minus: int = 0,
-                   g: int = 0, h: int = 0, top: int | None = None) -> tuple[int, int, int, int]:
+                   top: int | None = None) -> tuple[int, int, int, int]:
     """(S0, S1, S2, Sh) over k = 0..last, integers over 1, L, L^2 and L^2 for L = scale, with
-    t_k = C(q+k-1, k)^n, times (-1)^k C(top, k) if top is given.  g and h start at the given
-    integers; with a = L/(plus+k-1) and b = L/(minus+k-1), or b = 0 if minus is 0, the step
-    to k adds a - b to g and a^2 - b^2 to h.  Each of those bases must divide L."""
-    s0 = s1 = s2 = sh = 0
+    t_k = C(q+k-1, k)^n, times (-1)^k C(top, k) if top is given.  g and h start at 0; with
+    a = L/(plus+k-1) and b = L/(minus+k-1), or b = 0 if minus is 0, the step to k adds a - b
+    to g and a^2 - b^2 to h.  Each of those bases must divide L."""
+    s0 = s1 = s2 = sh = g = h = 0
     c = d = 1  # C(q+k-1, k) and (-1)^k C(top, k), by their exact recurrences
     for k in range(last + 1):
         if k:
@@ -385,7 +367,7 @@ def _binomial_sums(n: int, q: int, last: int, scale: int, plus: int, minus: int 
     return s0, s1, s2, sh
 
 
-@lru_cache(maxsize=2, typed=True)  # taylor and identities read one tuple's sums in turn
+@lru_cache(maxsize=2, typed=True)  # lemmas, taylor and identities read one tuple's in turn
 def _shifted_sums(tp: TheoremParams) -> tuple[int, int, int, int, int]:
     # (q-x)_k/(q)_k = exp(-x g - x^2 h/2 - ...), g and h summing 1/(q+i)^(1, 2), i < k.
     scale = lcm(*range(tp.q, tp.p))
@@ -434,7 +416,10 @@ def lemma_sums(tp: TheoremParams) -> tuple[Unreduced, ...]:
     scale = lcm(*range(1, p))
     head = [scale // j for j in range(1, q)] if q <= p else []  # no weights at q > p
     g, h = sum(head), sum(v * v for v in head)
-    s0, s1, s2, sh = _binomial_sums(n, q, p - q, scale, q, g=g, h=h)  # H_{q+k-1}
+    # H_{q+k-1} = H_{q-1} + the shifted sums' g over L' = lcm(q..p-1), and L = r L'.
+    s0, t1, t2, th, shifted = _shifted_sums(tp)
+    r = scale // shifted
+    s1, s2, sh = g * s0 + r * t1, g * g * s0 + 2 * g * r * t1 + r * r * t2, h * s0 + r * r * th
     _, a1, a2, ah = _binomial_sums(n, q, p - q, scale, 1)  # H_k
     _, o1, o2, _, den = _offset_walk(tp)
     return (*(Unreduced(v, scale**2) for v in (h * s0, sh, ah)), Unreduced(a1 - s1, scale),

@@ -31,10 +31,7 @@ from .padic import (
 from .series import (
     TheoremParams,
     delta_value,
-    dflst_dual,
-    dflst_sum,
     dual_reduction_sum,
-    guo_sum,
     lemma_sums,
     lhs_theorem1,
     lhs_theorem2,
@@ -42,9 +39,8 @@ from .series import (
     psi_value,
     reflection_differences,
     second_order_sum,
-    sun_bernoulli_lhs,
-    sun_e_sum,
     taylor_values,
+    theorem_sum,
     upsilon_coefficients,
 )
 
@@ -75,8 +71,9 @@ P_CAPS = {"theorem1": 250_000, "theorem2": 250_000, "guo": 250_000, "sun-e": 110
 
 # A check: its verify function's positional parameters and name (looked up at call time,
 # so a wrapper installed here is seen), the required_ord of the bare report an inexpressible
-# exploratory tuple gets, and its domain: given those arguments, is the check defined.
-Check = namedtuple("Check", "params function required_ord domain")
+# exploratory tuple gets, its domain: given those arguments, is the check defined, and its
+# point: the (n, q, p) of the theorem sum it reads (series.theorem_sum), or of its tuple.
+Check = namedtuple("Check", "params function required_ord domain point")
 _TRIPLE = ("n", "q", "p")
 
 
@@ -84,19 +81,27 @@ def _triple_domain(n, q, p):
     return n > 2  # TheoremParams owns the rest; every grid axis starts at 1, so q > 0
 
 
+def _triple_point(n, q, p):
+    return n, q, p
+
+
 CHECKS = {
-    "theorem1": Check(_TRIPLE, "verify_theorem1", 3, _triple_domain),
-    "theorem2": Check(_TRIPLE, "verify_theorem2", 3, _triple_domain),
+    "theorem1": Check(_TRIPLE, "verify_theorem1", 3, _triple_domain, _triple_point),
+    "theorem2": Check(_TRIPLE, "verify_theorem2", 3, _triple_domain, _triple_point),
     "guo": Check(("d", "p"), "verify_guo", 3,
-                 lambda d, p: d >= 4 and d % 2 == 0 and (p + 1) % d == 0 and is_prime(p)),
-    "sun-e": Check(("p",), "verify_sun_e", 5, lambda p: p > 3 and is_prime(p)),
+                 lambda d, p: d >= 4 and d % 2 == 0 and (p + 1) % d == 0 and is_prime(p),
+                 lambda d, p: (d, (p + 1) // d, p)),
+    "sun-e": Check(("p",), "verify_sun_e", 5, lambda p: p > 3 and is_prime(p),
+                   lambda p: (p + 1, 1, p)),
     "sun-bernoulli": Check(("p", "n"), "verify_sun_bernoulli", 5,
-                           lambda p, n: p > 3 and n >= 1 and n % p != 0 and is_prime(p)),
+                           lambda p, n: p > 3 and n >= 1 and n % p != 0 and is_prime(p),
+                           lambda p, n: (n, 1, p)),
     "dflst": Check(("n", "p"), "verify_dflst_pair", 3, lambda n, p: n >= 3 and p % n == 1
-                   and p**3 <= padic.MORITA_CAP and is_prime(p)),
-    "lemmas": Check(_TRIPLE, "verify_lemma_suite", 1, _triple_domain),
-    "taylor": Check(_TRIPLE, "verify_taylor", 3, _triple_domain),
-    "identities": Check(_TRIPLE, "verify_exact_identities", 3, _triple_domain),
+                   and p**3 <= padic.MORITA_CAP and is_prime(p),
+                   lambda n, p: (n, (p - 1) // n + 1, p)),
+    "lemmas": Check(_TRIPLE, "verify_lemma_suite", 1, _triple_domain, _triple_point),
+    "taylor": Check(_TRIPLE, "verify_taylor", 3, _triple_domain, _triple_point),
+    "identities": Check(_TRIPLE, "verify_exact_identities", 3, _triple_domain, _triple_point),
 }
 
 
@@ -187,16 +192,14 @@ def _tag(report: CongruenceReport, tp: TheoremParams) -> CongruenceReport:
 def verify_theorem1(tp: TheoremParams) -> CongruenceReport:
     """sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n = 0 (mod p^3)."""
     _check_p_caps(tp.as_params(), "theorem1")
-    m = PrimePowerModulus(tp.p, 3)
-    return _tag(check_congruence(lhs_theorem1(tp), 0, m,
+    return _tag(check_congruence(lhs_theorem1(tp), 0, PrimePowerModulus(tp.p, 3),
                                  check_id="theorem1", params=tp.as_params()), tp)
 
 
 def verify_theorem2(tp: TheoremParams) -> CongruenceReport:
     """p^n sum_{k=0}^{p-1} (1)_k^n / (p/n - q + 2)_k^n = 0 (mod p^3)."""
     _check_p_caps(tp.as_params(), "theorem2")
-    m = PrimePowerModulus(tp.p, 3)
-    return _tag(check_congruence(lhs_theorem2(tp), 0, m,
+    return _tag(check_congruence(lhs_theorem2(tp), 0, PrimePowerModulus(tp.p, 3),
                                  check_id="theorem2", params=tp.as_params()), tp)
 
 
@@ -204,11 +207,11 @@ def verify_guo(d: int, p: int) -> CongruenceReport:
     """sum_{k=0}^{p-1} (1/d)_k^d / k!^d = 0 (mod p^3) for even d >= 4, p = -1 (mod d).
 
     The sum is exactly the theorem1 left side at n = d, q = (p+1)/d, which is
-    how the congruence is proved; the tests pin that equality.
+    how the congruence is proved, and is read there.
     """
     _refuse_outside_domain("guo", "an even d >= 4 and a prime p = -1 (mod d)", d, p)
     _check_p_caps({"d": d, "p": p}, "guo")
-    return check_congruence(guo_sum(d, p), 0, PrimePowerModulus(p, 3),
+    return check_congruence(theorem_sum(*CHECKS["guo"].point(d, p)), 0, PrimePowerModulus(p, 3),
                             check_id="guo", params={"d": d, "p": p})
 
 
@@ -216,7 +219,7 @@ def verify_sun_e(p: int) -> CongruenceReport:
     """sum_{k=0}^{p-1} (1/(p+1))_k^{p+1} / k!^{p+1} = 0 (mod p^5) for p > 3."""
     _refuse_outside_domain("sun-e", "a prime p > 3", p)
     _check_p_caps({"p": p}, "sun-e")
-    return check_congruence(sun_e_sum(p), 0, PrimePowerModulus(p, 5),
+    return check_congruence(theorem_sum(*CHECKS["sun-e"].point(p)), 0, PrimePowerModulus(p, 5),
                             check_id="sun-e", params={"p": p})
 
 
@@ -225,8 +228,9 @@ def verify_sun_bernoulli(p: int, n: int) -> CongruenceReport:
     _refuse_outside_domain("sun-bernoulli", "a prime p > 3 and a positive n coprime to p", p, n)
     _check_p_caps({"p": p, "n": n}, "sun-bernoulli")
     rhs = Fraction((n - 1) * (7 * n - 5), 36 * n * n) * Fraction(p) ** 4 * bernoulli(p - 3)
-    return check_congruence(sun_bernoulli_lhs(p, n), rhs, PrimePowerModulus(p, 5),
-                            check_id="sun-bernoulli", params={"p": p, "n": n})
+    lhs = theorem_sum(*CHECKS["sun-bernoulli"].point(p, n))
+    return check_congruence(lhs, rhs, PrimePowerModulus(p, 5), check_id="sun-bernoulli",
+                            params={"p": p, "n": n})
 
 
 def verify_dflst_pair(n: int, p: int) -> tuple[CongruenceReport, CongruenceReport]:
@@ -243,8 +247,8 @@ def verify_dflst_pair(n: int, p: int) -> tuple[CongruenceReport, CongruenceRepor
     m = PrimePowerModulus(p, 3)
     gamma = morita_gamma(Fraction(1, n), m).value
     rhs = -pow(gamma, n, m.modulus) % m.modulus
-    params = {"n": n, "p": p}
-    sums = {"dflst/sum": dflst_sum(n, p), "dflst/dual": dflst_dual(n, p)}
+    point, params = CHECKS["dflst"].point(n, p), {"n": n, "p": p}
+    sums = {"dflst/sum": theorem_sum(*point), "dflst/dual": theorem_sum(*point, dual=True)}
     return tuple(check_congruence(v, rhs, m, check_id=c, params=params) for c, v in sums.items())
 
 

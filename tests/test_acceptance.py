@@ -28,6 +28,7 @@ from hypercong.padic import (
 )
 from hypercong.series import TheoremParams, karlsson_minton_sum, lhs_theorem1
 from hypercong.verify import (
+    CHECKS,
     Verdict,
     verify_dflst_pair,
     verify_exact_identities,
@@ -102,10 +103,12 @@ def test_criterion_03_guo_conjecture():
                 continue
             count += 1
             report = verify_guo(d, p)
-            reduction = lhs_theorem1(TheoremParams(d, (p + 1) // d, p, exploratory=True))
-            from hypercong.series import guo_sum
-
-            ok = ok and report.verdict is Verdict.HOLDS and guo_sum(d, p) == reduction
+            reduction = lhs_theorem1(TheoremParams(*CHECKS["guo"].point(d, p), exploratory=True))
+            # Guo's own sum, sum_{k<p} (1/d)_k^d / k!^d, by its term ratio (1/d + k)^d / (1 + k)^d
+            guo, term = Fraction(0), Fraction(1)
+            for k in range(p):
+                guo, term = guo + term, term * ((Fraction(1, d) + k) / (1 + k)) ** d
+            ok = ok and report.verdict is Verdict.HOLDS and guo == reduction
     _criterion(3, f"guo congruence + exact theorem1 reduction on {count} instances", ok)
 
 

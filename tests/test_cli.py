@@ -403,7 +403,7 @@ def test_triple_units_follow_the_parity_and_range_hypotheses():
 
 
 def test_the_triple_checks_of_one_tuple_share_one_theorem_params():
-    triple_checks = [c for c in CHECK_NAMES if verify.CHECKS[c][0] == ("n", "q", "p")]
+    triple_checks = [c for c in CHECK_NAMES if verify.CHECKS[c].params == ("n", "q", "p")]
     assert len(triple_checks) == 5
     units = cli._expand_units(spec_for(CHECK_NAMES, n_range=(3, 5), q_range=(1, 3),
                                        p_max=31, exploratory=True))
@@ -419,8 +419,8 @@ def test_the_triple_checks_of_one_tuple_share_one_theorem_params():
 @pytest.mark.parametrize("check,names", [("guo", "dp"), ("sun-e", "p"),
                                          ("sun-bernoulli", "pn"), ("dflst", "np")])
 def test_grid_predicates_keep_exactly_the_points_verify_accepts(check, names):
-    _, fn_name, _, keep = verify.CHECKS[check]
-    run = getattr(verify, fn_name)
+    keep = verify.CHECKS[check].domain
+    run = getattr(verify, verify.CHECKS[check].function)
     points = {tuple({"p": p, "n": m, "d": m}[name] for name in names)
               for m, p in itertools.product(range(1, 13), primes_upto(61))}
     for args in sorted(points):
@@ -674,7 +674,7 @@ def test_checks_refuse_p_above_their_cap_before_any_sum(monkeypatch, capsys, arg
     def never(*args):
         raise AssertionError("a sum was evaluated above the cap")
 
-    for name in ("lhs_theorem1", "lhs_theorem2", "guo_sum", "sun_e_sum", "taylor_values"):
+    for name in ("lhs_theorem1", "lhs_theorem2", "theorem_sum", "taylor_values"):
         monkeypatch.setattr(verify, name, never)
     check = argv[0]
     start = time.perf_counter()
@@ -708,8 +708,7 @@ def test_p_times_the_exponent_above_a_cap_is_refused_before_any_sum(
     def never(*args):
         raise AssertionError("a sum was evaluated above the cap")
 
-    for name in ("lhs_theorem1", "guo_sum", "sun_bernoulli_lhs", "bernoulli", "taylor_values",
-                 "psi_value"):
+    for name in ("lhs_theorem1", "theorem_sum", "bernoulli", "taylor_values", "psi_value"):
         monkeypatch.setattr(verify, name, never)
     start = time.perf_counter()
     assert main(argv) == 2
@@ -719,7 +718,7 @@ def test_p_times_the_exponent_above_a_cap_is_refused_before_any_sum(
 
 
 def test_guo_at_d_p_plus_1_is_refused_no_later_than_sun_e(capsys):
-    # guo(p + 1, p) is sun_e_sum(p), and p (p + 1) grows with p: every p above the sun-e cap
+    # guo(p + 1, p) reads the sun-e sum, and p (p + 1) grows with p: every p above the sun-e cap
     # has p (p + 1) above 4 times the guo cap.  1103 is the first prime above 1100.
     cap = verify.P_CAPS["sun-e"]
     assert (cap + 1) * (cap + 2) > 4 * verify.P_CAPS["guo"]

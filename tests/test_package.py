@@ -22,16 +22,18 @@ def test_the_exact_values_and_the_command_line_are_package_names():
     from hypercong import (  # noqa: F401
         CHECK_NAMES,
         Unreduced,
-        dflst_dual,
-        dflst_sum,
         lemma_sums,
         main,
         reflection_differences,
         second_order_sum,
         taylor_values,
+        theorem_sum,
         upsilon_coefficients,
     )
-    assert Unreduced is padic.Unreduced and main is cli.main
+    assert Unreduced is padic.Unreduced and main is cli.main and theorem_sum is series.theorem_sum
+    # Each of these sums is theorem_sum at its check's point in verify.CHECKS.
+    for gone in ("guo_sum", "sun_e_sum", "sun_bernoulli_lhs", "dflst_sum", "dflst_dual"):
+        assert not hasattr(series, gone) and not hasattr(hypercong, gone), gone
 
 
 def test_no_cap_is_a_package_attribute():

@@ -22,15 +22,13 @@ from hypercong.cli import CHECK_NAMES, SweepSpec, primes_upto, run_sweep
 from hypercong.exact_core import ShiftedSumSpec, harmonic, pochhammer, shifted_power_sum
 from hypercong.jets import MAX_DEGREE_CAP, Jet2, pochhammer_jet
 from hypercong.padic import PrimePowerModulus, Unreduced, ord_rational, reduce_mod
+from hypercong.verify import CHECKS
 from hypercong.series import (
     HyperSeriesSpec,
     TheoremParams,
     delta_jet,
     delta_value,
-    dflst_dual,
-    dflst_sum,
     dual_reduction_sum,
-    guo_sum,
     karlsson_minton_sum,
     lhs_theorem1,
     lhs_theorem2,
@@ -38,10 +36,9 @@ from hypercong.series import (
     phi_value,
     psi_jet,
     psi_value,
-    sun_bernoulli_lhs,
-    sun_e_sum,
     taylor_values,
     theorem2_prefactor,
+    theorem_sum,
     truncated_pfq,
     upsilon_coefficients,
     upsilon_jet,
@@ -57,6 +54,11 @@ F = Fraction
 def _fraction(value):
     """The reduced value of an evaluator's exact Unreduced pair."""
     return F(value.num, value.den)
+
+
+def _at(check, *args, dual=False):
+    """The theorem sum a check reads, at its point in verify.CHECKS."""
+    return theorem_sum(*CHECKS[check].point(*args), dual=dual)
 
 
 # --- truncated series --------------------------------------------------------
@@ -255,19 +257,23 @@ def test_lhs_theorem1_is_a_pfq_specialization(n, q, p):
 
 
 def test_named_sums_are_pfq_specializations():
-    # dual route: the incremental evaluators against per-term products
+    # dual route: the theorem sums at each check's point against per-term products
     d, p = 4, 7
     spec = HyperSeriesSpec((F(1, d),) * d, (F(1),) * (d - 1), F(1), p - 1)
-    assert guo_sum(d, p) == truncated_pfq(spec)
+    assert _at("guo", d, p) == truncated_pfq(spec)
     p = 5
     spec = HyperSeriesSpec((F(1, p + 1),) * (p + 1), (F(1),) * p, F(1), p - 1)
-    assert sun_e_sum(p) == truncated_pfq(spec)
+    assert _at("sun-e", p) == truncated_pfq(spec)
+    # sun-bernoulli's n = 1 and 2, which no TheoremParams holds
+    for n, p in ((1, 7), (2, 7), (5, 11)):
+        spec = HyperSeriesSpec((1 - F(p, n),) * n, (F(1),) * (n - 1), F(1), p - 1)
+        assert _at("sun-bernoulli", p, n) == truncated_pfq(spec)
     n, p = 3, 7
     spec = HyperSeriesSpec((1 - F(1, n),) * n, (F(1),) * (n - 1), F(1), p - 1)
-    assert dflst_sum(n, p) == truncated_pfq(spec)
+    assert _at("dflst", n, p) == truncated_pfq(spec)
     # one extra upper 1 absorbs the k! of the pfq normalization
     spec = HyperSeriesSpec((F(1),) * (n + 1), (1 + F(1, n),) * n, F(1), p - 1)
-    assert dflst_dual(n, p) == F(p) ** n * truncated_pfq(spec)
+    assert _at("dflst", n, p, dual=True) == F(p) ** n * truncated_pfq(spec)
 
 
 def test_delta_value_rejects_vanishing_denominator():
@@ -355,13 +361,15 @@ def test_upsilon_first_and_second_order_consequences_vanish():
 
 
 def test_guo_sum_equals_theorem1_sum_over_the_grid():
-    # guo_sum(d, p) is the theorem1 left side at n = d, q = (p+1)/d.
+    # Guo's sum, by its own factor list (1/d + k)^d / (1 + k)^d, is the theorem1 left side
+    # at the guo point of verify.CHECKS, n = d, q = (p+1)/d.
     count = 0
     for d in (4, 6, 8):
         for p in primes_upto(97):
             if (p + 1) % d == 0:
-                tp = TheoremParams(d, (p + 1) // d, p, exploratory=True)
-                assert guo_sum(d, p) == lhs_theorem1(tp)
+                tp = TheoremParams(*CHECKS["guo"].point(d, p), exploratory=True)
+                assert (tp.n, tp.q) == (d, (p + 1) // d)
+                assert _stepwise_sum(((F(1, d), d), (1, -d)), p - 1) == lhs_theorem1(tp)
                 count += 1
     assert count > 15
 
@@ -596,8 +604,10 @@ def test_kernel_evaluators_equal_truncated_pfq(n, q, p):
         (lambda: lhs_theorem1(tp), [c] * n, [F(1)] * n, p - 1),
         (lambda: _fraction(lhs_theorem2(tp)) / F(p) ** n, [F(1)] * n, [b] * n, p - 1),
         (lambda: dual_reduction_sum(tp), [c - p] * n, [F(1 - p)] * n, p - 1),
-        (lambda: sun_bernoulli_lhs(p, n), [1 - F(p, n)] * n, [F(1)] * n, p - 1),
-        (lambda: guo_sum(2 * n, p), [F(1, 2 * n)] * (2 * n), [F(1)] * (2 * n), p - 1),
+        (lambda: _at("sun-bernoulli", p, n), [1 - F(p, n)] * n, [F(1)] * n, p - 1),
+        # Guo's sum at every p: q = (p+1)/(2n), where it is no integer, as a rational.
+        (lambda: theorem_sum(2 * n, F(p + 1, 2 * n), p), [F(1, 2 * n)] * (2 * n),
+         [F(1)] * (2 * n), p - 1),
     ]
     for value_fn, upper, lower, last in cases:
         _assert_matches_oracle(value_fn, upper, lower, last)
@@ -681,7 +691,7 @@ def test_binary_splitting_gives_the_stepwise_pair_on_random_walks():
 @pytest.mark.parametrize("fn,args", [
     (lhs_theorem1, (TheoremParams(4, 1, 797),)),
     (lhs_theorem2, (TheoremParams(4, 1, 797),)),
-    (sun_e_sum, (101,)),
+    (theorem_sum, CHECKS["sun-e"].point(101)),
 ], ids=["theorem1", "theorem2", "sun-e"])
 def test_binary_splitting_gives_the_stepwise_pair_on_the_deep_sums(monkeypatch, fn, args):
     got = fn(*args)
@@ -701,18 +711,19 @@ PAIR_GRID = [TheoremParams(n, q, p, exploratory=True)
 PAIR_EVALUATORS = {  # each public scalar evaluator verify reads: its parameters
     psi_value: ("tp", "x"), phi_value: ("tp", "x", "y"), delta_value: ("tp", "x"),
     lhs_theorem1: ("tp",), lhs_theorem2: ("tp",), dual_reduction_sum: ("tp",),
-    guo_sum: ("d", "p"), sun_e_sum: ("p",), sun_bernoulli_lhs: ("p", "n"),
-    dflst_sum: ("n", "p"), dflst_dual: ("n", "p"),
+    theorem_sum: ("n", "q", "p", "dual"),
 }
 
 
 def _pair_sums(tp):
-    # (evaluator, arguments) at the points verify evaluates them for tp.
+    # (evaluator, arguments) at the points verify evaluates them for tp: the guo, sun-e,
+    # sun-bernoulli and dflst sums are theorem sums at the points of verify.CHECKS.
     n, p = tp.n, tp.p
     return [(psi_value, (tp, F(p, n))), (phi_value, (tp, p, 0)), (delta_value, (tp, -p)),
             (lhs_theorem1, (tp,)), (lhs_theorem2, (tp,)), (dual_reduction_sum, (tp,)),
-            (guo_sum, (n, p)), (sun_e_sum, (p,)), (sun_bernoulli_lhs, (p, n)),
-            (dflst_sum, (n, p)), (dflst_dual, (n, p))]
+            *((theorem_sum, (*CHECKS[check].point(*args), dual)) for check, args, dual in [
+                ("guo", (n, p), False), ("sun-e", (p,), False), ("sun-bernoulli", (p, n), False),
+                ("dflst", (n, p), False), ("dflst", (n, p), True)])]
 
 
 def _evaluate(fn, args):
@@ -799,18 +810,53 @@ def test_a_sequential_sweep_builds_each_shared_sum_once(memos, clear_memos):
     assert set(builds.values()) == {1}, [k for k, v in builds.items() if v > 1]
 
 
-@pytest.mark.parametrize("fn,good,bad", [
-    (guo_sum, (4, 23), (4, 23.0)),
-    (dflst_sum, (3, 7), (3, 7.0)),
-    (dflst_dual, (3, 7), (3, 7.0)),
+def test_a_sweep_of_all_nine_checks_builds_each_sum_once(memos, clear_memos):
+    # guo, sun-e and sun-bernoulli read the theorem1 sum at their point in verify.CHECKS, and
+    # run next to the tuple there; lemmas takes its H_{q+k-1} pass from the shifted sums.  The
+    # integer-weight loop then runs three times a tuple: shifted sums, the lemmas' H_k, Upsilon.
+    bodies = {memo.__wrapped__.__code__: memo.__name__ for memo in memos}
+    bodies[series._binomial_sums.__code__] = "_binomial_sums"
+    builds, passes = Counter(), []
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code in bodies:
+            name, args = bodies[frame.f_code], frame.f_locals
+            if name == "_binomial_sums":
+                passes.append(args["plus"])
+                return
+            key = args["tp"] if "tp" in args else (args["factors"], args["last"], args["first"])
+            builds[name, key] += 1
+
+    spec = SweepSpec(check_ids=CHECK_NAMES, n_range=(3, 8), q_range=(1, 4), d_range=(4, 8),
+                     p_max=31)
+    sys.setprofile(spy)
+    try:
+        result = run_sweep(spec)
+    finally:
+        sys.setprofile(None)
+    assert {r.check_id.partition("/")[0] for r in result.reports} == set(CHECK_NAMES)
+    tuples = {TheoremParams(**r.params) for r in result.reports if r.check_id == "theorem1"}
+    assert all(tp.in_hypothesis for tp in tuples)
+    assert len(passes) == 3 * len(tuples)
+    assert {memo for memo, _ in builds} == {m.__name__ for m in memos}
+    assert set(builds.values()) == {1}, [k for k, v in builds.items() if v > 1]
+
+
+@pytest.mark.parametrize("check,args,dual,factors,first", [
+    ("guo", (4, 23), False, ((F(1, 4), 4), (1, -4)), ()),
+    ("dflst", (3, 7), False, ((F(2, 3), 3), (1, -3)), ()),
+    ("dflst", (3, 7), True, ((1, 3), (F(4, 3), -3)), (7**3,)),
 ], ids=["guo", "dflst-sum", "dflst-dual"])
-def test_a_warm_memo_refuses_what_a_cold_one_refuses(clear_memos, fn, good, bad):
-    # 23.0 - 1 == 22 and both hash alike: an untyped memo returned the integer twin's sum.
+def test_a_warm_memo_refuses_what_a_cold_one_refuses(clear_memos, check, args, dual, factors,
+                                                      first):
+    # 22.0 == 22 and both hash alike: an untyped memo returned the integer twin's sum.  Each
+    # check's own factor list is the key theorem_sum builds at its point.
+    last = args[-1] - 1
     with pytest.raises(TypeError) as cold:
-        fn(*bad)
-    fn(*good)
+        _ratio_sum(factors, float(last), *first)
+    assert _at(check, *args, dual=dual) is _ratio_sum(factors, last, *first)
     with pytest.raises(TypeError) as warm:
-        fn(*bad)
+        _ratio_sum(factors, float(last), *first)
     assert str(warm.value) == str(cold.value)
 
 

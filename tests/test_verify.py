@@ -22,9 +22,9 @@ from hypercong.padic import (
 from hypercong.series import (
     TheoremParams,
     _steps_mirror,
-    guo_sum,
     lhs_theorem1,
     theorem2_prefactor,
+    theorem_sum,
 )
 from hypercong.verify import (
     CongruenceReport,
@@ -179,7 +179,8 @@ def test_exploratory_in_hypothesis_stays_asserted():
 def test_verify_guo_holds_and_reduces_to_theorem1():
     report = verify_guo(4, 7)
     assert report.verdict is Verdict.HOLDS
-    assert guo_sum(4, 7) == lhs_theorem1(TheoremParams(4, 2, 7))
+    assert verify.CHECKS["guo"].point(4, 7) == (4, 2, 7)
+    assert theorem_sum(4, 2, 7) == series._ratio_sum(((Fraction(1, 4), 4), (1, -4)), 6)
     assert verify_guo(6, 11).verdict is Verdict.HOLDS
 
 
@@ -540,15 +541,26 @@ def test_step_mirror_rejects_any_perturbed_pair(monkeypatch, n, q, p):
 
 def test_every_check_names_a_verify_function_and_its_positional_parameters():
     assert len(verify.CHECKS) == 9
-    for check, (names, function, required, domain) in verify.CHECKS.items():
-        run = getattr(verify, function)
-        assert function in verify.__all__, check
+    for check, c in verify.CHECKS.items():
+        run = getattr(verify, c.function)
+        assert c.function in verify.__all__, check
         positional = [p.name for p in inspect.signature(run).parameters.values()
                       if p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD]
-        expected = ["tp"] if names == ("n", "q", "p") else list(names)
+        expected = ["tp"] if c.params == ("n", "q", "p") else list(c.params)
         assert positional == expected, check
-        assert list(inspect.signature(domain).parameters) == list(names), check
-        assert required in (1, 3, 5), check
+        for predicate in (c.domain, c.point):
+            assert list(inspect.signature(predicate).parameters) == list(c.params), check
+        assert c.required_ord in (1, 3, 5), check
+
+
+@pytest.mark.parametrize("check,args,point", [
+    ("theorem1", (4, 1, 7), (4, 1, 7)), ("identities", (3, 3, 11), (3, 3, 11)),
+    ("guo", (6, 11), (6, 2, 11)), ("sun-e", (7,), (8, 1, 7)),
+    ("sun-bernoulli", (7, 2), (2, 1, 7)), ("dflst", (3, 13), (3, 5, 13)),
+])
+def test_each_check_reads_the_theorem_sum_at_its_point(check, args, point):
+    # The (n, q, p) of the sum a check reads; each is stated once, in verify.CHECKS.
+    assert verify.CHECKS[check].point(*args) == point
 
 
 def test_dflst_above_the_morita_cap_is_refused_by_the_domain_guard(monkeypatch):
@@ -618,11 +630,14 @@ EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's
     ("lhs_theorem2", (TP797,), 20000),
     ("dual_reduction_sum", (TheoremParams(4, 2, 797),), 20000),
     ("theorem2_prefactor", (TP797,), 20000),
-    ("guo_sum", (6, 599), 20000),
-    ("sun_e_sum", (101,), 20000),
-    ("sun_bernoulli_lhs", (797, 4), 20000),
-    ("dflst_sum", (3, 211), 4000),
-    ("dflst_dual", (3, 211), 4000),
+    # The guo, sun-e, sun-bernoulli and dflst sums: theorem_sum at each check's point.
+    pytest.param("theorem_sum", verify.CHECKS["guo"].point(6, 599), 20000, id="guo_sum"),
+    pytest.param("theorem_sum", verify.CHECKS["sun-e"].point(101), 20000, id="sun_e_sum"),
+    pytest.param("theorem_sum", verify.CHECKS["sun-bernoulli"].point(797, 4), 20000,
+                 id="sun_bernoulli_lhs"),
+    pytest.param("theorem_sum", verify.CHECKS["dflst"].point(3, 211), 4000, id="dflst_sum"),
+    pytest.param("theorem_sum", (*verify.CHECKS["dflst"].point(3, 211), True), 4000,
+                 id="dflst_dual"),
     # Over L = lcm(1..796) or a power of it, psi/phi about 2.3k bits; the Taylor delta and the
     # offset lemmas over the offset walk's denominator, far wider.
     ("taylor_values", (TP797,), 1000),
@@ -635,7 +650,8 @@ EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's
 ]
 
 
-@pytest.mark.parametrize("name,args,bits", EVALUATOR_SIZES, ids=[c[0] for c in EVALUATOR_SIZES])
+@pytest.mark.parametrize("name,args,bits", EVALUATOR_SIZES,
+                         ids=[getattr(c, "id", None) or c[0] for c in EVALUATOR_SIZES])
 def test_public_scalar_evaluators_reduce_no_sum_by_a_gcd(monkeypatch, clear_memos, name, args,
                                                           bits):
     # The same spy, sizes and bounds on each public evaluator: its Unreduced pair (each of
