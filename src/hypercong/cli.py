@@ -37,7 +37,8 @@ from .verify import _TRIPLE, CongruenceReport, Verdict
 __all__ = ["SweepSpec", "SweepResult", "primes_upto", "run_sweep", "main", "CHECK_NAMES"]
 
 CHECK_NAMES = tuple(verify.CHECKS)
-_VERIFY_FLAGS = ("n", "q", "p", "d")  # every integer flag of ``verify``
+# Every integer flag of ``verify``, in CHECKS order: n, q, p, d.
+_VERIFY_FLAGS = tuple(dict.fromkeys(name for c in verify.CHECKS.values() for name in c.params))
 
 
 # The sieve holds one byte per integer up to its limit; larger limits are

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ZeroDenominator
-from .padic import _ratio
+from .padic import _fraction
 
 __all__ = [
     "ShiftedSumSpec",
@@ -28,7 +28,7 @@ def pochhammer(x, k: int) -> Fraction:
     """Rising factorial (x)_k = x(x+1)...(x+k-1), with (x)_0 = 1."""
     if k < 0:
         raise ValueError("pochhammer index must be nonnegative")
-    x = Fraction(*_ratio(x))
+    x = _fraction(x)
     result = Fraction(1)
     for i in range(k):
         result *= x + i
@@ -68,7 +68,7 @@ class ShiftedSumSpec:
     length: int
 
     def __post_init__(self):
-        object.__setattr__(self, "base", Fraction(*_ratio(self.base)))
+        object.__setattr__(self, "base", _fraction(self.base))
         if self.order < 1:
             raise ValueError("order must be a positive integer")
         if self.length < 0:
@@ -96,7 +96,7 @@ def binomial_general(x, k: int) -> Fraction:
     """Generalized binomial coefficient x(x-1)...(x-k+1)/k! for rational x."""
     if k < 0:
         raise ValueError("binomial index must be nonnegative")
-    x = Fraction(*_ratio(x))
+    x = _fraction(x)
     result = Fraction(1)
     for i in range(k):
         result *= x - i

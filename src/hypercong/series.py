@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exact_core import pochhammer
 from .jets import Jet2
-from .padic import Unreduced, _ratio, is_prime
+from .padic import Unreduced, _fraction, is_prime
 
 __all__ = [
     "HyperSeriesSpec",
@@ -73,9 +73,9 @@ class HyperSeriesSpec:
     terms: int
 
     def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(Fraction(*_ratio(a)) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(Fraction(*_ratio(b)) for b in self.lower))
-        object.__setattr__(self, "argument", Fraction(*_ratio(self.argument)))
+        object.__setattr__(self, "upper", tuple(_fraction(a) for a in self.upper))
+        object.__setattr__(self, "lower", tuple(_fraction(b) for b in self.lower))
+        object.__setattr__(self, "argument", _fraction(self.argument))
         if self.terms < 0:
             raise ValueError("truncation index must be nonnegative")
         for b in self.lower:
@@ -120,14 +120,14 @@ def karlsson_minton_sum(a, pairs: Sequence[tuple]) -> KarlssonMintonResult:
     the hypothesis -a > sum(m_j) the value is exactly zero; outside it the
     value is still returned but flagged.
     """
-    a = Fraction(*_ratio(a))
+    a = _fraction(a)
     if a.denominator != 1 or a >= 0:
         raise NotTerminating(f"leading parameter {a} is not a negative integer")
     length = -a.numerator
     factors = [(a, 1), (1, -1)]
     total_m = 0
     for b, m in pairs:
-        b = Fraction(*_ratio(b))
+        b = _fraction(b)
         if m < 0:
             raise ValueError(f"pair offset {m} must be a nonnegative integer")
         if _vanishing_lower(b, length):
@@ -245,18 +245,18 @@ def _ratio_sum(factors: tuple, last: int, first: int = 1) -> Unreduced:
 
 def psi_value(tp: TheoremParams, x) -> Unreduced:
     """sum_{k=0}^{p-q} (q-x)_k^n / (1)_k^n at an exact rational x."""
-    return _ratio_sum(((tp.q - Fraction(*_ratio(x)), tp.n), (1, -tp.n)), tp.p - tp.q)
+    return _ratio_sum(((tp.q - _fraction(x), tp.n), (1, -tp.n)), tp.p - tp.q)
 
 
 def phi_value(tp: TheoremParams, x, y) -> Unreduced:
     """sum_{k=0}^{p-q} (q-x)_k (q-y)_k^{n-1} / (1)_k^n at exact rationals."""
-    a, b = (tp.q - Fraction(*_ratio(v)) for v in (x, y))
+    a, b = (tp.q - _fraction(v) for v in (x, y))
     return _ratio_sum(((a, 1), (b, tp.n - 1), (1, -tp.n)), tp.p - tp.q)
 
 
 def delta_value(tp: TheoremParams, x) -> Unreduced:
     """sum_{k=0}^{p-q} (q - p/n + x)_k^n / (1+x)_k^n at an exact rational x."""
-    x = Fraction(*_ratio(x))
+    x = _fraction(x)
     offset = tp.q - Fraction(tp.p, tp.n) + x
     return _ratio_sum(((offset, tp.n), (1 + x, -tp.n)), tp.p - tp.q)
 

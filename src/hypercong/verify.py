@@ -34,7 +34,6 @@ from .series import (
     dual_reduction_sum,
     lemma_sums,
     lhs_theorem1,
-    lhs_theorem2,
     phi_value,
     psi_value,
     reflection_differences,
@@ -62,59 +61,55 @@ __all__ = [
 # The largest p of each check, refused before any sum is built.  At each cap one call takes
 # about a minute or less (2 vCPUs, Python 3.11): theorem1 and theorem2 37 s at (4, 1, 200003),
 # sun-e 53 s at 1009, and at (4, 1, p) taylor 61 s and 37 MB peak RSS at 29989, lemmas 65 s and
-# 32 MB at 24989, identities 5 s at 9973.  Each was timed at exponent 4 (sun-e's is p + 1), so
-# a check with an exponent n or d also refuses p times it above 4 times its cap.  sun-bernoulli,
-# whose p the Bernoulli cap bounds, evaluates the theorem1 sum and has its cap.
+# 32 MB at 24989, identities 5 s at 9973.  Each was timed at exponent 4 (sun-e's is p + 1) and
+# q <= 4, so a check also refuses p times its exponent n or d, or times q's bit length, above 4
+# times its cap.  sun-bernoulli, whose p the Bernoulli cap bounds, has the theorem1 sum's cap.
 P_CAPS = {"theorem1": 250_000, "theorem2": 250_000, "guo": 250_000, "sun-e": 1100,
           "sun-bernoulli": 250_000, "taylor": 30_000, "lemmas": 25_000, "identities": 10**4}
 
 
 # A check: its verify function's positional parameters and name (looked up at call time,
-# so a wrapper installed here is seen), the required_ord of the bare report an inexpressible
-# exploratory tuple gets, its domain: given those arguments, is the check defined, and its
-# point: the (n, q, p) of the theorem sum it reads (series.theorem_sum), or of its tuple.
-Check = namedtuple("Check", "params function required_ord domain point")
+# so a wrapper installed here is seen), its required_ord (the modulus exponent of a
+# theorem-sum check, and of the bare report an inexpressible exploratory tuple gets), its
+# domain: given those arguments, is the check defined, that domain in words ({cap} is the
+# live Morita cap), and its point: the (n, q, p) of the theorem sum it reads
+# (series.theorem_sum), or of its tuple.
+Check = namedtuple("Check", "params function required_ord domain words point")
 _TRIPLE = ("n", "q", "p")
 
 
-def _triple_domain(n, q, p):
-    return n > 2  # TheoremParams owns the rest; every grid axis starts at 1, so q > 0
-
-
-def _triple_point(n, q, p):
-    return n, q, p
+def _triple(function, required_ord):
+    # TheoremParams owns the rest of the domain; every grid axis starts at 1, so q > 0.
+    return Check(_TRIPLE, function, required_ord, lambda n, q, p: n > 2, "n > 2",
+                 lambda n, q, p: (n, q, p))
 
 
 CHECKS = {
-    "theorem1": Check(_TRIPLE, "verify_theorem1", 3, _triple_domain, _triple_point),
-    "theorem2": Check(_TRIPLE, "verify_theorem2", 3, _triple_domain, _triple_point),
+    "theorem1": _triple("verify_theorem1", 3),
+    "theorem2": _triple("verify_theorem2", 3),
     "guo": Check(("d", "p"), "verify_guo", 3,
                  lambda d, p: d >= 4 and d % 2 == 0 and (p + 1) % d == 0 and is_prime(p),
-                 lambda d, p: (d, (p + 1) // d, p)),
-    "sun-e": Check(("p",), "verify_sun_e", 5, lambda p: p > 3 and is_prime(p),
+                 "an even d >= 4 and a prime p = -1 (mod d)", lambda d, p: (d, (p + 1) // d, p)),
+    "sun-e": Check(("p",), "verify_sun_e", 5, lambda p: p > 3 and is_prime(p), "a prime p > 3",
                    lambda p: (p + 1, 1, p)),
     "sun-bernoulli": Check(("p", "n"), "verify_sun_bernoulli", 5,
                            lambda p, n: p > 3 and n >= 1 and n % p != 0 and is_prime(p),
+                           "a prime p > 3 and a positive n coprime to p",
                            lambda p, n: (n, 1, p)),
     "dflst": Check(("n", "p"), "verify_dflst_pair", 3, lambda n, p: n >= 3 and p % n == 1
                    and p**3 <= padic.MORITA_CAP and is_prime(p),
+                   "n >= 3 and a prime p = 1 (mod n) with p^3 <= the Morita cap {cap}",
                    lambda n, p: (n, (p - 1) // n + 1, p)),
-    "lemmas": Check(_TRIPLE, "verify_lemma_suite", 1, _triple_domain, _triple_point),
-    "taylor": Check(_TRIPLE, "verify_taylor", 3, _triple_domain, _triple_point),
-    "identities": Check(_TRIPLE, "verify_exact_identities", 3, _triple_domain, _triple_point),
+    "lemmas": _triple("verify_lemma_suite", 1),
+    "taylor": _triple("verify_taylor", 3),
+    "identities": _triple("verify_exact_identities", 3),
 }
 
 
-def _refuse_outside_domain(check: str, words: str, *args) -> None:
-    # The one refusal of a check that takes no TheoremParams: words state its domain.
-    if not CHECKS[check].domain(*args):
-        given = ", ".join(f"{name}={value}" for name, value in zip(CHECKS[check].params, args))
-        raise PreconditionViolated(f"{check} needs {words}, got {given}")
-
-
 def _check_p_caps(largest: dict, *checks: str) -> None:
-    # Each check refuses its p here, and p times its exponent n or d, given its parameters by
-    # name; a sweep refuses the largest value of each axis before any unit runs.
+    # Each check refuses its p here, p times its exponent n or d, and p times the bit length
+    # of its q, given its parameters by name; a sweep refuses the largest value of each axis
+    # before any unit runs.
     p = largest["p"]
     for check in checks:
         if check == "sun-bernoulli":
@@ -122,10 +117,12 @@ def _check_p_caps(largest: dict, *checks: str) -> None:
         cap = P_CAPS.get(check, math.inf)
         if p > cap:
             raise CapExceeded(f"p = {p} exceeds the {check} cap {cap}")
-        for name in {"n", "d"}.intersection(CHECKS[check].params):
-            if p * largest.get(name, 0) > 4 * cap:
-                raise CapExceeded(f"p * {name} = {p} * {largest[name]} exceeds 4 times the "
-                                  f"{check} cap {cap}")
+        for name in ("n", "d", "q"):
+            size = largest.get(name, 0) if name in CHECKS[check].params else 0
+            label, size = ("q.bit_length()", size.bit_length()) if name == "q" else (name, size)
+            if p * size > 4 * cap:
+                raise CapExceeded(f"p * {label} = {p} * {size} exceeds 4 times the {check} "
+                                  f"cap {cap}")
 
 
 class Verdict(str, Enum):
@@ -189,18 +186,32 @@ def _tag(report: CongruenceReport, tp: TheoremParams) -> CongruenceReport:
     return report
 
 
+def _theorem_sum_check(check: str, *args, rhs=lambda m: 0, sums=None) -> list:
+    # The one path of the six checks that read series.theorem_sum, each step from the check's
+    # CHECKS row: its domain, refused in its words; its caps; its modulus p^required_ord; the
+    # sum at its point.  rhs(m) is built after both refusals.  sums maps each report's id to
+    # whether it reads the dual sum; by default one report, of the plain sum, under the check.
+    c = CHECKS[check]
+    if not c.domain(*args):
+        given = ", ".join(f"{name}={value}" for name, value in zip(c.params, args))
+        raise PreconditionViolated(f"{check} needs {c.words.format(cap=padic.MORITA_CAP)}, "
+                                   f"got {given}")
+    params = dict(zip(c.params, args))
+    _check_p_caps(params, check)
+    m = PrimePowerModulus(params["p"], c.required_ord)
+    value, point = rhs(m), c.point(*args)
+    return [check_congruence(theorem_sum(*point, dual=dual), value, m, check_id=i, params=params)
+            for i, dual in (sums or {check: False}).items()]
+
+
 def verify_theorem1(tp: TheoremParams) -> CongruenceReport:
     """sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n = 0 (mod p^3)."""
-    _check_p_caps(tp.as_params(), "theorem1")
-    return _tag(check_congruence(lhs_theorem1(tp), 0, PrimePowerModulus(tp.p, 3),
-                                 check_id="theorem1", params=tp.as_params()), tp)
+    return _tag(_theorem_sum_check("theorem1", tp.n, tp.q, tp.p)[0], tp)
 
 
 def verify_theorem2(tp: TheoremParams) -> CongruenceReport:
     """p^n sum_{k=0}^{p-1} (1)_k^n / (p/n - q + 2)_k^n = 0 (mod p^3)."""
-    _check_p_caps(tp.as_params(), "theorem2")
-    return _tag(check_congruence(lhs_theorem2(tp), 0, PrimePowerModulus(tp.p, 3),
-                                 check_id="theorem2", params=tp.as_params()), tp)
+    return _tag(_theorem_sum_check("theorem2", tp.n, tp.q, tp.p, sums={"theorem2": True})[0], tp)
 
 
 def verify_guo(d: int, p: int) -> CongruenceReport:
@@ -209,28 +220,18 @@ def verify_guo(d: int, p: int) -> CongruenceReport:
     The sum is exactly the theorem1 left side at n = d, q = (p+1)/d, which is
     how the congruence is proved, and is read there.
     """
-    _refuse_outside_domain("guo", "an even d >= 4 and a prime p = -1 (mod d)", d, p)
-    _check_p_caps({"d": d, "p": p}, "guo")
-    return check_congruence(theorem_sum(*CHECKS["guo"].point(d, p)), 0, PrimePowerModulus(p, 3),
-                            check_id="guo", params={"d": d, "p": p})
+    return _theorem_sum_check("guo", d, p)[0]
 
 
 def verify_sun_e(p: int) -> CongruenceReport:
     """sum_{k=0}^{p-1} (1/(p+1))_k^{p+1} / k!^{p+1} = 0 (mod p^5) for p > 3."""
-    _refuse_outside_domain("sun-e", "a prime p > 3", p)
-    _check_p_caps({"p": p}, "sun-e")
-    return check_congruence(theorem_sum(*CHECKS["sun-e"].point(p)), 0, PrimePowerModulus(p, 5),
-                            check_id="sun-e", params={"p": p})
+    return _theorem_sum_check("sun-e", p)[0]
 
 
 def verify_sun_bernoulli(p: int, n: int) -> CongruenceReport:
     """sum (1 - p/n)_k^n / (1)_k^n = (n-1)(7n-5)/(36 n^2) p^4 B_{p-3} (mod p^5)."""
-    _refuse_outside_domain("sun-bernoulli", "a prime p > 3 and a positive n coprime to p", p, n)
-    _check_p_caps({"p": p, "n": n}, "sun-bernoulli")
-    rhs = Fraction((n - 1) * (7 * n - 5), 36 * n * n) * Fraction(p) ** 4 * bernoulli(p - 3)
-    lhs = theorem_sum(*CHECKS["sun-bernoulli"].point(p, n))
-    return check_congruence(lhs, rhs, PrimePowerModulus(p, 5), check_id="sun-bernoulli",
-                            params={"p": p, "n": n})
+    return _theorem_sum_check("sun-bernoulli", p, n, rhs=lambda m: Fraction(
+        (n - 1) * (7 * n - 5), 36 * n * n) * Fraction(p) ** 4 * bernoulli(p - 3))[0]
 
 
 def verify_dflst_pair(n: int, p: int) -> tuple[CongruenceReport, CongruenceReport]:
@@ -242,14 +243,9 @@ def verify_dflst_pair(n: int, p: int) -> tuple[CongruenceReport, CongruenceRepor
     The right side is the n-th power of the Morita Gamma residue at
     precision p^3; achieved valuations are relative to its canonical lift.
     """
-    _refuse_outside_domain("dflst", "n >= 3 and a prime p = 1 (mod n) with p^3 <= "
-                           f"the Morita cap {padic.MORITA_CAP}", n, p)
-    m = PrimePowerModulus(p, 3)
-    gamma = morita_gamma(Fraction(1, n), m).value
-    rhs = -pow(gamma, n, m.modulus) % m.modulus
-    point, params = CHECKS["dflst"].point(n, p), {"n": n, "p": p}
-    sums = {"dflst/sum": theorem_sum(*point), "dflst/dual": theorem_sum(*point, dual=True)}
-    return tuple(check_congruence(v, rhs, m, check_id=c, params=params) for c, v in sums.items())
+    return tuple(_theorem_sum_check(
+        "dflst", n, p, sums={"dflst/sum": False, "dflst/dual": True},
+        rhs=lambda m: -pow(morita_gamma(Fraction(1, n), m).value, n, m.modulus) % m.modulus))
 
 
 def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:

@@ -674,7 +674,7 @@ def test_checks_refuse_p_above_their_cap_before_any_sum(monkeypatch, capsys, arg
     def never(*args):
         raise AssertionError("a sum was evaluated above the cap")
 
-    for name in ("lhs_theorem1", "lhs_theorem2", "theorem_sum", "taylor_values"):
+    for name in ("lhs_theorem1", "theorem_sum", "taylor_values"):
         monkeypatch.setattr(verify, name, never)
     check = argv[0]
     start = time.perf_counter()
@@ -715,6 +715,50 @@ def test_p_times_the_exponent_above_a_cap_is_refused_before_any_sum(
     assert time.perf_counter() - start < 1
     cap = verify.P_CAPS[check]
     assert capsys.readouterr().err == f"error: {product} exceeds 4 times the {check} cap {cap}\n"
+
+
+BIG_Q = str(10**100)
+SWEEP_BIG_Q = ["sweep", "--n", "4..4", "--q", f"{BIG_Q}..{BIG_Q}", "--p-max", "20011"]
+
+
+@pytest.mark.parametrize("argv,check", [
+    (["verify", "theorem1", "--n", "4", "--q", BIG_Q, "--p", "20011", "--exploratory"],
+     "theorem1"),
+    (["verify", "theorem2", "--n", "4", "--q", BIG_Q, "--p", "20011", "--exploratory"],
+     "theorem2"),
+    ([*SWEEP_BIG_Q, "--checks", "theorem1"], "theorem1"),
+    ([*SWEEP_BIG_Q, "--checks", "theorem1", "--exploratory"], "theorem1"),
+    ([*SWEEP_BIG_Q, "--checks", "lemmas", "--exploratory"], "lemmas"),
+], ids=["verify-theorem1", "verify-theorem2", "sweep", "sweep-exploratory", "sweep-lemmas"])
+def test_p_times_the_bit_length_of_q_above_a_cap_is_refused_before_any_sum(
+        monkeypatch, capsys, argv, check):
+    # At q = 10^100 and p = 20011, theorem1 ran for 33 s: the sums grow with the size of q.
+    def never(*args, **kwargs):
+        raise AssertionError("a sum was evaluated above the cap")
+
+    for name in ("theorem_sum", "lemma_sums"):
+        monkeypatch.setattr(verify, name, never)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (f"error: p * q.bit_length() = 20011 * 333 exceeds 4 "
+                                       f"times the {check} cap {verify.P_CAPS[check]}\n")
+
+
+@pytest.mark.parametrize("check", [c for c, row in verify.CHECKS.items() if "q" in row.params])
+def test_the_q_bound_holds_every_q_up_to_15_at_each_cap(check):
+    # 15 has 4 bits and 16 has 5, so at p = cap the bound p * 4 holds q = 15, not q = 16.
+    cap = verify.P_CAPS[check]
+    verify._check_p_caps({"n": 4, "q": 15, "p": cap}, check)
+    with pytest.raises(CapExceeded, match=rf"^p \* q\.bit_length\(\) = {cap} \* 5 exceeds"):
+        verify._check_p_caps({"n": 4, "q": 16, "p": cap}, check)
+
+
+def test_the_q_bound_at_p_20011_lies_between_2_to_the_48_and_2_to_the_49():
+    # 2^48 has 49 bits and 2^49 has 50: 20011 * 50 is the first above 4 times 250000.
+    verify._check_p_caps({"n": 4, "q": 2**48, "p": 20011}, "theorem1")
+    with pytest.raises(CapExceeded, match=r"= 20011 \* 50 exceeds 4 times the theorem1 cap"):
+        verify._check_p_caps({"n": 4, "q": 2**49, "p": 20011}, "theorem1")
 
 
 def test_guo_at_d_p_plus_1_is_refused_no_later_than_sun_e(capsys):

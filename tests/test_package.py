@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import hypercong
@@ -61,3 +62,19 @@ def test_no_library_module_calls_an_oracle():
                     calls.append((path.name, node.lineno, name))
     assert oracles <= defined  # the scan reached padic, where both are defined
     assert calls == []
+
+
+def test_no_module_imports_a_name_it_neither_uses_nor_exports():
+    # No linter runs on this package; an import left behind by a refactor fails here.
+    unused = []
+    for path in sorted(Path(hypercong.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        name = "hypercong" if path.stem == "__init__" else f"hypercong.{path.stem}"
+        exported = set(getattr(importlib.import_module(name), "__all__", ()))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                bound = {(a.asname or a.name).split(".")[0] for a in node.names if a.name != "*"}
+                unused += [(path.name, node.lineno, b) for b in sorted(bound - used - exported)]
+    assert unused == []

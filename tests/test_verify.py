@@ -5,6 +5,7 @@ import random
 from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -561,6 +562,32 @@ def test_every_check_names_a_verify_function_and_its_positional_parameters():
 def test_each_check_reads_the_theorem_sum_at_its_point(check, args, point):
     # The (n, q, p) of the sum a check reads; each is stated once, in verify.CHECKS.
     assert verify.CHECKS[check].point(*args) == point
+
+
+@pytest.mark.parametrize("check,inside,outside", [
+    ("theorem1", (4, 1, 7), (2, 1, 7)), ("theorem2", (4, 1, 7), (2, 1, 7)),
+    ("guo", (6, 11), (4, 5)), ("sun-e", (7,), (9,)), ("sun-bernoulli", (7, 2), (5, 10)),
+    ("dflst", (3, 13), (3, 31)),
+])
+def test_each_theorem_sum_check_reads_its_modulus_and_domain_words_from_its_row(
+        monkeypatch, check, inside, outside):
+    # The reports take required_ord from the row; a refusal states the row's words, with the
+    # Morita cap read at refusal time.  TheoremParams refuses n = 2 before theorem1 and
+    # theorem2 see it, so their words are reached through the path they share.
+    row = verify.CHECKS[check]
+    args = (TheoremParams(*inside),) if row.params == ("n", "q", "p") else inside
+    result = getattr(verify, row.function)(*args)
+    reports = result if isinstance(result, tuple) else (result,)
+    assert [r.required_ord for r in reports] == [row.required_ord] * len(reports)
+    monkeypatch.setattr(padic, "MORITA_CAP", 29**3)
+    given = ", ".join(f"{name}={value}" for name, value in zip(row.params, outside))
+    message = f"{check} needs {row.words.format(cap=29**3)}, got {given}"
+    refuse = (partial(verify._theorem_sum_check, check) if row.params == ("n", "q", "p")
+              else getattr(verify, row.function))
+    with pytest.raises(PreconditionViolated) as refused:
+        refuse(*outside)
+    assert str(refused.value) == message
+    assert check != "dflst" or "the Morita cap 24389, " in message
 
 
 def test_dflst_above_the_morita_cap_is_refused_by_the_domain_guard(monkeypatch):
