@@ -121,8 +121,10 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
     axes = {name: range(max(lo, 1), hi + 1) for name, (lo, hi)
             in (("n", spec.n_range), ("q", spec.q_range), ("d", spec.d_range))}
     axes["p"] = primes_upto(spec.p_max)
-    checks = {check: verify.CHECKS[check] for check in spec.check_ids}
-    points = sum(math.prod(len(axes[name]) for name in c.params) for c in checks.values())
+    # stop - start: len() of a range past sys.maxsize raises OverflowError.
+    size = {name: len(a) if name == "p" else max(a.stop - a.start, 0) for name, a in axes.items()}
+    counts = {c: math.prod(size[name] for name in verify.CHECKS[c].params) for c in spec.check_ids}
+    points = sum(counts.values())
     if points > GRID_LIMIT:
         raise ConfigError(f"the grid has {points} candidate points, above the cap {GRID_LIMIT}")
     # p_max >= 5: a prime exists.  An empty axis leaves no unit that reads it.
@@ -132,7 +134,8 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
     # Point-major: the checks whose sums sit at one (n, q, p) run back to back, in CHECKS order,
     # so each sum is built once (series keeps its last few).  Reports are sorted: bytes hold.
     by_point = {}
-    for check, c in checks.items():
+    # A check with an empty axis has no unit, and product() would first copy its other axes.
+    for check, c in ((k, verify.CHECKS[k]) for k, count in counts.items() if count):
         for args in itertools.product(*(axes[name] for name in c.params)):
             if not c.domain(*args):
                 continue

@@ -346,12 +346,14 @@ def _harmonic_split(steps: list, lo: int, hi: int) -> tuple:
             sc1 * wf * f2 + p1 * (c1 * s02 * ff2 + sc2 * ff1))
 
 
-def _binomial_sums(n: int, q: int, last: int, scale: int, plus: int, minus: int = 0,
-                   top: int | None = None) -> tuple[int, int, int, int]:
-    """(S0, S1, S2, Sh) over k = 0..last, integers over 1, L, L^2 and L^2 for L = scale, with
+@lru_cache(maxsize=2, typed=True)  # a tuple's shifted sums stay while H_k, then Upsilon, is built
+def _binomial_sums(n: int, q: int, last: int, plus: int, minus: int = 0,
+                   top: int | None = None) -> tuple[int, int, int, int, int]:
+    """(S0, S1, S2, Sh, L) over k = 0..last, integers over 1, L, L^2 and L^2, with
     t_k = C(q+k-1, k)^n, times (-1)^k C(top, k) if top is given.  g and h start at 0; with
     a = L/(plus+k-1) and b = L/(minus+k-1), or b = 0 if minus is 0, the step to k adds a - b
-    to g and a^2 - b^2 to h.  Each of those bases must divide L."""
+    to g and a^2 - b^2 to h; L is the lcm of those bases.  The last few sums are kept."""
+    scale = lcm(*range(plus, plus + last), *(range(minus, minus + last) if minus else ()))
     s0 = s1 = s2 = sh = g = h = 0
     c = d = 1  # C(q+k-1, k) and (-1)^k C(top, k), by their exact recurrences
     for k in range(last + 1):
@@ -364,17 +366,10 @@ def _binomial_sums(n: int, q: int, last: int, scale: int, plus: int, minus: int 
         t = c**n * d
         tg = t * g
         s0, s1, s2, sh = s0 + t, s1 + tg, s2 + tg * g, sh + t * h
-    return s0, s1, s2, sh
+    return s0, s1, s2, sh, scale
 
 
-@lru_cache(maxsize=2, typed=True)  # lemmas, taylor and identities read one tuple's in turn
-def _shifted_sums(tp: TheoremParams) -> tuple[int, int, int, int, int]:
-    # (q-x)_k/(q)_k = exp(-x g - x^2 h/2 - ...), g and h summing 1/(q+i)^(1, 2), i < k.
-    scale = lcm(*range(tp.q, tp.p))
-    return (*_binomial_sums(tp.n, tp.q, tp.p - tp.q, scale, tp.q), scale)
-
-
-@lru_cache(maxsize=2, typed=True)  # so do lemmas and taylor
+@lru_cache(maxsize=2, typed=True)  # lemmas and taylor read one tuple's in turn
 def _offset_walk(tp: TheoremParams) -> tuple[int, int, int, int, int]:
     """(S0, S1, S2, Sh, D) over k = 0..p-q, all over D = W F^2 of _harmonic_split, for
     t_k = (c)_k^n/(1)_k^n, c = q - p/n, g_k = sum_{i<k} 1/(c+i) - 1/(1+i) and h_k its squares.
@@ -390,8 +385,9 @@ def _offset_walk(tp: TheoremParams) -> tuple[int, int, int, int, int]:
 
 def taylor_values(tp: TheoremParams) -> tuple[Unreduced, Unreduced, Unreduced]:
     """The degree-2 Taylor values at 0 of psi at p/n, phi at (p, 0) and Delta at -p."""
-    n, p = tp.n, tp.p
-    s0, s1, s2, sh, scale = _shifted_sums(tp)
+    n, q, p = tp.n, tp.q, tp.p
+    # (q-x)_k/(q)_k = exp(-x g - x^2 h/2 - ...), g and h summing 1/(q+i)^(1, 2), i < k.
+    s0, s1, s2, sh, scale = _binomial_sums(n, q, p - q, q)
     low = 2 * (s0 * scale - p * s1) * scale  # the terms of degree 0 and 1, over 2 L^2
     psi = Unreduced(n * low + p * p * (n * s2 - sh), 2 * n * scale**2)
     phi = Unreduced(low + p * p * (s2 - sh), 2 * scale**2)
@@ -402,7 +398,7 @@ def taylor_values(tp: TheoremParams) -> tuple[Unreduced, Unreduced, Unreduced]:
 
 def second_order_sum(tp: TheoremParams) -> Unreduced:
     """sum_{k=0}^{p-q} (q)_k^n/(1)_k^n sum_{i<k} 1/(q+i)^2, the p2-reduction's second-order sum."""
-    *_, sh, scale = _shifted_sums(tp)
+    *_, sh, scale = _binomial_sums(tp.n, tp.q, tp.p - tp.q, tp.q)
     return Unreduced(sh, scale**2)
 
 
@@ -417,21 +413,21 @@ def lemma_sums(tp: TheoremParams) -> tuple[Unreduced, ...]:
     head = [scale // j for j in range(1, q)] if q <= p else []  # no weights at q > p
     g, h = sum(head), sum(v * v for v in head)
     # H_{q+k-1} = H_{q-1} + the shifted sums' g over L' = lcm(q..p-1), and L = r L'.
-    s0, t1, t2, th, shifted = _shifted_sums(tp)
-    r = scale // shifted
+    s0, t1, t2, th, shifted = _binomial_sums(n, q, p - q, q)
+    _, a1, a2, ah, plain = _binomial_sums(n, q, p - q, 1)  # H_k; at q = 1 the same pass
+    r, u = scale // shifted, scale // plain  # and L = u lcm(1..p-q)
     s1, s2, sh = g * s0 + r * t1, g * g * s0 + 2 * g * r * t1 + r * r * t2, h * s0 + r * r * th
-    _, a1, a2, ah = _binomial_sums(n, q, p - q, scale, 1)  # H_k
     _, o1, o2, _, den = _offset_walk(tp)
-    return (*(Unreduced(v, scale**2) for v in (h * s0, sh, ah)), Unreduced(a1 - s1, scale),
-            Unreduced(a2 - s2, scale**2), Unreduced(o1, den), Unreduced(o2, den))
+    return (*(Unreduced(v, scale**2) for v in (h * s0, sh, u * u * ah)),
+            Unreduced(u * a1 - s1, scale), Unreduced(u * u * a2 - s2, scale**2),
+            Unreduced(o1, den), Unreduced(o2, den))
 
 
 def upsilon_coefficients(tp: TheoremParams) -> tuple[Unreduced, ...]:
     """The coefficients of 1, x, y, x^2, y^2 and xy in upsilon_jet(tp, 2).  Each axis
     gives (q+v)_k/(1+v)_k: g and h sum 1/(q+i) - 1/(1+i) and the squares."""
     n, q, p = tp.n, tp.q, tp.p
-    scale = lcm(*range(1, p), *range(q, q + p - 1))
-    s0, s1, s2, sh = _binomial_sums(n, q, p - 1, scale, q, 1, top=p - 1)
+    s0, s1, s2, sh, scale = _binomial_sums(n, q, p - 1, q, 1, top=p - 1)
     linear, square = Unreduced(s1, scale), Unreduced(s2 - sh, 2 * scale**2)
     return Unreduced(s0), linear, linear, square, square, Unreduced(s2, scale**2)
 

@@ -60,10 +60,10 @@ __all__ = [
 
 # The largest p of each check, refused before any sum is built.  At each cap one call takes
 # about a minute or less (2 vCPUs, Python 3.11): theorem1 and theorem2 37 s at (4, 1, 200003),
-# sun-e 53 s at 1009, and at (4, 1, p) taylor 61 s and 37 MB peak RSS at 29989, lemmas 65 s and
-# 32 MB at 24989, identities 5 s at 9973.  Each was timed at exponent 4 (sun-e's is p + 1) and
-# q <= 4, so a check also refuses p times its exponent n or d, or times q's bit length, above 4
-# times its cap.  sun-bernoulli, whose p the Bernoulli cap bounds, has the theorem1 sum's cap.
+# sun-e 53 s at 1009, taylor 61 s and 37 MB peak RSS at (4, 1, 29989), lemmas 53 to 77 s and
+# 32 MB at (4, q, 24989), q = 2..4 (31 s at q = 1, one pass), identities 5 s at (4, 1, 9973).
+# Each was timed at exponent 4 (sun-e's is p + 1) and q <= 4, so a check also refuses p times
+# n or d, or q's bit length, above 4 times its cap.  sun-bernoulli has the theorem1 sum's cap.
 P_CAPS = {"theorem1": 250_000, "theorem2": 250_000, "guo": 250_000, "sun-e": 1100,
           "sun-bernoulli": 250_000, "taylor": 30_000, "lemmas": 25_000, "identities": 10**4}
 

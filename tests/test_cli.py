@@ -453,6 +453,27 @@ def test_the_sweep_grid_is_bounded_before_it_is_expanded(monkeypatch, tmp_path, 
     assert "7 candidate points, above the cap 6" in capsys.readouterr().err
 
 
+def test_an_axis_longer_than_sys_maxsize_is_counted_and_refused(tmp_path, capsys):
+    # len() of such a range raises OverflowError, a traceback and exit 1.
+    huge = 10**20
+    assert huge > sys.maxsize
+    assert main(["sweep", "--checks", "theorem1", "--n", "4..4", "--q", f"1..{huge}",
+                 "--p-max", "13"]) == 2
+    assert f"{6 * huge} candidate points, above the cap 100000" in capsys.readouterr().err
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"checks": "theorem1", "n": [4, 4], "q": [1, huge],
+                                  "p_max": 13}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert f"{6 * huge} candidate points, above the cap 100000" in capsys.readouterr().err
+    # Next to an empty n axis the q axis gives no point, and sun-e's units still run.
+    sweep = ["sweep", "--n", "0..0", "--q", f"1..{huge}", "--p-max", "13"]
+    assert main(sweep + ["--checks", "theorem1"]) == 2
+    assert "expands to no work units" in capsys.readouterr().err
+    assert main(sweep + ["--checks", "theorem1,sun-e", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 4 and all(row.startswith("sun-e,") for row in rows)
+
+
 def test_harmonic_sums_are_sized_by_p_not_by_q(monkeypatch, capsys, clear_memos):
     # At q > p the weights are empty; a sum sized by q would need lcm(1..q-1).  The widest
     # lcm, Upsilon's, takes the bases 1..p-1 and q..q+p-2.
@@ -515,11 +536,16 @@ def test_exploratory_sweeps_tag_only_hypercong_errors(monkeypatch):
                            exploratory=True))
 
 
-def test_exploratory_sweep_bytes_are_pinned():
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_exploratory_sweep_bytes_are_pinned(monkeypatch, parallelism):
     # A fence for refactors: all nine checks over a small exploratory grid
-    # (4553 reports) must render to exactly these JSON and CSV bytes.
+    # (4553 reports) must render to exactly these JSON and CSV bytes.  At
+    # parallelism 2, pool workers return the bare reports of the tuples the
+    # evaluators cannot express.  At most 2 workers start.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     result = run_sweep(SweepSpec(check_ids=CHECK_NAMES, n_range=(3, 8), q_range=(1, 4),
-                                 d_range=(4, 8), p_max=31, exploratory=True))
+                                 d_range=(4, 8), p_max=31, exploratory=True,
+                                 parallelism=parallelism))
     assert len(result.reports) == 4553
     digest = {fmt: hashlib.sha256(render(result).encode()).hexdigest()
               for fmt, render in (("json", render_json), ("csv", render_csv))}

@@ -780,30 +780,49 @@ def test_every_series_memo_is_bounded_typed_and_listed(memos):
         assert type(params["maxsize"]) is int and params["typed"], memo.__name__
 
 
-def test_a_sequential_sweep_builds_each_shared_sum_once(memos, clear_memos):
-    # theorem1 and identities read the theorem1 sum, taylor and identities phi at (p, 0)
-    # and, at q = 1, taylor's psi at p/n is the theorem1 sum; lemmas and taylor share the
-    # offset walk, taylor and identities the shifted sums.  A profiler hook counts each run
-    # of a memo's own body, with its key.
+def _sweep_builds(memos, spec):
+    # A profiler hook counts each run of a memo's own body, keyed by its memo's name and its
+    # arguments, defaults included: a call the memo serves never reaches the body.
     bodies = {memo.__wrapped__.__code__: memo.__name__ for memo in memos}
     builds = Counter()
 
     def spy(frame, event, arg):
-        if event == "call" and frame.f_code in bodies:
+        code = frame.f_code
+        if event == "call" and code in bodies:
             args = frame.f_locals
-            key = args["tp"] if "tp" in args else (args["factors"], args["last"], args["first"])
-            builds[bodies[frame.f_code], key] += 1
+            builds[bodies[code], tuple(args[v] for v in code.co_varnames[:code.co_argcount])] += 1
 
-    triple_checks = ("theorem1", "theorem2", "lemmas", "taylor", "identities")
-    spec = SweepSpec(check_ids=triple_checks, n_range=(3, 6), q_range=(1, 3), p_max=31)
     sys.setprofile(spy)
     try:
         result = run_sweep(spec)
     finally:
         sys.setprofile(None)
+    return result, builds
+
+
+def _integer_weight_keys(tp):
+    # The shifted sums, the lemmas' H_k pass (the shifted sums' own key at q = 1) and Upsilon.
+    n, q, p = tp.n, tp.q, tp.p
+    return {(n, q, p - q, q, 0, None), (n, q, p - q, 1, 0, None), (n, q, p - 1, q, 1, p - 1)}
+
+
+def _assert_integer_weight_passes(builds, tuples):
+    # Exactly three passes a tuple, two at q = 1, each with its own key.
+    passes = Counter({key: v for (memo, key), v in builds.items() if memo == "_binomial_sums"})
+    assert set(passes) == set().union(*map(_integer_weight_keys, tuples))
+    assert passes.total() == sum(3 - (tp.q == 1) for tp in tuples)
+
+
+def test_a_sequential_sweep_builds_each_shared_sum_once(memos, clear_memos):
+    # theorem1 and identities read the theorem1 sum, taylor and identities phi at (p, 0)
+    # and, at q = 1, taylor's psi at p/n is the theorem1 sum; lemmas and taylor share the
+    # offset walk, lemmas, taylor and identities the shifted sums.
+    triple_checks = ("theorem1", "theorem2", "lemmas", "taylor", "identities")
+    spec = SweepSpec(check_ids=triple_checks, n_range=(3, 6), q_range=(1, 3), p_max=31)
+    result, builds = _sweep_builds(memos, spec)
     tuples = {TheoremParams(**r.params) for r in result.reports}
-    for name in ("_shifted_sums", "_offset_walk"):
-        assert {key for (memo, key) in builds if memo == name} == tuples, name
+    assert {key for (memo, key) in builds if memo == "_offset_walk"} == {(tp,) for tp in tuples}
+    _assert_integer_weight_passes(builds, tuples)
     # Six scalar sums a tuple; at q = 1 psi is the theorem1 sum, and no dual sum is read.
     assert sum(memo == "_ratio_sum" for memo, _ in builds) == sum(
         6 - 2 * (tp.q == 1) for tp in tuples)
@@ -813,33 +832,24 @@ def test_a_sequential_sweep_builds_each_shared_sum_once(memos, clear_memos):
 def test_a_sweep_of_all_nine_checks_builds_each_sum_once(memos, clear_memos):
     # guo, sun-e and sun-bernoulli read the theorem1 sum at their point in verify.CHECKS, and
     # run next to the tuple there; lemmas takes its H_{q+k-1} pass from the shifted sums.  The
-    # integer-weight loop then runs three times a tuple: shifted sums, the lemmas' H_k, Upsilon.
-    bodies = {memo.__wrapped__.__code__: memo.__name__ for memo in memos}
-    bodies[series._binomial_sums.__code__] = "_binomial_sums"
-    builds, passes = Counter(), []
-
-    def spy(frame, event, arg):
-        if event == "call" and frame.f_code in bodies:
-            name, args = bodies[frame.f_code], frame.f_locals
-            if name == "_binomial_sums":
-                passes.append(args["plus"])
-                return
-            key = args["tp"] if "tp" in args else (args["factors"], args["last"], args["first"])
-            builds[name, key] += 1
-
+    # integer-weight loop then runs three times a tuple: shifted sums, the lemmas' H_k, Upsilon;
+    # at q = 1 the H_k pass is the shifted sums.
     spec = SweepSpec(check_ids=CHECK_NAMES, n_range=(3, 8), q_range=(1, 4), d_range=(4, 8),
                      p_max=31)
-    sys.setprofile(spy)
-    try:
-        result = run_sweep(spec)
-    finally:
-        sys.setprofile(None)
+    result, builds = _sweep_builds(memos, spec)
     assert {r.check_id.partition("/")[0] for r in result.reports} == set(CHECK_NAMES)
     tuples = {TheoremParams(**r.params) for r in result.reports if r.check_id == "theorem1"}
     assert all(tp.in_hypothesis for tp in tuples)
-    assert len(passes) == 3 * len(tuples)
+    _assert_integer_weight_passes(builds, tuples)
     assert {memo for memo, _ in builds} == {m.__name__ for m in memos}
     assert set(builds.values()) == {1}, [k for k, v in builds.items() if v > 1]
+
+
+@pytest.mark.parametrize("q,passes", [(1, 1), (2, 2)])
+def test_a_lone_lemma_sums_runs_the_integer_weight_loop_once_at_q_1(clear_memos, q, passes):
+    # At q = 1 the lemmas' H_k pass and the shifted sums are one walk over lcm(1..p-1).
+    series.lemma_sums(TheoremParams(4, q, 23))
+    assert series._binomial_sums.cache_info().misses == passes
 
 
 @pytest.mark.parametrize("check,args,dual,factors,first", [
