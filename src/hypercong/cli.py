@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import verify
 from .errors import CapExceeded, ConfigError, HypercongError
-from .series import TheoremParams
+from .series import TheoremParams, _decimal
 from .verify import _TRIPLE, CongruenceReport, Verdict
 
 __all__ = ["SweepSpec", "SweepResult", "primes_upto", "run_sweep", "main", "CHECK_NAMES"]
@@ -126,7 +126,8 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
     counts = {c: math.prod(size[name] for name in verify.CHECKS[c].params) for c in spec.check_ids}
     points = sum(counts.values())
     if points > GRID_LIMIT:
-        raise ConfigError(f"the grid has {points} candidate points, above the cap {GRID_LIMIT}")
+        raise ConfigError(f"the grid has {_decimal(points)} candidate points, above the cap "
+                          f"{GRID_LIMIT}")
     # p_max >= 5: a prime exists.  An empty axis leaves no unit that reads it.
     verify._check_p_caps({name: axis[-1] for name, axis in axes.items() if axis}, *spec.check_ids)
     # One TheoremParams per triple, shared by its checks, owns the hypotheses.
@@ -303,7 +304,7 @@ def _build_sweep_spec(args) -> SweepSpec:
                 settings = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: JSON, UTF-8, a too long int
             raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from None
         if not isinstance(settings, dict):
             raise ConfigError("config file must hold a JSON object")

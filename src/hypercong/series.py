@@ -12,11 +12,12 @@ routes against each other.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from operator import mul
 from typing import Sequence
 
@@ -36,12 +37,9 @@ __all__ = [
     "KarlssonMintonResult",
     "truncated_pfq",
     "karlsson_minton_sum",
-    "psi_value",
     "phi_value",
     "delta_value",
     "theorem_sum",
-    "lhs_theorem1",
-    "lhs_theorem2",
     "dual_reduction_sum",
     "theorem2_prefactor",
     "reflection_differences",
@@ -51,11 +49,13 @@ __all__ = [
     "upsilon_coefficients",
     "upsilon_jet",
     "phi_jet",
-    "psi_jet",
     "delta_jet",
 ]
 
 _LEAF = 8  # the most steps a product-tree leaf takes one at a time
+# Each memo below keeps its last 8 results in any call order; a repeated call gets the same
+# object.  typed: a float is another key than its integer twin, refused as on a cold call.
+_MEMO = 8
 
 
 def _vanishing_lower(b: Fraction, terms: int) -> bool:
@@ -139,6 +139,12 @@ def karlsson_minton_sum(a, pairs: Sequence[tuple]) -> KarlssonMintonResult:
     return KarlssonMintonResult(Fraction(value.num, value.den), violated)
 
 
+def _decimal(value: int) -> str:
+    # A value >= 0 in decimal, or past str()'s digit limit, the power of 10 at or below it.
+    e = (t := int(value.bit_length() * log10(2))) - (value < 10**t)  # 10^e <= value < 10^(e+1)
+    return f"at least 10^{e}" if 0 < sys.get_int_max_str_digits() <= e else str(value)
+
+
 @dataclass(frozen=True)
 class TheoremParams:
     """Parameter triple (n, q, p) for the main congruence family.
@@ -174,7 +180,7 @@ class TheoremParams:
             reasons.append(f"parity: need n even or q odd (n={self.n}, q={self.q})")
         bound = max(self.n, (self.q - 1) * self.n + 1)
         if self.p <= bound:
-            reasons.append(f"range: need p > {bound}, got p={self.p}")
+            reasons.append(f"range: need p > {_decimal(bound)}, got p={self.p}")
         return tuple(reasons)
 
     @property
@@ -225,16 +231,13 @@ def _split(steps: list, lo: int, hi: int, spine: bool) -> tuple:
     return None if spine else p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-# A grid tuple's checks read six sums, guo, sun-e and sun-bernoulli none of their own.  typed:
-# a float last or first is another key than its integer twin, and is refused as on a cold call.
-@lru_cache(maxsize=8, typed=True)
+@lru_cache(maxsize=_MEMO, typed=True)
 def _ratio_sum(factors: tuple, last: int, first: int = 1) -> Unreduced:
     """sum_{k=0}^{last} t_k for the walk of ``_ratio_steps`` started at t_0 = first.
 
     Binary splitting (Haible & Papanikolaou): steps a..b-1 carry P = prod u, Q = prod v
     and T = sum_{a<k<=b} (u_a...u_{k-1}) (v_k...v_{b-1}); halves combine as P1 P2, Q1 Q2,
     T1 Q2 + P1 T2.  The sum is first (Q + T) / Q, returned unreduced: no gcd is taken.
-    The last few sums are kept, and a repeated call returns the same Unreduced object.
     """
     if last < 0:
         return Unreduced(0)
@@ -243,15 +246,11 @@ def _ratio_sum(factors: tuple, last: int, first: int = 1) -> Unreduced:
     return Unreduced(first * (q + t), q)
 
 
-def psi_value(tp: TheoremParams, x) -> Unreduced:
-    """sum_{k=0}^{p-q} (q-x)_k^n / (1)_k^n at an exact rational x."""
-    return _ratio_sum(((tp.q - _fraction(x), tp.n), (1, -tp.n)), tp.p - tp.q)
-
-
 def phi_value(tp: TheoremParams, x, y) -> Unreduced:
-    """sum_{k=0}^{p-q} (q-x)_k (q-y)_k^{n-1} / (1)_k^n at exact rationals."""
+    """sum_{k=0}^{p-q} (q-x)_k (q-y)_k^{n-1} / (1)_k^n at exact rationals; psi(x) at y = x."""
     a, b = (tp.q - _fraction(v) for v in (x, y))
-    return _ratio_sum(((a, 1), (b, tp.n - 1), (1, -tp.n)), tp.p - tp.q)
+    top = ((a, tp.n),) if a == b else ((a, 1), (b, tp.n - 1))  # psi's key: theorem1's at q = 1
+    return _ratio_sum((*top, (1, -tp.n)), tp.p - tp.q)
 
 
 def delta_value(tp: TheoremParams, x) -> Unreduced:
@@ -272,16 +271,6 @@ def theorem_sum(n: int, q: int, p: int, dual: bool = False) -> Unreduced:
     guo, sun-e, sun-bernoulli and dflst sums are these at the points of verify.CHECKS."""
     factors = _theorem_factors(n, q, p, dual)
     return _ratio_sum(factors, p - 1, p**n) if dual else _ratio_sum(factors, p - 1)
-
-
-def lhs_theorem1(tp: TheoremParams) -> Unreduced:
-    """Full sum_{k=0}^{p-1} (q - p/n)_k^n / (1)_k^n."""
-    return theorem_sum(tp.n, tp.q, tp.p)
-
-
-def lhs_theorem2(tp: TheoremParams) -> Unreduced:
-    """p^n * sum_{k=0}^{p-1} (1)_k^n / (p/n - q + 2)_k^n."""
-    return theorem_sum(tp.n, tp.q, tp.p, dual=True)
 
 
 def dual_reduction_sum(tp: TheoremParams) -> Unreduced:
@@ -346,13 +335,13 @@ def _harmonic_split(steps: list, lo: int, hi: int) -> tuple:
             sc1 * wf * f2 + p1 * (c1 * s02 * ff2 + sc2 * ff1))
 
 
-@lru_cache(maxsize=2, typed=True)  # a tuple's shifted sums stay while H_k, then Upsilon, is built
+@lru_cache(maxsize=_MEMO, typed=True)
 def _binomial_sums(n: int, q: int, last: int, plus: int, minus: int = 0,
                    top: int | None = None) -> tuple[int, int, int, int, int]:
     """(S0, S1, S2, Sh, L) over k = 0..last, integers over 1, L, L^2 and L^2, with
     t_k = C(q+k-1, k)^n, times (-1)^k C(top, k) if top is given.  g and h start at 0; with
     a = L/(plus+k-1) and b = L/(minus+k-1), or b = 0 if minus is 0, the step to k adds a - b
-    to g and a^2 - b^2 to h; L is the lcm of those bases.  The last few sums are kept."""
+    to g and a^2 - b^2 to h; L is the lcm of those bases."""
     scale = lcm(*range(plus, plus + last), *(range(minus, minus + last) if minus else ()))
     s0 = s1 = s2 = sh = g = h = 0
     c = d = 1  # C(q+k-1, k) and (-1)^k C(top, k), by their exact recurrences
@@ -369,7 +358,7 @@ def _binomial_sums(n: int, q: int, last: int, plus: int, minus: int = 0,
     return s0, s1, s2, sh, scale
 
 
-@lru_cache(maxsize=2, typed=True)  # lemmas and taylor read one tuple's in turn
+@lru_cache(maxsize=_MEMO, typed=True)
 def _offset_walk(tp: TheoremParams) -> tuple[int, int, int, int, int]:
     """(S0, S1, S2, Sh, D) over k = 0..p-q, all over D = W F^2 of _harmonic_split, for
     t_k = (c)_k^n/(1)_k^n, c = q - p/n, g_k = sum_{i<k} 1/(c+i) - 1/(1+i) and h_k its squares.
@@ -505,12 +494,6 @@ def phi_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:
     n, q, p = tp.n, tp.q, tp.p
     factors = [(q, 1, -1, 0), (q, n - 1, -1, 1), (1, -n, 0, 0)]
     return _product_jet(p - q, factors, degree_cap)
-
-
-def psi_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:
-    """Univariate jet at 0 of sum_{k=0}^{p-q} (q-x)_k^n / (1)_k^n."""
-    n, q, p = tp.n, tp.q, tp.p
-    return _product_jet(p - q, [(q, n, -1, 0), (1, -n, 0, 0)], degree_cap)
 
 
 def delta_jet(tp: TheoremParams, degree_cap: int = 2) -> Jet2:

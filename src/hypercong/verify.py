@@ -33,9 +33,7 @@ from .series import (
     delta_value,
     dual_reduction_sum,
     lemma_sums,
-    lhs_theorem1,
     phi_value,
-    psi_value,
     reflection_differences,
     second_order_sum,
     taylor_values,
@@ -268,8 +266,8 @@ def verify_taylor(tp: TheoremParams) -> list[CongruenceReport]:
     degree-2 Taylor polynomial at the origin, from ``series.taylor_values``.
     """
     _check_p_caps(tp.as_params(), "taylor")
-    p, m, params = tp.p, PrimePowerModulus(tp.p, 3), tp.as_params()
-    exact = psi_value(tp, Fraction(p, tp.n)), phi_value(tp, p, 0), delta_value(tp, -p)
+    p, x, m, params = tp.p, Fraction(tp.p, tp.n), PrimePowerModulus(tp.p, 3), tp.as_params()
+    exact = phi_value(tp, x, x), phi_value(tp, p, 0), delta_value(tp, -p)  # psi(x) = phi(x, x)
     return [_tag(check_congruence(e, t, m, check_id=f"taylor/{c}", params=params), tp)
             for c, e, t in zip(("psi", "phi", "delta"), exact, taylor_values(tp))]
 
@@ -290,7 +288,7 @@ def verify_exact_identities(tp: TheoremParams) -> list[CongruenceReport]:
     rhs = Unreduced(second_order_sum(tp), Unreduced(2 * n, (n - 1) * p * p))  # S (n-1)p^2/(2n)
     reports = [_exact_report([phi_value(tp, p, 0)], p, "identities/phi-p0", params),
                _exact_report(upsilon_coefficients(tp), p, "identities/upsilon-jet", params),
-               check_congruence(lhs_theorem1(tp), rhs, m3, check_id="identities/p2-reduction",
+               check_congruence(theorem_sum(n, q, p), rhs, m3, check_id="identities/p2-reduction",
                                 params=params),
                _exact_report(reflection_differences(tp), p, "identities/reflection", params)]
 

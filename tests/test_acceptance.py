@@ -26,7 +26,7 @@ from hypercong.padic import (
     ord_rational,
     reduce_mod,
 )
-from hypercong.series import TheoremParams, karlsson_minton_sum, lhs_theorem1
+from hypercong.series import TheoremParams, karlsson_minton_sum, theorem_sum
 from hypercong.verify import (
     CHECKS,
     Verdict,
@@ -103,7 +103,7 @@ def test_criterion_03_guo_conjecture():
                 continue
             count += 1
             report = verify_guo(d, p)
-            reduction = lhs_theorem1(TheoremParams(*CHECKS["guo"].point(d, p), exploratory=True))
+            reduction = theorem_sum(*CHECKS["guo"].point(d, p))
             # Guo's own sum, sum_{k<p} (1/d)_k^d / k!^d, by its term ratio (1/d + k)^d / (1 + k)^d
             guo, term = Fraction(0), Fraction(1)
             for k in range(p):

@@ -474,6 +474,26 @@ def test_an_axis_longer_than_sys_maxsize_is_counted_and_refused(tmp_path, capsys
     assert len(rows) == 4 and all(row.startswith("sun-e,") for row in rows)
 
 
+def test_an_integer_too_long_to_print_exits_2(tmp_path, capsys):
+    # str() refuses an int of more than 4300 digits, the interpreter's default limit.  A grid
+    # count, a range bound or a config integer that long raised ValueError: a traceback and
+    # exit 1.  A message states such a count or bound by the power of 10 below it.
+    assert series._decimal(10**4300 - 1) == "9" * 4300
+    assert series._decimal(10**4300) == series._decimal(10**4301 - 1) == "at least 10^4300"
+    big = 10**4000  # six primes up to 13 times 10^4000 - 2 values of n times 10^4000 of q
+    assert main(["sweep", "--checks", "theorem1", "--n", f"3..{big}", "--q", f"1..{big}",
+                 "--p-max", "13"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the grid has at least 10^8000 candidate points, above the cap 100000\n")
+    n = 2 * 10**2200  # the range bound (q-1)n+1 has 4401 digits
+    assert main(["verify", "theorem1", "--n", str(n), "--q", str(n), "--p", "7"]) == 2
+    assert capsys.readouterr().err == "error: range: need p > at least 10^4400, got p=7\n"
+    config = tmp_path / "sweep.json"
+    config.write_text('{"checks": "theorem1", "n": [3, 1%s], "q": "1..1"}' % ("0" * 4300))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: config file is not valid UTF-8 JSON: ")
+
+
 def test_harmonic_sums_are_sized_by_p_not_by_q(monkeypatch, capsys, clear_memos):
     # At q > p the weights are empty; a sum sized by q would need lcm(1..q-1).  The widest
     # lcm, Upsilon's, takes the bases 1..p-1 and q..q+p-2.
@@ -700,7 +720,7 @@ def test_checks_refuse_p_above_their_cap_before_any_sum(monkeypatch, capsys, arg
     def never(*args):
         raise AssertionError("a sum was evaluated above the cap")
 
-    for name in ("lhs_theorem1", "theorem_sum", "taylor_values"):
+    for name in ("theorem_sum", "taylor_values"):
         monkeypatch.setattr(verify, name, never)
     check = argv[0]
     start = time.perf_counter()
@@ -734,7 +754,7 @@ def test_p_times_the_exponent_above_a_cap_is_refused_before_any_sum(
     def never(*args):
         raise AssertionError("a sum was evaluated above the cap")
 
-    for name in ("lhs_theorem1", "theorem_sum", "bernoulli", "taylor_values", "psi_value"):
+    for name in ("theorem_sum", "bernoulli", "taylor_values", "phi_value"):
         monkeypatch.setattr(verify, name, never)
     start = time.perf_counter()
     assert main(argv) == 2

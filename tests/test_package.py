@@ -32,8 +32,10 @@ def test_the_exact_values_and_the_command_line_are_package_names():
         upsilon_coefficients,
     )
     assert Unreduced is padic.Unreduced and main is cli.main and theorem_sum is series.theorem_sum
-    # Each of these sums is theorem_sum at its check's point in verify.CHECKS.
-    for gone in ("guo_sum", "sun_e_sum", "sun_bernoulli_lhs", "dflst_sum", "dflst_dual"):
+    # Each of these sums is theorem_sum at its check's point in verify.CHECKS, or psi(x),
+    # which is phi_value(tp, x, x) and the diagonal of phi_jet.
+    for gone in ("guo_sum", "sun_e_sum", "sun_bernoulli_lhs", "dflst_sum", "dflst_dual",
+                 "lhs_theorem1", "lhs_theorem2", "psi_value", "psi_jet"):
         assert not hasattr(series, gone) and not hasattr(hypercong, gone), gone
 
 

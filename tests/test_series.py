@@ -1,9 +1,11 @@
+import hashlib
 import inspect
 import random
 import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 from unittest.mock import patch
 
@@ -18,7 +20,7 @@ from hypercong.errors import (
     ZeroLowerFactor,
 )
 from hypercong import series
-from hypercong.cli import CHECK_NAMES, SweepSpec, primes_upto, run_sweep
+from hypercong.cli import CHECK_NAMES, SweepSpec, primes_upto, render_csv, render_json, run_sweep
 from hypercong.exact_core import ShiftedSumSpec, harmonic, pochhammer, shifted_power_sum
 from hypercong.jets import MAX_DEGREE_CAP, Jet2, pochhammer_jet
 from hypercong.padic import PrimePowerModulus, Unreduced, ord_rational, reduce_mod
@@ -30,12 +32,8 @@ from hypercong.series import (
     delta_value,
     dual_reduction_sum,
     karlsson_minton_sum,
-    lhs_theorem1,
-    lhs_theorem2,
     phi_jet,
     phi_value,
-    psi_jet,
-    psi_value,
     taylor_values,
     theorem2_prefactor,
     theorem_sum,
@@ -149,7 +147,7 @@ def test_karlsson_minton_random_draws_vanish():
 def test_entry_points_refuse_inexact_values(inexact):
     # 0.1 would be read as its binary fraction and "1/10" parsed as text; each is refused.
     tp = TheoremParams(4, 1, 7)
-    for call in (lambda: psi_value(tp, inexact), lambda: phi_value(tp, inexact, 0),
+    for call in (lambda: phi_value(tp, inexact, inexact), lambda: phi_value(tp, inexact, 0),
                  lambda: phi_value(tp, 0, inexact), lambda: delta_value(tp, inexact),
                  lambda: HyperSeriesSpec((inexact,), (), 1, 3),
                  lambda: HyperSeriesSpec((), (inexact,), 1, 3),
@@ -169,7 +167,7 @@ def test_entry_points_read_ints_and_fractions_exactly():
 
     for x in (2, F(2), F(1, 10), F(-7, 3)):
         y = F(1, 3)
-        assert psi_value(tp, x) == pfq((q - F(x),) * n, (F(1),) * (n - 1)), x
+        assert phi_value(tp, x, x) == pfq((q - F(x),) * n, (F(1),) * (n - 1)), x
         assert phi_value(tp, x, y) == pfq((q - F(x),) + (q - y,) * (n - 1), (F(1),) * (n - 1)), x
         offset = q - F(p, n) + F(x)
         assert delta_value(tp, x) == pfq((offset,) * n + (F(1),), (1 + F(x),) * n), x
@@ -223,37 +221,38 @@ def test_theorem_params_exploratory_mode():
 
 
 def test_psi_value_all_ones():
-    assert psi_value(TheoremParams(3, 1, 5), 0) == 5
+    assert phi_value(TheoremParams(3, 1, 5), 0, 0) == 5
 
 
 def test_psi_value_cubes():
     # sum_{k=0}^{5} ((2)_k/(1)_k)^3 = sum (k+1)^3
-    assert psi_value(TheoremParams(3, 2, 7, exploratory=True), 0) == 441
+    assert phi_value(TheoremParams(3, 2, 7, exploratory=True), 0, 0) == 441
 
 
 def test_psi_value_at_displacement_is_congruent_to_zero():
     tp = TheoremParams(4, 1, 7)
-    value = psi_value(tp, F(7, 4))
+    value = phi_value(tp, F(7, 4), F(7, 4))
     assert reduce_mod(value, PrimePowerModulus(7, 3)).value == 0
 
 
 @pytest.mark.parametrize("n,q,p", [(4, 1, 7), (4, 2, 11), (3, 1, 5)])
 def test_lhs_theorem1_valuations(n, q, p):
-    assert ord_rational(lhs_theorem1(TheoremParams(n, q, p)), p) >= 3
+    assert TheoremParams(n, q, p).in_hypothesis
+    assert ord_rational(theorem_sum(n, q, p), p) >= 3
 
 
 @pytest.mark.parametrize("n,q,p", [(4, 1, 7), (4, 2, 11), (3, 3, 11)])
 def test_lhs_theorem2_valuations(n, q, p):
-    assert ord_rational(lhs_theorem2(TheoremParams(n, q, p)), p) >= 3
+    assert TheoremParams(n, q, p).in_hypothesis
+    assert ord_rational(theorem_sum(n, q, p, dual=True), p) >= 3
 
 
 @pytest.mark.parametrize("n,q,p", [(4, 2, 11), (3, 1, 5)])
 def test_lhs_theorem1_is_a_pfq_specialization(n, q, p):
-    tp = TheoremParams(n, q, p)
     spec = HyperSeriesSpec(
         (F(q) - F(p, n),) * n, (F(1),) * (n - 1), F(1), p - 1
     )
-    assert lhs_theorem1(tp) == truncated_pfq(spec)
+    assert theorem_sum(n, q, p) == truncated_pfq(spec)
 
 
 def test_named_sums_are_pfq_specializations():
@@ -296,16 +295,7 @@ def test_upsilon_jet_degenerate_cap():
 
 def test_phi_jet_constant_term_is_psi_at_zero():
     tp = TheoremParams(3, 1, 5)
-    assert phi_jet(tp, 0).coefficient(0, 0) == psi_value(tp, 0) == 5
-
-
-def test_psi_derivatives_reduce_to_phi_partials():
-    tp = TheoremParams(4, 2, 11)
-    psi = psi_jet(tp, 2)
-    phi = phi_jet(tp, 2)
-    n = tp.n
-    assert psi.partial(1, 0) == n * phi.partial(1, 0)
-    assert psi.partial(2, 0) == n * (phi.partial(1, 1) + phi.partial(2, 0))
+    assert phi_jet(tp, 0).coefficient(0, 0) == phi_value(tp, 0, 0) == 5
 
 
 def test_delta_jet_slope_matches_closed_form():
@@ -344,7 +334,7 @@ def test_theorem2_prefactor_valuation_and_factorization():
     assert ord_rational(theorem2_prefactor(q1_tp), 7) == q1_tp.n
     for tp in (unit_tp, q1_tp):
         product = _fraction(theorem2_prefactor(tp)) * _fraction(dual_reduction_sum(tp))
-        assert lhs_theorem2(tp) == product
+        assert theorem_sum(tp.n, tp.q, tp.p, dual=True) == product
 
 
 def test_upsilon_first_and_second_order_consequences_vanish():
@@ -369,7 +359,7 @@ def test_guo_sum_equals_theorem1_sum_over_the_grid():
             if (p + 1) % d == 0:
                 tp = TheoremParams(*CHECKS["guo"].point(d, p), exploratory=True)
                 assert (tp.n, tp.q) == (d, (p + 1) // d)
-                assert _stepwise_sum(((F(1, d), d), (1, -d)), p - 1) == lhs_theorem1(tp)
+                assert _stepwise_sum(((F(1, d), d), (1, -d)), p - 1) == theorem_sum(tp.n, tp.q, p)
                 count += 1
     assert count > 15
 
@@ -391,6 +381,13 @@ def _oracle_psi(tp, cap):
         term = _jet_power(pochhammer_jet(q, -1, "x", k, cap), n)
         total = total + term * F(1, factorial(k) ** n)
     return total
+
+
+def _phi_diagonal(tp, cap):
+    # psi(x) = phi(x, x): psi's x^d coefficient is phi_jet's anti-diagonal sum of degree d.
+    phi = phi_jet(tp, cap)
+    return Jet2({(d, 0): sum(phi.coefficient(i, d - i) for i in range(d + 1))
+                 for d in range(cap + 1)}, cap)
 
 
 def _oracle_phi(tp, cap):
@@ -426,7 +423,7 @@ def _oracle_upsilon(tp, cap):
 
 
 JET_ORACLES = [
-    (psi_jet, _oracle_psi),
+    (_phi_diagonal, _oracle_psi),
     (phi_jet, _oracle_phi),
     (delta_jet, _oracle_delta),
     (upsilon_jet, _oracle_upsilon),
@@ -457,16 +454,6 @@ def test_long_jet_walks_equal_the_oracle(jet_fn, oracle, n, q, p):
     assert p - q > 2 * _REDUCE_EVERY
     tp = TheoremParams(n, q, p, exploratory=True)
     assert jet_fn(tp, 2) == oracle(tp, 2)
-
-
-@pytest.mark.parametrize("n,q,p", ORACLE_TUPLES)
-def test_psi_jet_is_the_diagonal_of_phi_jet(n, q, p):
-    # psi(x) = phi(x, x): the oracle for both Taylor values of taylor_values is phi's jet.
-    tp = TheoremParams(n, q, p, exploratory=True)
-    for cap in range(MAX_DEGREE_CAP + 1):
-        phi, psi = phi_jet(tp, cap), psi_jet(tp, cap)
-        for d in range(cap + 1):
-            assert psi.coefficient(d) == sum(phi.coefficient(i, d - i) for i in range(d + 1))
 
 
 # Every exploratory tuple of a small grid: it holds the zero-base tuples (3, 1, 3),
@@ -596,13 +583,14 @@ def test_kernel_evaluators_equal_truncated_pfq(n, q, p):
     c = q - F(p, n)
     b = F(p, n) - q + 2
     cases = [
-        (lambda: psi_value(tp, x), [q - x] * n, [F(1)] * n, p - q),
-        (lambda: psi_value(tp, F(p, n)), [c] * n, [F(1)] * n, p - q),
+        (lambda: phi_value(tp, x, x), [q - x] * n, [F(1)] * n, p - q),
+        (lambda: phi_value(tp, F(p, n), F(p, n)), [c] * n, [F(1)] * n, p - q),
         (lambda: phi_value(tp, x, y), [q - x] + [q - y] * (n - 1), [F(1)] * n, p - q),
         (lambda: phi_value(tp, p, 0), [q - F(p)] + [F(q)] * (n - 1), [F(1)] * n, p - q),
         (lambda: delta_value(tp, x), [c + x] * n, [1 + x] * n, p - q),
-        (lambda: lhs_theorem1(tp), [c] * n, [F(1)] * n, p - 1),
-        (lambda: _fraction(lhs_theorem2(tp)) / F(p) ** n, [F(1)] * n, [b] * n, p - 1),
+        (lambda: theorem_sum(n, q, p), [c] * n, [F(1)] * n, p - 1),
+        (lambda: _fraction(theorem_sum(n, q, p, dual=True)) / F(p) ** n, [F(1)] * n, [b] * n,
+         p - 1),
         (lambda: dual_reduction_sum(tp), [c - p] * n, [F(1 - p)] * n, p - 1),
         (lambda: _at("sun-bernoulli", p, n), [1 - F(p, n)] * n, [F(1)] * n, p - 1),
         # Guo's sum at every p: q = (p+1)/(2n), where it is no integer, as a rational.
@@ -629,7 +617,7 @@ def test_karlsson_minton_equals_truncated_pfq_on_random_draws():
 def test_kernel_stops_when_a_numerator_factor_vanishes():
     # (q - x) = -2 at x = q + 2: terms k = 0, 1, 2 are 1, (-2)^n, 1, then zeros.
     tp = TheoremParams(3, 1, 11)
-    assert psi_value(tp, 3) == 2 + (-2) ** 3 == _oracle_sum([F(-2)] * 3, [F(1)] * 3, 10)
+    assert phi_value(tp, 3, 3) == 2 + (-2) ** 3 == _oracle_sum([F(-2)] * 3, [F(1)] * 3, 10)
     # sum_k (-3)_k / k! = (1 - 1)^3: the walk ends after k = 3.
     assert _ratio_sum(((-3, 1), (1, -1)), 10) == 0
 
@@ -689,8 +677,8 @@ def test_binary_splitting_gives_the_stepwise_pair_on_random_walks():
 
 
 @pytest.mark.parametrize("fn,args", [
-    (lhs_theorem1, (TheoremParams(4, 1, 797),)),
-    (lhs_theorem2, (TheoremParams(4, 1, 797),)),
+    (theorem_sum, (4, 1, 797)),
+    (theorem_sum, (4, 1, 797, True)),
     (theorem_sum, CHECKS["sun-e"].point(101)),
 ], ids=["theorem1", "theorem2", "sun-e"])
 def test_binary_splitting_gives_the_stepwise_pair_on_the_deep_sums(monkeypatch, fn, args):
@@ -709,8 +697,7 @@ PAIR_GRID = [TheoremParams(n, q, p, exploratory=True)
              for n in range(3, 9) for q in range(1, 5) for p in primes_upto(31)]
 
 PAIR_EVALUATORS = {  # each public scalar evaluator verify reads: its parameters
-    psi_value: ("tp", "x"), phi_value: ("tp", "x", "y"), delta_value: ("tp", "x"),
-    lhs_theorem1: ("tp",), lhs_theorem2: ("tp",), dual_reduction_sum: ("tp",),
+    phi_value: ("tp", "x", "y"), delta_value: ("tp", "x"), dual_reduction_sum: ("tp",),
     theorem_sum: ("n", "q", "p", "dual"),
 }
 
@@ -718,9 +705,10 @@ PAIR_EVALUATORS = {  # each public scalar evaluator verify reads: its parameters
 def _pair_sums(tp):
     # (evaluator, arguments) at the points verify evaluates them for tp: the guo, sun-e,
     # sun-bernoulli and dflst sums are theorem sums at the points of verify.CHECKS.
-    n, p = tp.n, tp.p
-    return [(psi_value, (tp, F(p, n))), (phi_value, (tp, p, 0)), (delta_value, (tp, -p)),
-            (lhs_theorem1, (tp,)), (lhs_theorem2, (tp,)), (dual_reduction_sum, (tp,)),
+    n, q, p = tp.n, tp.q, tp.p
+    return [(phi_value, (tp, F(p, n), F(p, n))), (phi_value, (tp, p, 0)), (delta_value, (tp, -p)),
+            (theorem_sum, (n, q, p, False)), (theorem_sum, (n, q, p, True)),
+            (dual_reduction_sum, (tp,)),
             *((theorem_sum, (*CHECKS[check].point(*args), dual)) for check, args, dual in [
                 ("guo", (n, p), False), ("sun-e", (p,), False), ("sun-bernoulli", (p, n), False),
                 ("dflst", (n, p), False), ("dflst", (n, p), True)])]
@@ -777,7 +765,8 @@ def test_every_series_memo_is_bounded_typed_and_listed(memos):
     assert sorted(m.__name__ for m in kept) == sorted(m.__name__ for m in memos)
     for memo in memos:
         params = memo.cache_parameters()
-        assert type(params["maxsize"]) is int and params["typed"], memo.__name__
+        assert params["maxsize"] == series._MEMO and params["typed"], memo.__name__
+    assert type(series._MEMO) is int
 
 
 def _sweep_builds(memos, spec):
@@ -876,3 +865,22 @@ def test_the_memos_stay_within_their_bounds_over_the_full_grid(memos, clear_memo
     for memo in memos:
         info = memo.cache_info()
         assert 0 < info.currsize <= info.maxsize, (memo.__name__, info)
+    # Three integer-weight passes a tuple, two at q = 1, and none rebuilt.
+    assert series._binomial_sums.cache_info().misses == 966
+
+
+def test_report_bytes_do_not_depend_on_the_memos(monkeypatch, memos):
+    # Each memo rebuilt to keep nothing, so every sum is built at each call: the exploratory
+    # p <= 31 grid gives the bytes test_cli pins for it.
+    bare = {memo.__name__: lru_cache(maxsize=0)(memo.__wrapped__) for memo in memos}
+    for name, memo in bare.items():
+        monkeypatch.setattr(series, name, memo)
+    result = run_sweep(SweepSpec(check_ids=CHECK_NAMES, n_range=(3, 8), q_range=(1, 4),
+                                 d_range=(4, 8), p_max=31, exploratory=True))
+    assert all(m.cache_info().misses and not m.cache_info().hits for m in bare.values())
+    digest = {fmt: hashlib.sha256(render(result).encode()).hexdigest()
+              for fmt, render in (("json", render_json), ("csv", render_csv))}
+    assert digest == {
+        "json": "556523238c56de4eefed723536ec891d9bdfc3da23d8bf4ad6e2a171638fe78c",
+        "csv": "f3ceceab048ee25a0cc1903a6ab48133d11643b9b66a0f9382c71ad9c5e89836",
+    }

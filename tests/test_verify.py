@@ -23,7 +23,6 @@ from hypercong.padic import (
 from hypercong.series import (
     TheoremParams,
     _steps_mirror,
-    lhs_theorem1,
     theorem2_prefactor,
     theorem_sum,
 )
@@ -112,12 +111,12 @@ def test_reports_are_frozen_values():
 
 
 def test_a_caller_cannot_change_a_memoized_sum():
-    # lhs_theorem1 hands its kept sum to every caller: setting its num to 0 once made the
+    # theorem_sum hands its kept sum to every caller: setting its num to 0 once made the
     # next verify_theorem1 at (4, 1, 23) report order inf where it reports 5.
     tp = TheoremParams(4, 1, 23)
     before = verify_theorem1(tp)
-    value = lhs_theorem1(tp)
-    assert lhs_theorem1(tp) is value
+    value = theorem_sum(4, 1, 23)
+    assert theorem_sum(4, 1, 23) is value
     for name in ("num", "den"):
         with pytest.raises(AttributeError):
             setattr(value, name, 0)
@@ -140,7 +139,7 @@ def test_verdict_iff_valuation_reaches_requirement():
 def test_unit_multiplier_does_not_change_valuation():
     rng = random.Random(13)
     tp = TheoremParams(4, 1, 7)
-    base = check_congruence(lhs_theorem1(tp), 0, PrimePowerModulus(7, 3))
+    base = check_congruence(theorem_sum(4, 1, 7), 0, PrimePowerModulus(7, 3))
     for _ in range(25):
         num = rng.randint(1, 300)
         den = rng.randint(1, 300)
@@ -149,7 +148,7 @@ def test_unit_multiplier_does_not_change_valuation():
         while den % 7 == 0:
             den = rng.randint(1, 300)
         unit = F(num, den)
-        value = lhs_theorem1(tp)
+        value = theorem_sum(4, 1, 7)
         scaled = check_congruence(F(value.num, value.den) * unit, 0, PrimePowerModulus(7, 3))
         assert scaled.achieved_ord == base.achieved_ord
         assert scaled.verdict == base.verdict
@@ -359,7 +358,7 @@ def _reference_second_order(tp):
 def _reference_p2_reduction(tp):
     n, p = tp.n, tp.p
     rhs = F(n - 1, 2 * n) * p * p * _reference_second_order(tp)
-    return _tagged(check_congruence(lhs_theorem1(tp), rhs, PrimePowerModulus(p, 3),
+    return _tagged(check_congruence(theorem_sum(n, tp.q, p), rhs, PrimePowerModulus(p, 3),
                                     check_id="identities/p2-reduction", params=tp.as_params()), tp)
 
 
@@ -650,11 +649,11 @@ def _widest_gcd(monkeypatch, clear_memos, call) -> int:
 
 
 EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's bound
-    ("psi_value", (TP797, F(797, 4)), 20000),
+    pytest.param("phi_value", (TP797, F(797, 4), F(797, 4)), 20000, id="psi_value"),
     ("phi_value", (TP797, 797, 0), 20000),
     ("delta_value", (TP797, -797), 20000),
-    ("lhs_theorem1", (TP797,), 20000),
-    ("lhs_theorem2", (TP797,), 20000),
+    pytest.param("theorem_sum", (4, 1, 797), 20000, id="lhs_theorem1"),
+    pytest.param("theorem_sum", (4, 1, 797, True), 20000, id="lhs_theorem2"),
     ("dual_reduction_sum", (TheoremParams(4, 2, 797),), 20000),
     ("theorem2_prefactor", (TP797,), 20000),
     # The guo, sun-e, sun-bernoulli and dflst sums: theorem_sum at each check's point.
