@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 from . import verify
 from .errors import CapExceeded, ConfigError, HypercongError
-from .series import TheoremParams, _decimal
+from .padic import _decimal
+from .series import TheoremParams
 from .verify import _TRIPLE, CongruenceReport, Verdict
 
 __all__ = ["SweepSpec", "SweepResult", "primes_upto", "run_sweep", "main", "CHECK_NAMES"]
@@ -55,7 +56,7 @@ def primes_upto(limit: int) -> list[int]:
     Raises CapExceeded above SIEVE_LIMIT.
     """
     if limit > SIEVE_LIMIT:
-        raise CapExceeded(f"sieve limit {limit} exceeds the cap {SIEVE_LIMIT}")
+        raise CapExceeded(f"sieve limit {_decimal(limit)} exceeds the cap {SIEVE_LIMIT}")
     if limit < 2:
         return []
     sieve = bytearray([1]) * (limit + 1)
@@ -90,13 +91,13 @@ class SweepSpec:
         if not self.check_ids:
             raise ConfigError("no checks requested")
         if self.p_max < 5:
-            raise ConfigError(f"p_max must be at least 5, got {self.p_max}")
+            raise ConfigError(f"p_max must be at least 5, got {_decimal(self.p_max)}")
         for name, (lo, hi) in zip("nqd", (self.n_range, self.q_range, self.d_range)):
             if lo > hi:
-                raise ConfigError(f"empty {name} range {lo}..{hi}")
+                raise ConfigError(f"empty {name} range {_decimal(lo)}..{_decimal(hi)}")
         if self.parallelism < 1:
-            raise ConfigError(f"parallelism must be positive, got {self.parallelism}")
-        if self.output_format not in ("json", "csv"):
+            raise ConfigError(f"parallelism must be positive, got {_decimal(self.parallelism)}")
+        if self.output_format not in RENDERERS:
             raise ConfigError(f"unknown output format {self.output_format!r}")
 
 
@@ -211,18 +212,9 @@ def _report_row(report: CongruenceReport) -> dict:
 
 
 def render_json(result: SweepResult) -> str:
-    # parallelism and output destination are execution details; leaving them
-    # out keeps output byte-identical across parallelism levels.
-    spec = result.spec
+    # The spec echo holds the settings that have an echo key; json writes tuples as lists.
     payload = {
-        "spec": {
-            "checks": list(spec.check_ids),
-            "n_range": list(spec.n_range),
-            "q_range": list(spec.q_range),
-            "d_range": list(spec.d_range),
-            "p_max": spec.p_max,
-            "exploratory": spec.exploratory,
-        },
+        "spec": {echo: getattr(result.spec, f) for f, _, _, echo in _SETTINGS.values() if echo},
         "reports": [_report_row(r) for r in result.reports],
         "summary": result.summary,
     }
@@ -242,6 +234,10 @@ def render_csv(result: SweepResult) -> str:
     for row in map(_report_row, result.reports):
         writer.writerow({**row.pop("params"), **row})
     return buffer.getvalue()
+
+
+# The output formats, by name: the only list of them.
+RENDERERS = {"json": render_json, "csv": render_csv}
 
 
 def _format_report(r: CongruenceReport) -> str:
@@ -281,18 +277,21 @@ def _parse_checks(key: str, value) -> tuple[str, ...]:
     return tuple(str(c) for c in value)
 
 
-# Config key (also the flag's argparse dest): the SweepSpec field it sets and
-# its parser.  Unset keys take the SweepSpec defaults.
+# Config key: the SweepSpec field it sets (unset, its default), its parser, the keywords of its
+# flag --<key> (dest key, - for _) and its key in render_json's spec echo.  The execution
+# details parallel, format and out have none: the output bytes never depend on them.
 _SETTINGS = {
-    "checks": ("check_ids", _parse_checks),
-    "n": ("n_range", _parse_range),
-    "q": ("q_range", _parse_range),
-    "d": ("d_range", _parse_range),
-    "p_max": ("p_max", _typed(int)),
-    "exploratory": ("exploratory", _typed(bool)),
-    "parallel": ("parallelism", _typed(int)),
-    "format": ("output_format", _typed(str)),
-    "out": ("output_path", _typed(str, type(None))),
+    "checks": ("check_ids", _parse_checks, {"help": "comma-separated check ids"}, "checks"),
+    "n": ("n_range", _parse_range, {"help": "range A..B for the exponent n"}, "n_range"),
+    "q": ("q_range", _parse_range, {"help": "range A..B for the shift q"}, "q_range"),
+    "d": ("d_range", _parse_range, {"help": "range A..B for the even degree d"}, "d_range"),
+    "p_max": ("p_max", _typed(int), {"type": int}, "p_max"),
+    "exploratory": ("exploratory", _typed(bool), {"action": "store_true", "default": None},
+                    "exploratory"),
+    "parallel": ("parallelism", _typed(int), {"type": int}, None),
+    "format": ("output_format", _typed(str), {"choices": tuple(RENDERERS)}, None),
+    "out": ("output_path", _typed(str, type(None)), {"help": "output path (default: stdout)"},
+            None),
 }
 
 
@@ -325,7 +324,7 @@ def _cmd_sweep(args) -> int:
     if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise ConfigError(f"cannot write output: {out} has no parent directory")
     result = run_sweep(spec)
-    text = render_json(result) if spec.output_format == "json" else render_csv(result)
+    text = RENDERERS[spec.output_format](result)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -380,15 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run checks over a parameter grid")
-    p_sweep.add_argument("--checks", help="comma-separated check ids")
-    p_sweep.add_argument("--n", help="range A..B for the exponent n")
-    p_sweep.add_argument("--q", help="range A..B for the shift q")
-    p_sweep.add_argument("--d", help="range A..B for the even degree d")
-    p_sweep.add_argument("--p-max", dest="p_max", type=int)
-    p_sweep.add_argument("--exploratory", action="store_true", default=None)
-    p_sweep.add_argument("--parallel", type=int)
-    p_sweep.add_argument("--format", choices=("json", "csv"))
-    p_sweep.add_argument("--out", help="output path (default: stdout)")
+    for key, (_, _, flag, _) in _SETTINGS.items():
+        p_sweep.add_argument(f"--{key.replace('_', '-')}", dest=key, **flag)
     p_sweep.add_argument("--config", help="JSON config file; flags override it")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ZeroDenominator
-from .padic import _fraction
+from .padic import _decimal, _fraction
 
 __all__ = [
     "ShiftedSumSpec",
@@ -85,9 +85,8 @@ def shifted_power_sum(spec: ShiftedSumSpec) -> Fraction:
     for i in range(spec.length):
         shifted = base + i
         if not shifted:
-            raise ZeroDenominator(
-                f"base {base} + {i} = 0 inside shifted sum of length {spec.length}"
-            )
+            raise ZeroDenominator(f"base {_decimal(base)} + {i} = 0 inside shifted sum of "
+                                  f"length {_decimal(spec.length)}")
         total += Fraction(1) / shifted**spec.order
     return total
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import CapExceeded, CapMismatch, DivByNonUnit
-from .padic import _fraction
+from .padic import _decimal, _fraction
 
 __all__ = ["Jet2", "pochhammer_jet"]
 
@@ -33,13 +33,14 @@ class Jet2:
     def __init__(self, coefficients=None, degree_cap: int = 2):
         cap = int(degree_cap)
         if not 0 <= cap <= MAX_DEGREE_CAP:
-            raise ValueError(f"degree cap must lie in [0, {MAX_DEGREE_CAP}], got {cap}")
+            raise ValueError(f"degree cap must lie in [0, {MAX_DEGREE_CAP}], got {_decimal(cap)}")
         coeffs: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in dict(coefficients or {}).items():
             if i < 0 or j < 0:
-                raise ValueError(f"negative exponent pair ({i}, {j})")
+                raise ValueError(f"negative exponent pair ({_decimal(i)}, {_decimal(j)})")
             if i + j > cap:
-                raise CapExceeded(f"exponent pair ({i}, {j}) exceeds cap {cap}")
+                raise CapExceeded(f"exponent pair ({_decimal(i)}, {_decimal(j)}) exceeds "
+                                  f"cap {cap}")
             c = _fraction(c)
             if c:
                 coeffs[(i, j)] = c
@@ -94,7 +95,8 @@ class Jet2:
     def partial(self, i: int, j: int = 0) -> Fraction:
         """Mixed partial d^{i+j}/dx^i dy^j at the origin: i!*j!*coefficient."""
         if i + j > self._cap:
-            raise CapExceeded(f"partial order ({i}, {j}) exceeds cap {self._cap}")
+            raise CapExceeded(f"partial order ({_decimal(i)}, {_decimal(j)}) exceeds "
+                              f"cap {self._cap}")
         return factorial(i) * factorial(j) * self.coefficient(i, j)
 
     def evaluate(self, x, y=0) -> Fraction:

@@ -9,6 +9,7 @@ representative, which keeps serialized output bit-exact across runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -39,6 +40,17 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3 * 10**18
 
 
+def _decimal(value) -> str:
+    # str(value), but each integer past str()'s digit limit (none before Python 3.10.7) as the
+    # power of 10 at or below its size: "at least 10^e", or "at most -10^e" when negative.
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+    v = value.numerator if isinstance(value, (int, Fraction)) else 0
+    e = (t := int(v.bit_length() * math.log10(2))) - (abs(v) < 10**t)  # 10^e <= |v| < 10^(e+1)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return f"{'at most -' if v < 0 else 'at least '}10^{e}" if 0 < limit <= e else str(value)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test; raises CapExceeded above 3e18."""
     if n < 2:
@@ -49,7 +61,7 @@ def is_prime(n: int) -> bool:
         if n % b == 0:
             return False
     if n > _MR_DETERMINISTIC_LIMIT:
-        raise CapExceeded(f"{n} exceeds the deterministic primality range")
+        raise CapExceeded(f"{_decimal(n)} exceeds the deterministic primality range")
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -79,7 +91,7 @@ class PrimePowerModulus:
         if self.k < 1:
             raise ValueError("precision exponent k must be >= 1")
         if not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
+            raise NotPrime(f"{_decimal(self.p)} is not prime")
 
     @property
     def modulus(self) -> int:
@@ -95,7 +107,8 @@ class Residue:
 
     def __post_init__(self):
         if not 0 <= self.value < self.modulus.modulus:
-            raise ValueError(f"residue {self.value} outside [0, {self.modulus.modulus})")
+            raise ValueError(f"residue {_decimal(self.value)} outside "
+                             f"[0, {_decimal(self.modulus.modulus)})")
 
     def __int__(self) -> int:
         return self.value
@@ -161,7 +174,7 @@ class Unreduced:
     def ord(self, p: int):
         """ord_p(num) - ord_p(den), math.inf for zero.  p must be prime."""
         if p < 2:  # p = 1 or -1 would never end the loop below; is_prime costs too much here
-            raise NotPrime(f"{p} is not prime")
+            raise NotPrime(f"{_decimal(p)} is not prime")
         return _ord_int(self.num, p) - _ord_int(self.den, p) if self.num else math.inf
 
     def residue(self, m: PrimePowerModulus) -> Residue:
@@ -175,7 +188,7 @@ class Unreduced:
 def ord_rational(r, p: int):
     """p-adic valuation of a rational; math.inf for zero."""
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(f"{_decimal(p)} is not prime")
     r = _fraction(r)
     if not r:
         return math.inf
@@ -201,7 +214,7 @@ def reduce_mod(r, m: PrimePowerModulus) -> Residue:
     """
     r = _fraction(r)
     if r.denominator % m.p == 0:
-        raise NotPIntegral(f"{r} has negative {m.p}-adic valuation")
+        raise NotPIntegral(f"{_decimal(r)} has negative {m.p}-adic valuation")
     pk = m.modulus
     value = r.numerator * pow(r.denominator, -1, pk) % pk
     return Residue(value, m)
@@ -212,7 +225,7 @@ def factorial_valuation(r: int, p: int) -> int:
     if r < 0:
         raise ValueError("factorial argument must be nonnegative")
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(f"{_decimal(p)} is not prime")
     total = 0
     q = r // p
     while q:
@@ -227,7 +240,7 @@ _bernoulli_cache: list[Fraction] = [Fraction(1)]
 
 def _check_bernoulli_index(m: int) -> None:
     if m > BERNOULLI_CAP:
-        raise CapExceeded(f"bernoulli({m}) exceeds the documented cap {BERNOULLI_CAP}")
+        raise CapExceeded(f"bernoulli({_decimal(m)}) exceeds the documented cap {BERNOULLI_CAP}")
 
 
 def bernoulli(m: int) -> Fraction:
@@ -301,7 +314,7 @@ def morita_gamma(x, m: PrimePowerModulus) -> Residue:
         raise PreconditionViolated("morita_gamma requires an odd prime")
     pk = m.modulus
     if pk > MORITA_CAP:
-        raise PrecisionCapExceeded(f"p^k = {pk} exceeds the Morita cap {MORITA_CAP}")
+        raise PrecisionCapExceeded(f"p^k = {_decimal(pk)} exceeds the Morita cap {MORITA_CAP}")
     lift = Unreduced(x).residue(m).value or pk
     p, k = m.p, m.k
     blocks = (lift - 1) // p

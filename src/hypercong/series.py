@@ -12,12 +12,11 @@ routes against each other.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, repeat
-from math import gcd, lcm, log10
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .exact_core import pochhammer
 from .jets import Jet2
-from .padic import Unreduced, _fraction, is_prime
+from .padic import Unreduced, _decimal, _fraction, is_prime
 
 __all__ = [
     "HyperSeriesSpec",
@@ -80,9 +79,8 @@ class HyperSeriesSpec:
             raise ValueError("truncation index must be nonnegative")
         for b in self.lower:
             if _vanishing_lower(b, self.terms):
-                raise ZeroLowerFactor(
-                    f"lower parameter {b} vanishes within {self.terms} terms"
-                )
+                raise ZeroLowerFactor(f"lower parameter {_decimal(b)} vanishes within "
+                                      f"{_decimal(self.terms)} terms")
 
 
 def truncated_pfq(spec: HyperSeriesSpec) -> Fraction:
@@ -122,27 +120,21 @@ def karlsson_minton_sum(a, pairs: Sequence[tuple]) -> KarlssonMintonResult:
     """
     a = _fraction(a)
     if a.denominator != 1 or a >= 0:
-        raise NotTerminating(f"leading parameter {a} is not a negative integer")
+        raise NotTerminating(f"leading parameter {_decimal(a)} is not a negative integer")
     length = -a.numerator
     factors = [(a, 1), (1, -1)]
     total_m = 0
     for b, m in pairs:
         b = _fraction(b)
         if m < 0:
-            raise ValueError(f"pair offset {m} must be a nonnegative integer")
+            raise ValueError(f"pair offset {_decimal(m)} must be a nonnegative integer")
         if _vanishing_lower(b, length):
-            raise ZeroLowerFactor(f"pair base {b} hits a nonpositive integer in range")
+            raise ZeroLowerFactor(f"pair base {_decimal(b)} hits a nonpositive integer in range")
         factors += [(b + m, 1), (b, -1)]
         total_m += m
     violated = not length > total_m
     value = _ratio_sum(tuple(factors), length)
     return KarlssonMintonResult(Fraction(value.num, value.den), violated)
-
-
-def _decimal(value: int) -> str:
-    # A value >= 0 in decimal, or past str()'s digit limit, the power of 10 at or below it.
-    e = (t := int(value.bit_length() * log10(2))) - (value < 10**t)  # 10^e <= value < 10^(e+1)
-    return f"at least 10^{e}" if 0 < sys.get_int_max_str_digits() <= e else str(value)
 
 
 @dataclass(frozen=True)
@@ -164,11 +156,11 @@ class TheoremParams:
         if any(type(v) is not int for v in (self.n, self.q, self.p)):  # bool, float refused
             raise TypeError(f"n, q and p must be int, got {self.n!r}, {self.q!r}, {self.p!r}")
         if self.n <= 2:
-            raise PreconditionViolated(f"n must exceed 2, got {self.n}")
+            raise PreconditionViolated(f"n must exceed 2, got {_decimal(self.n)}")
         if self.q < 1:
-            raise PreconditionViolated(f"q must be positive, got {self.q}")
+            raise PreconditionViolated(f"q must be positive, got {_decimal(self.q)}")
         if not is_prime(self.p):
-            raise PreconditionViolated(f"p = {self.p} is not prime")
+            raise PreconditionViolated(f"p = {_decimal(self.p)} is not prime")
         if not self.exploratory:
             reasons = self.hypothesis_violations()
             if reasons:
@@ -177,10 +169,11 @@ class TheoremParams:
     def hypothesis_violations(self) -> tuple[str, ...]:
         reasons = []
         if self.n % 2 and self.q % 2 == 0:
-            reasons.append(f"parity: need n even or q odd (n={self.n}, q={self.q})")
+            reasons.append(f"parity: need n even or q odd "
+                           f"(n={_decimal(self.n)}, q={_decimal(self.q)})")
         bound = max(self.n, (self.q - 1) * self.n + 1)
         if self.p <= bound:
-            reasons.append(f"range: need p > {_decimal(bound)}, got p={self.p}")
+            reasons.append(f"range: need p > {_decimal(bound)}, got p={_decimal(self.p)}")
         return tuple(reasons)
 
     @property
@@ -202,7 +195,7 @@ def _ratio_steps(factors: Sequence[tuple], last: int) -> list:
     """
     split = [(*Fraction(c).as_integer_ratio(), m) for c, m in factors]
     if any(m < 0 and den == 1 and -last < num <= 0 for num, den, m in split):
-        raise ZeroDenominator(f"a denominator base vanishes within {last + 1} terms")
+        raise ZeroDenominator(f"a denominator base vanishes within {_decimal(last + 1)} terms")
     # c + k = (num + k den) / den vanishes only if den = 1, at k = -num: the columns stop there.
     last = min([last, *(-num for num, den, m in split if m > 0 and den == 1 and num <= 0)])
     sides = [[], []]  # the columns multiplied into u and into v: bases^|m| and den^|m|

@@ -114,13 +114,13 @@ def _check_p_caps(largest: dict, *checks: str) -> None:
             padic._check_bernoulli_index(p - 3)
         cap = P_CAPS.get(check, math.inf)
         if p > cap:
-            raise CapExceeded(f"p = {p} exceeds the {check} cap {cap}")
+            raise CapExceeded(f"p = {padic._decimal(p)} exceeds the {check} cap {cap}")
         for name in ("n", "d", "q"):
             size = largest.get(name, 0) if name in CHECKS[check].params else 0
             label, size = ("q.bit_length()", size.bit_length()) if name == "q" else (name, size)
             if p * size > 4 * cap:
-                raise CapExceeded(f"p * {label} = {p} * {size} exceeds 4 times the {check} "
-                                  f"cap {cap}")
+                raise CapExceeded(f"p * {label} = {padic._decimal(p)} * "
+                                  f"{padic._decimal(size)} exceeds 4 times the {check} cap {cap}")
 
 
 class Verdict(str, Enum):
@@ -191,7 +191,7 @@ def _theorem_sum_check(check: str, *args, rhs=lambda m: 0, sums=None) -> list:
     # whether it reads the dual sum; by default one report, of the plain sum, under the check.
     c = CHECKS[check]
     if not c.domain(*args):
-        given = ", ".join(f"{name}={value}" for name, value in zip(c.params, args))
+        given = ", ".join(f"{name}={padic._decimal(value)}" for name, value in zip(c.params, args))
         raise PreconditionViolated(f"{check} needs {c.words.format(cap=padic.MORITA_CAP)}, "
                                    f"got {given}")
     params = dict(zip(c.params, args))

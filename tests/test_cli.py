@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import errno
 import hashlib
 import itertools
@@ -232,6 +234,47 @@ def test_main_sweep_with_config_and_overrides(tmp_path, capsys):
     payload = json.loads(out_file.read_text())
     assert payload["spec"]["p_max"] == 11  # flag overrides file
     assert {r["params"]["p"] for r in payload["reports"]} == {5, 7, 11}
+
+
+def _sweep_parser() -> argparse.ArgumentParser:
+    commands = next(a for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return commands.choices["sweep"]
+
+
+def test_the_sweep_flags_are_the_rows_of_the_settings_table():
+    # One row per SweepSpec field, and one flag --<key> per row, - for _, with dest key.
+    fields = sorted(row[0] for row in cli._SETTINGS.values())
+    assert fields == sorted(f.name for f in dataclasses.fields(SweepSpec))
+    flags = {name: a.dest for a in _sweep_parser()._actions for name in a.option_strings}
+    assert flags == {"-h": "help", "--help": "help", "--config": "config",
+                     **{f"--{key.replace('_', '-')}": key for key in cli._SETTINGS}}
+    assert _sweep_parser()._option_string_actions["--format"].choices == tuple(cli.RENDERERS)
+
+
+def test_the_json_spec_echoes_exactly_the_rows_with_an_echo_key():
+    echo = {row[3]: row[0] for row in cli._SETTINGS.values() if row[3] is not None}
+    spec = spec_for(["theorem1", "sun-e"], n_range=(4, 4), q_range=(1, 1), p_max=13,
+                    parallelism=2, output_format="csv", output_path="ignored.csv")
+    echoed = json.loads(render_json(run_sweep(spec)))["spec"]
+    assert echoed == {key: json.loads(json.dumps(getattr(spec, field)))
+                      for key, field in echo.items()}
+    assert set(echo.values()) == {"check_ids", "n_range", "q_range", "d_range", "p_max",
+                                  "exploratory"}
+
+
+def test_a_config_with_every_key_gives_the_bytes_of_the_flags(tmp_path):
+    settings = {"checks": "theorem1,sun-e,guo", "n": "3..4", "q": "1..2", "d": "4..6",
+                "p_max": 13, "exploratory": True, "parallel": 1, "format": "csv"}
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({**settings, "out": str(tmp_path / "config.csv")}))
+    flags = [f"--{key.replace('_', '-')}" + ("" if value is True else f"={value}")
+             for key, value in settings.items()]
+    flags.append(f"--out={tmp_path / 'flags.csv'}")
+    assert set(json.loads(config.read_text())) == set(cli._SETTINGS)
+    assert main(["sweep", "--config", str(config)]) == main(["sweep", *flags]) == 0
+    text = (tmp_path / "config.csv").read_text()
+    assert text == (tmp_path / "flags.csv").read_text() and text.count("\n") > 10
 
 
 def test_main_sweep_config_errors(tmp_path, capsys):
@@ -478,8 +521,8 @@ def test_an_integer_too_long_to_print_exits_2(tmp_path, capsys):
     # str() refuses an int of more than 4300 digits, the interpreter's default limit.  A grid
     # count, a range bound or a config integer that long raised ValueError: a traceback and
     # exit 1.  A message states such a count or bound by the power of 10 below it.
-    assert series._decimal(10**4300 - 1) == "9" * 4300
-    assert series._decimal(10**4300) == series._decimal(10**4301 - 1) == "at least 10^4300"
+    assert padic._decimal(10**4300 - 1) == "9" * 4300
+    assert padic._decimal(10**4300) == padic._decimal(10**4301 - 1) == "at least 10^4300"
     big = 10**4000  # six primes up to 13 times 10^4000 - 2 values of n times 10^4000 of q
     assert main(["sweep", "--checks", "theorem1", "--n", f"3..{big}", "--q", f"1..{big}",
                  "--p-max", "13"]) == 2
@@ -492,6 +535,22 @@ def test_an_integer_too_long_to_print_exits_2(tmp_path, capsys):
     config.write_text('{"checks": "theorem1", "n": [3, 1%s], "q": "1..1"}' % ("0" * 4300))
     assert main(["sweep", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith("error: config file is not valid UTF-8 JSON: ")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: primes_upto(10**5000), "sieve limit at least 10^5000 exceeds the cap 10000000"),
+    (lambda: run_sweep(spec_for(["theorem1"], p_max=-(10**5000))),
+     "p_max must be at least 5, got at most -10^5000"),
+    (lambda: run_sweep(spec_for(["theorem1"], q_range=(10**5000, 1))),
+     "empty q range at least 10^5000..1"),
+    (lambda: run_sweep(spec_for(["theorem1"], parallelism=-(10**5000))),
+     "parallelism must be positive, got at most -10^5000"),
+], ids=["sieve", "p_max", "range", "parallelism"])
+def test_a_library_refusal_states_an_integer_too_long_to_print(call, message):
+    # A SweepSpec built in Python takes any int; argparse and json refuse one this long first.
+    with pytest.raises((CapExceeded, ConfigError)) as refusal:
+        call()
+    assert str(refusal.value) == message
 
 
 def test_harmonic_sums_are_sized_by_p_not_by_q(monkeypatch, capsys, clear_memos):

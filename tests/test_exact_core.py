@@ -100,6 +100,13 @@ def test_shifted_power_sum_zero_denominator():
         shifted_power_sum(ShiftedSumSpec(F(-2), 1, 5))
 
 
+def test_shifted_power_sum_states_a_length_too_long_to_print():
+    # A length above str()'s 4300 digits raised ValueError from inside the message.
+    with pytest.raises(ZeroDenominator) as refusal:
+        shifted_power_sum(ShiftedSumSpec(F(0), 1, 10**5000))
+    assert str(refusal.value) == "base 0 + 0 = 0 inside shifted sum of length at least 10^5000"
+
+
 def test_shifted_sum_spec_validation():
     with pytest.raises(ValueError):
         ShiftedSumSpec(F(1), 0, 3)

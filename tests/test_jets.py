@@ -45,6 +45,23 @@ def test_constructor_validates_cap_and_exponents():
         Jet2.linear(1, "x", 2)
 
 
+def test_a_refusal_states_an_integer_too_long_to_print():
+    # str() of an integer above 4300 digits raised ValueError from inside the message.
+    big = 10**5000
+    refusals = [(lambda: Jet2({}, big), ValueError, "degree cap must lie in [0, 4], got at least "
+                 "10^5000"),
+                (lambda: Jet2({(-big, 0): F(1)}), ValueError,
+                 "negative exponent pair (at most -10^5000, 0)"),
+                (lambda: Jet2({(0, big): F(1)}), CapExceeded,
+                 "exponent pair (0, at least 10^5000) exceeds cap 2"),
+                (lambda: Jet2.constant(1, 2).partial(big), CapExceeded,
+                 "partial order (at least 10^5000, 0) exceeds cap 2")]
+    for call, error, message in refusals:
+        with pytest.raises(error) as refusal:
+            call()
+        assert str(refusal.value) == message
+
+
 def test_cap_mismatch_raises():
     with pytest.raises(CapMismatch):
         Jet2.constant(1, 2) + Jet2.constant(1, 3)

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -450,6 +451,58 @@ def test_morita_gamma_far_above_the_cap(monkeypatch):
         assert morita_gamma(N + 1, m).value == step % pk, N
     half = morita_gamma(F(1, 2), m).value
     assert half * half % pk == (-1) ** ((p + 1) // 2) % pk
+
+
+# Above str()'s default limit of 4300 digits: 5001 digits, and N has 5003 with no small factor.
+BIG = 10**5000
+N = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)) * 10**4990 + 1
+
+
+def test_decimal_states_an_integer_too_long_to_print():
+    assert padic._decimal(10**4300 - 1) == "9" * 4300
+    assert padic._decimal(1 - 10**4300) == "-" + "9" * 4300
+    assert padic._decimal(10**4300) == padic._decimal(10**4301 - 1) == "at least 10^4300"
+    assert padic._decimal(-(10**4300)) == padic._decimal(1 - 10**4301) == "at most -10^4300"
+    assert padic._decimal(F(-7, BIG)) == "-7/at least 10^5000"
+    assert padic._decimal(F(BIG)) == "at least 10^5000"
+    assert [padic._decimal(v) for v in (0, -3, F(2, 3), True, 2.5, "x")] == [
+        "0", "-3", "2/3", "True", "2.5", "x"]
+
+
+def test_decimal_reads_a_python_without_a_digit_limit(monkeypatch):
+    # Python 3.10.0 to 3.10.6 have no digit limit and no sys.get_int_max_str_digits.
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    sys.set_int_max_str_digits(0)
+    try:
+        assert padic._decimal(BIG) == "1" + "0" * 5000
+        assert padic._decimal(-BIG) == "-1" + "0" * 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: is_prime(N), CapExceeded,
+     "at least 10^5002 exceeds the deterministic primality range"),
+    (lambda: PrimePowerModulus(BIG + 1, 1), NotPrime, "at least 10^5000 is not prime"),
+    (lambda: ord_rational(3, BIG + 1), NotPrime, "at least 10^5000 is not prime"),
+    (lambda: factorial_valuation(5, BIG), NotPrime, "at least 10^5000 is not prime"),
+    (lambda: Unreduced(1).ord(-BIG), NotPrime, "at most -10^5000 is not prime"),
+    (lambda: reduce_mod(F(1, 7 * BIG), PrimePowerModulus(7, 1)), NotPIntegral,
+     "1/at least 10^5000 has negative 7-adic valuation"),
+    (lambda: bernoulli(BIG), CapExceeded, "bernoulli(at least 10^5000) exceeds the documented cap "
+     "10000"),
+    (lambda: morita_gamma(F(1, 3), PrimePowerModulus(7, 6000)), PrecisionCapExceeded,
+     "p^k = at least 10^5070 exceeds the Morita cap 10000000"),
+    (lambda: Residue(-BIG, PrimePowerModulus(7, 1)), ValueError,
+     "residue at most -10^5000 outside [0, 7)"),
+], ids=["is_prime", "modulus", "ord_rational", "factorial_valuation", "ord", "reduce_mod",
+        "bernoulli", "morita_gamma", "residue"])
+def test_a_refusal_states_an_integer_too_long_to_print(call, error, message):
+    # str() of such an integer raised ValueError from inside the message.
+    with pytest.raises(error) as refusal:
+        call()
+    assert str(refusal.value) == message
 
 
 @pytest.mark.slow

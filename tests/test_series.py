@@ -217,6 +217,38 @@ def test_theorem_params_exploratory_mode():
     assert tp == TheoremParams(3, 2, 11, exploratory=True)
 
 
+BIG = 10**5000  # above str()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TheoremParams(3, 1, BIG), PreconditionViolated, "p = at least 10^5000 is not prime"),
+    (lambda: TheoremParams(3, -BIG, 7), PreconditionViolated,
+     "q must be positive, got at most -10^5000"),
+    (lambda: TheoremParams(-BIG, 1, 7), PreconditionViolated,
+     "n must exceed 2, got at most -10^5000"),
+    (lambda: HyperSeriesSpec((F(1),), (F(-BIG),), F(1), BIG + 1), ZeroLowerFactor,
+     "lower parameter at most -10^5000 vanishes within at least 10^5000 terms"),
+    (lambda: karlsson_minton_sum(F(1, BIG), []), NotTerminating,
+     "leading parameter 1/at least 10^5000 is not a negative integer"),
+    (lambda: karlsson_minton_sum(-BIG - 2, [(-BIG, 1)]), ZeroLowerFactor,
+     "pair base at most -10^5000 hits a nonpositive integer in range"),
+    (lambda: karlsson_minton_sum(-3, [(1, -BIG)]), ValueError,
+     "pair offset at most -10^5000 must be a nonnegative integer"),
+], ids=["p", "q", "n", "lower-parameter", "leading-parameter", "pair-base", "pair-offset"])
+def test_a_refusal_states_an_integer_too_long_to_print(call, error, message):
+    # str() of such an integer raised ValueError from inside the message.
+    with pytest.raises(error) as refusal:
+        call()
+    assert str(refusal.value) == message
+
+
+def test_the_hypotheses_state_an_integer_too_long_to_print():
+    tp = TheoremParams(3, BIG, 7, exploratory=True)
+    assert not tp.in_hypothesis
+    assert tp.hypothesis_violations() == ("parity: need n even or q odd (n=3, q=at least 10^5000)",
+                                          "range: need p > at least 10^5000, got p=7")
+
+
 # --- concrete sums ------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from functools import partial
 
 import pytest
 
-from hypercong.errors import PreconditionViolated, ZeroDenominator
+from hypercong.errors import CapExceeded, PreconditionViolated, ZeroDenominator
 from hypercong.exact_core import harmonic, pochhammer
 from hypercong import padic, series, verify
 from hypercong.padic import (
@@ -182,6 +182,29 @@ def test_verify_guo_holds_and_reduces_to_theorem1():
     assert verify.CHECKS["guo"].point(4, 7) == (4, 2, 7)
     assert theorem_sum(4, 2, 7) == series._ratio_sum(((Fraction(1, 4), 4), (1, -4)), 6)
     assert verify_guo(6, 11).verdict is Verdict.HOLDS
+
+
+BIG = 10**5000  # above str()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: verify_guo(BIG, 7), PreconditionViolated,
+     "guo needs an even d >= 4 and a prime p = -1 (mod d), got d=at least 10^5000, p=7"),
+    (lambda: verify_sun_e(BIG + 1), PreconditionViolated,
+     "sun-e needs a prime p > 3, got p=at least 10^5000"),
+    (lambda: verify_dflst_pair(BIG, 7), PreconditionViolated,
+     "dflst needs n >= 3 and a prime p = 1 (mod n) with p^3 <= the Morita cap 10000000, "
+     "got n=at least 10^5000, p=7"),
+    (lambda: verify_sun_bernoulli(7, BIG), CapExceeded,
+     "p * n = 7 * at least 10^5000 exceeds 4 times the sun-bernoulli cap 250000"),
+    (lambda: verify_theorem1(TheoremParams(BIG, 1, 7, exploratory=True)), CapExceeded,
+     "p * n = 7 * at least 10^5000 exceeds 4 times the theorem1 cap 250000"),
+], ids=["guo", "sun-e", "dflst", "sun-bernoulli", "theorem1"])
+def test_a_refusal_states_an_integer_too_long_to_print(call, error, message):
+    # str() of such an integer raised ValueError from inside the message.
+    with pytest.raises(error) as refusal:
+        call()
+    assert str(refusal.value) == message
 
 
 def test_verify_guo_boundary_prime_below_degree():
