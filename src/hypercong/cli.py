@@ -25,8 +25,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from . import verify
@@ -178,6 +176,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         raise ConfigError("the requested grid expands to no work units")
     workers = min(spec.parallelism, len(units), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: the pool pulls in multiprocessing, which a serial run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         chunksize = max(1, len(units) // (workers * 8))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:

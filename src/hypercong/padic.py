@@ -31,6 +31,7 @@ __all__ = [
     "reduce_mod",
     "factorial_valuation",
     "bernoulli",
+    "bernoulli_residue",
     "morita_gamma",
 ]
 
@@ -270,6 +271,20 @@ def bernoulli(m: int) -> Fraction:
         grown += [value if k % 2 else -value, Fraction(0)]
     _bernoulli_cache = grown  # replaced whole, so a concurrent reader sees a full list
     return grown[m]
+
+
+def bernoulli_residue(p: int) -> Residue:
+    """B_{p-3} mod p^2 for a prime p >= 7, from a power sum instead of the table.
+
+    By Faulhaber's formula S = sum_{j=1}^{p-1} j^(p-3) = p B_{p-3} (mod p^3): the next
+    term holds B_{p-4} = 0, and every later one is p^3 times a p-integral number, as p
+    divides no denominator of B_i for 0 < i < p - 1 (von Staudt-Clausen).  So the residue
+    is (S mod p^3) / p, from p - 2 modular powers.  At p = 5 the B_1 term breaks it.
+    """
+    if p < 7:
+        raise PreconditionViolated(f"bernoulli_residue needs a prime p >= 7, got {_decimal(p)}")
+    m, p3 = PrimePowerModulus(p, 2), p**3
+    return Residue(sum(pow(j, p - 3, p3) for j in range(1, p)) % p3 // p, m)
 
 
 # Morita Gamma precision is refused above p^k = MORITA_CAP, read at call time.

@@ -154,7 +154,8 @@ class TheoremParams:
 
     def __post_init__(self):
         if any(type(v) is not int for v in (self.n, self.q, self.p)):  # bool, float refused
-            raise TypeError(f"n, q and p must be int, got {self.n!r}, {self.q!r}, {self.p!r}")
+            given = (_decimal(v) if type(v) is int else repr(v) for v in (self.n, self.q, self.p))
+            raise TypeError(f"n, q and p must be int, got {', '.join(given)}")
         if self.n <= 2:
             raise PreconditionViolated(f"n must exceed 2, got {_decimal(self.n)}")
         if self.q < 1:

@@ -227,9 +227,22 @@ def verify_sun_e(p: int) -> CongruenceReport:
 
 
 def verify_sun_bernoulli(p: int, n: int) -> CongruenceReport:
-    """sum (1 - p/n)_k^n / (1)_k^n = (n-1)(7n-5)/(36 n^2) p^4 B_{p-3} (mod p^5)."""
-    return _theorem_sum_check("sun-bernoulli", p, n, rhs=lambda m: Fraction(
-        (n - 1) * (7 * n - 5), 36 * n * n) * Fraction(p) ** 4 * bernoulli(p - 3))[0]
+    """sum (1 - p/n)_k^n / (1)_k^n = (n-1)(7n-5)/(36 n^2) p^4 B_{p-3} (mod p^5).
+
+    The right side first reads B_{p-3} mod p^2 (padic.bernoulli_residue).  Its weight is p^4
+    times a p-integral rational (p > 3 divides no 36 n^2), so that moves the difference by a
+    multiple of p^6: a valuation below 6 and the residue mod p^5 are the exact ones.  A
+    valuation of 6 or more at n > 1 (n = 1 zeroes the weight), and p = 5, where the residue
+    does not hold, are decided on the exact bernoulli(p - 3), the sum read from series' memo.
+    """
+    def rhs(exact: bool):
+        return lambda m: Fraction((n - 1) * (7 * n - 5), 36 * n * n) * p**4 * (
+            bernoulli(p - 3) if exact else padic.bernoulli_residue(p).value)
+
+    report = _theorem_sum_check("sun-bernoulli", p, n, rhs=rhs(p == 5))[0]
+    if p > 5 and n > 1 and report.achieved_ord >= 6:
+        report = _theorem_sum_check("sun-bernoulli", p, n, rhs=rhs(True))[0]
+    return report
 
 
 def verify_dflst_pair(n: int, p: int) -> tuple[CongruenceReport, CongruenceReport]:

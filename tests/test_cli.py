@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import dataclasses
 import errno
 import hashlib
@@ -215,6 +216,25 @@ def test_python_dash_m_hypercong_runs_the_cli_quietly():
     assert (proc.returncode, proc.stdout.split(), proc.stderr) == (0, ["2", "3", "5", "7"], "")
 
 
+def test_a_serial_run_does_not_load_the_process_pool():
+    # multiprocessing (with socket, pickle, subprocess, logging) is loaded only by a sweep
+    # that starts workers, not by the package, a verify or a --parallel 1 sweep.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, hypercong\n"
+            "hypercong.main(['verify', 'sun-bernoulli', '--p', '41', '--n', '4'])\n"
+            "hypercong.main(['sweep', '--checks', 'theorem1', '--n', '3..4', '--q', '1..1',\n"
+            "                '--p-max', '13', '--parallel', '1', '--format', 'csv'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+            "             ('multiprocessing', 'concurrent')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[0].startswith("sun-bernoulli [n=4 p=41] verdict=holds")
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_main_primes(capsys):
     assert main(["primes", "10"]) == 0
     assert capsys.readouterr().out.split() == ["2", "3", "5", "7"]
@@ -362,7 +382,7 @@ class _RecordingPool:
     ],
 )
 def test_run_sweep_clamps_pool_size(monkeypatch, parallelism, cpus, p_max, expected):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "calls", [])
     spec = spec_for(["theorem1"], n_range=(3, 8), q_range=(1, 4), p_max=p_max,
@@ -987,7 +1007,7 @@ def test_a_failed_process_pool_exits_2_not_1(monkeypatch, capsys, pool_failure):
     if pool_failure == "a worker dies":
         monkeypatch.setattr(cli, "_run_unit", _run_unit_dying_at_p_23)
     else:
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_process_can_start)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_process_can_start)
     argv = ["sweep", "--checks", "theorem1", "--n", "3..4", "--q", "1..1", "--p-max", "23",
             "--parallel", "2"]
     assert main(argv) == 2

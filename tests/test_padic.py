@@ -24,6 +24,7 @@ from hypercong.padic import (
     Residue,
     Unreduced,
     bernoulli,
+    bernoulli_residue,
     factorial_valuation,
     is_prime,
     morita_gamma,
@@ -254,6 +255,19 @@ def test_bernoulli_tangent_numbers_against_sympy_in_any_call_order(monkeypatch):
             elif m >= 3:
                 assert got[m] == 0, m
         assert got[1] == F(-1, 2)
+
+
+def test_bernoulli_residue_is_the_table_mod_p_squared():
+    # The power-sum residue is pinned to the exact table at every prime 7 <= p <= 797.
+    for p in primes_upto(797)[3:]:
+        m = PrimePowerModulus(p, 2)
+        assert bernoulli_residue(p) == reduce_mod(bernoulli(p - 3), m), p
+    # At p = 5 the power sum's B_1 term breaks it: (1 + 4 + 9 + 16) / 5 = 6, B_2 = 1/6 = 21.
+    five = PrimePowerModulus(5, 2)
+    assert sum(j * j for j in range(1, 5)) // 5 == 6 != reduce_mod(bernoulli(2), five).value == 21
+    for p, error in [(5, PreconditionViolated), (3, PreconditionViolated), (9, NotPrime)]:
+        with pytest.raises(error):
+            bernoulli_residue(p)
 
 
 def test_bernoulli_cap():
@@ -492,12 +506,14 @@ def test_decimal_reads_a_python_without_a_digit_limit(monkeypatch):
      "1/at least 10^5000 has negative 7-adic valuation"),
     (lambda: bernoulli(BIG), CapExceeded, "bernoulli(at least 10^5000) exceeds the documented cap "
      "10000"),
+    (lambda: bernoulli_residue(-BIG), PreconditionViolated,
+     "bernoulli_residue needs a prime p >= 7, got at most -10^5000"),
     (lambda: morita_gamma(F(1, 3), PrimePowerModulus(7, 6000)), PrecisionCapExceeded,
      "p^k = at least 10^5070 exceeds the Morita cap 10000000"),
     (lambda: Residue(-BIG, PrimePowerModulus(7, 1)), ValueError,
      "residue at most -10^5000 outside [0, 7)"),
 ], ids=["is_prime", "modulus", "ord_rational", "factorial_valuation", "ord", "reduce_mod",
-        "bernoulli", "morita_gamma", "residue"])
+        "bernoulli", "bernoulli_residue", "morita_gamma", "residue"])
 def test_a_refusal_states_an_integer_too_long_to_print(call, error, message):
     # str() of such an integer raised ValueError from inside the message.
     with pytest.raises(error) as refusal:

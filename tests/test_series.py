@@ -234,7 +234,12 @@ BIG = 10**5000  # above str()'s default limit of 4300 digits
      "pair base at most -10^5000 hits a nonpositive integer in range"),
     (lambda: karlsson_minton_sum(-3, [(1, -BIG)]), ValueError,
      "pair offset at most -10^5000 must be a nonnegative integer"),
-], ids=["p", "q", "n", "lower-parameter", "leading-parameter", "pair-base", "pair-offset"])
+    # A field that is not an int keeps its repr, the str '1' its quotes.
+    (lambda: TheoremParams(BIG, 1, 7.0), TypeError,
+     "n, q and p must be int, got at least 10^5000, 1, 7.0"),
+    (lambda: TheoremParams(4, "1", 7), TypeError, "n, q and p must be int, got 4, '1', 7"),
+], ids=["p", "q", "n", "lower-parameter", "leading-parameter", "pair-base", "pair-offset",
+        "type", "type-printable"])
 def test_a_refusal_states_an_integer_too_long_to_print(call, error, message):
     # str() of such an integer raised ValueError from inside the message.
     with pytest.raises(error) as refusal:

@@ -240,6 +240,32 @@ def test_verify_sun_bernoulli():
         verify_sun_bernoulli(3, 2)
 
 
+@pytest.mark.parametrize("p", [p for p in range(5, 98) if is_prime(p)] + [787, 797])
+def test_sun_bernoulli_reports_equal_the_exact_bernoulli_reports(p):
+    # The residue path is pinned to the exact B_{p-3}: the same valuation, residue and
+    # verdict on every point, those that fall back (valuation 6 or more, and p = 5) included.
+    for n in (n for n in range(1 if p < 100 else 3, 9) if n % p):
+        weight = F((n - 1) * (7 * n - 5), 36 * n * n) * p**4
+        expected = check_congruence(theorem_sum(n, 1, p), weight * padic.bernoulli(p - 3),
+                                    PrimePowerModulus(p, 5), check_id="sun-bernoulli",
+                                    params={"p": p, "n": n})
+        assert verify_sun_bernoulli(p, n) == expected, n
+
+
+def test_only_the_fallback_reads_the_bernoulli_table(monkeypatch):
+    expected = {args: verify_sun_bernoulli(*args) for args in [(797, 4), (41, 4)]}
+    assert [r.achieved_ord for r in expected.values()] == [5, 7]
+
+    def never(m):
+        raise AssertionError("the Bernoulli table was read")
+
+    monkeypatch.setattr(verify, "bernoulli", never)
+    assert verify_sun_bernoulli(797, 4) == expected[797, 4]  # decided on the residue
+    assert verify_sun_bernoulli(797, 1).achieved_ord == math.inf  # a zero weight, any B
+    with pytest.raises(AssertionError, match="the Bernoulli table was read"):
+        verify_sun_bernoulli(41, 4)  # valuation 7: decided on the exact B_38
+
+
 def test_verify_sun_bernoulli_degenerate_coefficient():
     # n = 1 zeroes the right side; the verdict is computed, not asserted here
     report = verify_sun_bernoulli(5, 1)
@@ -642,7 +668,7 @@ TP797 = TheoremParams(4, 1, 797)
     (lambda: verify_theorem2(TP797), 20000),
     (lambda: verify_guo(6, 599), 20000),
     (lambda: verify_sun_e(101), 20000),
-    (lambda: verify_sun_bernoulli(797, 4), 20000),
+    (lambda: verify_sun_bernoulli(797, 4), 64),
     (lambda: verify_dflst_pair(3, 211), 4000),
     (lambda: verify_lemma_suite(TP797), 20000),
     (lambda: verify_exact_identities(TheoremParams(4, 2, 797)), 64),
@@ -652,10 +678,9 @@ TP797 = TheoremParams(4, 1, 797)
 def test_verify_reduces_no_sum_by_a_gcd(monkeypatch, clear_memos, call, bits):
     # Fraction normalisation calls math.gcd.  Every sum each check reads here has more
     # than 20000 bits (dflst's about 5000 at p = 211, the others above 25000), so a gcd
-    # that wide means a sum was reduced.  What is still reduced is narrower:
-    # sun-bernoulli's Bernoulli side (6000 bits).  Taylor values and the Upsilon
-    # coefficients are unreduced sums too, so taylor and identities reduce only small
-    # scalars such as p/n (10 bits at p = 797).
+    # that wide means a sum was reduced.  Taylor values and the Upsilon coefficients are
+    # unreduced sums too, so taylor and identities reduce only small scalars such as p/n
+    # (10 bits at p = 797), and sun-bernoulli only its weight times B_{p-3} mod p^2.
     assert _widest_gcd(monkeypatch, clear_memos, call) < bits
 
 
@@ -735,6 +760,18 @@ def test_theorem1_known_answers_beyond_the_grid(p, achieved):
     report = verify_theorem1(TheoremParams(4, 1, p))
     assert report.verdict is Verdict.HOLDS
     assert report.achieved_ord == achieved
+
+
+@pytest.mark.slow
+def test_sun_bernoulli_known_answers_beyond_the_grid(monkeypatch):
+    # About 3 s.  The exact B_9970 would take minutes; every order here is 5, so the power-sum
+    # residue decides each report and the table is never read.
+    def never(m):
+        raise AssertionError("the Bernoulli table was read")
+
+    monkeypatch.setattr(verify, "bernoulli", never)
+    reports = [verify_sun_bernoulli(9973, n) for n in range(3, 9)]
+    assert [(r.achieved_ord, r.verdict) for r in reports] == [(5, Verdict.HOLDS)] * 6
 
 
 @pytest.mark.parametrize("p", [
