@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import verify
 from .errors import CapExceeded, ConfigError, HypercongError
@@ -80,6 +81,12 @@ class SweepSpec:
     output_path: str | None = None
 
     def validate(self):
+        # A str would be read as its letters; the messages below join the ids as strings.
+        ids = self.check_ids
+        wrong = ({type(c).__name__ for c in ids if not isinstance(c, str)}
+                 if isinstance(ids, (tuple, list)) else {type(ids).__name__})
+        if wrong:
+            raise ConfigError(f"check ids must be a tuple of str, got {', '.join(sorted(wrong))}")
         repeated = sorted({c for c in self.check_ids if self.check_ids.count(c) > 1})
         if repeated:
             raise ConfigError(f"repeated check id(s): {', '.join(repeated)}")
@@ -213,14 +220,34 @@ def _report_row(report: CongruenceReport) -> dict:
     }
 
 
+def _json_scalar(value) -> str:
+    # An ord or residue as json.dumps writes it: a str ("inf" or a residue), an int or None.
+    return "null" if value is None else _quote(value) if type(value) is str else str(value)
+
+
+def _json_row(report: CongruenceReport) -> str:
+    # _report_row(report) as json.dumps(indent=2, sort_keys=True) writes it inside "reports":
+    # keys sorted, the row at depth 2 and its params at depth 3.  On Python 3.10-3.12, indent
+    # turns json's C encoder off, and its generators took about 15% of a full-grid sweep.
+    row = _report_row(report)
+    params = ",\n".join([f"        {_quote(k)}: {v}" for k, v in sorted(row["params"].items())])
+    return (f'    {{\n      "achieved_ord": {_json_scalar(row["achieved_ord"])},\n'
+            f'      "check_id": {_quote(row["check_id"])},\n'
+            f'      "params": {{\n{params}\n      }},\n'
+            f'      "required_ord": {_json_scalar(row["required_ord"])},\n'
+            f'      "residue": {_json_scalar(row["residue"])},\n'
+            f'      "verdict": {_quote(row["verdict"])}\n    }}')
+
+
 def render_json(result: SweepResult) -> str:
+    # json.dumps(payload, indent=2, sort_keys=True) + "\n", the oracle the tests hold it to.
     # The spec echo holds the settings that have an echo key; json writes tuples as lists.
-    payload = {
-        "spec": {echo: getattr(result.spec, f) for f, _, _, echo in _SETTINGS.values() if echo},
-        "reports": [_report_row(r) for r in result.reports],
-        "summary": result.summary,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    spec = {echo: getattr(result.spec, f) for f, _, _, echo in _SETTINGS.values() if echo}
+    rest = json.dumps({"spec": spec, "summary": result.summary}, indent=2, sort_keys=True)
+    rows = ",\n".join(map(_json_row, result.reports))
+    reports = f"[\n{rows}\n  ]" if rows else "[]"
+    # "reports" sorts before "spec" and "summary", so it goes in as the first key of rest.
+    return f'{{\n  "reports": {reports},{rest[1:]}\n'
 
 
 CSV_COLUMNS = ("check_id", "n", "q", "d", "p", "required_ord", "achieved_ord",

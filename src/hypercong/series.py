@@ -21,6 +21,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import (
+    CapExceeded,
     NotTerminating,
     PreconditionViolated,
     ZeroDenominator,
@@ -55,6 +56,18 @@ _LEAF = 8  # the most steps a product-tree leaf takes one at a time
 # Each memo below keeps its last 8 results in any call order; a repeated call gets the same
 # object.  typed: a float is another key than its integer twin, refused as on a cold call.
 _MEMO = 8
+
+
+# The most steps times exponent one walk or kernel pass may take, refused before it allocates:
+# the step list of a theorem sum at p = 10^9 fills memory.  The verify caps admit at most
+# sun-e's 1099 steps at exponent 1101, p = 1100, and p n <= 10^6 for the others.
+WALK_CAP = 1_250_000
+
+
+def _check_walk(steps: int, exponent: int) -> None:
+    if steps * exponent > WALK_CAP:
+        raise CapExceeded(f"a walk of {_decimal(steps)} steps at exponent {_decimal(exponent)} "
+                          f"exceeds the cap {WALK_CAP} on steps times exponent")
 
 
 def _vanishing_lower(b: Fraction, terms: int) -> bool:
@@ -194,6 +207,7 @@ def _ratio_steps(factors: Sequence[tuple], last: int) -> list:
     before any step.  Once a factor with m > 0 vanishes, every later term is
     zero, and the walk stops before that step.
     """
+    _check_walk(last, max([1, *(abs(m) for _, m in factors)]))
     split = [(*Fraction(c).as_integer_ratio(), m) for c, m in factors]
     if any(m < 0 and den == 1 and -last < num <= 0 for num, den, m in split):
         raise ZeroDenominator(f"a denominator base vanishes within {_decimal(last + 1)} terms")
@@ -336,6 +350,7 @@ def _binomial_sums(n: int, q: int, last: int, plus: int, minus: int = 0,
     t_k = C(q+k-1, k)^n, times (-1)^k C(top, k) if top is given.  g and h start at 0; with
     a = L/(plus+k-1) and b = L/(minus+k-1), or b = 0 if minus is 0, the step to k adds a - b
     to g and a^2 - b^2 to h; L is the lcm of those bases."""
+    _check_walk(last, n)
     scale = lcm(*range(plus, plus + last), *(range(minus, minus + last) if minus else ()))
     s0 = s1 = s2 = sh = g = h = 0
     c = d = 1  # C(q+k-1, k) and (-1)^k C(top, k), by their exact recurrences
@@ -359,6 +374,7 @@ def _offset_walk(tp: TheoremParams) -> tuple[int, int, int, int, int]:
     With e = p - n(q-1) and b = nk - e = n(c+k-1), step k is (b^n, (nk)^n, bk, e, e(2nk-e)).
     b = 0 only at (p, q) = (n, 1), k = 1, where the walk ends: every later term is zero."""
     n, q, p = tp.n, tp.q, tp.p
+    _check_walk(p - q, n)
     e = p - n * (q - 1)
     steps = [((n * k - e) ** n, (n * k) ** n, (n * k - e) * k, e, e * (2 * n * k - e))
              for k in range(1, 1 if p == n * q else p - q + 1)]
@@ -392,12 +408,13 @@ def lemma_sums(tp: TheoremParams) -> tuple[Unreduced, ...]:
     n, q, p = tp.n, tp.q, tp.p
     if p == n and q == 1:  # c + i = 0 means p = n(q+i): p = n, q = 1, i = 0 for a prime p
         raise ZeroDenominator("offset base 0 + 0 vanishes")
+    # H_{q+k-1} = H_{q-1} + the shifted sums' g over L' = lcm(q..p-1), and L = r L'.  The
+    # kernel refuses a walk too long for WALK_CAP before lcm(1..p-1) is formed.
+    s0, t1, t2, th, shifted = _binomial_sums(n, q, p - q, q)
+    _, a1, a2, ah, plain = _binomial_sums(n, q, p - q, 1)  # H_k; at q = 1 the same pass
     scale = lcm(*range(1, p))
     head = [scale // j for j in range(1, q)] if q <= p else []  # no weights at q > p
     g, h = sum(head), sum(v * v for v in head)
-    # H_{q+k-1} = H_{q-1} + the shifted sums' g over L' = lcm(q..p-1), and L = r L'.
-    s0, t1, t2, th, shifted = _binomial_sums(n, q, p - q, q)
-    _, a1, a2, ah, plain = _binomial_sums(n, q, p - q, 1)  # H_k; at q = 1 the same pass
     r, u = scale // shifted, scale // plain  # and L = u lcm(1..p-q)
     s1, s2, sh = g * s0 + r * t1, g * g * s0 + 2 * g * r * t1 + r * r * t2, h * s0 + r * r * th
     _, o1, o2, _, den = _offset_walk(tp)

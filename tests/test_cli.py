@@ -57,6 +57,15 @@ def test_spec_validation_errors():
         run_sweep(spec_for(["dflst"], n_range=(3, 3), p_max=6))
 
 
+@pytest.mark.parametrize("check_ids, kinds", [
+    ((1,), "int"), (("theorem1", 1, None), "NoneType, int"), ("theorem1", "str"), (7, "int"),
+])
+def test_library_check_ids_that_are_not_a_tuple_of_str_are_refused(check_ids, kinds):
+    # A library caller's ids: an int would break the messages' join, a str its letters.
+    with pytest.raises(ConfigError, match=f"check ids must be a tuple of str, got {kinds}$"):
+        SweepSpec(check_ids=check_ids).validate()
+
+
 def test_theorem1_sweep_grid():
     result = run_sweep(spec_for(["theorem1"]))
     assert result.summary["fails"] == 0
@@ -121,6 +130,37 @@ def test_json_schema_and_inf_encoding():
     assert rows["identities/p2-reduction"]["required_ord"] == 3
     assert isinstance(rows["identities/p2-reduction"]["residue"], str)
     assert payload["summary"]["holds"] == 5
+
+
+def _json_oracle(result: SweepResult) -> str:
+    rows = [cli._report_row(r) for r in result.reports]
+    spec = {echo: getattr(result.spec, f) for f, _, _, echo in cli._SETTINGS.values() if echo}
+    payload = {"spec": spec, "reports": rows, "summary": result.summary}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_rows_match_json_dumps_on_shapes_the_grids_never_reach():
+    # render_json writes each row from a template; json.dumps is its oracle.  The byte
+    # fences hold the grids' rows; these hand-built reports hold the rest.
+    m = padic.PrimePowerModulus(7, 3)
+    reports = (
+        CongruenceReport("theorem1", {"n": 4, "q": 1, "p": 7}, 3, -2, None, Verdict.ILL_POSED),
+        CongruenceReport("identities/p2-reduction", {"n": 3, "q": 1, "p": 5}, 3, None, None,
+                         Verdict.SKIPPED),
+        CongruenceReport("identities/reflection", {"n": 4, "q": 2, "p": 7}, math.inf, math.inf,
+                         None, Verdict.HOLDS),
+        CongruenceReport("guo", {"d": 4, "p": 7}, 3, 2, padic.Residue(98, m), Verdict.FAILS),
+        CongruenceReport("sun-e", {"p": 7}, 5, 5, padic.Residue(0, padic.PrimePowerModulus(7, 5)),
+                         Verdict.HOLDS),
+        CongruenceReport("sun-bernoulli", {"p": 7, "n": 4}, 5, 6, None, Verdict.HOLDS),
+        CongruenceReport("dflst", {"n": 3, "p": 7}, 3, 3, padic.Residue(0, m), Verdict.HOLDS),
+    )
+    summary = {v.value: sum(r.verdict is v for r in reports) for v in Verdict}
+    spec = spec_for(["theorem1"])
+    for rows in (reports, reports[:1], ()):
+        result = SweepResult(spec, rows, summary)
+        assert render_json(result) == _json_oracle(result)
+    assert '"reports": [],' in render_json(SweepResult(spec, (), summary))
 
 
 def test_json_encodes_skipped_checks_as_null():
@@ -914,6 +954,19 @@ def test_a_sweep_refuses_its_largest_prime_above_a_p_cap_before_any_unit_runs(
     # The largest prime up to 16 is 13, which the cap holds.
     assert main(sweep + ["--p-max", "16"]) == 0
     assert calls
+
+
+def test_a_walk_above_the_walk_cap_exits_2_through_main(monkeypatch, capsys, clear_memos):
+    # The verify caps keep every walk within series.WALK_CAP; at a lower walk cap, the
+    # refusal from inside a sum reaches main as exit 2.
+    monkeypatch.setattr(series, "WALK_CAP", 40)
+    for argv in (["verify", "theorem1", "--n", "4", "--q", "1", "--p", "13"],
+                 ["sweep", "--checks", "theorem1", "--n", "4..4", "--q", "1..1", "--p-max", "13"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: a walk of 12 steps at exponent 4 exceeds the cap 40 on steps times exponent\n")
+    # 10 steps at exponent 4 is the cap.
+    assert main(["verify", "theorem1", "--n", "4", "--q", "1", "--p", "11"]) == 0
 
 
 def test_run_sweep_refuses_a_spec_without_checks():

@@ -43,7 +43,7 @@ def test_no_cap_is_a_package_attribute():
     # Caps are read at call time through their module, where a test or a caller may
     # change them; a package-level copy would not follow that change.
     for module, cap in [(padic, "MORITA_CAP"), (padic, "BERNOULLI_CAP"),
-                        (jets, "MAX_DEGREE_CAP"), (verify, "P_CAPS"),
+                        (jets, "MAX_DEGREE_CAP"), (verify, "P_CAPS"), (series, "WALK_CAP"),
                         (cli, "SIEVE_LIMIT"), (cli, "GRID_LIMIT")]:
         assert hasattr(module, cap) and cap not in module.__all__
         assert not hasattr(hypercong, cap), cap

@@ -1,7 +1,9 @@
 import hashlib
 import inspect
 import random
+import re
 import sys
+import time
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercong.errors import (
+    CapExceeded,
     NotTerminating,
     PreconditionViolated,
     ZeroDenominator,
@@ -791,6 +794,38 @@ def test_unreduced_sums_give_the_oracle_valuation_and_residues():
                 assert pair.residue(m) == reduce_mod(reduced, m), (where, k)
     # The grid reaches every case the residue must handle.
     assert all(kinds.values()), kinds
+
+
+# --- the walk cap: a sum refused before it allocates --------------------------
+
+BIG_P = TheoremParams(4, 1, 10**9 + 7)
+
+
+@pytest.mark.parametrize("call, steps, exponent", [
+    (lambda: theorem_sum(4, 1, 10**9), "999999999", "4"),
+    (lambda: theorem_sum(10**5000, 1, 7), "6", "at least 10^5000"),
+    (lambda: karlsson_minton_sum(-10**9, []), "1000000000", "1"),
+    (lambda: series.reflection_differences(BIG_P), "1000000006", "1"),
+    (lambda: taylor_values(BIG_P), "1000000006", "4"),
+    (lambda: series.lemma_sums(BIG_P), "1000000006", "4"),
+    (lambda: upsilon_coefficients(BIG_P), "1000000006", "4"),
+    (lambda: series._offset_walk(BIG_P), "1000000006", "4"),
+], ids=["theorem_sum", "huge-n", "karlsson_minton_sum", "reflection_differences",
+        "taylor_values", "lemma_sums", "upsilon_coefficients", "_offset_walk"])
+def test_a_walk_past_the_walk_cap_is_refused_before_it_allocates(monkeypatch, call, steps,
+                                                                 exponent):
+    # theorem_sum(4, 1, 10^9) was killed for memory: _ratio_steps built its step list first.
+    def never(*args):
+        raise AssertionError("a walk was summed past the cap")
+
+    for name in ("_split", "_harmonic_split"):
+        monkeypatch.setattr(series, name, never)
+    message = (f"a walk of {steps} steps at exponent {exponent} exceeds the cap "
+               f"{series.WALK_CAP} on steps times exponent")
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+        call()
+    assert time.perf_counter() - start < 1
 
 
 # --- the memo: each grid tuple's shared sums built once -----------------------

@@ -827,3 +827,36 @@ def test_taylor_and_identities_known_answers_beyond_the_grid():
     assert identities["identities/upsilon-jet"].achieved_ord == math.inf
     assert all(r.verdict is Verdict.HOLDS for r in taylor + list(identities.values())
                if r.check_id != "identities/dual-reduction")
+
+
+@pytest.mark.parametrize("check", sorted(verify.P_CAPS))
+def test_the_walk_cap_admits_the_largest_walk_the_verify_caps_admit(monkeypatch, clear_memos,
+                                                                    check):
+    # p at its cap and n or d at 4 times the cap over p, and sun-e's exponent p + 1: each check
+    # stops at its first walk, once series.WALK_CAP has passed it.  No sum is built.
+    class FirstWalk(Exception):
+        pass
+
+    def largest_prime(upto, mod=1, residue=0):
+        return next(p for p in range(upto, 4, -1) if p % mod == residue and is_prime(p))
+
+    cap = verify.P_CAPS[check]
+    if check == "sun-e":
+        args = (largest_prime(cap),)
+    elif check == "guo":
+        args = (4, largest_prime(cap, 4, 3))
+    elif check == "sun-bernoulli":
+        p = largest_prime(padic.BERNOULLI_CAP + 3)
+        args = (p, 4 * cap // p)
+    else:
+        p = largest_prime(cap)
+        args = (TheoremParams(4 * cap // p, 1, p),)
+    check_walk = series._check_walk
+
+    def first_walk(steps, exponent):
+        check_walk(steps, exponent)
+        raise FirstWalk
+
+    monkeypatch.setattr(series, "_check_walk", first_walk)
+    with pytest.raises(FirstWalk):
+        getattr(verify, verify.CHECKS[check].function)(*args)
