@@ -66,6 +66,15 @@ def primes_upto(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if sieve[i]]
 
 
+def _misfit(value, kind: type, count: int | None = None) -> str:
+    # Why value is not a tuple or list of kind (count of them, if given), by type names: never
+    # by its digits, which str() refuses past a limit.  Empty when it is.
+    if not isinstance(value, (tuple, list)):
+        return type(value).__name__
+    wrong = ", ".join(sorted({type(v).__name__ for v in value if type(v) is not kind}))
+    return wrong or ("" if count in (None, len(value)) else f"{len(value)} items")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid description for a batch run."""
@@ -81,12 +90,19 @@ class SweepSpec:
     output_path: str | None = None
 
     def validate(self):
-        # A str would be read as its letters; the messages below join the ids as strings.
-        ids = self.check_ids
-        wrong = ({type(c).__name__ for c in ids if not isinstance(c, str)}
-                 if isinstance(ids, (tuple, list)) else {type(ids).__name__})
+        # Each field must have the shape its _SETTINGS row parses a value to, from a library
+        # caller too: a str of ids would be read as its letters, a float or str would reach a
+        # comparison, "3..5" would be unpacked and exploratory="no" would be true.
+        wrong = _misfit(self.check_ids, str)
         if wrong:
-            raise ConfigError(f"check ids must be a tuple of str, got {', '.join(sorted(wrong))}")
+            raise ConfigError(f"check ids must be a tuple of str, got {wrong}")
+        for name, parse, *_ in _SETTINGS.values():
+            value, kinds = getattr(self, name), getattr(parse, "kinds", None)
+            if parse is _parse_range and (wrong := _misfit(value, int, 2)):
+                raise ConfigError(f"{name} must be a tuple of two int, got {wrong}")
+            if kinds and type(value) not in kinds:
+                raise ConfigError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
+                                  f"got {type(value).__name__}")
         repeated = sorted({c for c in self.check_ids if self.check_ids.count(c) > 1})
         if repeated:
             raise ConfigError(f"repeated check id(s): {', '.join(repeated)}")
@@ -118,8 +134,7 @@ class SweepResult:
 
 
 def _exit_code(reports) -> int:
-    bad = (Verdict.FAILS, Verdict.ILL_POSED)
-    return 1 if any(r.verdict in bad for r in reports) else 0
+    return int(any(r.verdict in (Verdict.FAILS, Verdict.ILL_POSED) for r in reports))
 
 
 def _expand_units(spec: SweepSpec) -> list[tuple]:
@@ -201,11 +216,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def _ord_to_wire(value):
-    if value is None:
-        return None
-    if value == math.inf:
-        return "inf"
-    return int(value)
+    return value if value is None else "inf" if value == math.inf else int(value)
 
 
 def _report_row(report: CongruenceReport) -> dict:
@@ -296,6 +307,7 @@ def _typed(*kinds: type):
         if type(value) not in kinds:
             raise ConfigError(f"config value {key!r} has the wrong type: {value!r}")
         return value
+    check.kinds = kinds  # SweepSpec.validate holds a library caller's field to them too
     return check
 
 

@@ -31,7 +31,8 @@ class Jet2:
     __slots__ = ("_cap", "_coeffs")
 
     def __init__(self, coefficients=None, degree_cap: int = 2):
-        cap = int(degree_cap)
+        if type(cap := degree_cap) is not int:  # not truncated: 2.7 is no cap; a bool is refused
+            raise TypeError(f"degree cap must be int, got {type(cap).__name__}")
         if not 0 <= cap <= MAX_DEGREE_CAP:
             raise ValueError(f"degree cap must lie in [0, {MAX_DEGREE_CAP}], got {_decimal(cap)}")
         coeffs: dict[tuple[int, int], Fraction] = {}

@@ -190,21 +190,7 @@ def ord_rational(r, p: int):
     """p-adic valuation of a rational; math.inf for zero."""
     if not is_prime(p):
         raise NotPrime(f"{_decimal(p)} is not prime")
-    r = _fraction(r)
-    if not r:
-        return math.inf
-    num, den = r.numerator, r.denominator
-    v = 0
-    while num % p == 0:
-        v += 1
-        num //= p
-    # num/den is in lowest terms, so at most one of the two carries p.
-    if v:
-        return v
-    while den % p == 0:
-        v -= 1
-        den //= p
-    return v
+    return Unreduced(r).ord(p)
 
 
 def reduce_mod(r, m: PrimePowerModulus) -> Residue:

@@ -371,13 +371,11 @@ def _binomial_sums(n: int, q: int, last: int, plus: int, minus: int = 0,
 def _offset_walk(tp: TheoremParams) -> tuple[int, int, int, int, int]:
     """(S0, S1, S2, Sh, D) over k = 0..p-q, all over D = W F^2 of _harmonic_split, for
     t_k = (c)_k^n/(1)_k^n, c = q - p/n, g_k = sum_{i<k} 1/(c+i) - 1/(1+i) and h_k its squares.
-    With e = p - n(q-1) and b = nk - e = n(c+k-1), step k is (b^n, (nk)^n, bk, e, e(2nk-e)).
-    b = 0 only at (p, q) = (n, 1), k = 1, where the walk ends: every later term is zero."""
+    Step k is the theorem1 walk's (u, w), then (f, a, c) = ((nk-e)k, e, e(2nk-e)), e = p-n(q-1)."""
     n, q, p = tp.n, tp.q, tp.p
-    _check_walk(p - q, n)
     e = p - n * (q - 1)
-    steps = [((n * k - e) ** n, (n * k) ** n, (n * k - e) * k, e, e * (2 * n * k - e))
-             for k in range(1, 1 if p == n * q else p - q + 1)]
+    walk = _ratio_steps(_theorem_factors(n, q, p, False), p - q)
+    steps = [(u, w, (n * k - e) * k, e, e * (2 * n * k - e)) for k, (u, w) in enumerate(walk, 1)]
     _, w, f, _, _, s0, s1, s2, sc = _harmonic_split(steps, 0, len(steps))
     return (w * (p >= q) + s0) * f * f, s1 * f, s2, sc, w * f * f  # no t_0 term when p < q
 
@@ -408,18 +406,20 @@ def lemma_sums(tp: TheoremParams) -> tuple[Unreduced, ...]:
     n, q, p = tp.n, tp.q, tp.p
     if p == n and q == 1:  # c + i = 0 means p = n(q+i): p = n, q = 1, i = 0 for a prime p
         raise ZeroDenominator("offset base 0 + 0 vanishes")
-    # H_{q+k-1} = H_{q-1} + the shifted sums' g over L' = lcm(q..p-1), and L = r L'.  The
-    # kernel refuses a walk too long for WALK_CAP before lcm(1..p-1) is formed.
+    # H_{q+k-1} = H_{q-1} + the shifted sums' g over L' = lcm(q..p-1), H_k over lcm(1..p-q).
     s0, t1, t2, th, shifted = _binomial_sums(n, q, p - q, q)
     _, a1, a2, ah, plain = _binomial_sums(n, q, p - q, 1)  # H_k; at q = 1 the same pass
-    scale = lcm(*range(1, p))
-    head = [scale // j for j in range(1, q)] if q <= p else []  # no weights at q > p
-    g, h = sum(head), sum(v * v for v in head)
-    r, u = scale // shifted, scale // plain  # and L = u lcm(1..p-q)
-    s1, s2, sh = g * s0 + r * t1, g * g * s0 + 2 * g * r * t1 + r * r * t2, h * s0 + r * r * th
+    e, a, b = 1, 0, 0  # H_{q-1} = a/e, H2_{q-1} = b/e^2: none at q = 1, nor at q > p (no weights)
+    if 1 < q <= p:  # sums of 1/(1+k)^m over k < q-1 on the product tree, e = (q-1)!
+        (_, e, a), (_, _, b) = (_split(_ratio_steps(((1, m), (2, -m)), q - 2), 0, q - 2, True)
+                                for m in (1, 2))
+        a, b = a + e, b + e * e
+    g, h, scale = a * shifted, b * shifted**2, e * shifted  # H_{q+k-1} over scale = e L'
+    s1, s2, sh = g * s0 + e * t1, g * g * s0 + 2 * g * e * t1 + e * e * t2, h * s0 + e * e * th
     _, o1, o2, _, den = _offset_walk(tp)
-    return (*(Unreduced(v, scale**2) for v in (h * s0, sh, u * u * ah)),
-            Unreduced(u * a1 - s1, scale), Unreduced(u * u * a2 - s2, scale**2),
+    return (Unreduced(h * s0, scale**2), Unreduced(sh, scale**2), Unreduced(ah, plain**2),
+            Unreduced(a1 * scale - plain * s1, plain * scale),
+            Unreduced(a2 * scale**2 - plain**2 * s2, (plain * scale) ** 2),
             Unreduced(o1, den), Unreduced(o2, den))
 
 
@@ -451,6 +451,7 @@ def _product_jet(last: int, factors: Sequence[tuple], cap: int) -> Jet2:
     axis 1, and m may be negative.  sign 0 marks a scalar factor, whose base
     must not vanish.
     """
+    cap = Jet2.zero(cap).degree_cap  # the cap refused as Jet2 refuses it, before the walk
     split = [(*c.as_integer_ratio(), m, s, a) for c, m, s, a in factors]
     lcms = [lcm(*(n + k * d for n, d, _, s, a in split if s and a == axis
                   for k in range(last) if n + k * d)) for axis in (0, 1)]

@@ -66,6 +66,30 @@ def test_library_check_ids_that_are_not_a_tuple_of_str_are_refused(check_ids, ki
         SweepSpec(check_ids=check_ids).validate()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("p_max", 11.0, "p_max must be int, got float"),
+    ("p_max", "11", "p_max must be int, got str"),
+    ("parallelism", 2.0, "parallelism must be int, got float"),
+    ("n_range", (3.0, 5), "n_range must be a tuple of two int, got float"),
+    ("output_format", ["json"], "output_format must be str, got list"),
+    ("n_range", "3..5", "n_range must be a tuple of two int, got str"),
+    ("n_range", (3, 4, 5), "n_range must be a tuple of two int, got 3 items"),
+    ("exploratory", "no", "exploratory must be bool, got str"),
+])
+def test_library_fields_of_the_wrong_shape_are_refused(field, value, message):
+    # A float or str escaped as TypeError from a comparison or a lookup, "3..5" and (3, 4, 5)
+    # as ValueError from unpacking, and "no" ran an exploratory sweep.
+    spec = dataclasses.replace(spec_for(["theorem1"], p_max=11), **{field: value})
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        run_sweep(spec)
+
+
+def test_library_ranges_and_check_ids_may_be_lists():
+    as_lists = SweepSpec(check_ids=["theorem1"], n_range=[3, 5], q_range=[1, 2], p_max=11)
+    as_tuples = SweepSpec(check_ids=("theorem1",), n_range=(3, 5), q_range=(1, 2), p_max=11)
+    assert run_sweep(as_lists).reports == run_sweep(as_tuples).reports
+
+
 def test_theorem1_sweep_grid():
     result = run_sweep(spec_for(["theorem1"]))
     assert result.summary["fails"] == 0

@@ -45,6 +45,13 @@ def test_constructor_validates_cap_and_exponents():
         Jet2.linear(1, "x", 2)
 
 
+@pytest.mark.parametrize("cap", [2.7, 2.0, "2", True], ids=["float", "whole-float", "str", "bool"])
+def test_a_degree_cap_that_is_not_an_int_is_refused(cap):
+    # 2.7 and "2" were read as int(cap) = 2; a bool is refused, as TheoremParams refuses it.
+    with pytest.raises(TypeError, match=f"^degree cap must be int, got {type(cap).__name__}$"):
+        Jet2({(0, 0): F(1)}, cap)
+
+
 def test_a_refusal_states_an_integer_too_long_to_print():
     # str() of an integer above 4300 digits raised ValueError from inside the message.
     big = 10**5000

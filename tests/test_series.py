@@ -810,8 +810,11 @@ BIG_P = TheoremParams(4, 1, 10**9 + 7)
     (lambda: series.lemma_sums(BIG_P), "1000000006", "4"),
     (lambda: upsilon_coefficients(BIG_P), "1000000006", "4"),
     (lambda: series._offset_walk(BIG_P), "1000000006", "4"),
+    # A walk of 8 steps whose H_{q-1} head would take p - 10.
+    (lambda: series.lemma_sums(TheoremParams(4, 999999929, 999999937, exploratory=True)),
+     "999999927", "1"),
 ], ids=["theorem_sum", "huge-n", "karlsson_minton_sum", "reflection_differences",
-        "taylor_values", "lemma_sums", "upsilon_coefficients", "_offset_walk"])
+        "taylor_values", "lemma_sums", "upsilon_coefficients", "_offset_walk", "lemma_sums-head"])
 def test_a_walk_past_the_walk_cap_is_refused_before_it_allocates(monkeypatch, call, steps,
                                                                  exponent):
     # theorem_sum(4, 1, 10^9) was killed for memory: _ratio_steps built its step list first.
@@ -826,6 +829,20 @@ def test_a_walk_past_the_walk_cap_is_refused_before_it_allocates(monkeypatch, ca
     with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
         call()
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("cap", [2.0, "2", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize("jet", [phi_jet, delta_jet, upsilon_jet])
+def test_the_jet_sums_refuse_a_degree_cap_that_is_not_an_int_before_the_walk(monkeypatch, jet,
+                                                                              cap):
+    # 2.0 failed in list arithmetic and True was read as 1.  The walk's first step is the lcm
+    # of each axis' bases.
+    def never(*args):
+        raise AssertionError("the walk began")
+
+    monkeypatch.setattr(series, "lcm", never)
+    with pytest.raises(TypeError, match=f"^degree cap must be int, got {type(cap).__name__}$"):
+        jet(TheoremParams(4, 1, 797), cap)
 
 
 # --- the memo: each grid tuple's shared sums built once -----------------------

@@ -416,6 +416,7 @@ def _reference_p2_reduction(tp):
 HARMONIC_TUPLES = [
     (3, 1, 197), (4, 2, 199), (8, 3, 101), (6, 4, 193), (5, 3, 131), (4, 1, 5),
     (3, 2, 199), (5, 4, 181), (8, 4, 23), (3, 3, 5), (4, 3, 2),
+    (3, 190, 197),  # a short walk after a long H_{q-1} head
 ]
 
 
@@ -717,6 +718,8 @@ EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's
     ("taylor_values", (TP797,), 1000),
     ("second_order_sum", (TP797,), 1000),
     ("lemma_sums", (TP797,), 1000),
+    # At q > 1 the lemmas also read H_{q-1} and H2_{q-1} over (q-1)! and its square.
+    pytest.param("lemma_sums", (TheoremParams(8, 3, 401),), 600, id="lemma_sums-head"),
     # The Upsilon coefficients are exact zeros in range; out of range all six are nonzero.
     ("upsilon_coefficients", (TheoremParams(4, 300, 797, exploratory=True),), 1000),
     # No differences when the step pairs mirror, as they do here: only p/n is reduced.
