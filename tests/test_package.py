@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import hypercong
@@ -33,9 +34,11 @@ def test_the_exact_values_and_the_command_line_are_package_names():
     )
     assert Unreduced is padic.Unreduced and main is cli.main and theorem_sum is series.theorem_sum
     # Each of these sums is theorem_sum at its check's point in verify.CHECKS, or psi(x),
-    # which is phi_value(tp, x, x) and the diagonal of phi_jet.
+    # which is phi_value(tp, x, x); the jets of phi, Delta and Upsilon are a test-only fold
+    # (tests/jet_fold.py), and the theorem-2 prefactor a Pochhammer ratio no check reads.
     for gone in ("guo_sum", "sun_e_sum", "sun_bernoulli_lhs", "dflst_sum", "dflst_dual",
-                 "lhs_theorem1", "lhs_theorem2", "psi_value", "psi_jet"):
+                 "lhs_theorem1", "lhs_theorem2", "psi_value", "psi_jet", "phi_jet", "delta_jet",
+                 "upsilon_jet", "theorem2_prefactor"):
         assert not hasattr(series, gone) and not hasattr(hypercong, gone), gone
 
 
@@ -51,8 +54,9 @@ def test_no_cap_is_a_package_attribute():
 
 def test_no_library_module_calls_an_oracle():
     # ord_rational and reduce_mod are the independent oracles the tests hold
-    # Unreduced.ord and Unreduced.residue to; the library itself never calls them.
-    oracles = {"ord_rational", "reduce_mod"}
+    # Unreduced.ord and Unreduced.residue to; the library itself never calls them.  Jet2 and
+    # pochhammer_jet are the one derivative oracle: no module but jets refers to either name.
+    oracles, jet_oracles = {"ord_rational", "reduce_mod"}, {"Jet2", "pochhammer_jet"}
     defined, calls = set(), []
     for path in sorted(Path(hypercong.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -61,6 +65,10 @@ def test_no_library_module_calls_an_oracle():
             elif isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if name in oracles:
+                    calls.append((path.name, node.lineno, name))
+            elif isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and path.name != "jets.py":
+                name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+                if name in jet_oracles:
                     calls.append((path.name, node.lineno, name))
     assert oracles <= defined  # the scan reached padic, where both are defined
     assert calls == []
@@ -80,3 +88,12 @@ def test_no_module_imports_a_name_it_neither_uses_nor_exports():
                 bound = {(a.asname or a.name).split(".")[0] for a in node.names if a.name != "*"}
                 unused += [(path.name, node.lineno, b) for b in sorted(bound - used - exported)]
     assert unused == []
+
+
+def test_the_readme_library_tour_runs():
+    # The tour's python block runs as written, in a fresh namespace, so a name the package
+    # no longer has fails here instead of in a reader's session.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    [block] = re.findall(r"```python\n(.*?)```", tour, re.S)
+    exec(compile(block, "README.md", "exec"), {})

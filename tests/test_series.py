@@ -31,23 +31,19 @@ from hypercong.verify import CHECKS
 from hypercong.series import (
     HyperSeriesSpec,
     TheoremParams,
-    delta_jet,
     delta_value,
     dual_reduction_sum,
     karlsson_minton_sum,
-    phi_jet,
     phi_value,
     taylor_values,
-    theorem2_prefactor,
     theorem_sum,
     truncated_pfq,
     upsilon_coefficients,
-    upsilon_jet,
-    _REDUCE_EVERY,
-    _product_jet,
     _ratio_steps,
     _ratio_sum,
 )
+import jet_fold
+from jet_fold import _REDUCE_EVERY, _product_jet, delta_jet, phi_jet, upsilon_jet
 
 F = Fraction
 
@@ -367,13 +363,19 @@ def test_reflection_identity_exact():
         assert lhs == rhs
 
 
+def _theorem2_prefactor(tp):
+    # p^n ((1)_{p-1} / (b)_{p-1})^n, b = p/n - q + 2: the unit the reflection carries.
+    b = F(tp.p, tp.n) - tp.q + 2
+    return F(tp.p) ** tp.n * (pochhammer(F(1), tp.p - 1) / pochhammer(b, tp.p - 1)) ** tp.n
+
+
 def test_theorem2_prefactor_valuation_and_factorization():
     unit_tp = TheoremParams(4, 2, 11)
-    assert ord_rational(theorem2_prefactor(unit_tp), 11) == 0
+    assert ord_rational(_theorem2_prefactor(unit_tp), 11) == 0
     q1_tp = TheoremParams(4, 1, 7)
-    assert ord_rational(theorem2_prefactor(q1_tp), 7) == q1_tp.n
+    assert ord_rational(_theorem2_prefactor(q1_tp), 7) == q1_tp.n
     for tp in (unit_tp, q1_tp):
-        product = _fraction(theorem2_prefactor(tp)) * _fraction(dual_reduction_sum(tp))
+        product = _theorem2_prefactor(tp) * _fraction(dual_reduction_sum(tp))
         assert theorem_sum(tp.n, tp.q, tp.p, dual=True) == product
 
 
@@ -764,7 +766,7 @@ def _evaluate(fn, args):
 
 def test_public_evaluators_keep_their_signatures():
     assert {fn for fn, _ in _pair_sums(PAIR_GRID[0])} == set(PAIR_EVALUATORS)
-    for fn, params in {**PAIR_EVALUATORS, theorem2_prefactor: ("tp",)}.items():
+    for fn, params in PAIR_EVALUATORS.items():
         signature = inspect.signature(fn)
         assert tuple(signature.parameters) == params, fn.__name__
         assert signature.return_annotation in (Unreduced, "Unreduced"), fn.__name__
@@ -840,7 +842,7 @@ def test_the_jet_sums_refuse_a_degree_cap_that_is_not_an_int_before_the_walk(mon
     def never(*args):
         raise AssertionError("the walk began")
 
-    monkeypatch.setattr(series, "lcm", never)
+    monkeypatch.setattr(jet_fold, "lcm", never)
     with pytest.raises(TypeError, match=f"^degree cap must be int, got {type(cap).__name__}$"):
         jet(TheoremParams(4, 1, 797), cap)
 

@@ -10,7 +10,7 @@ from functools import partial
 import pytest
 
 from hypercong.errors import CapExceeded, PreconditionViolated, ZeroDenominator
-from hypercong.exact_core import harmonic, pochhammer
+from hypercong.exact_core import harmonic
 from hypercong import padic, series, verify
 from hypercong.padic import (
     PrimePowerModulus,
@@ -20,12 +20,7 @@ from hypercong.padic import (
     ord_rational,
     reduce_mod,
 )
-from hypercong.series import (
-    TheoremParams,
-    _steps_mirror,
-    theorem2_prefactor,
-    theorem_sum,
-)
+from hypercong.series import TheoremParams, _steps_mirror, theorem_sum
 from hypercong.verify import (
     CongruenceReport,
     Verdict,
@@ -40,6 +35,7 @@ from hypercong.verify import (
     verify_theorem1,
     verify_theorem2,
 )
+import jet_fold
 
 F = Fraction
 
@@ -553,18 +549,6 @@ def test_a_broken_reflection_walk_fails_on_the_exact_path(monkeypatch, clear_mem
         assert report.achieved_ord == valuation, (walk, valuation, report.achieved_ord)
 
 
-def test_theorem2_prefactor_is_the_pochhammer_ratio():
-    for tp in EXPLORATORY_GRID:
-        n, q, p = tp.n, tp.q, tp.p
-        b = F(p, n) - q + 2
-        if p == n and 3 <= q <= p + 1:  # b + k = 0 at k = q - 3 < p - 1
-            with pytest.raises(ZeroDenominator):
-                theorem2_prefactor(tp)
-            continue
-        expected = F(p) ** n * (pochhammer(F(1), p - 1) / pochhammer(b, p - 1)) ** n
-        assert theorem2_prefactor(tp) == expected, tp.as_params()
-
-
 @pytest.mark.parametrize("n,q,p", [(3, 1, 2), (3, 2, 3), (6, 1, 5), (4, 2, 11), (8, 3, 61)])
 def test_step_mirror_rejects_any_perturbed_pair(monkeypatch, n, q, p):
     tp = TheoremParams(n, q, p, exploratory=True)
@@ -704,7 +688,6 @@ EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's
     pytest.param("theorem_sum", (4, 1, 797), 20000, id="lhs_theorem1"),
     pytest.param("theorem_sum", (4, 1, 797, True), 20000, id="lhs_theorem2"),
     ("dual_reduction_sum", (TheoremParams(4, 2, 797),), 20000),
-    ("theorem2_prefactor", (TP797,), 20000),
     # The guo, sun-e, sun-bernoulli and dflst sums: theorem_sum at each check's point.
     pytest.param("theorem_sum", verify.CHECKS["guo"].point(6, 599), 20000, id="guo_sum"),
     pytest.param("theorem_sum", verify.CHECKS["sun-e"].point(101), 20000, id="sun_e_sum"),
@@ -789,7 +772,8 @@ def test_sun_e_known_answers_beyond_the_grid(p):
 
 
 def test_taylor_and_identities_build_no_jet(monkeypatch, clear_memos):
-    # The jets stay the oracle for taylor_values and upsilon_coefficients, off the verify path.
+    # The test-only jet fold stays the oracle for taylor_values and upsilon_coefficients, off
+    # the verify path.
     tuples = [TP797, TheoremParams(4, 2, 11), *(TheoremParams(*t, exploratory=True)
                                                 for t in [(3, 1, 3), (3, 2, 7), (3, 100000, 5)])]
     expected = [(verify_taylor(tp), verify_exact_identities(tp)) for tp in tuples]
@@ -797,10 +781,10 @@ def test_taylor_and_identities_build_no_jet(monkeypatch, clear_memos):
     def never(*args):
         raise AssertionError("a jet was built")
 
-    monkeypatch.setattr(series, "_product_jet", never)
+    monkeypatch.setattr(jet_fold, "_product_jet", never)
     clear_memos()
     with pytest.raises(AssertionError, match="a jet was built"):
-        series.phi_jet(TP797)
+        jet_fold.phi_jet(TP797)
     assert [(verify_taylor(tp), verify_exact_identities(tp)) for tp in tuples] == expected
 
 
