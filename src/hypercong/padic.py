@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from functools import lru_cache
 
 from .errors import (
     CapExceeded,
@@ -52,6 +52,11 @@ def _decimal(value) -> str:
     return f"{'at most -' if v < 0 else 'at least '}10^{e}" if 0 < limit <= e else str(value)
 
 
+# The most arguments is_prime remembers; the caps admit far fewer distinct primes a process.
+_PRIME_MEMO = 4096
+
+
+@lru_cache(maxsize=_PRIME_MEMO, typed=True)  # a refusal raises, so it is never cached
 def is_prime(n: int) -> bool:
     """Deterministic primality test; raises CapExceeded above 3e18."""
     if n < 2:
@@ -132,7 +137,10 @@ def _fraction(value) -> Fraction:
 
 def _ord_int(x: int, p: int) -> int:
     # ord_p of a nonzero integer: the least v with x not divisible by p^(v+1).
-    return next(v for v in count() if x % p ** (v + 1))
+    v, power = 0, p
+    while not x % power:
+        v, power = v + 1, power * p
+    return v
 
 
 class Unreduced:
@@ -179,11 +187,13 @@ class Unreduced:
         return _ord_int(self.num, p) - _ord_int(self.den, p) if self.num else math.inf
 
     def residue(self, m: PrimePowerModulus) -> Residue:
-        """num/den mod p^k, p^ord_p(den) cancelled first; NotPIntegral if ord_p < 0."""
-        pb, pk = m.p ** _ord_int(self.den, m.p), m.modulus
-        if self.num % pb:
+        """num/den mod p^k, p^ord_p(den) cancelled first; NotPIntegral if ord_p < 0.  Both parts
+        are reduced once mod p^(d+k), d = ord_p(den), which keeps their quotients by p^d mod p^k."""
+        pd, pk = m.p ** _ord_int(self.den, m.p), m.modulus
+        num, den = self.num % (pd * pk), self.den % (pd * pk)
+        if num % pd:
             raise NotPIntegral(f"the value has negative {m.p}-adic valuation")
-        return Residue(self.num // pb * pow(self.den // pb % pk, -1, pk) % pk, m)
+        return Residue(num // pd * pow(den // pd, -1, pk) % pk, m)
 
 
 def ord_rational(r, p: int):

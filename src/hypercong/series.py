@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate, repeat
 from math import lcm
 from operator import mul
@@ -170,10 +170,8 @@ class TheoremParams:
             raise PreconditionViolated(f"q must be positive, got {_decimal(self.q)}")
         if not is_prime(self.p):
             raise PreconditionViolated(f"p = {_decimal(self.p)} is not prime")
-        if not self.exploratory:
-            reasons = self.hypothesis_violations()
-            if reasons:
-                raise PreconditionViolated("; ".join(reasons))
+        if not (self.exploratory or self.in_hypothesis):
+            raise PreconditionViolated("; ".join(self.hypothesis_violations()))
 
     def hypothesis_violations(self) -> tuple[str, ...]:
         reasons = []
@@ -185,7 +183,7 @@ class TheoremParams:
             reasons.append(f"range: need p > {_decimal(bound)}, got p={_decimal(self.p)}")
         return tuple(reasons)
 
-    @property
+    @cached_property  # the fields are frozen, and every report of a tuple reads it
     def in_hypothesis(self) -> bool:
         return not self.hypothesis_violations()
 
@@ -197,13 +195,13 @@ def _ratio_steps(factors: Sequence[tuple], last: int) -> list:
     """Integer pairs (u, v) with t_{k+1} / t_k = u / v, for k < last, of the walk
     t_0 = 1, t_{k+1} = t_k * prod_f (c + k)^m.
 
-    Each factor is a (c, m) pair: c rational, m an integer.  A factor with
+    Each factor is a (c, m) pair: c an int or a Fraction, m an integer.  A factor with
     m < 0 whose base c + k vanishes at some k < last raises ZeroDenominator
     before any step.  Once a factor with m > 0 vanishes, every later term is
     zero, and the walk stops before that step.
     """
     _check_walk(last, max([1, *(abs(m) for _, m in factors)]))
-    split = [(*Fraction(c).as_integer_ratio(), m) for c, m in factors]
+    split = [(*c.as_integer_ratio(), m) for c, m in factors]
     if any(m < 0 and den == 1 and -last < num <= 0 for num, den, m in split):
         raise ZeroDenominator(f"a denominator base vanishes within {_decimal(last + 1)} terms")
     # c + k = (num + k den) / den vanishes only if den = 1, at k = -num: the columns stop there.

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -1060,14 +1061,14 @@ def test_running_out_of_memory_exits_2_not_1(monkeypatch, capsys, argv):
     assert captured.err == "error: out of memory\n" and captured.out == ""
 
 
-_PYTEST_PID = os.getpid()
 _RUN_UNIT = cli._run_unit
 
 
 def _run_unit_dying_at_p_23(unit):
     # A worker killed mid-sweep, as by the OOM killer: it ends without raising, so the
-    # parent sees only a broken pool.
-    if os.getpid() != _PYTEST_PID and unit[1][0].p == 23:
+    # parent sees only a broken pool.  Only a pool worker has a parent process, under every
+    # start method: a forkserver or spawn worker imports this module afresh.
+    if multiprocessing.parent_process() is not None and unit[1][0].p == 23:
         os._exit(3)
     return _RUN_UNIT(unit)
 

@@ -48,6 +48,18 @@ def test_is_prime_large_values():
         is_prime(4 * 10**18 + 1)  # beyond the deterministic witness range
 
 
+def test_is_prime_memo_is_bounded_typed_and_keeps_no_refusal():
+    # A constant maxsize, set by no option; typed, so 7.0 is another key than 7.  A refusal
+    # raises, so it is refused again on every call instead of read from the memo.
+    assert is_prime.cache_parameters() == {"maxsize": padic._PRIME_MEMO, "typed": True}
+    assert type(padic._PRIME_MEMO) is int
+    is_prime.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            is_prime(4 * 10**18 + 1)
+    assert is_prime.cache_info().currsize == 0
+
+
 def test_modulus_validation():
     m = PrimePowerModulus(5, 2)
     assert m.modulus == 25
@@ -171,19 +183,33 @@ def test_unreduced_repr_shows_the_pair_and_elides_wide_integers():
 
 
 def test_unreduced_pairs_with_p_in_both_parts():
-    # p^5 u / (p^2 v) with units u, v: ord 3, and every residue is that of the reduced value.
+    # p^a u / (p^d v) with units u, v: ord a - d, and every residue is that of the reduced
+    # value.  First (a, d) = (5, 2) at random units; then a = 0..9 over d = 0..4, ord -4..9,
+    # through each branch of the residue's one reduction mod p^(d+k): NotPIntegral, ord < k,
+    # ord >= k (residue 0), and the top numerator valuation it keeps, a = d + k - 1.
     rng = random.Random(5)
+    cases = []
     for p in (3, 5, 7, 31):
         for _ in range(20):
             u, v = (rng.choice([-1, 1]) * rng.randrange(1, 10**6, 1) for _ in range(2))
-            if u % p == 0 or v % p == 0:
-                continue
-            for extra in (1, 2, p**3):  # a common factor the pair is not reduced by
-                pair = Unreduced(p**5 * u * extra, p**2 * v * extra)
-                assert pair.ord(p) == 3 == ord_rational(F(p**3 * u, v), p)
-                for k in range(1, 7):
-                    m = PrimePowerModulus(p, k)
-                    assert pair.residue(m) == reduce_mod(F(p**3 * u, v), m)
+            if u % p and v % p:
+                cases.append((p, 5, 2, u, v))
+    cases += [(p, a, d, u, v) for p, u, v in [(3, 2, -7), (7, -10, 3)]
+              for a in range(10) for d in range(5)]
+    for p, a, d, u, v in cases:
+        exact = F(p**a * u, p**d * v)
+        for extra in (1, 2, p**3):  # a common factor the pair is not reduced by
+            pair = Unreduced(p**a * u * extra, p**d * v * extra)
+            assert pair.ord(p) == a - d == ord_rational(exact, p)
+            for k in range(1, 7):
+                m = PrimePowerModulus(p, k)
+                if a < d:
+                    with pytest.raises(NotPIntegral):
+                        pair.residue(m)
+                    with pytest.raises(NotPIntegral):
+                        reduce_mod(exact, m)
+                else:
+                    assert pair.residue(m) == reduce_mod(exact, m)
 
 
 def test_unreduced_zero_and_negative_valuation():

@@ -26,7 +26,7 @@ from hypercong import series
 from hypercong.cli import CHECK_NAMES, SweepSpec, primes_upto, render_csv, render_json, run_sweep
 from hypercong.exact_core import ShiftedSumSpec, harmonic, pochhammer, shifted_power_sum
 from hypercong.jets import MAX_DEGREE_CAP, Jet2, pochhammer_jet
-from hypercong.padic import PrimePowerModulus, Unreduced, ord_rational, reduce_mod
+from hypercong.padic import PrimePowerModulus, Unreduced, is_prime, ord_rational, reduce_mod
 from hypercong.verify import CHECKS
 from hypercong.series import (
     HyperSeriesSpec,
@@ -852,7 +852,9 @@ def test_the_jet_sums_refuse_a_degree_cap_that_is_not_an_int_before_the_walk(mon
 
 def test_every_series_memo_is_bounded_typed_and_listed(memos):
     # A fixed maxsize, set by no option; typed, so a float argument is another key.
-    kept = [v for v in vars(series).values() if hasattr(v, "cache_info")]
+    # Only the memos series defines: the memoized padic.is_prime it imports is padic's.
+    kept = [v for v in vars(series).values()
+            if hasattr(v, "cache_info") and v.__module__ == series.__name__]
     assert sorted(m.__name__ for m in kept) == sorted(m.__name__ for m in memos)
     for memo in memos:
         params = memo.cache_parameters()
@@ -860,10 +862,10 @@ def test_every_series_memo_is_bounded_typed_and_listed(memos):
     assert type(series._MEMO) is int
 
 
-def _sweep_builds(memos, spec):
-    # A profiler hook counts each run of a memo's own body, keyed by its memo's name and its
-    # arguments, defaults included: a call the memo serves never reaches the body.
-    bodies = {memo.__wrapped__.__code__: memo.__name__ for memo in memos}
+def _sweep_builds(functions, spec):
+    # A profiler hook counts each run of a function's own body, a memo's included, keyed by its
+    # name and its arguments, defaults included: a call the memo serves never reaches the body.
+    bodies = {getattr(f, "__wrapped__", f).__code__: f.__name__ for f in functions}
     builds = Counter()
 
     def spy(frame, event, arg):
@@ -923,6 +925,22 @@ def test_a_sweep_of_all_nine_checks_builds_each_sum_once(memos, clear_memos):
     _assert_integer_weight_passes(builds, tuples)
     assert {memo for memo, _ in builds} == {m.__name__ for m in memos}
     assert set(builds.values()) == {1}, [k for k, v in builds.items() if v > 1]
+
+
+def test_a_full_grid_sweep_proves_each_prime_once_and_reads_each_tuples_hypotheses_once():
+    # PrimePowerModulus, TheoremParams and the check domains ask is_prime 3657 times, and the
+    # reports read in_hypothesis 9222 times: each body runs once per distinct argument.
+    is_prime.cache_clear()
+    spec = SweepSpec(check_ids=CHECK_NAMES, n_range=(3, 8), q_range=(1, 4), d_range=(4, 8),
+                     p_max=97)
+    result, builds = _sweep_builds([is_prime, TheoremParams.hypothesis_violations], spec)
+    assert len(result.reports) == 6504
+    proven = {n: v for (name, (n,)), v in builds.items() if name == "is_prime"}
+    assert sorted(proven) == primes_upto(97) and set(proven.values()) == {1}
+    read = {tp: v for (name, (tp,)), v in builds.items() if name == "hypothesis_violations"}
+    assert sorted((tp.n, tp.q, tp.p) for tp in read) == [
+        (n, q, p) for n in range(3, 9) for q in range(1, 5) for p in primes_upto(97)]
+    assert set(read.values()) == {1}
 
 
 @pytest.mark.parametrize("q,passes", [(1, 1), (2, 2)])

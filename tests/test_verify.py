@@ -11,7 +11,7 @@ import pytest
 
 from hypercong.errors import CapExceeded, PreconditionViolated, ZeroDenominator
 from hypercong.exact_core import harmonic
-from hypercong import padic, series, verify
+from hypercong import jets, padic, series, verify
 from hypercong.padic import (
     PrimePowerModulus,
     Unreduced,
@@ -772,19 +772,22 @@ def test_sun_e_known_answers_beyond_the_grid(p):
 
 
 def test_taylor_and_identities_build_no_jet(monkeypatch, clear_memos):
-    # The test-only jet fold stays the oracle for taylor_values and upsilon_coefficients, off
-    # the verify path.
+    # The jets stay the derivative oracle, off the verify path.  The controls build a jet
+    # directly and through the test-only fold.
     tuples = [TP797, TheoremParams(4, 2, 11), *(TheoremParams(*t, exploratory=True)
                                                 for t in [(3, 1, 3), (3, 2, 7), (3, 100000, 5)])]
     expected = [(verify_taylor(tp), verify_exact_identities(tp)) for tp in tuples]
 
-    def never(*args):
+    def never(*args, **kwargs):
         raise AssertionError("a jet was built")
 
-    monkeypatch.setattr(jet_fold, "_product_jet", never)
+    monkeypatch.setattr(jets.Jet2, "__init__", never)
+    monkeypatch.setattr(jets, "pochhammer_jet", never)
     clear_memos()
-    with pytest.raises(AssertionError, match="a jet was built"):
-        jet_fold.phi_jet(TP797)
+    for build in (jets.Jet2, partial(jets.pochhammer_jet, 1, 1, "x", 3, 2),
+                  partial(jet_fold.phi_jet, TP797)):
+        with pytest.raises(AssertionError, match="a jet was built"):
+            build()
     assert [(verify_taylor(tp), verify_exact_identities(tp)) for tp in tuples] == expected
 
 
