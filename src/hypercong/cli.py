@@ -90,18 +90,17 @@ class SweepSpec:
     output_path: str | None = None
 
     def validate(self):
-        # Each field must have the shape its _SETTINGS row parses a value to, from a library
-        # caller too: a str of ids would be read as its letters, a float or str would reach a
-        # comparison, "3..5" would be unpacked and exploratory="no" would be true.
-        wrong = _misfit(self.check_ids, str)
-        if wrong:
-            raise ConfigError(f"check ids must be a tuple of str, got {wrong}")
-        for name, parse, *_ in _SETTINGS.values():
-            value, kinds = getattr(self, name), getattr(parse, "kinds", None)
-            if parse is _parse_range and (wrong := _misfit(value, int, 2)):
+        # The one check of each field's shape, stated by its _SETTINGS row, for a flag, a config
+        # value and a library caller alike: a str of ids would be read as its letters, a float
+        # or str would reach a comparison, "3..5" would be unpacked and "no" would be true.
+        for name, shape, *_ in _SETTINGS.values():
+            value = getattr(self, name)
+            if shape is _parse_checks and (wrong := _misfit(value, str)):
+                raise ConfigError(f"check ids must be a tuple of str, got {wrong}")
+            if shape is _parse_range and (wrong := _misfit(value, int, 2)):
                 raise ConfigError(f"{name} must be a tuple of two int, got {wrong}")
-            if kinds and type(value) not in kinds:
-                raise ConfigError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
+            if isinstance(shape, tuple) and type(value) not in shape:
+                raise ConfigError(f"{name} must be {' or '.join(k.__name__ for k in shape)}, "
                                   f"got {type(value).__name__}")
         repeated = sorted({c for c in self.check_ids if self.check_ids.count(c) > 1})
         if repeated:
@@ -289,50 +288,37 @@ def _format_report(r: CongruenceReport) -> str:
     return f"{row['check_id']} [{params}] {fields}"
 
 
-def _parse_range(key: str, value) -> tuple[int, int]:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2 or not all(type(v) is int for v in value):
-            raise ConfigError(f"{key} range must be two integer endpoints, got {value!r}")
-        return value[0], value[1]
-    lo, dots, hi = str(value).partition("..")
+def _parse_range(key: str, value):
+    # Text to two endpoints: "A..B", "A" or an int A.  Any other value goes to SweepSpec as is.
+    if type(value) is not str:
+        return (value, value) if type(value) is int else value
+    lo, dots, hi = value.partition("..")
     try:
         return int(lo), int(hi if dots else lo)
     except ValueError:
         raise ConfigError(f"cannot parse {key} range {value!r}; expected A..B") from None
 
 
-def _typed(*kinds: type):
-    # Checked, not converted: int("abc") would raise and bool("false") is True.
-    def check(key: str, value):
-        if type(value) not in kinds:
-            raise ConfigError(f"config value {key!r} has the wrong type: {value!r}")
-        return value
-    check.kinds = kinds  # SweepSpec.validate holds a library caller's field to them too
-    return check
+def _parse_checks(key: str, value):
+    # Text to ids: "a,b" to ("a", "b").  Any other value goes to SweepSpec as is.
+    return tuple(c.strip() for c in value.split(",") if c.strip()) if type(value) is str else value
 
 
-def _parse_checks(key: str, value) -> tuple[str, ...]:
-    value = _typed(str, list)(key, value)
-    if isinstance(value, str):
-        return tuple(c.strip() for c in value.split(",") if c.strip())
-    return tuple(str(c) for c in value)
-
-
-# Config key: the SweepSpec field it sets (unset, its default), its parser, the keywords of its
-# flag --<key> (dest key, - for _) and its key in render_json's spec echo.  The execution
-# details parallel, format and out have none: the output bytes never depend on them.
+# Config key: the SweepSpec field it sets (unset, its default), its shape (the parser of a
+# range's or the ids' text, else the types of a scalar; SweepSpec.validate checks it), the
+# keywords of its flag --<key> (dest key, - for _) and its key in render_json's spec echo.  The
+# execution details parallel, format and out have none: the output bytes never depend on them.
 _SETTINGS = {
     "checks": ("check_ids", _parse_checks, {"help": "comma-separated check ids"}, "checks"),
     "n": ("n_range", _parse_range, {"help": "range A..B for the exponent n"}, "n_range"),
     "q": ("q_range", _parse_range, {"help": "range A..B for the shift q"}, "q_range"),
     "d": ("d_range", _parse_range, {"help": "range A..B for the even degree d"}, "d_range"),
-    "p_max": ("p_max", _typed(int), {"type": int}, "p_max"),
-    "exploratory": ("exploratory", _typed(bool), {"action": "store_true", "default": None},
+    "p_max": ("p_max", (int,), {"type": int}, "p_max"),
+    "exploratory": ("exploratory", (bool,), {"action": "store_true", "default": None},
                     "exploratory"),
-    "parallel": ("parallelism", _typed(int), {"type": int}, None),
-    "format": ("output_format", _typed(str), {"choices": tuple(RENDERERS)}, None),
-    "out": ("output_path", _typed(str, type(None)), {"help": "output path (default: stdout)"},
-            None),
+    "parallel": ("parallelism", (int,), {"type": int}, None),
+    "format": ("output_format", (str,), {"choices": tuple(RENDERERS)}, None),
+    "out": ("output_path", (str, type(None)), {"help": "output path (default: stdout)"}, None),
 }
 
 
@@ -353,11 +339,14 @@ def _build_sweep_spec(args) -> SweepSpec:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     # explicit flags override the file
     settings.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
-    return SweepSpec(**{_SETTINGS[k][0]: _SETTINGS[k][1](k, v) for k, v in settings.items()})
+    parsed = {k: v if isinstance(_SETTINGS[k][1], tuple) else _SETTINGS[k][1](k, v)
+              for k, v in settings.items()}
+    return SweepSpec(**{_SETTINGS[k][0]: v for k, v in parsed.items()})
 
 
 def _cmd_sweep(args) -> int:
     spec = _build_sweep_spec(args)
+    spec.validate()  # before output_path is read: {"out": 5} would reach os.path
     out = spec.output_path
     # Refused before the sweep runs; an existing file keeps its bytes until it ends.
     if out and os.path.isdir(out):

@@ -69,9 +69,9 @@ class ShiftedSumSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "base", _fraction(self.base))
-        if self.order < 1:
+        if type(self.order) is not int or self.order < 1:  # 1.5 would sum floats
             raise ValueError("order must be a positive integer")
-        if self.length < 0:
+        if type(self.length) is not int or self.length < 0:
             raise ValueError("length must be nonnegative")
 
 

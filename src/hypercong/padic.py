@@ -200,7 +200,16 @@ def ord_rational(r, p: int):
     """p-adic valuation of a rational; math.inf for zero."""
     if not is_prime(p):
         raise NotPrime(f"{_decimal(p)} is not prime")
-    return Unreduced(r).ord(p)
+    # Its own count on the reduced Fraction: the tests hold Unreduced.ord and _ord_int to it.
+    r = _fraction(r)
+    if not r:
+        return math.inf
+    v, num, den = 0, r.numerator, r.denominator
+    while not num % p:
+        v, num = v + 1, num // p
+    while not den % p:
+        v, den = v - 1, den // p
+    return v
 
 
 def reduce_mod(r, m: PrimePowerModulus) -> Residue:

@@ -134,7 +134,7 @@ def karlsson_minton_sum(a, pairs: Sequence[tuple]) -> KarlssonMintonResult:
     total_m = 0
     for b, m in pairs:
         b = _fraction(b)
-        if m < 0:
+        if type(m) is not int or m < 0:  # a Fraction or float offset breaks the vanishing
             raise ValueError(f"pair offset {_decimal(m)} must be a nonnegative integer")
         if _vanishing_lower(b, length):
             raise ZeroLowerFactor(f"pair base {_decimal(b)} hits a nonpositive integer in range")

@@ -395,10 +395,12 @@ def test_all_registered_checks_run_over_a_small_grid():
 @pytest.mark.parametrize(
     "config,message",
     [
-        ({"checks": "theorem1", "p_max": "abc"}, "'p_max'"),
-        ({"checks": 5}, "'checks'"),
-        ({"checks": "theorem1", "p_max": 11, "exploratory": "false"}, "'exploratory'"),
-        ({"checks": "theorem1", "p_max": 11, "q": ["a", 1]}, "integer endpoints"),
+        ({"checks": "theorem1", "p_max": "abc"}, "p_max must be int, got str"),
+        ({"checks": 5}, "check ids must be a tuple of str, got int"),
+        ({"checks": "theorem1", "p_max": 11, "exploratory": "false"},
+         "exploratory must be bool, got str"),
+        ({"checks": "theorem1", "p_max": 11, "q": ["a", 1]},
+         "q_range must be a tuple of two int, got str"),
     ],
     ids=["p_max-not-int", "checks-not-str", "exploratory-not-bool", "range-not-int"],
 )
@@ -408,6 +410,25 @@ def test_main_sweep_config_type_errors_exit_2(tmp_path, capsys, config, message)
     assert main(["sweep", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p_max", "abc"), ("p_max", 13.0), ("parallel", 2.0), ("exploratory", "false"),
+    ("format", ["json"]), ("out", 5), ("n", [4.0, 5]), ("n", True), ("checks", 5),
+    ("checks", [5]), ("checks", ["theorem1", 5]),
+], ids=["p_max-str", "p_max-float", "parallel-float", "exploratory-str", "format-list", "out-int",
+        "n-float-item", "n-bool", "checks-int", "checks-int-list", "checks-mixed-list"])
+def test_a_config_value_of_the_wrong_shape_gets_the_refusal_of_validate(
+        tmp_path, capsys, key, value):
+    # One shape rule: a config value that is not text to parse reaches SweepSpec as it is,
+    # and main prints the message validate gives a library caller for the same field.
+    field = cli._SETTINGS[key][0]
+    with pytest.raises(ConfigError) as refusal:
+        SweepSpec(**{field: value}).validate()
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({key: value}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {refusal.value}\n"
 
 
 def test_main_verify_prime_beyond_primality_range_exits_2(capsys):

@@ -114,6 +114,15 @@ def test_shifted_sum_spec_validation():
         ShiftedSumSpec(F(1), 1, -1)
 
 
+@pytest.mark.parametrize("order, length, message", [
+    (1.5, 3, "order"), (True, 3, "order"), (1, 3.0, "length"), (1, True, "length"),
+], ids=["order-float", "order-bool", "length-float", "length-bool"])
+def test_shifted_sum_spec_refuses_an_order_or_length_that_is_not_an_int(order, length, message):
+    # S_m(base, k) is an exact rational only at an integer order and length: 1.5 sums floats.
+    with pytest.raises(ValueError, match=f"^{message} must be"):
+        ShiftedSumSpec(1, order, length)
+
+
 def test_binomial_general_values():
     assert binomial_general(-2, 3) == -4
     assert binomial_general(5, 0) == 1

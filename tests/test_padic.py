@@ -84,6 +84,22 @@ def test_ord_examples():
         ord_rational(F(1), 4)
 
 
+def test_ord_rational_is_independent_of_unreduced(monkeypatch):
+    # The oracle the tests hold Unreduced.ord to: it must not reach _ord_int or Unreduced.
+    class Refused:
+        def __init__(self, *args):
+            raise AssertionError("ord_rational built an Unreduced")
+
+    def refused(*args):
+        raise AssertionError("ord_rational called _ord_int")
+
+    monkeypatch.setattr(padic, "_ord_int", refused)
+    monkeypatch.setattr(padic, "Unreduced", Refused)
+    assert ord_rational(F(50, 3), 5) == 2
+    assert ord_rational(F(3, 50), 5) == -2
+    assert ord_rational(0, 7) == math.inf
+
+
 def test_ord_of_zero_orders_above_everything():
     assert ord_rational(0, 5) > 10**9
 

@@ -124,6 +124,14 @@ def test_karlsson_minton_rejects_vanishing_base():
         karlsson_minton_sum(-4, [(F(1), -1)])
 
 
+@pytest.mark.parametrize("offset", [F(1, 2), 0.1, True], ids=["fraction", "float", "bool"])
+def test_karlsson_minton_refuses_an_offset_that_is_not_an_int(offset):
+    # The hypothesis' promise of 0 holds for integer offsets only: at F(1, 2) the sum is -1/16,
+    # and 0.1 would be read as its binary fraction.
+    with pytest.raises(ValueError, match="pair offset .* must be a nonnegative integer"):
+        karlsson_minton_sum(-3, [(1, offset)])
+
+
 def test_karlsson_minton_random_draws_vanish():
     rng = random.Random(99)
     for _ in range(60):
