@@ -153,7 +153,8 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
     # One TheoremParams per triple, shared by its checks, owns the hypotheses.
     triple = functools.cache(lambda n, q, p: TheoremParams(n, q, p, exploratory=True))
     # Point-major: the checks whose sums sit at one (n, q, p) run back to back, in CHECKS order,
-    # so each sum is built once (series keeps its last few).  Reports are sorted: bytes hold.
+    # so each sum is built once (series keeps its last few); longest prime first (a stable sort),
+    # so a pool's last chunk is cheapest and padic's per-prime memos hit.  Reports are sorted.
     by_point = {}
     # A check with an empty axis has no unit, and product() would first copy its other axes.
     for check, c in ((k, verify.CHECKS[k]) for k, count in counts.items() if count):
@@ -166,7 +167,7 @@ def _expand_units(spec: SweepSpec) -> list[tuple]:
                 if not (spec.exploratory or args[0].in_hypothesis):
                     continue
             by_point.setdefault(point, []).append((check, args))
-    return [unit for units in by_point.values() for unit in units]
+    return [u for point in sorted(by_point, key=lambda point: -point[2]) for u in by_point[point]]
 
 
 def _run_unit(unit: tuple) -> list[CongruenceReport]:

@@ -52,13 +52,15 @@ def _decimal(value) -> str:
     return f"{'at most -' if v < 0 else 'at least '}10^{e}" if 0 < limit <= e else str(value)
 
 
-# The most arguments is_prime remembers; the caps admit far fewer distinct primes a process.
+# The most arguments a per-prime memo remembers; the caps admit far fewer distinct primes.
 _PRIME_MEMO = 4096
 
 
 @lru_cache(maxsize=_PRIME_MEMO, typed=True)  # a refusal raises, so it is never cached
 def is_prime(n: int) -> bool:
-    """Deterministic primality test; raises CapExceeded above 3e18."""
+    """Deterministic primality test of an int (else TypeError); raises CapExceeded above 3e18."""
+    if type(n) is not int:  # typed memo: 7.0 is refused, not answered from the entry of 7
+        raise TypeError(f"is_prime needs an int, got {type(n).__name__}")
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -94,6 +96,8 @@ class PrimePowerModulus:
     k: int
 
     def __post_init__(self):
+        if {type(self.p), type(self.k)} != {int}:  # 2.0 or True would pass every test below
+            raise TypeError(f"p and k must be int, got {_decimal(self.p)}, {_decimal(self.k)}")
         if self.k < 1:
             raise ValueError("precision exponent k must be >= 1")
         if not is_prime(self.p):
@@ -112,6 +116,8 @@ class Residue:
     modulus: PrimePowerModulus
 
     def __post_init__(self):
+        if type(self.value) is not int:
+            raise TypeError(f"a residue is an int, not {type(self.value).__name__}")
         if not 0 <= self.value < self.modulus.modulus:
             raise ValueError(f"residue {_decimal(self.value)} outside "
                              f"[0, {_decimal(self.modulus.modulus)})")
@@ -227,7 +233,9 @@ def reduce_mod(r, m: PrimePowerModulus) -> Residue:
 
 
 def factorial_valuation(r: int, p: int) -> int:
-    """Legendre's formula: ord_p(r!) = sum_{i>=1} floor(r/p^i)."""
+    """Legendre's formula: ord_p(r!) = sum_{i>=1} floor(r/p^i), for an int r (else TypeError)."""
+    if type(r) is not int:
+        raise TypeError(f"factorial argument must be int, got {type(r).__name__}")
     if r < 0:
         raise ValueError("factorial argument must be nonnegative")
     if not is_prime(p):
@@ -278,8 +286,9 @@ def bernoulli(m: int) -> Fraction:
     return grown[m]
 
 
+@lru_cache(maxsize=_PRIME_MEMO, typed=True)  # a refusal raises, so it is never cached
 def bernoulli_residue(p: int) -> Residue:
-    """B_{p-3} mod p^2 for a prime p >= 7, from a power sum instead of the table.
+    """B_{p-3} mod p^2 for a prime p >= 7, from a power sum instead of the table; once per p.
 
     By Faulhaber's formula S = sum_{j=1}^{p-1} j^(p-3) = p B_{p-3} (mod p^3): the next
     term holds B_{p-4} = 0, and every later one is p^3 times a p-integral number, as p
@@ -316,6 +325,15 @@ def _block_product(g, a: int, pk: int) -> list[int]:
     return h
 
 
+@lru_cache(maxsize=_PRIME_MEMO, typed=True)
+def _block_polynomial(p: int, k: int) -> tuple[int, ...]:
+    # Morita's G(t) mod (p^k, t^k), from e[j] = e_{p-1-j}(1..p-1) mod p^k; a tuple, as it is shared.
+    pk, e = p**k, [1] + [0] * (k - 1)
+    for r in range(1, p):
+        e = [(u * r + v) % pk for u, v in zip(e, [0] + e)]
+    return tuple(c * p**j % pk for j, c in enumerate(e))
+
+
 def morita_gamma(x, m: PrimePowerModulus) -> Residue:
     """Morita's p-adic Gamma function at a p-integral rational, mod p^k.
 
@@ -328,7 +346,8 @@ def morita_gamma(x, m: PrimePowerModulus) -> Residue:
     elementary symmetric functions of 1..p-1.  The blocks multiply to H_a(0), H_L(t) =
     prod_{i<L} G(t + i), by doubling H_2L(t) = H_L(t) H_L(t + L) in (Z/p^k)[t]/(t^k):
     exact, as p^j divides each t^j coefficient.  O(k p + k^2 log a) products, plus b
-    tail factors.  Precisions p^k above MORITA_CAP = 10^7 raise PrecisionCapExceeded.
+    tail factors; G's k p are paid once per (p, k), as its coefficients are memoized.
+    Precisions p^k above MORITA_CAP = 10^7 raise PrecisionCapExceeded.
     """
     if m.p == 2:
         raise PreconditionViolated("morita_gamma requires an odd prime")
@@ -342,11 +361,7 @@ def morita_gamma(x, m: PrimePowerModulus) -> Residue:
     for j in range(blocks * p + 1, lift):  # the b tail factors
         acc = acc * j % pk
     if blocks:  # else the O(k p) coefficients would cost more than the product
-        e = [1] + [0] * (k - 1)  # e[j] = e_{p-1-j}(1..p-1) mod p^k
-        for r in range(1, p):
-            e = [(u * r + v) % pk for u, v in zip(e, [0] + e)]
-        g = [c * p**j % pk for j, c in enumerate(e)]
-        acc = acc * _block_product(g, blocks, pk)[0] % pk
+        acc = acc * _block_product(_block_polynomial(p, k), blocks, pk)[0] % pk
     if lift % 2:
         acc = (pk - acc) % pk
     return Residue(acc, m)

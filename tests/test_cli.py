@@ -551,6 +551,36 @@ def test_triple_units_follow_the_parity_and_range_hypotheses():
     assert asserted == [u for u in units if u[1][0].in_hypothesis]
 
 
+def test_sweep_units_go_longest_prime_first_one_point_at_a_time():
+    units = cli._expand_units(spec_for(CHECK_NAMES, n_range=(3, 5), q_range=(1, 3),
+                                       p_max=31, exploratory=True))
+    points = [(args[0].n, args[0].q, args[0].p) if verify.CHECKS[check].params == ("n", "q", "p")
+              else verify.CHECKS[check].point(*args) for check, args in units]
+    primes = [point[2] for point in points]
+    assert primes == sorted(primes, reverse=True)
+    runs = [[CHECK_NAMES.index(check) for _, (check, _args) in run]
+            for _, run in itertools.groupby(zip(points, units), key=lambda pair: pair[0])]
+    assert len(runs) == len(set(points))  # each point's units are contiguous
+    assert all(order == sorted(order) for order in runs)  # in CHECKS order
+    assert any(len(set(order)) > 1 for order in runs)  # dflst shares a triple's point
+
+
+@pytest.mark.parametrize("check, memo, least", [("dflst", "_block_polynomial", 5),
+                                                ("sun-bernoulli", "bernoulli_residue", 7)])
+def test_a_sweep_computes_each_primes_right_side_once(check, memo, least):
+    # dflst's Morita G(t) at (p, 3), sun-bernoulli's B_{p-3} mod p^2 at p >= 7 (p = 5 reads
+    # the table): one computation per prime, the other calls read the memo.
+    spec = spec_for([check], n_range=(3, 8), p_max=97)
+    primes = [p for _, args in cli._expand_units(spec)
+              if (p := dict(zip(verify.CHECKS[check].params, args))["p"]) >= least]
+    memo = getattr(padic, memo)
+    memo.cache_clear()
+    run_sweep(spec)
+    info = memo.cache_info()
+    assert (info.misses, info.hits) == (len(set(primes)), len(primes) - len(set(primes)))
+    assert info.hits > 0
+
+
 def test_the_triple_checks_of_one_tuple_share_one_theorem_params():
     triple_checks = [c for c in CHECK_NAMES if verify.CHECKS[c].params == ("n", "q", "p")]
     assert len(triple_checks) == 5

@@ -60,6 +60,38 @@ def test_is_prime_memo_is_bounded_typed_and_keeps_no_refusal():
     assert is_prime.cache_info().currsize == 0
 
 
+def test_bernoulli_residue_memo_is_bounded_typed_and_keeps_no_refusal():
+    assert bernoulli_residue.cache_parameters() == {"maxsize": padic._PRIME_MEMO, "typed": True}
+    bernoulli_residue.cache_clear()
+    for _ in range(2):
+        for p, error in [(5, PreconditionViolated), (9, NotPrime), (7.0, TypeError)]:
+            with pytest.raises(error):
+                bernoulli_residue(p)
+    assert bernoulli_residue.cache_info().currsize == 0
+    assert bernoulli_residue(7) is bernoulli_residue(7)  # a frozen Residue, shared
+
+
+def test_morita_block_polynomial_memo_is_bounded_typed_and_keeps_no_refusal():
+    # G(t) is built only after every refusal of morita_gamma, so a refused call keeps nothing.
+    memo = padic._block_polynomial
+    assert memo.cache_parameters() == {"maxsize": padic._PRIME_MEMO, "typed": True}
+    memo.cache_clear()
+    for _ in range(2):
+        for m, error in [(PrimePowerModulus(2, 3), PreconditionViolated),
+                         (PrimePowerModulus(223, 3), PrecisionCapExceeded),
+                         (PrimePowerModulus(3, 3), NotPIntegral)]:
+            with pytest.raises(error):
+                morita_gamma(F(1, 3), m)
+    assert memo.cache_info().currsize == 0
+    morita_gamma(F(1, 3), PrimePowerModulus(7, 3))
+    assert memo.cache_info().currsize == 1
+    product = [1]  # prod_{0<r<7} (r + 7t), one linear factor at a time
+    for r in range(1, 7):
+        product = [a * r + b * 7 for a, b in zip(product + [0], [0] + product)]
+    g = memo(7, 4)
+    assert type(g) is tuple and g == tuple(c % 7**4 for c in product[:4]) == (720, 343, 343, 0)
+
+
 def test_modulus_validation():
     m = PrimePowerModulus(5, 2)
     assert m.modulus == 25
@@ -67,6 +99,25 @@ def test_modulus_validation():
         PrimePowerModulus(6, 1)
     with pytest.raises(ValueError):
         PrimePowerModulus(5, 0)
+    # Not an int, a bool too: refused before any arithmetic, not read as 7^2.0 = 49.0.
+    for p, k in [(7, 2.0), (7, True), (7.0, 2), (True, 1)]:
+        with pytest.raises(TypeError, match="p and k must be int"):
+            PrimePowerModulus(p, k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_prime(7.0),
+    lambda: is_prime(True),
+    lambda: ord_rational(F(49, 3), 7.0),
+    lambda: factorial_valuation(5.0, 5),
+    lambda: factorial_valuation(True, 5),
+    lambda: factorial_valuation(5, 5.0),
+], ids=["is_prime-float", "is_prime-bool", "ord_rational-p", "factorial_valuation-r-float",
+        "factorial_valuation-r-bool", "factorial_valuation-p"])
+def test_an_argument_that_is_not_an_int_is_refused(call):
+    assert is_prime(7) and factorial_valuation(5, 5) == 1  # the int answers, memoized
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_residue_range_checked():
@@ -74,6 +125,9 @@ def test_residue_range_checked():
     with pytest.raises(ValueError):
         Residue(5, m)
     assert int(Residue(3, m)) == 3
+    for value in (1.5, True, F(1)):
+        with pytest.raises(TypeError, match="a residue is an int"):
+            Residue(value, m)
 
 
 def test_ord_examples():
@@ -541,6 +595,8 @@ def test_decimal_reads_a_python_without_a_digit_limit(monkeypatch):
     (lambda: is_prime(N), CapExceeded,
      "at least 10^5002 exceeds the deterministic primality range"),
     (lambda: PrimePowerModulus(BIG + 1, 1), NotPrime, "at least 10^5000 is not prime"),
+    (lambda: PrimePowerModulus(BIG, 2.0), TypeError, "p and k must be int, got at least 10^5000, "
+     "2.0"),
     (lambda: ord_rational(3, BIG + 1), NotPrime, "at least 10^5000 is not prime"),
     (lambda: factorial_valuation(5, BIG), NotPrime, "at least 10^5000 is not prime"),
     (lambda: Unreduced(1).ord(-BIG), NotPrime, "at most -10^5000 is not prime"),
@@ -554,7 +610,7 @@ def test_decimal_reads_a_python_without_a_digit_limit(monkeypatch):
      "p^k = at least 10^5070 exceeds the Morita cap 10000000"),
     (lambda: Residue(-BIG, PrimePowerModulus(7, 1)), ValueError,
      "residue at most -10^5000 outside [0, 7)"),
-], ids=["is_prime", "modulus", "ord_rational", "factorial_valuation", "ord", "reduce_mod",
+], ids=["is_prime", "modulus", "modulus-type", "ord_rational", "factorial_valuation", "ord", "reduce_mod",
         "bernoulli", "bernoulli_residue", "morita_gamma", "residue"])
 def test_a_refusal_states_an_integer_too_long_to_print(call, error, message):
     # str() of such an integer raised ValueError from inside the message.
