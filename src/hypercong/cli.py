@@ -7,8 +7,9 @@ registered check (optionally across processes) and emits JSON or CSV;
 
 Exit codes are a stable contract for CI: 0 when no asserted check fails,
 1 when any asserted check fails (or is ill-posed), 2 on configuration or
-precondition errors, when memory runs out and when a sweep's worker process
-dies or cannot start, which says nothing of a check.
+precondition errors, when memory runs out, when a sweep's worker process dies
+or cannot start and when the reader closed the output early, which says
+nothing of a check.
 Sweep output is byte-identical for a given spec regardless of the parallelism
 level: results are merged and sorted before emission, and the echoed spec
 deliberately omits execution-only fields.
@@ -50,10 +51,10 @@ GRID_LIMIT = 10**5
 
 
 def primes_upto(limit: int) -> list[int]:
-    """Ascending list of all primes <= limit (empty below 2).
-
-    Raises CapExceeded above SIEVE_LIMIT.
-    """
+    """Ascending list of all primes <= limit (empty below 2).  A limit that is not an int
+    raises TypeError, and one above SIEVE_LIMIT CapExceeded."""
+    if type(limit) is not int:  # True would read as 1, 10.0 would fail inside
+        raise TypeError(f"the sieve limit must be int, got {type(limit).__name__}")
     if limit > SIEVE_LIMIT:
         raise CapExceeded(f"sieve limit {_decimal(limit)} exceeds the cap {SIEVE_LIMIT}")
     if limit < 2:
@@ -436,7 +437,13 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # inside the guard, where a pipe the reader closed early is seen
+    except BrokenPipeError:  # stdout goes to devnull, so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -187,8 +187,8 @@ class Unreduced:
         return Unreduced(self.num * d - c * self.den, self.den * d) if c else self
 
     def ord(self, p: int):
-        """ord_p(num) - ord_p(den), math.inf for zero.  p must be prime."""
-        if p < 2:  # p = 1 or -1 would never end the loop below; is_prime costs too much here
+        """ord_p(num) - ord_p(den), math.inf for zero.  p must be a prime int."""
+        if not is_prime(p):  # memoized; p = 1 would never end the loop below, 4 would miscount
             raise NotPrime(f"{_decimal(p)} is not prime")
         return _ord_int(self.num, p) - _ord_int(self.den, p) if self.num else math.inf
 
@@ -252,21 +252,20 @@ BERNOULLI_CAP = 10**4
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 
 
-def _check_bernoulli_index(m: int) -> None:
-    if m > BERNOULLI_CAP:
-        raise CapExceeded(f"bernoulli({_decimal(m)}) exceeds the documented cap {BERNOULLI_CAP}")
-
-
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m with the convention B_1 = -1/2.
 
     Even indices come from the integer tangent numbers T_k (Brent & Harvey,
     arXiv:1108.0286): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  Odd indices
-    above 1 are zero.  Indices above BERNOULLI_CAP = 10^4 raise CapExceeded.
+    above 1 are zero.  An index that is not an int raises TypeError, and one above
+    BERNOULLI_CAP = 10^4 CapExceeded.
     """
+    if type(m) is not int:  # True would read B_1, 2.0 would fail inside
+        raise TypeError(f"Bernoulli index must be int, got {type(m).__name__}")
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    _check_bernoulli_index(m)
+    if m > BERNOULLI_CAP:
+        raise CapExceeded(f"bernoulli({_decimal(m)}) exceeds the documented cap {BERNOULLI_CAP}")
     global _bernoulli_cache
     cache = _bernoulli_cache
     if m < len(cache):

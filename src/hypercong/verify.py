@@ -56,71 +56,65 @@ __all__ = [
     "verify_exact_identities",
 ]
 
-# The largest p of each check, refused before any sum is built.  At each cap one call takes
+# A check: its verify function's positional parameters and name (looked up at call time, so a
+# wrapper installed here is seen), its required_ord (the modulus exponent of a theorem-sum check,
+# and of the bare report an inexpressible exploratory tuple gets), its cap: the largest p, refused
+# before any sum is built, its domain: given those arguments, is the check defined, that domain
+# in words ({morita} and {bernoulli} are the live padic caps), and its point: the (n, q, p) of
+# the theorem sum it reads (series.theorem_sum), or of its tuple.  At each cap one call takes
 # about a minute or less (2 vCPUs, Python 3.11): theorem1 and theorem2 37 s at (4, 1, 200003),
 # sun-e 53 s at 1009, taylor 61 s and 37 MB peak RSS at (4, 1, 29989), lemmas 53 to 77 s and
 # 32 MB at (4, q, 24989), q = 2..4 (31 s at q = 1, one pass), identities 5 s at (4, 1, 9973).
 # Each was timed at exponent 4 (sun-e's is p + 1) and q <= 4, so a check also refuses p times
-# n or d, or q's bit length, above 4 times its cap.  sun-bernoulli has the theorem1 sum's cap.
-P_CAPS = {"theorem1": 250_000, "theorem2": 250_000, "guo": 250_000, "sun-e": 1100,
-          "sun-bernoulli": 250_000, "taylor": 30_000, "lemmas": 25_000, "identities": 10**4}
-
-
-# A check: its verify function's positional parameters and name (looked up at call time,
-# so a wrapper installed here is seen), its required_ord (the modulus exponent of a
-# theorem-sum check, and of the bare report an inexpressible exploratory tuple gets), its
-# domain: given those arguments, is the check defined, that domain in words ({cap} is the
-# live Morita cap), and its point: the (n, q, p) of the theorem sum it reads
-# (series.theorem_sum), or of its tuple.
-Check = namedtuple("Check", "params function required_ord domain words point")
+# n or d, or q's bit length, above 4 times its cap.  sun-bernoulli has the theorem1 sum's cap;
+# dflst's bound, like sun-bernoulli's Bernoulli bound, is in its domain.
+Check = namedtuple("Check", "params function required_ord cap domain words point")
 _TRIPLE = ("n", "q", "p")
 
 
-def _triple(function, required_ord):
+def _triple(function, required_ord, cap):
     # TheoremParams owns the rest of the domain; every grid axis starts at 1, so q > 0.
-    return Check(_TRIPLE, function, required_ord, lambda n, q, p: n > 2, "n > 2",
+    return Check(_TRIPLE, function, required_ord, cap, lambda n, q, p: n > 2, "n > 2",
                  lambda n, q, p: (n, q, p))
 
 
 CHECKS = {
-    "theorem1": _triple("verify_theorem1", 3),
-    "theorem2": _triple("verify_theorem2", 3),
-    "guo": Check(("d", "p"), "verify_guo", 3,
+    "theorem1": _triple("verify_theorem1", 3, 250_000),
+    "theorem2": _triple("verify_theorem2", 3, 250_000),
+    "guo": Check(("d", "p"), "verify_guo", 3, 250_000,
                  lambda d, p: d >= 4 and d % 2 == 0 and (p + 1) % d == 0 and is_prime(p),
                  "an even d >= 4 and a prime p = -1 (mod d)", lambda d, p: (d, (p + 1) // d, p)),
-    "sun-e": Check(("p",), "verify_sun_e", 5, lambda p: p > 3 and is_prime(p), "a prime p > 3",
-                   lambda p: (p + 1, 1, p)),
-    "sun-bernoulli": Check(("p", "n"), "verify_sun_bernoulli", 5,
-                           lambda p, n: p > 3 and n >= 1 and n % p != 0 and is_prime(p),
-                           "a prime p > 3 and a positive n coprime to p",
-                           lambda p, n: (n, 1, p)),
-    "dflst": Check(("n", "p"), "verify_dflst_pair", 3, lambda n, p: n >= 3 and p % n == 1
+    "sun-e": Check(("p",), "verify_sun_e", 5, 1100, lambda p: p > 3 and is_prime(p),
+                   "a prime p > 3", lambda p: (p + 1, 1, p)),
+    "sun-bernoulli": Check(("p", "n"), "verify_sun_bernoulli", 5, 250_000, lambda p, n: p > 3
+                           and p - 3 <= padic.BERNOULLI_CAP and n >= 1 and n % p != 0
+                           and is_prime(p), "a prime p > 3 with p - 3 <= the Bernoulli cap "
+                           "{bernoulli} and a positive n coprime to p", lambda p, n: (n, 1, p)),
+    "dflst": Check(("n", "p"), "verify_dflst_pair", 3, math.inf, lambda n, p: n >= 3 and p % n == 1
                    and p**3 <= padic.MORITA_CAP and is_prime(p),
-                   "n >= 3 and a prime p = 1 (mod n) with p^3 <= the Morita cap {cap}",
+                   "n >= 3 and a prime p = 1 (mod n) with p^3 <= the Morita cap {morita}",
                    lambda n, p: (n, (p - 1) // n + 1, p)),
-    "lemmas": _triple("verify_lemma_suite", 1),
-    "taylor": _triple("verify_taylor", 3),
-    "identities": _triple("verify_exact_identities", 3),
+    "lemmas": _triple("verify_lemma_suite", 1, 25_000),
+    "taylor": _triple("verify_taylor", 3, 30_000),
+    "identities": _triple("verify_exact_identities", 3, 10**4),
 }
 
 
 def _check_p_caps(largest: dict, *checks: str) -> None:
-    # Each check refuses its p here, p times its exponent n or d, and p times the bit length
-    # of its q, given its parameters by name; a sweep refuses the largest value of each axis
-    # before any unit runs.
+    # Each check refuses its p above its row's cap, then p times each of its other parameters
+    # (the bit length of q) above 4 times that cap, given them by name; a sweep refuses the
+    # largest value of each axis before any unit runs.
     p = largest["p"]
     for check in checks:
-        if check == "sun-bernoulli":
-            padic._check_bernoulli_index(p - 3)
-        cap = P_CAPS.get(check, math.inf)
-        if p > cap:
-            raise CapExceeded(f"p = {padic._decimal(p)} exceeds the {check} cap {cap}")
-        for name in ("n", "d", "q"):
-            size = largest.get(name, 0) if name in CHECKS[check].params else 0
+        row = CHECKS[check]
+        if p > row.cap:
+            raise CapExceeded(f"p = {padic._decimal(p)} exceeds the {check} cap {row.cap}")
+        for name in row.params:
+            size = largest.get(name, 0)
             label, size = ("q.bit_length()", size.bit_length()) if name == "q" else (name, size)
-            if p * size > 4 * cap:
-                raise CapExceeded(f"p * {label} = {padic._decimal(p)} * "
-                                  f"{padic._decimal(size)} exceeds 4 times the {check} cap {cap}")
+            if name != "p" and p * size > 4 * row.cap:
+                raise CapExceeded(f"p * {label} = {padic._decimal(p)} * {padic._decimal(size)} "
+                                  f"exceeds 4 times the {check} cap {row.cap}")
 
 
 class Verdict(str, Enum):
@@ -192,8 +186,8 @@ def _theorem_sum_check(check: str, *args, rhs=lambda m: 0, sums=None) -> list:
     c = CHECKS[check]
     if not c.domain(*args):
         given = ", ".join(f"{name}={padic._decimal(value)}" for name, value in zip(c.params, args))
-        raise PreconditionViolated(f"{check} needs {c.words.format(cap=padic.MORITA_CAP)}, "
-                                   f"got {given}")
+        words = c.words.format(morita=padic.MORITA_CAP, bernoulli=padic.BERNOULLI_CAP)
+        raise PreconditionViolated(f"{check} needs {words}, got {given}")
     params = dict(zip(c.params, args))
     _check_p_caps(params, check)
     m = PrimePowerModulus(params["p"], c.required_ord)

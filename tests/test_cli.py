@@ -43,6 +43,13 @@ def test_primes_upto_examples():
     assert primes_upto(1) == []
 
 
+@pytest.mark.parametrize("limit", [True, 10.0], ids=["bool", "float"])
+def test_primes_upto_refuses_a_limit_that_is_not_an_int(limit):
+    # True read as 1 and gave [], and 10.0 failed inside on a sequence size.
+    with pytest.raises(TypeError, match="the sieve limit must be int"):
+        primes_upto(limit)
+
+
 def test_spec_validation_errors():
     with pytest.raises(ConfigError, match="unknown check"):
         run_sweep(spec_for(["theorem9"]))
@@ -232,6 +239,18 @@ def test_dflst_grid_respects_morita_cap(monkeypatch):
     assert trimmed == {31}
 
 
+def test_sun_bernoulli_grid_respects_the_bernoulli_cap(monkeypatch):
+    # The Bernoulli bound is in sun-bernoulli's domain, as the Morita bound is in dflst's: a
+    # sweep skips the primes above it instead of refusing the grid.
+    unrestricted = run_sweep(spec_for(["sun-bernoulli"], n_range=(3, 3), p_max=31))
+    monkeypatch.setattr(padic, "BERNOULLI_CAP", 26)  # holds B_{29-3}, not B_{31-3}
+    capped = run_sweep(spec_for(["sun-bernoulli"], n_range=(3, 3), p_max=31))
+    trimmed = {r.params["p"] for r in unrestricted.reports} - {
+        r.params["p"] for r in capped.reports
+    }
+    assert trimmed == {31} and capped.exit_code == 0
+
+
 def test_main_verify_paths(capsys):
     assert main(["verify", "theorem1", "--n", "4", "--q", "1", "--p", "7"]) == 0
     out = capsys.readouterr().out
@@ -272,29 +291,43 @@ def test_main_verify_refuses_exploratory_for_checks_without_a_triple(capsys, arg
     assert main(["verify", *argv]) == 0
 
 
-def test_python_dash_m_hypercong_runs_the_cli_quietly():
+def _env_with_src() -> dict:
+    # The environment of a child Python that imports this checkout's package.
     src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def test_python_dash_m_hypercong_runs_the_cli_quietly():
     proc = subprocess.run([sys.executable, "-m", "hypercong", "primes", "10"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_env_with_src(), timeout=60)
     assert (proc.returncode, proc.stdout.split(), proc.stderr) == (0, ["2", "3", "5", "7"], "")
+
+
+def test_a_reader_that_closes_the_output_early_exits_2_without_a_traceback():
+    # As `hypercong primes 1000000 | head -1` does: the write fails with EPIPE, which says
+    # nothing of a check, so it must not exit 1 through a traceback.
+    with subprocess.Popen([sys.executable, "-m", "hypercong", "primes", "1000000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_env_with_src()) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert (first, proc.returncode) == (b"2\n", 2)
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_a_serial_run_does_not_load_the_process_pool():
     # multiprocessing (with socket, pickle, subprocess, logging) is loaded only by a sweep
     # that starts workers, not by the package, a verify or a --parallel 1 sweep.
-    src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys, hypercong\n"
             "hypercong.main(['verify', 'sun-bernoulli', '--p', '41', '--n', '4'])\n"
             "hypercong.main(['sweep', '--checks', 'theorem1', '--n', '3..4', '--q', '1..1',\n"
             "                '--p-max', '13', '--parallel', '1', '--format', 'csv'])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
             "             ('multiprocessing', 'concurrent')))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=_env_with_src(), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[0].startswith("sun-bernoulli [n=4 p=41] verdict=holds")
     assert proc.stdout.splitlines()[-1] == "[]"
@@ -724,7 +757,7 @@ def test_lemmas_and_identities_refuse_p_above_their_cap(monkeypatch, capsys):
         assert f"p = 100003 exceeds the {check} cap {cap}" in capsys.readouterr().err
     monkeypatch.undo()
     for check in ("lemmas", "identities"):
-        monkeypatch.setitem(verify.P_CAPS, check, 13)
+        monkeypatch.setitem(verify.CHECKS, check, verify.CHECKS[check]._replace(cap=13))
         assert main(["verify", check, "--n", "4", "--q", "1", "--p", "13"]) == 0
         assert main(["verify", check, "--n", "4", "--q", "1", "--p", "17"]) == 2
         assert f"p = 17 exceeds the {check} cap 13" in capsys.readouterr().err
@@ -862,29 +895,29 @@ def test_repeated_check_ids_are_rejected(tmp_path, capsys):
      "guo needs an even d >= 4 and a prime p = -1 (mod d), got d=4, p=5"),
     (["sun-e", "--p", "9"], "sun-e needs a prime p > 3, got p=9"),
     (["sun-bernoulli", "--p", "5", "--n", "10"],
-     "sun-bernoulli needs a prime p > 3 and a positive n coprime to p, got p=5, n=10"),
+     "sun-bernoulli needs a prime p > 3 with p - 3 <= the Bernoulli cap 10000 and a positive n "
+     "coprime to p, got p=5, n=10"),
     (["dflst", "--n", "3", "--p", "11"],
      "dflst needs n >= 3 and a prime p = 1 (mod n) with p^3 <= the Morita cap 10000000, "
      "got n=3, p=11"),
-], ids=["guo", "sun-e", "sun-bernoulli", "dflst"])
+    (["sun-bernoulli", "--p", "10007", "--n", "4"],
+     "sun-bernoulli needs a prime p > 3 with p - 3 <= the Bernoulli cap 10000 and a positive n "
+     "coprime to p, got p=10007, n=4"),
+], ids=["guo", "sun-e", "sun-bernoulli", "dflst", "sun-bernoulli-cap"])
 def test_main_verify_outside_a_domain_names_the_check_its_domain_and_the_values(
         capsys, argv, message):
     assert main(["verify", *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("check,owner,cap,message", [
-    ("lemmas", verify, "P_CAPS", "p = 17 exceeds the lemmas cap 13"),
-    ("identities", verify, "P_CAPS", "p = 17 exceeds the identities cap 13"),
-    ("sun-bernoulli", padic, "BERNOULLI_CAP", "bernoulli(14) exceeds the documented cap 10"),
+@pytest.mark.parametrize("check,owner,message", [
+    ("lemmas", verify, "p = 17 exceeds the lemmas cap 13"),
+    ("identities", verify, "p = 17 exceeds the identities cap 13"),
 ])
 def test_a_sweep_refuses_its_largest_prime_above_a_cap_before_any_unit_runs(
-        monkeypatch, capsys, check, owner, cap, message):
-    # At 13 the p cap holds p = 13 and the Bernoulli cap 10 holds B_{13-3}.
-    if cap == "P_CAPS":
-        monkeypatch.setitem(owner.P_CAPS, check, 13)
-    else:
-        monkeypatch.setattr(owner, cap, 10)
+        monkeypatch, capsys, check, owner, message):
+    # At 13 the cap of the check's row in owner.CHECKS holds p = 13.
+    monkeypatch.setitem(owner.CHECKS, check, owner.CHECKS[check]._replace(cap=13))
     function = verify.CHECKS[check].function
     calls = []
     run = getattr(verify, function)
@@ -899,8 +932,7 @@ def test_a_sweep_refuses_its_largest_prime_above_a_cap_before_any_unit_runs(
         assert calls == []
     # The largest prime up to 16 is 13: p_max above the cap is not refused by itself.
     assert main(sweep + ["--p-max", "16"]) == 0
-    primes = {args[0] if check == "sun-bernoulli" else args[0].p for args in calls}
-    assert max(primes) == 13
+    assert max(args[0].p for args in calls) == 13
 
 
 @pytest.mark.parametrize("argv", [
@@ -922,7 +954,7 @@ def test_checks_refuse_p_above_their_cap_before_any_sum(monkeypatch, capsys, arg
     assert main(["verify", *argv, "--p", "1000000007"]) == 2
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
-        f"error: p = 1000000007 exceeds the {check} cap {verify.P_CAPS[check]}\n")
+        f"error: p = 1000000007 exceeds the {check} cap {verify.CHECKS[check].cap}\n")
 
 
 BIG_N = "1000000000"
@@ -954,7 +986,7 @@ def test_p_times_the_exponent_above_a_cap_is_refused_before_any_sum(
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1
-    cap = verify.P_CAPS[check]
+    cap = verify.CHECKS[check].cap
     assert capsys.readouterr().err == f"error: {product} exceeds 4 times the {check} cap {cap}\n"
 
 
@@ -983,13 +1015,13 @@ def test_p_times_the_bit_length_of_q_above_a_cap_is_refused_before_any_sum(
     assert main(argv) == 2
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (f"error: p * q.bit_length() = 20011 * 333 exceeds 4 "
-                                       f"times the {check} cap {verify.P_CAPS[check]}\n")
+                                       f"times the {check} cap {verify.CHECKS[check].cap}\n")
 
 
 @pytest.mark.parametrize("check", [c for c, row in verify.CHECKS.items() if "q" in row.params])
 def test_the_q_bound_holds_every_q_up_to_15_at_each_cap(check):
     # 15 has 4 bits and 16 has 5, so at p = cap the bound p * 4 holds q = 15, not q = 16.
-    cap = verify.P_CAPS[check]
+    cap = verify.CHECKS[check].cap
     verify._check_p_caps({"n": 4, "q": 15, "p": cap}, check)
     with pytest.raises(CapExceeded, match=rf"^p \* q\.bit_length\(\) = {cap} \* 5 exceeds"):
         verify._check_p_caps({"n": 4, "q": 16, "p": cap}, check)
@@ -1005,8 +1037,8 @@ def test_the_q_bound_at_p_20011_lies_between_2_to_the_48_and_2_to_the_49():
 def test_guo_at_d_p_plus_1_is_refused_no_later_than_sun_e(capsys):
     # guo(p + 1, p) reads the sun-e sum, and p (p + 1) grows with p: every p above the sun-e cap
     # has p (p + 1) above 4 times the guo cap.  1103 is the first prime above 1100.
-    cap = verify.P_CAPS["sun-e"]
-    assert (cap + 1) * (cap + 2) > 4 * verify.P_CAPS["guo"]
+    cap = verify.CHECKS["sun-e"].cap
+    assert (cap + 1) * (cap + 2) > 4 * verify.CHECKS["guo"].cap
     assert main(["verify", "sun-e", "--p", "1103"]) == 2
     assert main(["verify", "guo", "--d", "1104", "--p", "1103"]) == 2
     err = capsys.readouterr().err
@@ -1014,10 +1046,11 @@ def test_guo_at_d_p_plus_1_is_refused_no_later_than_sun_e(capsys):
     assert "p * d = 1103 * 1104 exceeds 4 times the guo cap 250000" in err
 
 
-@pytest.mark.parametrize("check", sorted(verify.P_CAPS))
+@pytest.mark.parametrize("check", sorted(c for c, row in verify.CHECKS.items()
+                                         if row.cap < math.inf))
 def test_a_sweep_refuses_its_largest_prime_above_a_p_cap_before_any_unit_runs(
         monkeypatch, capsys, check):
-    monkeypatch.setitem(verify.P_CAPS, check, 13)
+    monkeypatch.setitem(verify.CHECKS, check, verify.CHECKS[check]._replace(cap=13))
     function = verify.CHECKS[check].function
     calls = []
     run = getattr(verify, function)

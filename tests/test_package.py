@@ -1,6 +1,7 @@
 import ast
 import importlib
 import re
+from collections.abc import Mapping
 from pathlib import Path
 
 import hypercong
@@ -46,10 +47,20 @@ def test_no_cap_is_a_package_attribute():
     # Caps are read at call time through their module, where a test or a caller may
     # change them; a package-level copy would not follow that change.
     for module, cap in [(padic, "MORITA_CAP"), (padic, "BERNOULLI_CAP"),
-                        (jets, "MAX_DEGREE_CAP"), (verify, "P_CAPS"), (series, "WALK_CAP"),
+                        (jets, "MAX_DEGREE_CAP"), (verify, "CHECKS"), (series, "WALK_CAP"),
                         (cli, "SIEVE_LIMIT"), (cli, "GRID_LIMIT")]:
         assert hasattr(module, cap) and cap not in module.__all__
         assert not hasattr(hypercong, cap), cap
+
+
+def test_no_module_holds_a_second_table_of_checks():
+    # verify.CHECKS states each check once, its cap included: no other module-level mapping
+    # is keyed by check ids.
+    tables = [(module.__name__, name) for module in (hypercong, *MODULES)
+              for name, value in vars(module).items()
+              if isinstance(value, Mapping) and value is not verify.CHECKS
+              and any(key in verify.CHECKS for key in value)]
+    assert tables == []
 
 
 def test_no_library_module_calls_an_oracle():

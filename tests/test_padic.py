@@ -112,11 +112,16 @@ def test_modulus_validation():
     lambda: factorial_valuation(5.0, 5),
     lambda: factorial_valuation(True, 5),
     lambda: factorial_valuation(5, 5.0),
+    lambda: Unreduced(49).ord(7.0),  # was 2
+    lambda: Unreduced(10**400).ord(7.0),  # was an OverflowError inside
+    lambda: bernoulli(True),  # was B_1
+    lambda: bernoulli(2.0),  # was a TypeError on a list index, inside
 ], ids=["is_prime-float", "is_prime-bool", "ord_rational-p", "factorial_valuation-r-float",
-        "factorial_valuation-r-bool", "factorial_valuation-p"])
+        "factorial_valuation-r-bool", "factorial_valuation-p", "ord-p", "ord-p-long",
+        "bernoulli-bool", "bernoulli-float"])
 def test_an_argument_that_is_not_an_int_is_refused(call):
     assert is_prime(7) and factorial_valuation(5, 5) == 1  # the int answers, memoized
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="int, got "):  # on entry, not from inside
         call()
 
 
@@ -219,6 +224,12 @@ def test_unreduced_ord_refuses_p_below_2(p):
         Unreduced(12).ord(p)
     with pytest.raises(NotPrime):
         Unreduced(0, 5).ord(p)
+
+
+def test_unreduced_ord_refuses_a_composite_p():
+    # It counted 64 = 4^3 as 4-adic valuation 3.
+    with pytest.raises(NotPrime, match="^4 is not prime$"):
+        Unreduced(64).ord(4)
 
 
 def test_unreduced_subtracts_and_compares_without_reducing():

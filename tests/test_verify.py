@@ -605,22 +605,24 @@ def test_each_check_reads_the_theorem_sum_at_its_point(check, args, point):
 def test_each_theorem_sum_check_reads_its_modulus_and_domain_words_from_its_row(
         monkeypatch, check, inside, outside):
     # The reports take required_ord from the row; a refusal states the row's words, with the
-    # Morita cap read at refusal time.  TheoremParams refuses n = 2 before theorem1 and
-    # theorem2 see it, so their words are reached through the path they share.
+    # Morita and Bernoulli caps read at refusal time.  TheoremParams refuses n = 2 before
+    # theorem1 and theorem2 see it, so their words are reached through the path they share.
     row = verify.CHECKS[check]
     args = (TheoremParams(*inside),) if row.params == ("n", "q", "p") else inside
     result = getattr(verify, row.function)(*args)
     reports = result if isinstance(result, tuple) else (result,)
     assert [r.required_ord for r in reports] == [row.required_ord] * len(reports)
     monkeypatch.setattr(padic, "MORITA_CAP", 29**3)
+    monkeypatch.setattr(padic, "BERNOULLI_CAP", 26)
     given = ", ".join(f"{name}={value}" for name, value in zip(row.params, outside))
-    message = f"{check} needs {row.words.format(cap=29**3)}, got {given}"
+    message = f"{check} needs {row.words.format(morita=29**3, bernoulli=26)}, got {given}"
     refuse = (partial(verify._theorem_sum_check, check) if row.params == ("n", "q", "p")
               else getattr(verify, row.function))
     with pytest.raises(PreconditionViolated) as refused:
         refuse(*outside)
     assert str(refused.value) == message
     assert check != "dflst" or "the Morita cap 24389, " in message
+    assert check != "sun-bernoulli" or "the Bernoulli cap 26 and " in message
 
 
 def test_dflst_above_the_morita_cap_is_refused_by_the_domain_guard(monkeypatch):
@@ -635,6 +637,22 @@ def test_dflst_above_the_morita_cap_is_refused_by_the_domain_guard(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(padic, "MORITA_CAP", 31**3)
     assert [r.verdict for r in verify_dflst_pair(3, 31)] == [Verdict.HOLDS] * 2
+
+
+def test_sun_bernoulli_above_the_bernoulli_cap_is_refused_by_the_domain_guard(monkeypatch):
+    def never(*args):
+        raise AssertionError("B_{p-3} read above the cap")
+
+    for name in ("bernoulli", "theorem_sum"):
+        monkeypatch.setattr(verify, name, never)
+    monkeypatch.setattr(padic, "bernoulli_residue", never)
+    monkeypatch.setattr(padic, "BERNOULLI_CAP", 26)
+    with pytest.raises(PreconditionViolated, match=r"sun-bernoulli needs a prime p > 3 with "
+                       r"p - 3 <= the Bernoulli cap 26 and .*, got p=31, n=4$"):
+        verify_sun_bernoulli(31, 4)
+    monkeypatch.undo()
+    monkeypatch.setattr(padic, "BERNOULLI_CAP", 28)
+    assert verify_sun_bernoulli(31, 4).verdict is Verdict.HOLDS
 
 
 def test_a_skipped_report_observes_nothing():
@@ -819,7 +837,8 @@ def test_taylor_and_identities_known_answers_beyond_the_grid():
                if r.check_id != "identities/dual-reduction")
 
 
-@pytest.mark.parametrize("check", sorted(verify.P_CAPS))
+@pytest.mark.parametrize("check", sorted(c for c, row in verify.CHECKS.items()
+                                         if row.cap < math.inf))
 def test_the_walk_cap_admits_the_largest_walk_the_verify_caps_admit(monkeypatch, clear_memos,
                                                                     check):
     # p at its cap and n or d at 4 times the cap over p, and sun-e's exponent p + 1: each check
@@ -830,7 +849,7 @@ def test_the_walk_cap_admits_the_largest_walk_the_verify_caps_admit(monkeypatch,
     def largest_prime(upto, mod=1, residue=0):
         return next(p for p in range(upto, 4, -1) if p % mod == residue and is_prime(p))
 
-    cap = verify.P_CAPS[check]
+    cap = verify.CHECKS[check].cap
     if check == "sun-e":
         args = (largest_prime(cap),)
     elif check == "guo":
