@@ -22,7 +22,7 @@ class CapExceeded(HypercongError):
 
 
 class PrecisionCapExceeded(HypercongError):
-    """p^k exceeds the configured Morita Gamma precision cap."""
+    """A residue's work exceeds padic.RESIDUE_CAP (Morita Gamma, or B_{p-3} mod p^r)."""
 
 
 class DivByNonUnit(HypercongError):

@@ -25,7 +25,9 @@ __all__ = [
 
 
 def pochhammer(x, k: int) -> Fraction:
-    """Rising factorial (x)_k = x(x+1)...(x+k-1), with (x)_0 = 1."""
+    """Rising factorial (x)_k = x(x+1)...(x+k-1), with (x)_0 = 1, for an int k (else TypeError)."""
+    if type(k) is not int:  # True would read (x)_1, 2.0 would fail inside range
+        raise TypeError(f"pochhammer index must be int, got {type(k).__name__}")
     if k < 0:
         raise ValueError("pochhammer index must be nonnegative")
     x = _fraction(x)
@@ -43,7 +45,10 @@ _HARMONIC_PREFIX: dict[int, list[Fraction]] = {}
 
 
 def harmonic(k: int, m: int = 1) -> Fraction:
-    """Harmonic number of order m: H_k^{(m)} = sum_{j=1}^{k} 1/j^m (0 for k = 0)."""
+    """Harmonic number of order m: H_k^{(m)} = sum_{j=1}^{k} 1/j^m (0 for k = 0); ints k, m."""
+    if type(k) is not int or type(m) is not int:  # True would read H_1, 2.0 fail inside
+        raise TypeError(f"harmonic index and order must be int, got {type(k).__name__}, "
+                        f"{type(m).__name__}")
     if k < 0:
         raise ValueError("harmonic index must be nonnegative")
     if m < 1:
@@ -92,7 +97,9 @@ def shifted_power_sum(spec: ShiftedSumSpec) -> Fraction:
 
 
 def binomial_general(x, k: int) -> Fraction:
-    """Generalized binomial coefficient x(x-1)...(x-k+1)/k! for rational x."""
+    """Generalized binomial coefficient x(x-1)...(x-k+1)/k! for rational x and an int k."""
+    if type(k) is not int:  # True would read C(x, 1), 2.0 would fail inside range
+        raise TypeError(f"binomial index must be int, got {type(k).__name__}")
     if k < 0:
         raise ValueError("binomial index must be nonnegative")
     x = _fraction(x)

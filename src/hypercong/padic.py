@@ -285,23 +285,33 @@ def bernoulli(m: int) -> Fraction:
     return grown[m]
 
 
+# The most work a residue costs, checked at call time before anything is built: r p powers in
+# bernoulli_residue, k (p + k^2 log2 p) products in morita_gamma; 30 s near p = 2003 (2 vCPUs).
+RESIDUE_CAP = 10**6
+
+
 @lru_cache(maxsize=_PRIME_MEMO, typed=True)  # a refusal raises, so it is never cached
-def bernoulli_residue(p: int) -> Residue:
-    """B_{p-3} mod p^2 for a prime p >= 7, from a power sum instead of the table; once per p.
+def bernoulli_residue(p: int, r: int) -> Residue:
+    """B_{p-3} mod p^r for a prime p >= 5, from ceil(r/2) power sums; once per (p, r).
 
-    By Faulhaber's formula S = sum_{j=1}^{p-1} j^(p-3) = p B_{p-3} (mod p^3): the next
-    term holds B_{p-4} = 0, and every later one is p^3 times a p-integral number, as p
-    divides no denominator of B_i for 0 < i < p - 1 (von Staudt-Clausen).  So the residue
-    is (S mod p^3) / p, from p - 2 modular powers.  At p = 5 the B_1 term breaks it.
+    Faulhaber: S_i = sum_{j<p} j^i = sum_{e=1}^{i+1} C(i+1, e)/(i+1) B_{i+1-e} p^e, p-integral
+    term by term for i < p - 1 (von Staudt-Clausen).  So B_i mod p^r is S_i/p less the terms
+    e = 2..r over p: B_1 = -1/2, B_0 = 1, B_j = 0 at odd j > 1, and B_{i+1-e} mod p^(r+1-e)
+    from its own S.  Work r p above RESIDUE_CAP raises PrecisionCapExceeded.
     """
-    if p < 7:
-        raise PreconditionViolated(f"bernoulli_residue needs a prime p >= 7, got {_decimal(p)}")
-    m, p3 = PrimePowerModulus(p, 2), p**3
-    return Residue(sum(pow(j, p - 3, p3) for j in range(1, p)) % p3 // p, m)
-
-
-# Morita Gamma precision is refused above p^k = MORITA_CAP, read at call time.
-MORITA_CAP = 10**7
+    if p < 5:
+        raise PreconditionViolated(f"bernoulli_residue needs a prime p >= 5, got {_decimal(p)}")
+    m = PrimePowerModulus(p, r)
+    if r * p > RESIDUE_CAP:
+        raise PrecisionCapExceeded(f"r p = {_decimal(r * p)} exceeds the residue cap {RESIDUE_CAP}")
+    b = {0: 1, 1: (m.modulus - 1) // 2}  # B_i mod p^(r+i+3-p); (p^r - 1)/2 = -1/2 mod each
+    for i in range(p - 3 - 2 * min((r - 1) // 2, (p - 5) // 2), p - 2, 2):
+        pe = p ** (r + i + 3 - p)
+        terms = (math.comb(i + 1, e) * b.get(i + 1 - e, 0) * p ** (e - 1)
+                 for e in range(2, r + i + 4 - p))  # C(i+1, e) = 0 at e > i + 1
+        power_sum = sum(pow(j, i, pe * p) for j in range(1, p)) % (pe * p)
+        b[i] = (power_sum // p - sum(terms) * pow(i + 1, -1, pe)) % pe
+    return Residue(b[p - 3], m)
 
 
 def _shift(f, s: int, pk: int) -> list[int]:
@@ -345,22 +355,21 @@ def morita_gamma(x, m: PrimePowerModulus) -> Residue:
     elementary symmetric functions of 1..p-1.  The blocks multiply to H_a(0), H_L(t) =
     prod_{i<L} G(t + i), by doubling H_2L(t) = H_L(t) H_L(t + L) in (Z/p^k)[t]/(t^k):
     exact, as p^j divides each t^j coefficient.  O(k p + k^2 log a) products, plus b
-    tail factors; G's k p are paid once per (p, k), as its coefficients are memoized.
-    Precisions p^k above MORITA_CAP = 10^7 raise PrecisionCapExceeded.
+    tail factors; G's k p are paid once per (p, k), as its coefficients are memoized.  As
+    a < p^k, work k (p + k^2 log2 p) above RESIDUE_CAP raises PrecisionCapExceeded.
     """
-    if m.p == 2:
-        raise PreconditionViolated("morita_gamma requires an odd prime")
-    pk = m.modulus
-    if pk > MORITA_CAP:
-        raise PrecisionCapExceeded(f"p^k = {_decimal(pk)} exceeds the Morita cap {MORITA_CAP}")
-    lift = Unreduced(x).residue(m).value or pk
     p, k = m.p, m.k
+    if p == 2:
+        raise PreconditionViolated("morita_gamma requires an odd prime")
+    if k * (p + k * k * p.bit_length()) > RESIDUE_CAP:
+        raise PrecisionCapExceeded(f"Morita Gamma at p = {p}, k = {_decimal(k)} exceeds the "
+                                   f"residue cap {RESIDUE_CAP} on k (p + k^2 log2 p)")
+    pk = m.modulus
+    lift = Unreduced(x).residue(m).value or pk
     blocks = (lift - 1) // p
     acc = 1
     for j in range(blocks * p + 1, lift):  # the b tail factors
         acc = acc * j % pk
     if blocks:  # else the O(k p) coefficients would cost more than the product
         acc = acc * _block_product(_block_polynomial(p, k), blocks, pk)[0] % pk
-    if lift % 2:
-        acc = (pk - acc) % pk
-    return Residue(acc, m)
+    return Residue(-acc % pk if lift % 2 else acc, m)

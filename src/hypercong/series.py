@@ -83,6 +83,8 @@ class HyperSeriesSpec:
         object.__setattr__(self, "upper", tuple(_fraction(a) for a in self.upper))
         object.__setattr__(self, "lower", tuple(_fraction(b) for b in self.lower))
         object.__setattr__(self, "argument", _fraction(self.argument))
+        if type(self.terms) is not int:  # True would sum two terms, 2.5 reach the lower test
+            raise TypeError(f"truncation index must be int, got {type(self.terms).__name__}")
         if self.terms < 0:
             raise ValueError("truncation index must be nonnegative")
         for b in self.lower:

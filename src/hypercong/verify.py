@@ -20,14 +20,7 @@ from fractions import Fraction
 
 from . import padic
 from .errors import CapExceeded, PreconditionViolated
-from .padic import (
-    PrimePowerModulus,
-    Residue,
-    Unreduced,
-    bernoulli,
-    is_prime,
-    morita_gamma,
-)
+from .padic import PrimePowerModulus, Residue, Unreduced, is_prime, morita_gamma
 from .series import (
     TheoremParams,
     delta_value,
@@ -60,14 +53,14 @@ __all__ = [
 # wrapper installed here is seen), its required_ord (the modulus exponent of a theorem-sum check,
 # and of the bare report an inexpressible exploratory tuple gets), its cap: the largest p, refused
 # before any sum is built, its domain: given those arguments, is the check defined, that domain
-# in words ({morita} and {bernoulli} are the live padic caps), and its point: the (n, q, p) of
-# the theorem sum it reads (series.theorem_sum), or of its tuple.  At each cap one call takes
-# about a minute or less (2 vCPUs, Python 3.11): theorem1 and theorem2 37 s at (4, 1, 200003),
-# sun-e 53 s at 1009, taylor 61 s and 37 MB peak RSS at (4, 1, 29989), lemmas 53 to 77 s and
-# 32 MB at (4, q, 24989), q = 2..4 (31 s at q = 1, one pass), identities 5 s at (4, 1, 9973).
-# Each was timed at exponent 4 (sun-e's is p + 1) and q <= 4, so a check also refuses p times
-# n or d, or q's bit length, above 4 times its cap.  sun-bernoulli has the theorem1 sum's cap;
-# dflst's bound, like sun-bernoulli's Bernoulli bound, is in its domain.
+# in words, and its point: the (n, q, p) of the theorem sum it reads (series.theorem_sum), or
+# of its tuple.  At each cap one call takes about a minute or less (2 vCPUs, Python 3.11):
+# theorem1 and theorem2 24 s at (4, 1, 199999), sun-bernoulli 43 s at (249989, 4), dflst 65 to
+# 75 s and 83 MB peak RSS at (4, 249989), sun-e 53 s at 1009, taylor 61 s and 37 MB at (4, 1,
+# 29989), lemmas 53 to 77 s and 32 MB at (4, q, 24989), q = 2..4 (31 s at q = 1, one pass),
+# identities 5 s at (4, 1, 9973).  Each was timed at exponent 4 (sun-e's is p + 1) and q <= 4
+# (dflst's q is about p/n), so a check also refuses p times n or d, or q's bit length, above 4
+# times its cap.
 Check = namedtuple("Check", "params function required_ord cap domain words point")
 _TRIPLE = ("n", "q", "p")
 
@@ -87,12 +80,10 @@ CHECKS = {
     "sun-e": Check(("p",), "verify_sun_e", 5, 1100, lambda p: p > 3 and is_prime(p),
                    "a prime p > 3", lambda p: (p + 1, 1, p)),
     "sun-bernoulli": Check(("p", "n"), "verify_sun_bernoulli", 5, 250_000, lambda p, n: p > 3
-                           and p - 3 <= padic.BERNOULLI_CAP and n >= 1 and n % p != 0
-                           and is_prime(p), "a prime p > 3 with p - 3 <= the Bernoulli cap "
-                           "{bernoulli} and a positive n coprime to p", lambda p, n: (n, 1, p)),
-    "dflst": Check(("n", "p"), "verify_dflst_pair", 3, math.inf, lambda n, p: n >= 3 and p % n == 1
-                   and p**3 <= padic.MORITA_CAP and is_prime(p),
-                   "n >= 3 and a prime p = 1 (mod n) with p^3 <= the Morita cap {morita}",
+                           and n >= 1 and n % p != 0 and is_prime(p),
+                           "a prime p > 3 and a positive n coprime to p", lambda p, n: (n, 1, p)),
+    "dflst": Check(("n", "p"), "verify_dflst_pair", 3, 250_000, lambda n, p: n >= 3
+                   and p % n == 1 and is_prime(p), "n >= 3 and a prime p = 1 (mod n)",
                    lambda n, p: (n, (p - 1) // n + 1, p)),
     "lemmas": _triple("verify_lemma_suite", 1, 25_000),
     "taylor": _triple("verify_taylor", 3, 30_000),
@@ -186,8 +177,7 @@ def _theorem_sum_check(check: str, *args, rhs=lambda m: 0, sums=None) -> list:
     c = CHECKS[check]
     if not c.domain(*args):
         given = ", ".join(f"{name}={padic._decimal(value)}" for name, value in zip(c.params, args))
-        words = c.words.format(morita=padic.MORITA_CAP, bernoulli=padic.BERNOULLI_CAP)
-        raise PreconditionViolated(f"{check} needs {words}, got {given}")
+        raise PreconditionViolated(f"{check} needs {c.words}, got {given}")
     params = dict(zip(c.params, args))
     _check_p_caps(params, check)
     m = PrimePowerModulus(params["p"], c.required_ord)
@@ -223,20 +213,18 @@ def verify_sun_e(p: int) -> CongruenceReport:
 def verify_sun_bernoulli(p: int, n: int) -> CongruenceReport:
     """sum (1 - p/n)_k^n / (1)_k^n = (n-1)(7n-5)/(36 n^2) p^4 B_{p-3} (mod p^5).
 
-    The right side first reads B_{p-3} mod p^2 (padic.bernoulli_residue).  Its weight is p^4
-    times a p-integral rational (p > 3 divides no 36 n^2), so that moves the difference by a
-    multiple of p^6: a valuation below 6 and the residue mod p^5 are the exact ones.  A
-    valuation of 6 or more at n > 1 (n = 1 zeroes the weight), and p = 5, where the residue
-    does not hold, are decided on the exact bernoulli(p - 3), the sum read from series' memo.
+    The right side reads B_{p-3} mod p^r (padic.bernoulli_residue) from r = 2.  Its weight is
+    p^4 times a p-integral rational (p > 3 divides no 36 n^2), so that moves the difference by
+    a multiple of p^(4+r): a valuation below 4 + r and the residue mod p^5 are the exact ones.
+    A higher valuation doubles r, the sum read from series' memo, unless n = 1 zeroes the weight.
     """
-    def rhs(exact: bool):
-        return lambda m: Fraction((n - 1) * (7 * n - 5), 36 * n * n) * p**4 * (
-            bernoulli(p - 3) if exact else padic.bernoulli_residue(p).value)
-
-    report = _theorem_sum_check("sun-bernoulli", p, n, rhs=rhs(p == 5))[0]
-    if p > 5 and n > 1 and report.achieved_ord >= 6:
-        report = _theorem_sum_check("sun-bernoulli", p, n, rhs=rhs(True))[0]
-    return report
+    r = 2
+    while True:
+        report = _theorem_sum_check("sun-bernoulli", p, n, rhs=lambda m: Fraction(
+            (n - 1) * (7 * n - 5), 36 * n * n) * p**4 * padic.bernoulli_residue(p, r).value)[0]
+        if n == 1 or report.achieved_ord < 4 + r:
+            return report
+        r *= 2
 
 
 def verify_dflst_pair(n: int, p: int) -> tuple[CongruenceReport, CongruenceReport]:

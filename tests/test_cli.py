@@ -229,26 +229,34 @@ def test_exit_code_contract_on_synthetic_failure():
     assert SweepResult(spec, (tagged,), {}).exit_code == 0
 
 
-def test_dflst_grid_respects_morita_cap(monkeypatch):
-    unrestricted = run_sweep(spec_for(["dflst"], n_range=(3, 3), p_max=31))
-    monkeypatch.setattr(padic, "MORITA_CAP", 29 * 29 * 29)
-    capped = run_sweep(spec_for(["dflst"], n_range=(3, 3), p_max=31))
-    trimmed = {r.params["p"] for r in unrestricted.reports} - {
-        r.params["p"] for r in capped.reports
-    }
-    assert trimmed == {31}
+def _assert_a_sweep_refuses_a_right_side_above_the_residue_cap(monkeypatch, capsys, check,
+                                                                work, message):
+    # No domain skips a prime any more: the sweep reads the p = 31 units, and a right side that
+    # costs more than padic.RESIDUE_CAP exits 2 before it builds G(t) or a power sum.
+    sweep = ["sweep", "--checks", check, "--n", "3..3", "--p-max", "31", "--format", "csv"]
+    assert main(sweep) == 0
+    assert ",31," in capsys.readouterr().out
+
+    def never(*args):
+        raise AssertionError("built above the cap")
+
+    padic.bernoulli_residue.cache_clear()  # a memoized residue is not asked for again
+    monkeypatch.setattr(padic, "_block_polynomial", never)
+    monkeypatch.setattr(padic, "pow", never, raising=False)  # shadows the builtin in padic
+    monkeypatch.setattr(padic, "RESIDUE_CAP", work - 1)
+    assert main(sweep) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_sun_bernoulli_grid_respects_the_bernoulli_cap(monkeypatch):
-    # The Bernoulli bound is in sun-bernoulli's domain, as the Morita bound is in dflst's: a
-    # sweep skips the primes above it instead of refusing the grid.
-    unrestricted = run_sweep(spec_for(["sun-bernoulli"], n_range=(3, 3), p_max=31))
-    monkeypatch.setattr(padic, "BERNOULLI_CAP", 26)  # holds B_{29-3}, not B_{31-3}
-    capped = run_sweep(spec_for(["sun-bernoulli"], n_range=(3, 3), p_max=31))
-    trimmed = {r.params["p"] for r in unrestricted.reports} - {
-        r.params["p"] for r in capped.reports
-    }
-    assert trimmed == {31} and capped.exit_code == 0
+def test_dflst_grid_respects_morita_cap(monkeypatch, capsys):
+    _assert_a_sweep_refuses_a_right_side_above_the_residue_cap(
+        monkeypatch, capsys, "dflst", 3 * (31 + 9 * 5),
+        "Morita Gamma at p = 31, k = 3 exceeds the residue cap 227 on k (p + k^2 log2 p)")
+
+
+def test_sun_bernoulli_grid_respects_the_bernoulli_cap(monkeypatch, capsys):
+    _assert_a_sweep_refuses_a_right_side_above_the_residue_cap(
+        monkeypatch, capsys, "sun-bernoulli", 2 * 31, "r p = 62 exceeds the residue cap 61")
 
 
 def test_main_verify_paths(capsys):
@@ -599,18 +607,22 @@ def test_sweep_units_go_longest_prime_first_one_point_at_a_time():
 
 
 @pytest.mark.parametrize("check, memo, least", [("dflst", "_block_polynomial", 5),
-                                                ("sun-bernoulli", "bernoulli_residue", 7)])
-def test_a_sweep_computes_each_primes_right_side_once(check, memo, least):
-    # dflst's Morita G(t) at (p, 3), sun-bernoulli's B_{p-3} mod p^2 at p >= 7 (p = 5 reads
-    # the table): one computation per prime, the other calls read the memo.
+                                                ("sun-bernoulli", "bernoulli_residue", 5)])
+def test_a_sweep_computes_each_primes_right_side_once(monkeypatch, check, memo, least):
+    # dflst's Morita G(t) at (p, 3), sun-bernoulli's B_{p-3} mod p^r at r = 2 for every unit
+    # and at r = 4 for the few whose valuation is 6 or more: one computation per argument
+    # tuple, the other calls read the memo.
     spec = spec_for([check], n_range=(3, 8), p_max=97)
     primes = [p for _, args in cli._expand_units(spec)
               if (p := dict(zip(verify.CHECKS[check].params, args))["p"]) >= least]
-    memo = getattr(padic, memo)
+    memo, calls = getattr(padic, memo), []
+    monkeypatch.setattr(padic, memo.__name__, lambda *args: calls.append(args) or memo(*args))
     memo.cache_clear()
     run_sweep(spec)
     info = memo.cache_info()
-    assert (info.misses, info.hits) == (len(set(primes)), len(primes) - len(set(primes)))
+    assert sorted(p for p, precision in calls if precision == (3 if check == "dflst" else 2)) == (
+        sorted(primes))
+    assert (info.misses, info.hits) == (len(set(calls)), len(calls) - len(set(calls)))
     assert info.hits > 0
 
 
@@ -895,15 +907,10 @@ def test_repeated_check_ids_are_rejected(tmp_path, capsys):
      "guo needs an even d >= 4 and a prime p = -1 (mod d), got d=4, p=5"),
     (["sun-e", "--p", "9"], "sun-e needs a prime p > 3, got p=9"),
     (["sun-bernoulli", "--p", "5", "--n", "10"],
-     "sun-bernoulli needs a prime p > 3 with p - 3 <= the Bernoulli cap 10000 and a positive n "
-     "coprime to p, got p=5, n=10"),
+     "sun-bernoulli needs a prime p > 3 and a positive n coprime to p, got p=5, n=10"),
     (["dflst", "--n", "3", "--p", "11"],
-     "dflst needs n >= 3 and a prime p = 1 (mod n) with p^3 <= the Morita cap 10000000, "
-     "got n=3, p=11"),
-    (["sun-bernoulli", "--p", "10007", "--n", "4"],
-     "sun-bernoulli needs a prime p > 3 with p - 3 <= the Bernoulli cap 10000 and a positive n "
-     "coprime to p, got p=10007, n=4"),
-], ids=["guo", "sun-e", "sun-bernoulli", "dflst", "sun-bernoulli-cap"])
+     "dflst needs n >= 3 and a prime p = 1 (mod n), got n=3, p=11"),
+], ids=["guo", "sun-e", "sun-bernoulli", "dflst"])
 def test_main_verify_outside_a_domain_names_the_check_its_domain_and_the_values(
         capsys, argv, message):
     assert main(["verify", *argv]) == 2
@@ -940,6 +947,8 @@ def test_a_sweep_refuses_its_largest_prime_above_a_cap_before_any_unit_runs(
     ["theorem2", "--n", "4", "--q", "1"],
     ["guo", "--d", "4"],
     ["sun-e"],
+    ["sun-bernoulli", "--n", "4"],
+    ["dflst", "--n", "500000003"],  # 10^9 + 7 = 1 (mod n), so the domain admits it
     ["taylor", "--n", "4", "--q", "1"],
 ], ids=lambda argv: argv[0])
 def test_checks_refuse_p_above_their_cap_before_any_sum(monkeypatch, capsys, argv):
@@ -947,8 +956,9 @@ def test_checks_refuse_p_above_their_cap_before_any_sum(monkeypatch, capsys, arg
     def never(*args):
         raise AssertionError("a sum was evaluated above the cap")
 
-    for name in ("theorem_sum", "taylor_values"):
+    for name in ("theorem_sum", "taylor_values", "morita_gamma"):
         monkeypatch.setattr(verify, name, never)
+    monkeypatch.setattr(padic, "bernoulli_residue", never)
     check = argv[0]
     start = time.perf_counter()
     assert main(["verify", *argv, "--p", "1000000007"]) == 2
@@ -966,14 +976,15 @@ BIG_N = "1000000000"
      "theorem1"),
     (["verify", "sun-bernoulli", "--p", "7", "--n", "1000000002"], "p * n = 7 * 1000000002",
      "sun-bernoulli"),
+    (["verify", "dflst", "--n", "1001", "--p", "2003"], "p * n = 2003 * 1001", "dflst"),
     (["verify", "theorem1", "--n", BIG_N, "--q", "1", "--p", "7", "--exploratory"],
      f"p * n = 7 * {BIG_N}", "theorem1"),
     (["verify", "taylor", "--n", BIG_N, "--q", "1", "--p", "7", "--exploratory"],
      f"p * n = 7 * {BIG_N}", "taylor"),
     (["sweep", "--checks", "theorem1", "--n", f"{BIG_N}..{BIG_N}", "--q", "1..1", "--p-max", "7",
       "--exploratory"], f"p * n = 7 * {BIG_N}", "theorem1"),
-], ids=["guo", "theorem1", "sun-bernoulli", "theorem1-exploratory", "taylor-exploratory",
-        "sweep"])
+], ids=["guo", "theorem1", "sun-bernoulli", "dflst", "theorem1-exploratory",
+        "taylor-exploratory", "sweep"])
 def test_p_times_the_exponent_above_a_cap_is_refused_before_any_sum(
         monkeypatch, capsys, argv, product, check):
     # Each cap was timed at exponent 4, and p is within it here.  Without the bound on p
@@ -981,8 +992,9 @@ def test_p_times_the_exponent_above_a_cap_is_refused_before_any_sum(
     def never(*args):
         raise AssertionError("a sum was evaluated above the cap")
 
-    for name in ("theorem_sum", "bernoulli", "taylor_values", "phi_value"):
+    for name in ("theorem_sum", "morita_gamma", "taylor_values", "phi_value"):
         monkeypatch.setattr(verify, name, never)
+    monkeypatch.setattr(padic, "bernoulli_residue", never)
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1

@@ -14,6 +14,7 @@ from hypercong.exact_core import (
     pochhammer,
     shifted_power_sum,
 )
+from hypercong.series import HyperSeriesSpec, truncated_pfq
 
 F = Fraction
 
@@ -155,6 +156,23 @@ def test_inexact_values_are_refused(inexact):
                  lambda: binomial_general(inexact, 2), lambda: ShiftedSumSpec(inexact, 1, 2)):
         with pytest.raises(TypeError):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pochhammer(3, True),  # was 3
+    lambda: pochhammer(3, 2.0),
+    lambda: binomial_general(5, True),  # was 5
+    lambda: binomial_general(5, 2.0),
+    lambda: harmonic(True),  # was 1
+    lambda: harmonic(3, 2.0),
+    lambda: truncated_pfq(HyperSeriesSpec((1,), (), 1, True)),  # was 2
+    lambda: HyperSeriesSpec((1,), (-1,), 1, 2.5),  # was ZeroLowerFactor "within 2.5 terms"
+    lambda: HyperSeriesSpec((1,), (), 1, 2.0),  # was a TypeError inside range
+], ids=["pochhammer-bool", "pochhammer-float", "binomial-bool", "binomial-float", "harmonic-bool",
+        "harmonic-order-float", "terms-bool", "terms-half", "terms-float"])
+def test_an_index_order_or_length_that_is_not_an_int_is_refused_on_entry(call):
+    with pytest.raises(TypeError, match=r"must be int, got (int, )?(bool|float)(, int)?$"):
+        call()
 
 
 def test_ints_and_fractions_are_read_exactly():

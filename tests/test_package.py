@@ -46,7 +46,7 @@ def test_the_exact_values_and_the_command_line_are_package_names():
 def test_no_cap_is_a_package_attribute():
     # Caps are read at call time through their module, where a test or a caller may
     # change them; a package-level copy would not follow that change.
-    for module, cap in [(padic, "MORITA_CAP"), (padic, "BERNOULLI_CAP"),
+    for module, cap in [(padic, "RESIDUE_CAP"), (padic, "BERNOULLI_CAP"),
                         (jets, "MAX_DEGREE_CAP"), (verify, "CHECKS"), (series, "WALK_CAP"),
                         (cli, "SIEVE_LIMIT"), (cli, "GRID_LIMIT")]:
         assert hasattr(module, cap) and cap not in module.__all__

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -64,11 +65,13 @@ def test_bernoulli_residue_memo_is_bounded_typed_and_keeps_no_refusal():
     assert bernoulli_residue.cache_parameters() == {"maxsize": padic._PRIME_MEMO, "typed": True}
     bernoulli_residue.cache_clear()
     for _ in range(2):
-        for p, error in [(5, PreconditionViolated), (9, NotPrime), (7.0, TypeError)]:
+        for args, error in [((3, 2), PreconditionViolated), ((9, 2), NotPrime),
+                            ((7.0, 2), TypeError), ((7, True), TypeError), ((7, 0), ValueError),
+                            ((7, 10**6), PrecisionCapExceeded)]:
             with pytest.raises(error):
-                bernoulli_residue(p)
+                bernoulli_residue(*args)
     assert bernoulli_residue.cache_info().currsize == 0
-    assert bernoulli_residue(7) is bernoulli_residue(7)  # a frozen Residue, shared
+    assert bernoulli_residue(7, 2) is bernoulli_residue(7, 2)  # a frozen Residue, shared
 
 
 def test_morita_block_polynomial_memo_is_bounded_typed_and_keeps_no_refusal():
@@ -78,7 +81,8 @@ def test_morita_block_polynomial_memo_is_bounded_typed_and_keeps_no_refusal():
     memo.cache_clear()
     for _ in range(2):
         for m, error in [(PrimePowerModulus(2, 3), PreconditionViolated),
-                         (PrimePowerModulus(223, 3), PrecisionCapExceeded),
+                         (PrimePowerModulus(333187, 3), PrecisionCapExceeded),
+                         (PrimePowerModulus(7, 70), PrecisionCapExceeded),
                          (PrimePowerModulus(3, 3), NotPIntegral)]:
             with pytest.raises(error):
                 morita_gamma(F(1, 3), m)
@@ -365,16 +369,44 @@ def test_bernoulli_tangent_numbers_against_sympy_in_any_call_order(monkeypatch):
 
 
 def test_bernoulli_residue_is_the_table_mod_p_squared():
-    # The power-sum residue is pinned to the exact table at every prime 7 <= p <= 797.
-    for p in primes_upto(797)[3:]:
+    # The power-sum residue is pinned to the exact table at every prime 5 <= p <= 797.
+    for p in primes_upto(797)[2:]:
         m = PrimePowerModulus(p, 2)
-        assert bernoulli_residue(p) == reduce_mod(bernoulli(p - 3), m), p
-    # At p = 5 the power sum's B_1 term breaks it: (1 + 4 + 9 + 16) / 5 = 6, B_2 = 1/6 = 21.
+        assert bernoulli_residue(p, 2) == reduce_mod(bernoulli(p - 3), m), p
+    # At p = 5 the bare power sum is off, (1 + 4 + 9 + 16) / 5 = 6, where B_2 = 1/6 = 21: the
+    # B_1 term -C(3, 2)/3 p/2 mends it.
     five = PrimePowerModulus(5, 2)
     assert sum(j * j for j in range(1, 5)) // 5 == 6 != reduce_mod(bernoulli(2), five).value == 21
-    for p, error in [(5, PreconditionViolated), (3, PreconditionViolated), (9, NotPrime)]:
+    assert bernoulli_residue(5, 2).value == 21
+    for p, error in [(3, PreconditionViolated), (2, PreconditionViolated), (9, NotPrime)]:
         with pytest.raises(error):
-            bernoulli_residue(p)
+            bernoulli_residue(p, 2)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 41, 101, 211, 499, 997])
+def test_bernoulli_residue_is_the_table_mod_every_power_of_p(p):
+    # Each lower B_{p-3-2s} is read mod p^(r-2s), B_1 and B_0 as they are: below r = p - 2
+    # the chain stops at a precision, above it at B_2.
+    for r in (1, 2, 3, 4, 6, 8) + ((p - 3, p - 2, p, 2 * p) if p < 20 else ()):
+        assert bernoulli_residue(p, r) == reduce_mod(bernoulli(p - 3), PrimePowerModulus(p, r)), r
+
+
+@pytest.mark.parametrize("p, r", [(500009, 2), (1009, 992), (7, 142858)],
+                         ids=["large-p", "large-r", "small-p"])
+def test_bernoulli_residue_above_the_residue_cap_is_refused_before_any_power(monkeypatch, p, r):
+    # Work r p just above padic.RESIDUE_CAP = 10^6, where one step less is admitted: computed,
+    # each would take about a second or more.
+    def never(*args):
+        raise AssertionError("a power was computed above the cap")
+
+    assert is_prime(p)  # memoized: the Miller-Rabin powers are not asked for again
+    monkeypatch.setattr(padic, "pow", never, raising=False)  # shadows the builtin in padic
+    start = time.perf_counter()
+    with pytest.raises(PrecisionCapExceeded, match=f"^r p = {r * p} exceeds the residue cap "
+                       "1000000$"):
+        bernoulli_residue(p, r)
+    assert time.perf_counter() - start < 1
+    assert (r - 1) * p <= padic.RESIDUE_CAP
 
 
 def test_bernoulli_cap():
@@ -427,13 +459,24 @@ def test_morita_gamma_requires_p_integral():
         morita_gamma(F(1, 5), PrimePowerModulus(5, 1))
 
 
-def test_morita_gamma_cap_is_the_fixed_constant():
-    assert padic.MORITA_CAP == 10**7
-    # 211^3 < 10^7 < 223^3.  Gamma_p(1/2)^2 = (-1)^((p+1)/2) by the reflection formula.
-    half = morita_gamma(F(1, 2), PrimePowerModulus(211, 3))
-    assert pow(half.value, 2, 211**3) == 1
-    with pytest.raises(PrecisionCapExceeded):
-        morita_gamma(F(1, 2), PrimePowerModulus(223, 3))
+def test_morita_gamma_cap_is_the_fixed_constant(monkeypatch):
+    # Work k (p + k^2 log2 p) up to padic.RESIDUE_CAP = 10^6 is admitted, and reaches G(t); above
+    # it, morita_gamma is refused before G(t) is built.  At k = 3 the bound lies between the
+    # primes 333161 and 333187, at p = 3 and 7 between k = 79 and 80, and 69 and 70.
+    class Built(Exception):
+        pass
+
+    def built(p, k):
+        raise Built
+
+    assert padic.RESIDUE_CAP == 10**6
+    monkeypatch.setattr(padic, "_block_polynomial", built)
+    for (p, k), admitted in [((333161, 3), True), ((333187, 3), False), ((3, 79), True),
+                             ((3, 80), False), ((7, 69), True), ((7, 70), False)]:
+        with pytest.raises(Built if admitted else PrecisionCapExceeded) as raised:
+            morita_gamma(F(1, 2), PrimePowerModulus(p, k))
+        assert admitted or str(raised.value) == (f"Morita Gamma at p = {p}, k = {k} exceeds the "
+                                                 "residue cap 1000000 on k (p + k^2 log2 p)")
 
 
 def test_wolstenholme_valuations():
@@ -552,11 +595,10 @@ def test_morita_gamma_at_every_lift_against_the_unit_product(p, k):
         assert morita_gamma(N, m).value == value, N
 
 
-def test_morita_gamma_far_above_the_cap(monkeypatch):
+def test_morita_gamma_far_above_the_cap():
     # p^3 is about 10^12 at p = 10007: one step per block would take about 10^8 steps a
     # call.  Reflection Gamma_p(x) Gamma_p(1 - x) = (-1)^x0, the step relation, and
     # Gamma_p(1/2)^2 = (-1)^((p+1)/2) hold at the full precision p^3.
-    monkeypatch.setattr(padic, "MORITA_CAP", 10**13)
     p = 10007
     m = PrimePowerModulus(p, 3)
     pk = m.modulus
@@ -615,10 +657,11 @@ def test_decimal_reads_a_python_without_a_digit_limit(monkeypatch):
      "1/at least 10^5000 has negative 7-adic valuation"),
     (lambda: bernoulli(BIG), CapExceeded, "bernoulli(at least 10^5000) exceeds the documented cap "
      "10000"),
-    (lambda: bernoulli_residue(-BIG), PreconditionViolated,
-     "bernoulli_residue needs a prime p >= 7, got at most -10^5000"),
-    (lambda: morita_gamma(F(1, 3), PrimePowerModulus(7, 6000)), PrecisionCapExceeded,
-     "p^k = at least 10^5070 exceeds the Morita cap 10000000"),
+    (lambda: bernoulli_residue(-BIG, 2), PreconditionViolated,
+     "bernoulli_residue needs a prime p >= 5, got at most -10^5000"),
+    (lambda: morita_gamma(F(1, 3), PrimePowerModulus(7, BIG)), PrecisionCapExceeded,
+     "Morita Gamma at p = 7, k = at least 10^5000 exceeds the residue cap 1000000 on "
+     "k (p + k^2 log2 p)"),
     (lambda: Residue(-BIG, PrimePowerModulus(7, 1)), ValueError,
      "residue at most -10^5000 outside [0, 7)"),
 ], ids=["is_prime", "modulus", "modulus-type", "ord_rational", "factorial_valuation", "ord", "reduce_mod",
@@ -631,11 +674,30 @@ def test_a_refusal_states_an_integer_too_long_to_print(call, error, message):
 
 
 @pytest.mark.slow
+def test_morita_gamma_at_the_largest_prime_under_the_cap():
+    # 333161 is the largest prime whose Gamma_p mod p^3 the residue cap admits: reflection
+    # Gamma_p(x) Gamma_p(1 - x) = (-1)^x0 and the step relation hold there.
+    p = 333161
+    m = PrimePowerModulus(p, 3)
+    pk = m.modulus
+    rng = random.Random(p)
+    xs = [F(1, n) for n in range(2, 6)] + [F(rng.randint(-10**9, 10**9), rng.randint(1, p - 1))]
+    for x in xs:
+        x0 = reduce_mod(x, PrimePowerModulus(p, 1)).value or p
+        product = morita_gamma(x, m).value * morita_gamma(1 - x, m).value
+        assert product % pk == (-1) ** x0 % pk, x
+    for N in [pk - 1, p * p, rng.randrange(1, pk)]:
+        step = -morita_gamma(N, m).value * (N if N % p else 1)
+        assert morita_gamma(N + 1, m).value == step % pk, N
+
+
+@pytest.mark.slow
 def test_morita_gamma_at_the_deepest_precision_under_the_cap():
-    p, k = 3, 14  # 3^14 = 4782969 <= MORITA_CAP, block counts up to 3^13 - 1
+    # The deepest the naive oracle reaches: 3^14 = 4782969 lifts, block counts up to 3^13 - 1.
+    p, k = 3, 14
     m = PrimePowerModulus(p, k)
     pk = m.modulus
-    assert pk <= padic.MORITA_CAP
+    assert k * (p + k * k * p.bit_length()) <= padic.RESIDUE_CAP
     rng = random.Random(314)
     a = rng.randrange(2, p ** (k - 1))
     lifts = [rng.randint(1, pk) for _ in range(200)] + [1, p, p * a, pk - 1, pk]

@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import random
+import re
 from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -9,9 +10,14 @@ from functools import partial
 
 import pytest
 
-from hypercong.errors import CapExceeded, PreconditionViolated, ZeroDenominator
+from hypercong.errors import (
+    CapExceeded,
+    PreconditionViolated,
+    PrecisionCapExceeded,
+    ZeroDenominator,
+)
 from hypercong.exact_core import harmonic
-from hypercong import jets, padic, series, verify
+from hypercong import cli, jets, padic, series, verify
 from hypercong.padic import (
     PrimePowerModulus,
     Unreduced,
@@ -189,8 +195,7 @@ BIG = 10**5000  # above str()'s default limit of 4300 digits
     (lambda: verify_sun_e(BIG + 1), PreconditionViolated,
      "sun-e needs a prime p > 3, got p=at least 10^5000"),
     (lambda: verify_dflst_pair(BIG, 7), PreconditionViolated,
-     "dflst needs n >= 3 and a prime p = 1 (mod n) with p^3 <= the Morita cap 10000000, "
-     "got n=at least 10^5000, p=7"),
+     "dflst needs n >= 3 and a prime p = 1 (mod n), got n=at least 10^5000, p=7"),
     (lambda: verify_sun_bernoulli(7, BIG), CapExceeded,
      "p * n = 7 * at least 10^5000 exceeds 4 times the sun-bernoulli cap 250000"),
     (lambda: verify_theorem1(TheoremParams(BIG, 1, 7, exploratory=True)), CapExceeded,
@@ -239,7 +244,7 @@ def test_verify_sun_bernoulli():
 @pytest.mark.parametrize("p", [p for p in range(5, 98) if is_prime(p)] + [787, 797])
 def test_sun_bernoulli_reports_equal_the_exact_bernoulli_reports(p):
     # The residue path is pinned to the exact B_{p-3}: the same valuation, residue and
-    # verdict on every point, those that fall back (valuation 6 or more, and p = 5) included.
+    # verdict on every point, p = 5 and those that double r (valuation 6 or more) included.
     for n in (n for n in range(1 if p < 100 else 3, 9) if n % p):
         weight = F((n - 1) * (7 * n - 5), 36 * n * n) * p**4
         expected = check_congruence(theorem_sum(n, 1, p), weight * padic.bernoulli(p - 3),
@@ -248,18 +253,27 @@ def test_sun_bernoulli_reports_equal_the_exact_bernoulli_reports(p):
         assert verify_sun_bernoulli(p, n) == expected, n
 
 
-def test_only_the_fallback_reads_the_bernoulli_table(monkeypatch):
-    expected = {args: verify_sun_bernoulli(*args) for args in [(797, 4), (41, 4)]}
-    assert [r.achieved_ord for r in expected.values()] == [5, 7]
+def test_no_verify_path_reads_the_bernoulli_table(monkeypatch):
+    # verify names neither the table nor its cap, nor a p^k Morita bound; at run time the
+    # table raises, and sun-bernoulli reads B_{p-3} mod p^r at r = 2, then 4 while the
+    # valuation is 4 + r or more.
+    source = inspect.getsource(verify)
+    assert not re.search(r"\bbernoulli\(|BERNOULLI_CAP|MORITA", source)
 
     def never(m):
         raise AssertionError("the Bernoulli table was read")
 
-    monkeypatch.setattr(verify, "bernoulli", never)
-    assert verify_sun_bernoulli(797, 4) == expected[797, 4]  # decided on the residue
+    monkeypatch.setattr(padic, "bernoulli", never)
+    monkeypatch.delattr(padic, "BERNOULLI_CAP")
+    reads = []
+    residue = padic.bernoulli_residue
+    monkeypatch.setattr(padic, "bernoulli_residue",
+                        lambda p, r: reads.append((p, r)) or residue(p, r))
+    assert verify_sun_bernoulli(797, 4).achieved_ord == 5  # decided at r = 2
     assert verify_sun_bernoulli(797, 1).achieved_ord == math.inf  # a zero weight, any B
-    with pytest.raises(AssertionError, match="the Bernoulli table was read"):
-        verify_sun_bernoulli(41, 4)  # valuation 7: decided on the exact B_38
+    assert verify_sun_bernoulli(41, 4).achieved_ord == 7  # decided at r = 4
+    assert verify_sun_bernoulli(5, 2).verdict is Verdict.HOLDS  # B_2 from its power sum
+    assert reads == [(797, 2), (797, 2), (41, 2), (41, 4), (5, 2)]
 
 
 def test_verify_sun_bernoulli_degenerate_coefficient():
@@ -585,6 +599,7 @@ def test_every_check_names_a_verify_function_and_its_positional_parameters():
         for predicate in (c.domain, c.point):
             assert list(inspect.signature(predicate).parameters) == list(c.params), check
         assert c.required_ord in (1, 3, 5), check
+        assert type(c.cap) is int and c.cap > 0, check  # one policy: every row has a finite cap
 
 
 @pytest.mark.parametrize("check,args,point", [
@@ -600,59 +615,68 @@ def test_each_check_reads_the_theorem_sum_at_its_point(check, args, point):
 @pytest.mark.parametrize("check,inside,outside", [
     ("theorem1", (4, 1, 7), (2, 1, 7)), ("theorem2", (4, 1, 7), (2, 1, 7)),
     ("guo", (6, 11), (4, 5)), ("sun-e", (7,), (9,)), ("sun-bernoulli", (7, 2), (5, 10)),
-    ("dflst", (3, 13), (3, 31)),
+    ("dflst", (3, 13), (3, 29)),
 ])
 def test_each_theorem_sum_check_reads_its_modulus_and_domain_words_from_its_row(
-        monkeypatch, check, inside, outside):
-    # The reports take required_ord from the row; a refusal states the row's words, with the
-    # Morita and Bernoulli caps read at refusal time.  TheoremParams refuses n = 2 before
-    # theorem1 and theorem2 see it, so their words are reached through the path they share.
+        check, inside, outside):
+    # The reports take required_ord from the row; a refusal states the row's words as they
+    # are, with nothing formatted in.  TheoremParams refuses n = 2 before theorem1 and
+    # theorem2 see it, so their words are reached through the path they share.
     row = verify.CHECKS[check]
     args = (TheoremParams(*inside),) if row.params == ("n", "q", "p") else inside
     result = getattr(verify, row.function)(*args)
     reports = result if isinstance(result, tuple) else (result,)
     assert [r.required_ord for r in reports] == [row.required_ord] * len(reports)
-    monkeypatch.setattr(padic, "MORITA_CAP", 29**3)
-    monkeypatch.setattr(padic, "BERNOULLI_CAP", 26)
     given = ", ".join(f"{name}={value}" for name, value in zip(row.params, outside))
-    message = f"{check} needs {row.words.format(morita=29**3, bernoulli=26)}, got {given}"
+    message = f"{check} needs {row.words}, got {given}"
     refuse = (partial(verify._theorem_sum_check, check) if row.params == ("n", "q", "p")
               else getattr(verify, row.function))
     with pytest.raises(PreconditionViolated) as refused:
         refuse(*outside)
-    assert str(refused.value) == message
-    assert check != "dflst" or "the Morita cap 24389, " in message
-    assert check != "sun-bernoulli" or "the Bernoulli cap 26 and " in message
+    assert str(refused.value) == message and "{" not in row.words
 
 
-def test_dflst_above_the_morita_cap_is_refused_by_the_domain_guard(monkeypatch):
-    def never(*args):
-        raise AssertionError("morita_gamma called above the cap")
+def test_dflst_above_the_residue_cap_is_refused_before_g_is_built(monkeypatch, capsys):
+    # Morita's work at (31, 3) is 3 (31 + 9 * 5) = 228: below it the right side is refused
+    # before G(t) or either sum is built, and main exits 2; at it, both reports hold.
+    def never(*args, **kwargs):
+        raise AssertionError("built above the cap")
 
-    monkeypatch.setattr(verify, "morita_gamma", never)
-    monkeypatch.setattr(padic, "MORITA_CAP", 29**3)
-    with pytest.raises(PreconditionViolated, match=r"dflst needs .* p\^3 <= the Morita cap "
-                       r"24389, got n=3, p=31$"):
+    monkeypatch.setattr(verify, "theorem_sum", never)
+    monkeypatch.setattr(padic, "_block_polynomial", never)
+    monkeypatch.setattr(padic, "RESIDUE_CAP", 227)
+    message = "Morita Gamma at p = 31, k = 3 exceeds the residue cap 227 on k (p + k^2 log2 p)"
+    with pytest.raises(PrecisionCapExceeded, match=rf"^{re.escape(message)}$"):
         verify_dflst_pair(3, 31)
+    assert cli.main(["verify", "dflst", "--n", "3", "--p", "31"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     monkeypatch.undo()
-    monkeypatch.setattr(padic, "MORITA_CAP", 31**3)
+    monkeypatch.setattr(padic, "RESIDUE_CAP", 228)
     assert [r.verdict for r in verify_dflst_pair(3, 31)] == [Verdict.HOLDS] * 2
 
 
-def test_sun_bernoulli_above_the_bernoulli_cap_is_refused_by_the_domain_guard(monkeypatch):
-    def never(*args):
-        raise AssertionError("B_{p-3} read above the cap")
+def test_sun_bernoulli_above_the_residue_cap_is_refused_before_any_power_sum(monkeypatch,
+                                                                            capsys):
+    # B_28 mod 31^2 costs r p = 62: below it the right side is refused before its power sum or
+    # the left side is built, and main exits 2; at it, the report holds.  At (41, 4), valuation
+    # 7, r = 2 is admitted and r = 4 refused.
+    def never(*args, **kwargs):
+        raise AssertionError("built above the cap")
 
-    for name in ("bernoulli", "theorem_sum"):
-        monkeypatch.setattr(verify, name, never)
-    monkeypatch.setattr(padic, "bernoulli_residue", never)
-    monkeypatch.setattr(padic, "BERNOULLI_CAP", 26)
-    with pytest.raises(PreconditionViolated, match=r"sun-bernoulli needs a prime p > 3 with "
-                       r"p - 3 <= the Bernoulli cap 26 and .*, got p=31, n=4$"):
+    padic.bernoulli_residue.cache_clear()
+    monkeypatch.setattr(verify, "theorem_sum", never)
+    monkeypatch.setattr(padic, "pow", never, raising=False)  # shadows the builtin in padic
+    monkeypatch.setattr(padic, "RESIDUE_CAP", 61)
+    with pytest.raises(PrecisionCapExceeded, match=r"^r p = 62 exceeds the residue cap 61$"):
         verify_sun_bernoulli(31, 4)
+    assert cli.main(["verify", "sun-bernoulli", "--p", "31", "--n", "4"]) == 2
+    assert capsys.readouterr().err == "error: r p = 62 exceeds the residue cap 61\n"
     monkeypatch.undo()
-    monkeypatch.setattr(padic, "BERNOULLI_CAP", 28)
+    monkeypatch.setattr(padic, "RESIDUE_CAP", 62)
     assert verify_sun_bernoulli(31, 4).verdict is Verdict.HOLDS
+    monkeypatch.setattr(padic, "RESIDUE_CAP", 163)
+    with pytest.raises(PrecisionCapExceeded, match=r"^r p = 164 exceeds the residue cap 163$"):
+        verify_sun_bernoulli(41, 4)
 
 
 def test_a_skipped_report_observes_nothing():
@@ -769,13 +793,23 @@ def test_theorem1_known_answers_beyond_the_grid(p, achieved):
 @pytest.mark.slow
 def test_sun_bernoulli_known_answers_beyond_the_grid(monkeypatch):
     # About 3 s.  The exact B_9970 would take minutes; every order here is 5, so the power-sum
-    # residue decides each report and the table is never read.
+    # residue decides each report and the table is never read.  16843, the first Wolstenholme
+    # prime, lay above the Bernoulli table's cap of 10^4.
     def never(m):
         raise AssertionError("the Bernoulli table was read")
 
-    monkeypatch.setattr(verify, "bernoulli", never)
+    monkeypatch.setattr(padic, "bernoulli", never)
     reports = [verify_sun_bernoulli(9973, n) for n in range(3, 9)]
-    assert [(r.achieved_ord, r.verdict) for r in reports] == [(5, Verdict.HOLDS)] * 6
+    reports.append(verify_sun_bernoulli(16843, 4))
+    assert [(r.achieved_ord, r.verdict) for r in reports] == [(5, Verdict.HOLDS)] * 7
+
+
+@pytest.mark.slow
+def test_dflst_known_answers_beyond_the_grid():
+    # p = 10009 lay above the Morita bound p^3 <= 10^7 (p <= 211) that dflst's domain held.
+    reports = verify_dflst_pair(4, 10009)
+    assert [(r.check_id, r.achieved_ord, r.verdict) for r in reports] == [
+        ("dflst/sum", 3, Verdict.HOLDS), ("dflst/dual", 3, Verdict.HOLDS)]
 
 
 @pytest.mark.parametrize("p", [
@@ -837,8 +871,7 @@ def test_taylor_and_identities_known_answers_beyond_the_grid():
                if r.check_id != "identities/dual-reduction")
 
 
-@pytest.mark.parametrize("check", sorted(c for c, row in verify.CHECKS.items()
-                                         if row.cap < math.inf))
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
 def test_the_walk_cap_admits_the_largest_walk_the_verify_caps_admit(monkeypatch, clear_memos,
                                                                     check):
     # p at its cap and n or d at 4 times the cap over p, and sun-e's exponent p + 1: each check
@@ -855,8 +888,11 @@ def test_the_walk_cap_admits_the_largest_walk_the_verify_caps_admit(monkeypatch,
     elif check == "guo":
         args = (4, largest_prime(cap, 4, 3))
     elif check == "sun-bernoulli":
-        p = largest_prime(padic.BERNOULLI_CAP + 3)
+        p = largest_prime(cap)
         args = (p, 4 * cap // p)
+    elif check == "dflst":
+        p = largest_prime(cap, 4, 1)
+        args = (4 * cap // p, p)
     else:
         p = largest_prime(cap)
         args = (TheoremParams(4 * cap // p, 1, p),)
