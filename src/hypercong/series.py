@@ -4,14 +4,19 @@ Two code paths exist on purpose.  ``truncated_pfq`` computes each term from
 scratch with explicit Pochhammer products; the specialized evaluators below
 it sum incremental term ratios (term_{k+1} = term_k * ratio_k, as integer
 pairs from ``_ratio_steps``) by binary splitting into one integer over one
-denominator, so the big products are balanced instead of one per term.
-Each returns that pair as a ``padic.Unreduced``, exact and never reduced by a
-gcd; ``Fraction(v.num, v.den)`` gives the reduced value.  Tests pin the two
-routes against each other.
+denominator, so the big products are balanced instead of one per term
+(Haible & Papanikolaou, ANTS-III 1998).  Every such walk is an e-th power,
+each ratio (U/V)^e, and the product trees cancel the common factors of the
+U and V products at each combine (Cheng, Hanrot, Thome, Zima & Zimmermann,
+ISSAC 2007).  Each evaluator returns its pair as a ``padic.Unreduced``: exact,
+the one-step walk's pair divided by one positive integer, and never reduced
+by a gcd of the whole sum; ``Fraction(v.num, v.den)`` gives the reduced value.
+Tests pin the two routes against each other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
@@ -47,7 +52,7 @@ __all__ = [
     "upsilon_coefficients",
 ]
 
-_LEAF = 8  # the most steps a product-tree leaf takes one at a time
+_LEAF = 16  # the most steps a product-tree leaf takes one at a time
 # Each memo below keeps its last 8 results in any call order; a repeated call gets the same
 # object.  typed: a float is another key than its integer twin, refused as on a cold call.
 _MEMO = 8
@@ -211,7 +216,8 @@ def _ratio_steps(factors: Sequence[tuple], last: int) -> list:
     sides = [[], []]  # the columns multiplied into u and into v: bases^|m| and den^|m|
     for num, den, m in split:
         if m:
-            sides[m < 0].append(map(pow, range(num, num + last * den, den), repeat(abs(m))))
+            bases = range(num, num + last * den, den)  # the root walk's factors: no pow at |m| = 1
+            sides[m < 0].append(bases if abs(m) == 1 else map(pow, bases, repeat(abs(m))))
             if den != 1:
                 sides[m > 0].append(repeat(den ** abs(m)))
     u, v = (reduce(partial(map, mul), side[1:], side[0]) if side else repeat(1, last)
@@ -219,33 +225,52 @@ def _ratio_steps(factors: Sequence[tuple], last: int) -> list:
     return list(zip(u, v))
 
 
-def _split(steps: list, lo: int, hi: int, spine: bool) -> tuple:
-    # (P, Q, T) of steps[lo:hi] for _ratio_sum.  Nothing reads P on the right spine, so
-    # it is not formed there.
+def _root_steps(factors: Sequence[tuple], last: int) -> tuple[list, int]:
+    # The steps of the walk's e-th root, e the gcd of the factors' |m|: pairs (U, V) of
+    # _ratio_steps on the factors (c, m/e), so that each step is (u, v) = (U^e, V^e).  The cap
+    # reads the full exponent, before any step is built.
+    exponents = [m for _, m in factors]
+    _check_walk(last, max([1, *map(abs, exponents)]))
+    e = math.gcd(*exponents) or 1
+    return _ratio_steps([(c, m // e) for c, m in factors], last), e
+
+
+def _split(steps: list, e: int, lo: int, hi: int, spine: bool) -> tuple:
+    # (PU, QV, T) of the root steps[lo:hi] for _ratio_sum.  Nothing reads PU on the right
+    # spine, so it is not formed there.
     if hi - lo <= _LEAF:
-        p, q, t = 1, 1, 0
+        pu = qv = p = 1
+        t = 0
         for u, v in steps[lo:hi]:
-            p *= u
-            t, q = t * v + p, q * v
-        return p, q, t
+            pu, qv, p = pu * u, qv * v, p * u**e
+            t = t * v**e + p
+        return pu, qv, t
     mid = (lo + hi) // 2
-    p1, q1, t1 = _split(steps, lo, mid, False)
-    p2, q2, t2 = _split(steps, mid, hi, spine)
-    return None if spine else p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    pu1, qv1, t1 = _split(steps, e, lo, mid, False)
+    pu2, qv2, t2 = _split(steps, e, mid, hi, spine)
+    g = math.gcd(pu1, qv2)
+    pu1, qv2 = pu1 // g, qv2 // g
+    return None if spine else pu1 * pu2, qv1 * qv2, t1 * qv2**e + pu1**e * t2
 
 
 @lru_cache(maxsize=_MEMO, typed=True)
 def _ratio_sum(factors: tuple, last: int, first: int = 1) -> Unreduced:
     """sum_{k=0}^{last} t_k for the walk of ``_ratio_steps`` started at t_0 = first.
 
-    Binary splitting (Haible & Papanikolaou): steps a..b-1 carry P = prod u, Q = prod v
-    and T = sum_{a<k<=b} (u_a...u_{k-1}) (v_k...v_{b-1}); halves combine as P1 P2, Q1 Q2,
-    T1 Q2 + P1 T2.  The sum is first (Q + T) / Q, returned unreduced: no gcd is taken.
+    Binary splitting (Haible & Papanikolaou) on the walk's e-th root, e the gcd of the
+    factors' |m|, so that each step is (U^e, V^e), with the common factors of the two products
+    cancelled in the tree (Cheng, Hanrot, Thome, Zima & Zimmermann, ISSAC 2007).  Steps a..b-1
+    carry PU = prod U and QV = prod V, each divided by the gcds cancelled below, and T, the sum
+    of the range's terms over QV^e.  At each combine PU1 and QV2 are divided by
+    g = gcd(PU1, QV2), and the halves combine as PU1 PU2, QV1 QV2, T1 QV2^e + PU1^e T2.  With
+    Q = QV^e the sum is first (Q + T) / Q: the one-step walk's pair divided by the e-th power
+    of the product of every g, and by nothing else.
     """
     if last < 0:
         return Unreduced(0)
-    steps = _ratio_steps(factors, last)
-    _, q, t = _split(steps, 0, len(steps), True)
+    steps, e = _root_steps(factors, last)
+    _, qv, t = _split(steps, e, 0, len(steps), True)
+    q = qv**e
     return Unreduced(first * (q + t), q)
 
 
@@ -308,24 +333,30 @@ def reflection_differences(tp: TheoremParams) -> tuple[Fraction, ...]:
 # prefix sums of 1/base and 1/base^2: a flat kernel for integer weights, a tree for the offset.
 
 
-def _harmonic_split(steps: list, lo: int, hi: int) -> tuple:
-    """(P, W, F, A, C, S0, S1, S2, SC) of steps[lo:hi], each (u, w, f, a, c) taking t to t u/w,
-    g to g + a/f and h to h + c/f^2 from t = 1, g = h = 0: P, W, F = prod u, w, f, A = F sum a/f,
-    C = F^2 sum c/f^2, then sum t, t g, t g^2, t h after each step over W, W F, W F^2, W F^2.
-    Halves combine with no gcd, as in _split."""
+def _harmonic_split(steps: list, e: int, lo: int, hi: int) -> tuple:
+    """(PU, WV, F, A, C, S0, S1, S2, SC) of steps[lo:hi], each (U, V, f, a, c) taking t to
+    t (U/V)^e, g to g + a/f and h to h + c/f^2 from t = 1, g = h = 0: PU, WV and F are the
+    products of U, V and f (PU and WV each divided by the gcds cancelled below), A = F sum a/f,
+    C = F^2 sum c/f^2, then sum t, t g, t g^2, t h after each step over W, W F, W F^2, W F^2
+    with W = WV^e.  At each combine PU1 and WV2 are divided by g = gcd(PU1, WV2), as in _split:
+    each term of each sum holds W2 or P1 = PU1^e once, so the sums stay over those products."""
     if hi - lo <= _LEAF:
-        p = w = f = 1
+        pu = wv = p = w = f = 1
         a = c = s0 = s1 = s2 = sc = 0
-        for uk, wk, fk, ak, ck in steps[lo:hi]:
+        for uk, vk, fk, ak, ck in steps[lo:hi]:
+            pu, wv, uk, wk = pu * uk, wv * vk, uk**e, vk**e
             a, c, p, wf = a * fk + ak * f, c * fk * fk + ck * f * f, p * uk, wk * fk
             f, w, pa = f * fk, w * wk, p * a
             s0, s1, s2, sc = s0 * wk + p, s1 * wf + pa, s2 * wf * fk + pa * a, sc * wf * fk + p * c
-        return p, w, f, a, c, s0, s1, s2, sc
+        return pu, wv, f, a, c, s0, s1, s2, sc
     mid = (lo + hi) // 2
-    p1, w1, f1, a1, c1, s01, s11, s21, sc1 = _harmonic_split(steps, lo, mid)
-    p2, w2, f2, a2, c2, s02, s12, s22, sc2 = _harmonic_split(steps, mid, hi)
+    pu1, wv1, f1, a1, c1, s01, s11, s21, sc1 = _harmonic_split(steps, e, lo, mid)
+    pu2, wv2, f2, a2, c2, s02, s12, s22, sc2 = _harmonic_split(steps, e, mid, hi)
+    g = math.gcd(pu1, wv2)
+    pu1, wv2 = pu1 // g, wv2 // g
+    p1, w2 = pu1**e, wv2**e
     ff1, ff2, wf, x, y = f1 * f1, f2 * f2, w2 * f2, a1 * f2 * s02, s12 * f1
-    return (p1 * p2, w1 * w2, f1 * f2, a1 * f2 + a2 * f1, c1 * ff2 + c2 * ff1,
+    return (pu1 * pu2, wv1 * wv2, f1 * f2, a1 * f2 + a2 * f1, c1 * ff2 + c2 * ff1,
             s01 * w2 + p1 * s02, s11 * wf + p1 * (x + y),
             s21 * wf * f2 + p1 * (a1 * f2 * (x + 2 * y) + s22 * ff1),
             sc1 * wf * f2 + p1 * (c1 * s02 * ff2 + sc2 * ff1))
@@ -359,12 +390,15 @@ def _binomial_sums(n: int, q: int, last: int, plus: int, minus: int = 0,
 def _offset_walk(tp: TheoremParams) -> tuple[int, int, int, int, int]:
     """(S0, S1, S2, Sh, D) over k = 0..p-q, all over D = W F^2 of _harmonic_split, for
     t_k = (c)_k^n/(1)_k^n, c = q - p/n, g_k = sum_{i<k} 1/(c+i) - 1/(1+i) and h_k its squares.
-    Step k is the theorem1 walk's (u, w), then (f, a, c) = ((nk-e)k, e, e(2nk-e)), e = p-n(q-1)."""
+    Step k is the theorem1 walk's n-th root, (nk-e, nk) up to a factor common to both, then
+    (f, a, c) = ((nk-e)k, e, e(2nk-e)), e = p-n(q-1)."""
     n, q, p = tp.n, tp.q, tp.p
     e = p - n * (q - 1)
-    walk = _ratio_steps(_theorem_factors(n, q, p, False), p - q)
-    steps = [(u, w, (n * k - e) * k, e, e * (2 * n * k - e)) for k, (u, w) in enumerate(walk, 1)]
-    _, w, f, _, _, s0, s1, s2, sc = _harmonic_split(steps, 0, len(steps))
+    roots, m = _root_steps(_theorem_factors(n, q, p, False), p - q)  # m = n
+    steps = [(u, v, (n * k - e) * k, e, e * (2 * n * k - e))
+             for k, (u, v) in enumerate(roots, 1)]
+    _, wv, f, _, _, s0, s1, s2, sc = _harmonic_split(steps, m, 0, len(steps))
+    w = wv**m
     return (w * (p >= q) + s0) * f * f, s1 * f, s2, sc, w * f * f  # no t_0 term when p < q
 
 
@@ -398,10 +432,12 @@ def lemma_sums(tp: TheoremParams) -> tuple[Unreduced, ...]:
     s0, t1, t2, th, shifted = _binomial_sums(n, q, p - q, q)
     _, a1, a2, ah, plain = _binomial_sums(n, q, p - q, 1)  # H_k; at q = 1 the same pass
     e, a, b = 1, 0, 0  # H_{q-1} = a/e, H2_{q-1} = b/e^2: none at q = 1, nor at q > p (no weights)
-    if 1 < q <= p:  # sums of 1/(1+k)^m over k < q-1 on the product tree, e = (q-1)!
-        (_, e, a), (_, _, b) = (_split(_ratio_steps(((1, m), (2, -m)), q - 2), 0, q - 2, True)
-                                for m in (1, 2))
-        a, b = a + e, b + e * e
+    if 1 < q <= p:  # sums of 1/(1+k)^m over k < q-1 on the product tree, one root walk for both
+        roots, _ = _root_steps(((1, 2), (2, -2)), q - 2)
+        (_, d, a), (_, d2, b) = (_split(roots, m, 0, len(roots), True) for m in (1, 2))
+        d2 **= 2  # each tree's own denominator, QV^m, read as it comes
+        e = d * (d2 // math.gcd(d2, d * d))  # a multiple of d whose square d2 divides
+        a, b = (a + d) * (e // d), (b + d2) * (e * e // d2)
     g, h, scale = a * shifted, b * shifted**2, e * shifted  # H_{q+k-1} over scale = e L'
     s1, s2, sh = g * s0 + e * t1, g * g * s0 + 2 * g * e * t1 + e * e * t2, h * s0 + e * e * th
     _, o1, o2, _, den = _offset_walk(tp)

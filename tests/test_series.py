@@ -8,7 +8,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, prod
 from unittest.mock import patch
 
 import pytest
@@ -543,41 +543,58 @@ def test_harmonic_sums_at_a_zero_base_and_with_no_terms():
     assert taylor_values(TheoremParams(3, 100000, 5, exploratory=True)) == (0, 0, 0)
 
 
-# Steps (u, w, f, a, c) of the offset walk's product tree: u and w nonzero, f positive.
+# Steps (U, V, f, a, c) of the offset walk's product tree, each taking t to t (U/V)^e for an
+# exponent e: U and V nonzero, f positive.
 _nonzero = st.integers(-999, 999).filter(bool)
 harmonic_steps = st.lists(st.tuples(_nonzero, _nonzero, st.integers(1, 99),
                                     st.integers(-999, 999), st.integers(-999, 999)), max_size=40)
 
 
-def _folded_node(steps):
+def _folded_node(steps, e):
     """What series._harmonic_split must give for steps, from a Fraction fold: t, g and h
-    start at 1, 0, 0; each step takes t to t u/w, g to g + a/f and h to h + c/f^2, and the
+    start at 1, 0, 0; each step takes t to t (U/V)^e, g to g + a/f and h to h + c/f^2, and the
     sums of t, t g, t g^2 and t h are taken after each step."""
     t, g, h, sums = F(1), F(0), F(0), [F(0)] * 4
-    for u, w, f, a, c in steps:
-        t, g, h = t * F(u, w), g + F(a, f), h + F(c, f * f)
-        sums = [s + v for s, v in zip(sums, (t, t * g, t * g * g, t * h))]
+    for u, v, f, a, c in steps:
+        t, g, h = t * F(u, v) ** e, g + F(a, f), h + F(c, f * f)
+        sums = [s + x for s, x in zip(sums, (t, t * g, t * g * g, t * h))]
     return g, h, sums
 
 
+def _node_values(node, e):
+    # A node's values over its own denominators: (PU/WV)^e, F, A/F, C/F^2 and the four sums
+    # over W, W F, W F^2 and W F^2, W = WV^e.
+    pu, wv, f, a, c, s0, s1, s2, sc = node
+    w = wv**e
+    return F(pu, wv) ** e, f, F(a, f), F(c, f * f), F(s0, w), F(s1, w * f), F(s2, w * f * f), \
+        F(sc, w * f * f)
+
+
 @settings(max_examples=150)
-@given(harmonic_steps)
-def test_the_offset_walk_node_equals_a_fraction_fold(steps):
-    p, w, f, a, c, s0, s1, s2, sc = series._harmonic_split(steps, 0, len(steps))
-    g, h, sums = _folded_node(steps)
-    assert (p, w, f) == tuple(prod(step[i] for step in steps) for i in range(3))
-    assert (F(a, f), F(c, f * f)) == (g, h)
-    assert [F(s0, w), F(s1, w * f), F(s2, w * f * f), F(sc, w * f * f)] == sums
+@given(harmonic_steps, st.integers(1, 4))
+def test_the_offset_walk_node_equals_a_fraction_fold(steps, e):
+    node = series._harmonic_split(steps, e, 0, len(steps))
+    g, h, sums = _folded_node(steps, e)
+    ratio, f, *values = _node_values(node, e)
+    assert ratio == prod(F(step[0], step[1]) for step in steps) ** e
+    assert f == prod(step[2] for step in steps)
+    assert values == [g, h, *sums]
+    # PU and WV are the root products divided by one positive integer, the cancelled gcds.
+    pu, wv = node[:2]
+    cancelled = prod(step[1] for step in steps) // wv
+    assert cancelled > 0 and (pu * cancelled, wv * cancelled) == tuple(
+        prod(step[i] for step in steps) for i in (0, 1))
 
 
 @settings(max_examples=100)
-@given(harmonic_steps)
-def test_the_offset_walk_node_does_not_depend_on_where_ranges_split(steps):
-    # Every part is an integer over a fixed product, so each leaf size gives the same nine.
-    expected = series._harmonic_split(steps, 0, len(steps))
+@given(harmonic_steps, st.integers(1, 4))
+def test_the_offset_walk_node_does_not_depend_on_where_ranges_split(steps, e):
+    # The integers depend on which gcds the tree cancels, so each leaf size gives the same
+    # values over the node's own denominators.
+    expected = _node_values(series._harmonic_split(steps, e, 0, len(steps)), e)
     for leaf in (1, 2, 3):
         with patch.object(series, "_LEAF", leaf):
-            assert series._harmonic_split(steps, 0, len(steps)) == expected, leaf
+            assert _node_values(series._harmonic_split(steps, e, 0, len(steps)), e) == expected
 
 
 def test_delta_jet_zero_base_is_a_degree_shift():
@@ -687,7 +704,8 @@ def test_kernel_rejects_a_vanishing_denominator():
 
 
 def _stepwise_sum(factors, last, first=1):
-    """The one-step walk of ``_ratio_steps``: the pair binary splitting must give."""
+    """The one-step walk of ``_ratio_steps``: binary splitting must give this pair divided by
+    one positive integer."""
     if last < 0:
         return Unreduced(0)
     top, acc, den = first, first, 1  # t_k = top / den, and the partial sum is acc / den
@@ -698,15 +716,26 @@ def _stepwise_sum(factors, last, first=1):
     return Unreduced(acc, den)
 
 
+def _assert_divides_the_stepwise_pair(got, expected, where=None):
+    # The tree's pair is the one-step walk's divided by one positive integer g: the cancelled
+    # gcds, to the power e.  The same value, and nothing else reduced.
+    g = expected.den // got.den
+    assert g > 0 and (expected.num, expected.den) == (g * got.num, g * got.den), where
+
+
 def test_binary_splitting_gives_the_stepwise_pair_on_random_walks():
-    # The same (num, den), not just the same value.  Lengths 0..40 put 7, 8, 9, 16, 17
-    # and 33 steps on either side of the 8-step leaf and of each split of the spine.
+    # Lengths 0..70 put 15, 16, 17, 32, 33, 64 and 65 steps on either side of the 16-step leaf
+    # and of each split of the spine.  Each factor list's |m| share a divisor d of 1..4, so
+    # the tree walks the d-th root (or a root of higher order, when the |m| share more).
+    assert series._LEAF == 16
     rng = random.Random(1409)
-    full, cut, refused = set(), set(), 0
-    for last in range(-1, 41):
+    full, cut, refused, roots = set(), set(), 0, set()
+    for last in range(-1, 71):
         for _ in range(8):
+            d = rng.choice([1, 1, 2, 3, 4])
             factors = tuple((F(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 7])),
-                             rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(rng.randint(1, 4)))
+                             d * rng.choice([-3, -2, -1, 1, 2, 3]))
+                            for _ in range(rng.randint(1, 4)))
             first = rng.choice([1, rng.choice([5, 7, 11]) ** rng.randint(1, 4)])
             try:
                 expected = _stepwise_sum(factors, last, first)
@@ -716,28 +745,108 @@ def test_binary_splitting_gives_the_stepwise_pair_on_random_walks():
                 refused += 1
                 continue
             got = _ratio_sum(factors, last, first)
-            assert (got.num, got.den) == (expected.num, expected.den), (factors, last, first)
+            _assert_divides_the_stepwise_pair(got, expected, (factors, last, first))
             steps = len(list(_ratio_steps(factors, last)))
             if steps < last:  # a numerator factor vanished
                 cut.add(steps)
             else:
                 full.add(last)
-    assert full >= {-1, 0, 7, 8, 9, 16, 17, 33, 40}, full
-    assert max(cut) > 8 and refused
+                roots.add(gcd(*(m for _, m in factors)))
+    assert full >= {-1, 0, 15, 16, 17, 32, 33, 64, 65, 70}, full
+    assert max(cut) > 16 and refused and roots >= {1, 2, 3, 4, 6}, roots
 
 
 @pytest.mark.parametrize("fn,args", [
     (theorem_sum, (4, 1, 797)),
     (theorem_sum, (4, 1, 797, True)),
     (theorem_sum, CHECKS["sun-e"].point(101)),
-], ids=["theorem1", "theorem2", "sun-e"])
+    (phi_value, (TheoremParams(4, 1, 797), 797, 0)),
+], ids=["theorem1", "theorem2", "sun-e", "phi-p0"])
 def test_binary_splitting_gives_the_stepwise_pair_on_the_deep_sums(monkeypatch, fn, args):
     got = fn(*args)
     calls = []  # the swap takes _ratio_sum's memo with it: the stepwise walk runs, got or not
     monkeypatch.setattr(series, "_ratio_sum", lambda *a: calls.append(a) or _stepwise_sum(*a))
     expected = fn(*args)
     assert len(calls) == 1
-    assert (got.num, got.den) == (expected.num, expected.den)
+    _assert_divides_the_stepwise_pair(got, expected)
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 3])
+@pytest.mark.parametrize("factors,last,first", [
+    (series._theorem_factors(4, 1, 797, False), 796, 1),
+    (series._theorem_factors(4, 1, 797, True), 796, 797**4),
+    (series._theorem_factors(6, 2, 97, False), 95, 1),
+    (((F(-7, 3), 1), (F(5, 2), -1), (1, 2), (F(1, 3), -2)), 70, 1),
+], ids=["theorem1", "theorem2", "theorem1-q2", "mixed-exponents"])
+def test_every_leaf_size_gives_the_same_value_dividing_the_stepwise_pair(clear_memos, factors,
+                                                                        last, first, leaf):
+    expected = _stepwise_sum(factors, last, first)
+    default = _ratio_sum(factors, last, first)
+    with patch.object(series, "_LEAF", leaf):
+        clear_memos()
+        got = _ratio_sum(factors, last, first)
+    clear_memos()
+    assert _fraction(got) == _fraction(default) == _fraction(expected)
+    for pair in (got, default):
+        _assert_divides_the_stepwise_pair(pair, expected)
+
+
+# The cancelled pairs, by size: at (4, 1, 797) the one-step walk's theorem1 denominator has
+# 32483 bits, the dual's 35338 and the offset walk's D = W F^2 60479.
+TP797 = TheoremParams(4, 1, 797)
+
+
+@pytest.mark.parametrize("dual,share", [(False, F(1, 3)), (True, F(1, 2))],
+                         ids=["theorem1", "theorem2"])
+def test_cancelling_narrows_the_theorem_sums_denominator(dual, share):
+    got = theorem_sum(4, 1, 797, dual)
+    expected = _stepwise_sum(*((series._theorem_factors(4, 1, 797, dual), 796, 797**4) if dual
+                               else (series._theorem_factors(4, 1, 797, False), 796)))
+    _assert_divides_the_stepwise_pair(got, expected)
+    assert got.den.bit_length() <= share * expected.den.bit_length()
+
+
+def test_cancelling_narrows_the_offset_walks_denominator():
+    n, q, p = TP797.n, TP797.q, TP797.p
+    e = p - n * (q - 1)
+    w = prod(v for _, v in _ratio_steps(series._theorem_factors(n, q, p, False), p - q))
+    f = prod((n * k - e) * k for k in range(1, p - q + 1))
+    *_, den = series._offset_walk(TP797)
+    assert (w * f * f) % den == 0
+    assert 3 * den.bit_length() <= 2 * (w * f * f).bit_length()
+
+
+def _harmonic_reference(m, count):
+    return sum(F(1, k**m) for k in range(1, count + 1))
+
+
+@pytest.mark.parametrize("n,q,p", [(3, q, p) for q in range(2, 7) for p in (5, 13, 31)]
+                         + [(4, 6, 29), (4, 6, 97), (8, 3, 401)])
+def test_the_lemma_heads_harmonic_numbers_are_the_fraction_ones(n, q, p):
+    # The H_{q-1} head of lemma_sums reads each of its two trees' own denominator: the first
+    # sum is H2_{q-1} S, S the sum of the weights w_k = (q)_k^n/(1)_k^n, and the fourth
+    # sum w_k (H_k - H_{q+k-1}).
+    tp = TheoremParams(n, q, p, exploratory=True)
+    weights = [F(prod(range(q, q + k)), factorial(k)) ** n for k in range(p - q + 1)]
+    h, h2 = (_harmonic_reference(m, q - 1) for m in (1, 2))
+    sums = series.lemma_sums(tp)
+    assert _fraction(sums[0]) == h2 * sum(weights)
+    assert _fraction(sums[1]) == sum(w * (h2 + sum(F(1, (q + i) ** 2) for i in range(k)))
+                                     for k, w in enumerate(weights))
+    assert _fraction(sums[3]) == sum(w * (_harmonic_reference(1, k) - h
+                                          - sum(F(1, q + i) for i in range(k)))
+                                     for k, w in enumerate(weights))
+
+
+@pytest.mark.parametrize("n,q,p", [(3, 7, 5), (4, 30, 29), (5, 100, 7)])
+def test_the_lemma_head_is_not_formed_above_p(monkeypatch, n, q, p):
+    # At q > p there are no weights: every lemma sum of the weights is 0, and no tree runs.
+    def never(*args):
+        raise AssertionError("a head tree ran")
+
+    monkeypatch.setattr(series, "_split", never)
+    sums = series.lemma_sums(TheoremParams(n, q, p, exploratory=True))
+    assert all(not value for value in sums[:5])
 
 
 # --- the unreduced sums verify reads, against the reducing oracles ------------
@@ -820,11 +929,17 @@ BIG_P = TheoremParams(4, 1, 10**9 + 7)
     (lambda: series.lemma_sums(BIG_P), "1000000006", "4"),
     (lambda: upsilon_coefficients(BIG_P), "1000000006", "4"),
     (lambda: series._offset_walk(BIG_P), "1000000006", "4"),
-    # A walk of 8 steps whose H_{q-1} head would take p - 10.
+    # The trees walk the 4th root, whose 400008 steps the cap would admit: it reads the full
+    # exponent.
+    (lambda: theorem_sum(4, 1, 400009), "400008", "4"),
+    (lambda: series._offset_walk(TheoremParams(4, 1, 400009)), "400008", "4"),
+    # A walk of 8 steps whose H_{q-1} head would take p - 10: its two trees, of 1/(1+k) and
+    # 1/(1+k)^2, share one root walk, refused at the full exponent 2.
     (lambda: series.lemma_sums(TheoremParams(4, 999999929, 999999937, exploratory=True)),
-     "999999927", "1"),
+     "999999927", "2"),
 ], ids=["theorem_sum", "huge-n", "karlsson_minton_sum", "reflection_differences",
-        "taylor_values", "lemma_sums", "upsilon_coefficients", "_offset_walk", "lemma_sums-head"])
+        "taylor_values", "lemma_sums", "upsilon_coefficients", "_offset_walk", "theorem_sum-root",
+        "_offset_walk-root", "lemma_sums-head"])
 def test_a_walk_past_the_walk_cap_is_refused_before_it_allocates(monkeypatch, call, steps,
                                                                  exponent):
     # theorem_sum(4, 1, 10^9) was killed for memory: _ratio_steps built its step list first.

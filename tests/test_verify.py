@@ -3,10 +3,12 @@ import inspect
 import math
 import random
 import re
+import sys
 from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from math import prod
 
 import pytest
 
@@ -691,59 +693,81 @@ TP797 = TheoremParams(4, 1, 797)
 
 
 @pytest.mark.parametrize("call,bits", [
-    (lambda: verify_theorem1(TP797), 20000),
-    (lambda: verify_theorem2(TP797), 20000),
-    (lambda: verify_guo(6, 599), 20000),
-    (lambda: verify_sun_e(101), 20000),
+    (lambda: verify_theorem1(TP797), 8000),
+    (lambda: verify_theorem2(TP797), 8000),
+    (lambda: verify_guo(6, 599), 8000),
+    (lambda: verify_sun_e(101), 8000),
     (lambda: verify_sun_bernoulli(797, 4), 64),
-    (lambda: verify_dflst_pair(3, 211), 4000),
-    (lambda: verify_lemma_suite(TP797), 20000),
+    (lambda: verify_dflst_pair(3, 211), 1000),
+    (lambda: verify_lemma_suite(TP797), 2000),
     (lambda: verify_exact_identities(TheoremParams(4, 2, 797)), 64),
     (lambda: verify_taylor(TP797), 64),
 ], ids=["theorem1", "theorem2", "guo", "sun-e", "sun-bernoulli", "dflst", "lemmas",
         "identities", "taylor"])
 def test_verify_reduces_no_sum_by_a_gcd(monkeypatch, clear_memos, call, bits):
-    # Fraction normalisation calls math.gcd.  Every sum each check reads here has more
-    # than 20000 bits (dflst's about 5000 at p = 211, the others above 25000), so a gcd
-    # that wide means a sum was reduced.  Taylor values and the Upsilon coefficients are
-    # unreduced sums too, so taylor and identities reduce only small scalars such as p/n
-    # (10 bits at p = 797), and sun-bernoulli only its weight times B_{p-3} mod p^2.
-    assert _widest_gcd(monkeypatch, clear_memos, call) < bits
+    # Fraction normalisation calls math.gcd.  Every sum each check reads here is wider than
+    # its bound (the theorem sums above 10000 bits at p = 797, dflst's above 1600 at p = 211,
+    # the lemma sums above 2200), so a gcd that wide outside the product trees means a sum was
+    # reduced.  Taylor values and the Upsilon coefficients are unreduced sums too, so taylor
+    # and identities reduce only small scalars such as p/n (10 bits at p = 797), and
+    # sun-bernoulli only its weight times B_{p-3} mod p^2.  Every check here reads a sum long
+    # enough for its tree to cancel a gcd.
+    widest, tree_gcds = _widest_gcd(monkeypatch, clear_memos, call)
+    assert widest < bits and tree_gcds
 
 
-def _widest_gcd(monkeypatch, clear_memos, call) -> int:
-    # The widest argument, in bits, of any math.gcd that call() makes, with every sum built
-    # anew: a sum a memo kept would make no gcd at all.
-    widest = []
+def _widest_gcd(monkeypatch, clear_memos, call) -> tuple[int, int]:
+    # The widest argument, in bits, of any math.gcd that call() makes outside the product
+    # trees, with every sum built anew: a sum a memo kept would make no gcd at all.  A tree
+    # takes the gcd of its two root products at each combine, through math, so the spy sees
+    # it: each is held here to the width of its walk's root products, prod |U| and prod |V|,
+    # so that no tree gcd reduces a sum either.  Also returns how many tree gcds ran.
+    widest, tree_gcds, walks = [], [], {}
     gcd = math.gcd
-    monkeypatch.setattr(math, "gcd", lambda *args: widest.append(
-        max(abs(a).bit_length() for a in args)) or gcd(*args))
+    trees = {series._split.__code__, series._harmonic_split.__code__}
+
+    def spy(*args):
+        width = max(abs(a).bit_length() for a in args)
+        frame = sys._getframe(1)
+        if frame.f_code in trees:
+            steps = frame.f_locals["steps"]
+            if id(steps) not in walks:  # steps is kept beside its bound, so no id is reused
+                walks[id(steps)] = steps, max(prod(abs(step[i]) for step in steps).bit_length()
+                                              for i in (0, 1))
+            assert width <= walks[id(steps)][1], (width, walks[id(steps)][1])
+            tree_gcds.append(width)
+        else:
+            widest.append(width)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", spy)
     clear_memos()
     call()
-    return max(widest, default=0)
+    return max(widest, default=0), len(tree_gcds)
 
 
 EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's bound
-    pytest.param("phi_value", (TP797, F(797, 4), F(797, 4)), 20000, id="psi_value"),
-    ("phi_value", (TP797, 797, 0), 20000),
-    ("delta_value", (TP797, -797), 20000),
-    pytest.param("theorem_sum", (4, 1, 797), 20000, id="lhs_theorem1"),
-    pytest.param("theorem_sum", (4, 1, 797, True), 20000, id="lhs_theorem2"),
-    ("dual_reduction_sum", (TheoremParams(4, 2, 797),), 20000),
+    pytest.param("phi_value", (TP797, F(797, 4), F(797, 4)), 8000, id="psi_value"),
+    ("phi_value", (TP797, 797, 0), 3000),
+    ("delta_value", (TP797, -797), 8000),
+    pytest.param("theorem_sum", (4, 1, 797), 8000, id="lhs_theorem1"),
+    pytest.param("theorem_sum", (4, 1, 797, True), 8000, id="lhs_theorem2"),
+    ("dual_reduction_sum", (TheoremParams(4, 2, 797),), 8000),
     # The guo, sun-e, sun-bernoulli and dflst sums: theorem_sum at each check's point.
-    pytest.param("theorem_sum", verify.CHECKS["guo"].point(6, 599), 20000, id="guo_sum"),
-    pytest.param("theorem_sum", verify.CHECKS["sun-e"].point(101), 20000, id="sun_e_sum"),
-    pytest.param("theorem_sum", verify.CHECKS["sun-bernoulli"].point(797, 4), 20000,
+    pytest.param("theorem_sum", verify.CHECKS["guo"].point(6, 599), 8000, id="guo_sum"),
+    pytest.param("theorem_sum", verify.CHECKS["sun-e"].point(101), 8000, id="sun_e_sum"),
+    pytest.param("theorem_sum", verify.CHECKS["sun-bernoulli"].point(797, 4), 8000,
                  id="sun_bernoulli_lhs"),
-    pytest.param("theorem_sum", verify.CHECKS["dflst"].point(3, 211), 4000, id="dflst_sum"),
-    pytest.param("theorem_sum", (*verify.CHECKS["dflst"].point(3, 211), True), 4000,
+    pytest.param("theorem_sum", verify.CHECKS["dflst"].point(3, 211), 1000, id="dflst_sum"),
+    pytest.param("theorem_sum", (*verify.CHECKS["dflst"].point(3, 211), True), 1000,
                  id="dflst_dual"),
     # Over L = lcm(1..796) or a power of it, psi/phi about 2.3k bits; the Taylor delta and the
     # offset lemmas over the offset walk's denominator, far wider.
     ("taylor_values", (TP797,), 1000),
     ("second_order_sum", (TP797,), 1000),
     ("lemma_sums", (TP797,), 1000),
-    # At q > 1 the lemmas also read H_{q-1} and H2_{q-1} over (q-1)! and its square.
+    # At q > 1 the lemmas also read H_{q-1} and H2_{q-1}, each over its head tree's own
+    # denominator.
     pytest.param("lemma_sums", (TheoremParams(8, 3, 401),), 600, id="lemma_sums-head"),
     # The Upsilon coefficients are exact zeros in range; out of range all six are nonzero.
     ("upsilon_coefficients", (TheoremParams(4, 300, 797, exploratory=True),), 1000),
@@ -763,7 +787,8 @@ def test_public_scalar_evaluators_reduce_no_sum_by_a_gcd(monkeypatch, clear_memo
     for value in values if isinstance(values, tuple) else [values]:
         assert type(value) is Unreduced
         assert max(value.num.bit_length(), value.den.bit_length()) > bits
-    assert _widest_gcd(monkeypatch, clear_memos, lambda: fn(*args)) < bits
+    widest, _ = _widest_gcd(monkeypatch, clear_memos, lambda: fn(*args))
+    assert widest < bits
 
 
 def test_verify_reads_series_only_by_public_names_and_builds_no_pair():
