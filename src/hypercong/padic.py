@@ -290,20 +290,26 @@ def bernoulli(m: int) -> Fraction:
 RESIDUE_CAP = 10**6
 
 
-@lru_cache(maxsize=_PRIME_MEMO, typed=True)  # a refusal raises, so it is never cached
 def bernoulli_residue(p: int, r: int) -> Residue:
     """B_{p-3} mod p^r for a prime p >= 5, from ceil(r/2) power sums; once per (p, r).
 
     Faulhaber: S_i = sum_{j<p} j^i = sum_{e=1}^{i+1} C(i+1, e)/(i+1) B_{i+1-e} p^e, p-integral
     term by term for i < p - 1 (von Staudt-Clausen).  So B_i mod p^r is S_i/p less the terms
     e = 2..r over p: B_1 = -1/2, B_0 = 1, B_j = 0 at odd j > 1, and B_{i+1-e} mod p^(r+1-e)
-    from its own S.  Work r p above RESIDUE_CAP raises PrecisionCapExceeded.
+    from its own S.  Work r p above RESIDUE_CAP raises PrecisionCapExceeded, memoized or not.
     """
     if p < 5:
         raise PreconditionViolated(f"bernoulli_residue needs a prime p >= 5, got {_decimal(p)}")
-    m = PrimePowerModulus(p, r)
+    PrimePowerModulus(p, r)
     if r * p > RESIDUE_CAP:
         raise PrecisionCapExceeded(f"r p = {_decimal(r * p)} exceeds the residue cap {RESIDUE_CAP}")
+    return _bernoulli_residue(p, r)
+
+
+@lru_cache(maxsize=_PRIME_MEMO, typed=True)
+def _bernoulli_residue(p: int, r: int) -> Residue:
+    # bernoulli_residue after its refusals, so a cap lowered later still refuses a kept (p, r).
+    m = PrimePowerModulus(p, r)
     b = {0: 1, 1: (m.modulus - 1) // 2}  # B_i mod p^(r+i+3-p); (p^r - 1)/2 = -1/2 mod each
     for i in range(p - 3 - 2 * min((r - 1) // 2, (p - 5) // 2), p - 2, 2):
         pe = p ** (r + i + 3 - p)

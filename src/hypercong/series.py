@@ -334,32 +334,39 @@ def reflection_differences(tp: TheoremParams) -> tuple[Fraction, ...]:
 
 
 def _harmonic_split(steps: list, e: int, lo: int, hi: int) -> tuple:
-    """(PU, WV, F, A, C, S0, S1, S2, SC) of steps[lo:hi], each (U, V, f, a, c) taking t to
-    t (U/V)^e, g to g + a/f and h to h + c/f^2 from t = 1, g = h = 0: PU, WV and F are the
-    products of U, V and f (PU and WV each divided by the gcds cancelled below), A = F sum a/f,
-    C = F^2 sum c/f^2, then sum t, t g, t g^2, t h after each step over W, W F, W F^2, W F^2
-    with W = WV^e.  At each combine PU1 and WV2 are divided by g = gcd(PU1, WV2), as in _split:
-    each term of each sum holds W2 or P1 = PU1^e once, so the sums stay over those products."""
+    """(PU, WV, L, A, C, S0, S1, S2, SC) of steps[lo:hi], each (U, V, f, a, c) taking t to
+    t (U/V)^e, g to g + a/f and h to h + c/f^2 from t = 1, g = h = 0: PU and WV are the
+    products of U and V (each divided by the gcds cancelled below), L the lcm of the f,
+    A = L sum a/f, C = L^2 sum c/f^2, then sum t, t g, t g^2, t h after each step over W, W L,
+    W L^2, W L^2 with W = WV^e.  A combine takes L = lcm(L1, L2) and scales each half's values
+    over L1 or L2 by x = L/L1 or L/L2 (x^2 for C, S2 and SC).  At each combine PU1 and WV2 are
+    divided by g = gcd(PU1, WV2), as in _split: each term of each sum holds W2 or P1 = PU1^e
+    once, so the sums stay over those products."""
     if hi - lo <= _LEAF:
-        pu = wv = p = w = f = 1
+        pu = wv = p = 1
         a = c = s0 = s1 = s2 = sc = 0
+        scale = lcm(*(step[2] for step in steps[lo:hi]))
         for uk, vk, fk, ak, ck in steps[lo:hi]:
-            pu, wv, uk, wk = pu * uk, wv * vk, uk**e, vk**e
-            a, c, p, wf = a * fk + ak * f, c * fk * fk + ck * f * f, p * uk, wk * fk
-            f, w, pa = f * fk, w * wk, p * a
-            s0, s1, s2, sc = s0 * wk + p, s1 * wf + pa, s2 * wf * fk + pa * a, sc * wf * fk + p * c
-        return pu, wv, f, a, c, s0, s1, s2, sc
+            r, wk = scale // fk, vk**e
+            pu, wv, p, a, c = pu * uk, wv * vk, p * uk**e, a + r * ak, c + r * r * ck
+            pa = p * a
+            s0, s1, s2, sc = s0 * wk + p, s1 * wk + pa, s2 * wk + pa * a, sc * wk + p * c
+        return pu, wv, scale, a, c, s0, s1, s2, sc
     mid = (lo + hi) // 2
-    pu1, wv1, f1, a1, c1, s01, s11, s21, sc1 = _harmonic_split(steps, e, lo, mid)
-    pu2, wv2, f2, a2, c2, s02, s12, s22, sc2 = _harmonic_split(steps, e, mid, hi)
+    pu1, wv1, l1, a1, c1, s01, s11, s21, sc1 = _harmonic_split(steps, e, lo, mid)
+    pu2, wv2, l2, a2, c2, s02, s12, s22, sc2 = _harmonic_split(steps, e, mid, hi)
     g = math.gcd(pu1, wv2)
     pu1, wv2 = pu1 // g, wv2 // g
     p1, w2 = pu1**e, wv2**e
-    ff1, ff2, wf, x, y = f1 * f1, f2 * f2, w2 * f2, a1 * f2 * s02, s12 * f1
-    return (pu1 * pu2, wv1 * wv2, f1 * f2, a1 * f2 + a2 * f1, c1 * ff2 + c2 * ff1,
-            s01 * w2 + p1 * s02, s11 * wf + p1 * (x + y),
-            s21 * wf * f2 + p1 * (a1 * f2 * (x + 2 * y) + s22 * ff1),
-            sc1 * wf * f2 + p1 * (c1 * s02 * ff2 + sc2 * ff1))
+    scale = lcm(l1, l2)
+    x1, x2 = scale // l1, scale // l2
+    xx1, xx2 = x1 * x1, x2 * x2
+    a1, c1, wx, wxx = a1 * x1, c1 * xx1, w2 * x1, w2 * xx1
+    x, y = a1 * s02, s12 * x2
+    return (pu1 * pu2, wv1 * wv2, scale, a1 + a2 * x2, c1 + c2 * xx2,
+            s01 * w2 + p1 * s02, s11 * wx + p1 * (x + y),
+            s21 * wxx + p1 * (a1 * (x + 2 * y) + s22 * xx2),
+            sc1 * wxx + p1 * (c1 * s02 + sc2 * xx2))
 
 
 @lru_cache(maxsize=_MEMO, typed=True)
@@ -388,7 +395,7 @@ def _binomial_sums(n: int, q: int, last: int, plus: int, minus: int = 0,
 
 @lru_cache(maxsize=_MEMO, typed=True)
 def _offset_walk(tp: TheoremParams) -> tuple[int, int, int, int, int]:
-    """(S0, S1, S2, Sh, D) over k = 0..p-q, all over D = W F^2 of _harmonic_split, for
+    """(S0, S1, S2, Sh, D) over k = 0..p-q, all over D = W L^2 of _harmonic_split, for
     t_k = (c)_k^n/(1)_k^n, c = q - p/n, g_k = sum_{i<k} 1/(c+i) - 1/(1+i) and h_k its squares.
     Step k is the theorem1 walk's n-th root, (nk-e, nk) up to a factor common to both, then
     (f, a, c) = ((nk-e)k, e, e(2nk-e)), e = p-n(q-1)."""
@@ -397,9 +404,9 @@ def _offset_walk(tp: TheoremParams) -> tuple[int, int, int, int, int]:
     roots, m = _root_steps(_theorem_factors(n, q, p, False), p - q)  # m = n
     steps = [(u, v, (n * k - e) * k, e, e * (2 * n * k - e))
              for k, (u, v) in enumerate(roots, 1)]
-    _, wv, f, _, _, s0, s1, s2, sc = _harmonic_split(steps, m, 0, len(steps))
-    w = wv**m
-    return (w * (p >= q) + s0) * f * f, s1 * f, s2, sc, w * f * f  # no t_0 term when p < q
+    _, wv, scale, _, _, s0, s1, s2, sc = _harmonic_split(steps, m, 0, len(steps))
+    w, square = wv**m, scale * scale
+    return (w * (p >= q) + s0) * square, s1 * scale, s2, sc, w * square  # no t_0 term when p < q
 
 
 def taylor_values(tp: TheoremParams) -> tuple[Unreduced, Unreduced, Unreduced]:

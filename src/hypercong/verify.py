@@ -55,14 +55,14 @@ __all__ = [
 # before any sum is built, its domain: given those arguments, is the check defined, that domain
 # in words, and its point: the (n, q, p) of the theorem sum it reads (series.theorem_sum), or
 # of its tuple.  At each cap one call takes about a minute or less (2 vCPUs, Python 3.11, one
-# run each in a fresh process): theorem1 and theorem2 3 to 4 s at (4, 1, 199999), guo 3 s at
-# (4, 199999), sun-bernoulli 5 s at (249989, 4), dflst 12 s and 53 MB peak RSS at (4, 249989),
-# sun-e 19 s at 1009, taylor 45 s and 30 MB at (4, 1, 29989), lemmas 51 to 55 s and 27 MB at
-# (4, q, 24989), q = 2..4 (28 s at q = 1, one pass), identities 3 s at (4, 1, 9973).  The sums
-# are cheap next to those caps since the product trees cancel common factors; the integer-weight
-# loop of taylor, lemmas and identities is still quadratic in p.  Each was timed at exponent 4
-# (sun-e's is p + 1) and q <= 4 (dflst's q is about p/n), so a check also refuses p times n or
-# d, or q's bit length, above 4 times its cap.
+# run each in a fresh process, two for taylor and lemmas): theorem1 and theorem2 3 to 4 s at
+# (4, 1, 199999), guo 3 s at (4, 199999), sun-bernoulli 5 s at (249989, 4), dflst 12 s and 53 MB
+# peak RSS at (4, 249989), sun-e 19 s at 1009, taylor 41 to 50 s and 26 MB at (4, 1, 29989),
+# lemmas 45 to 67 s and 25 MB at (4, q, 24989), q = 2..4 (24 to 27 s at q = 1, one pass),
+# identities 3 s at (4, 1, 9973).  The sums are cheap next to those caps since the product trees
+# cancel common factors; the integer-weight loop of taylor, lemmas and identities is still
+# quadratic in p.  Each was timed at exponent 4 (sun-e's is p + 1) and q <= 4 (dflst's q is about
+# p/n), so a check also refuses p times n or d, or q's bit length, above 4 times its cap.
 Check = namedtuple("Check", "params function required_ord cap domain words point")
 _TRIPLE = ("n", "q", "p")
 

@@ -240,7 +240,6 @@ def _assert_a_sweep_refuses_a_right_side_above_the_residue_cap(monkeypatch, caps
     def never(*args):
         raise AssertionError("built above the cap")
 
-    padic.bernoulli_residue.cache_clear()  # a memoized residue is not asked for again
     monkeypatch.setattr(padic, "_block_polynomial", never)
     monkeypatch.setattr(padic, "pow", never, raising=False)  # shadows the builtin in padic
     monkeypatch.setattr(padic, "RESIDUE_CAP", work - 1)
@@ -607,7 +606,7 @@ def test_sweep_units_go_longest_prime_first_one_point_at_a_time():
 
 
 @pytest.mark.parametrize("check, memo, least", [("dflst", "_block_polynomial", 5),
-                                                ("sun-bernoulli", "bernoulli_residue", 5)])
+                                                ("sun-bernoulli", "_bernoulli_residue", 5)])
 def test_a_sweep_computes_each_primes_right_side_once(monkeypatch, check, memo, least):
     # dflst's Morita G(t) at (p, 3), sun-bernoulli's B_{p-3} mod p^r at r = 2 for every unit
     # and at r = 4 for the few whose valuation is 6 or more: one computation per argument

@@ -62,16 +62,26 @@ def test_is_prime_memo_is_bounded_typed_and_keeps_no_refusal():
 
 
 def test_bernoulli_residue_memo_is_bounded_typed_and_keeps_no_refusal():
-    assert bernoulli_residue.cache_parameters() == {"maxsize": padic._PRIME_MEMO, "typed": True}
-    bernoulli_residue.cache_clear()
+    memo = padic._bernoulli_residue
+    assert memo.cache_parameters() == {"maxsize": padic._PRIME_MEMO, "typed": True}
+    memo.cache_clear()
     for _ in range(2):
         for args, error in [((3, 2), PreconditionViolated), ((9, 2), NotPrime),
                             ((7.0, 2), TypeError), ((7, True), TypeError), ((7, 0), ValueError),
                             ((7, 10**6), PrecisionCapExceeded)]:
             with pytest.raises(error):
                 bernoulli_residue(*args)
-    assert bernoulli_residue.cache_info().currsize == 0
+    assert memo.cache_info().currsize == 0
     assert bernoulli_residue(7, 2) is bernoulli_residue(7, 2)  # a frozen Residue, shared
+
+
+def test_a_lowered_cap_refuses_a_memoized_bernoulli_residue(monkeypatch):
+    # The cap is read at call time, before the memo: a residue kept from an earlier call is
+    # refused once RESIDUE_CAP falls below its work r p = 62.
+    assert bernoulli_residue(31, 2) == reduce_mod(bernoulli(28), PrimePowerModulus(31, 2))
+    monkeypatch.setattr(padic, "RESIDUE_CAP", 61)
+    with pytest.raises(PrecisionCapExceeded, match=r"^r p = 62 exceeds the residue cap 61$"):
+        bernoulli_residue(31, 2)
 
 
 def test_morita_block_polynomial_memo_is_bounded_typed_and_keeps_no_refusal():

@@ -8,7 +8,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from unittest.mock import patch
 
 import pytest
@@ -544,9 +544,10 @@ def test_harmonic_sums_at_a_zero_base_and_with_no_terms():
 
 
 # Steps (U, V, f, a, c) of the offset walk's product tree, each taking t to t (U/V)^e for an
-# exponent e: U and V nonzero, f positive.
+# exponent e: U, V and f nonzero, f of either sign, as the walk's f = (nk - e) k is negative
+# while nk < e.
 _nonzero = st.integers(-999, 999).filter(bool)
-harmonic_steps = st.lists(st.tuples(_nonzero, _nonzero, st.integers(1, 99),
+harmonic_steps = st.lists(st.tuples(_nonzero, _nonzero, st.integers(-99, 99).filter(bool),
                                     st.integers(-999, 999), st.integers(-999, 999)), max_size=40)
 
 
@@ -562,12 +563,12 @@ def _folded_node(steps, e):
 
 
 def _node_values(node, e):
-    # A node's values over its own denominators: (PU/WV)^e, F, A/F, C/F^2 and the four sums
-    # over W, W F, W F^2 and W F^2, W = WV^e.
-    pu, wv, f, a, c, s0, s1, s2, sc = node
-    w = wv**e
-    return F(pu, wv) ** e, f, F(a, f), F(c, f * f), F(s0, w), F(s1, w * f), F(s2, w * f * f), \
-        F(sc, w * f * f)
+    # A node's values over its own denominators: (PU/WV)^e, L, A/L, C/L^2 and the four sums
+    # over W, W L, W L^2 and W L^2, W = WV^e.
+    pu, wv, scale, a, c, s0, s1, s2, sc = node
+    w, square = wv**e, scale * scale
+    return F(pu, wv) ** e, scale, F(a, scale), F(c, square), F(s0, w), F(s1, w * scale), \
+        F(s2, w * square), F(sc, w * square)
 
 
 @settings(max_examples=150)
@@ -575,9 +576,9 @@ def _node_values(node, e):
 def test_the_offset_walk_node_equals_a_fraction_fold(steps, e):
     node = series._harmonic_split(steps, e, 0, len(steps))
     g, h, sums = _folded_node(steps, e)
-    ratio, f, *values = _node_values(node, e)
+    ratio, scale, *values = _node_values(node, e)
     assert ratio == prod(F(step[0], step[1]) for step in steps) ** e
-    assert f == prod(step[2] for step in steps)
+    assert scale == lcm(*(step[2] for step in steps))
     assert values == [g, h, *sums]
     # PU and WV are the root products divided by one positive integer, the cancelled gcds.
     pu, wv = node[:2]
@@ -792,7 +793,8 @@ def test_every_leaf_size_gives_the_same_value_dividing_the_stepwise_pair(clear_m
 
 
 # The cancelled pairs, by size: at (4, 1, 797) the one-step walk's theorem1 denominator has
-# 32483 bits, the dual's 35338 and the offset walk's D = W F^2 60479.
+# 32483 bits, the dual's 35338 and the offset walk's W F^2 60479, F the product of the steps'
+# f, or W L^2 37060, L their lcm.
 TP797 = TheoremParams(4, 1, 797)
 
 
@@ -807,13 +809,15 @@ def test_cancelling_narrows_the_theorem_sums_denominator(dual, share):
 
 
 def test_cancelling_narrows_the_offset_walks_denominator():
+    # D divides W L^2, L the lcm of the steps' f, and is at most 15000 bits wide, where the
+    # product of the f in place of L gave 37812.
     n, q, p = TP797.n, TP797.q, TP797.p
     e = p - n * (q - 1)
     w = prod(v for _, v in _ratio_steps(series._theorem_factors(n, q, p, False), p - q))
-    f = prod((n * k - e) * k for k in range(1, p - q + 1))
+    scale = lcm(*((n * k - e) * k for k in range(1, p - q + 1)))
     *_, den = series._offset_walk(TP797)
-    assert (w * f * f) % den == 0
-    assert 3 * den.bit_length() <= 2 * (w * f * f).bit_length()
+    assert (w * scale * scale) % den == 0
+    assert den.bit_length() <= 15000
 
 
 def _harmonic_reference(m, count):

@@ -665,7 +665,7 @@ def test_sun_bernoulli_above_the_residue_cap_is_refused_before_any_power_sum(mon
     def never(*args, **kwargs):
         raise AssertionError("built above the cap")
 
-    padic.bernoulli_residue.cache_clear()
+    padic._bernoulli_residue.cache_clear()
     monkeypatch.setattr(verify, "theorem_sum", never)
     monkeypatch.setattr(padic, "pow", never, raising=False)  # shadows the builtin in padic
     monkeypatch.setattr(padic, "RESIDUE_CAP", 61)
@@ -894,6 +894,23 @@ def test_taylor_and_identities_known_answers_beyond_the_grid():
     assert identities["identities/upsilon-jet"].achieved_ord == math.inf
     assert all(r.verdict is Verdict.HOLDS for r in taylor + list(identities.values())
                if r.check_id != "identities/dual-reduction")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,q,p,lemmas,taylor", [
+    (4, 1, 4001, [math.inf, 2, 2, math.inf, math.inf, 3, 2], [3, 3, 6]),
+    (8, 3, 4001, [1, 1, 1, 2, 1, 2, 1], [3, 3, 4]),
+], ids=["4-1-4001", "8-3-4001"])
+def test_lemmas_and_taylor_known_answers_on_long_offset_walks(clear_memos, n, q, p, lemmas,
+                                                              taylor):
+    # About 1 s.  The offset walk's 4000 steps put its tree's lcm of the step denominators far
+    # below their product, and both checks read its sums: every report holds, with residue 0
+    # at its required order.
+    tp = TheoremParams(n, q, p)
+    reports = [verify_lemma_suite(tp), verify_taylor(tp)]
+    assert [[r.achieved_ord for r in rs] for rs in reports] == [lemmas, taylor]
+    assert all(r.verdict is Verdict.HOLDS and r.residue_at_required.value == 0
+               for rs in reports for r in rs)
 
 
 @pytest.mark.parametrize("check", sorted(verify.CHECKS))
