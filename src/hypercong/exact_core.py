@@ -1,7 +1,8 @@
 """Exact rational combinatorics: Pochhammer symbols, harmonic numbers,
 shifted power sums and generalized binomial coefficients.
 
-Every function here is a pure total map over arbitrary-precision rationals.
+Every function here is a pure total map over arbitrary-precision rationals, and the
+module keeps no table: ``harmonic`` is ``shifted_power_sum`` at base 1, summed afresh.
 :class:`fractions.Fraction` already guarantees the normal form we rely on
 everywhere: lowest terms, positive denominator, zero stored as 0/1.
 """
@@ -39,11 +40,6 @@ def pochhammer(x, k: int) -> Fraction:
     return result
 
 
-# Prefix sums of 1/j^m keyed by the order m.  Grown copy-on-write so that a
-# concurrent reader always sees a fully built list.
-_HARMONIC_PREFIX: dict[int, list[Fraction]] = {}
-
-
 def harmonic(k: int, m: int = 1) -> Fraction:
     """Harmonic number of order m: H_k^{(m)} = sum_{j=1}^{k} 1/j^m (0 for k = 0); ints k, m."""
     if type(k) is not int or type(m) is not int:  # True would read H_1, 2.0 fail inside
@@ -53,15 +49,7 @@ def harmonic(k: int, m: int = 1) -> Fraction:
         raise ValueError("harmonic index must be nonnegative")
     if m < 1:
         raise ValueError("harmonic order must be positive")
-    prefix = _HARMONIC_PREFIX.get(m)
-    if prefix is None or len(prefix) <= k:
-        grown = list(prefix) if prefix else [Fraction(0)]
-        while len(grown) <= k:
-            j = len(grown)
-            grown.append(grown[-1] + Fraction(1, j**m))
-        _HARMONIC_PREFIX[m] = grown
-        prefix = grown
-    return prefix[k]
+    return shifted_power_sum(ShiftedSumSpec(1, m, k))
 
 
 @dataclass(frozen=True)

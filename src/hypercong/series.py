@@ -235,9 +235,9 @@ def _root_steps(factors: Sequence[tuple], last: int) -> tuple[list, int]:
     return _ratio_steps([(c, m // e) for c, m in factors], last), e
 
 
-def _split(steps: list, e: int, lo: int, hi: int, spine: bool) -> tuple:
+def _split(steps: list, e: int, lo: int, hi: int) -> tuple:
     # (PU, QV, T) of the root steps[lo:hi] for _ratio_sum.  Nothing reads PU on the right
-    # spine, so it is not formed there.
+    # spine, the ranges that end at len(steps), so it is not formed there.
     if hi - lo <= _LEAF:
         pu = qv = p = 1
         t = 0
@@ -246,11 +246,11 @@ def _split(steps: list, e: int, lo: int, hi: int, spine: bool) -> tuple:
             t = t * v**e + p
         return pu, qv, t
     mid = (lo + hi) // 2
-    pu1, qv1, t1 = _split(steps, e, lo, mid, False)
-    pu2, qv2, t2 = _split(steps, e, mid, hi, spine)
+    pu1, qv1, t1 = _split(steps, e, lo, mid)
+    pu2, qv2, t2 = _split(steps, e, mid, hi)
     g = math.gcd(pu1, qv2)
     pu1, qv2 = pu1 // g, qv2 // g
-    return None if spine else pu1 * pu2, qv1 * qv2, t1 * qv2**e + pu1**e * t2
+    return None if hi == len(steps) else pu1 * pu2, qv1 * qv2, t1 * qv2**e + pu1**e * t2
 
 
 @lru_cache(maxsize=_MEMO, typed=True)
@@ -269,7 +269,7 @@ def _ratio_sum(factors: tuple, last: int, first: int = 1) -> Unreduced:
     if last < 0:
         return Unreduced(0)
     steps, e = _root_steps(factors, last)
-    _, qv, t = _split(steps, e, 0, len(steps), True)
+    _, qv, t = _split(steps, e, 0, len(steps))
     q = qv**e
     return Unreduced(first * (q + t), q)
 
@@ -439,12 +439,9 @@ def lemma_sums(tp: TheoremParams) -> tuple[Unreduced, ...]:
     s0, t1, t2, th, shifted = _binomial_sums(n, q, p - q, q)
     _, a1, a2, ah, plain = _binomial_sums(n, q, p - q, 1)  # H_k; at q = 1 the same pass
     e, a, b = 1, 0, 0  # H_{q-1} = a/e, H2_{q-1} = b/e^2: none at q = 1, nor at q > p (no weights)
-    if 1 < q <= p:  # sums of 1/(1+k)^m over k < q-1 on the product tree, one root walk for both
-        roots, _ = _root_steps(((1, 2), (2, -2)), q - 2)
-        (_, d, a), (_, d2, b) = (_split(roots, m, 0, len(roots), True) for m in (1, 2))
-        d2 **= 2  # each tree's own denominator, QV^m, read as it comes
-        e = d * (d2 // math.gcd(d2, d * d))  # a multiple of d whose square d2 divides
-        a, b = (a + d) * (e // d), (b + d2) * (e * e // d2)
+    if 1 < q <= p:  # the L, A and C of one offset-tree node over steps j = 1..q-1 of f = j
+        _check_walk(q - 1, 1)
+        _, _, e, a, b, *_ = _harmonic_split([(1, 1, j, 1, 1) for j in range(1, q)], 1, 0, q - 1)
     g, h, scale = a * shifted, b * shifted**2, e * shifted  # H_{q+k-1} over scale = e L'
     s1, s2, sh = g * s0 + e * t1, g * g * s0 + 2 * g * e * t1 + e * e * t2, h * s0 + e * e * th
     _, o1, o2, _, den = _offset_walk(tp)

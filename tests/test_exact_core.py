@@ -15,6 +15,7 @@ from hypercong.exact_core import (
     shifted_power_sum,
 )
 from hypercong.series import HyperSeriesSpec, truncated_pfq
+from references import harmonic_prefix
 
 F = Fraction
 
@@ -82,10 +83,12 @@ def test_harmonic_rejects_bad_arguments():
 
 
 def test_harmonic_agrees_with_shifted_power_sum():
+    # harmonic is shifted_power_sum at base 1: both are held to one running Fraction sum.
     for m in (1, 2, 3):
+        prefix = harmonic_prefix(100, m)
         for k in range(101):
             spec = ShiftedSumSpec(F(1), m, k)
-            assert harmonic(k, m) == shifted_power_sum(spec)
+            assert harmonic(k, m) == shifted_power_sum(spec) == prefix[k]
 
 
 def test_shifted_power_sum_empty():

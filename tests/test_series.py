@@ -44,6 +44,7 @@ from hypercong.series import (
 )
 import jet_fold
 from jet_fold import _REDUCE_EVERY, _product_jet, delta_jet, phi_jet, upsilon_jet
+from references import harmonic_prefix
 
 F = Fraction
 
@@ -820,37 +821,39 @@ def test_cancelling_narrows_the_offset_walks_denominator():
     assert den.bit_length() <= 15000
 
 
-def _harmonic_reference(m, count):
-    return sum(F(1, k**m) for k in range(1, count + 1))
-
-
 @pytest.mark.parametrize("n,q,p", [(3, q, p) for q in range(2, 7) for p in (5, 13, 31)]
                          + [(4, 6, 29), (4, 6, 97), (8, 3, 401)])
 def test_the_lemma_heads_harmonic_numbers_are_the_fraction_ones(n, q, p):
-    # The H_{q-1} head of lemma_sums reads each of its two trees' own denominator: the first
-    # sum is H2_{q-1} S, S the sum of the weights w_k = (q)_k^n/(1)_k^n, and the fourth
-    # sum w_k (H_k - H_{q+k-1}).
+    # The H_{q-1} and H2_{q-1} head of lemma_sums is one offset-tree node over lcm(1..q-1):
+    # the first sum is H2_{q-1} S, S the sum of the weights w_k = (q)_k^n/(1)_k^n, and the
+    # fourth sum w_k (H_k - H_{q+k-1}).
     tp = TheoremParams(n, q, p, exploratory=True)
     weights = [F(prod(range(q, q + k)), factorial(k)) ** n for k in range(p - q + 1)]
-    h, h2 = (_harmonic_reference(m, q - 1) for m in (1, 2))
+    h, h2 = harmonic_prefix(max(p, q)), harmonic_prefix(max(p, q), 2)
     sums = series.lemma_sums(tp)
-    assert _fraction(sums[0]) == h2 * sum(weights)
-    assert _fraction(sums[1]) == sum(w * (h2 + sum(F(1, (q + i) ** 2) for i in range(k)))
+    assert _fraction(sums[0]) == h2[q - 1] * sum(weights)
+    assert _fraction(sums[1]) == sum(w * (h2[q - 1] + sum(F(1, (q + i) ** 2) for i in range(k)))
                                      for k, w in enumerate(weights))
-    assert _fraction(sums[3]) == sum(w * (_harmonic_reference(1, k) - h
-                                          - sum(F(1, q + i) for i in range(k)))
+    assert _fraction(sums[3]) == sum(w * (h[k] - h[q - 1] - sum(F(1, q + i) for i in range(k)))
                                      for k, w in enumerate(weights))
 
 
-@pytest.mark.parametrize("n,q,p", [(3, 7, 5), (4, 30, 29), (5, 100, 7)])
-def test_the_lemma_head_is_not_formed_above_p(monkeypatch, n, q, p):
-    # At q > p there are no weights: every lemma sum of the weights is 0, and no tree runs.
-    def never(*args):
-        raise AssertionError("a head tree ran")
+@pytest.mark.parametrize("n,q,p", [(3, 7, 5), (4, 30, 29), (5, 100, 7), (3, 10**8, 7)])
+def test_the_lemma_head_is_not_formed_above_p(monkeypatch, clear_memos, n, q, p):
+    # At q > p there are no weights: every lemma sum of the weights is 0, and no head node
+    # is built.  The offset walk's own node there has no steps.  At q = 10^8, above
+    # WALK_CAP, a head would be refused.
+    sizes = []
+    split = series._harmonic_split
 
-    monkeypatch.setattr(series, "_split", never)
+    def counted(steps, *args):
+        sizes.append(len(steps))
+        return split(steps, *args)
+
+    monkeypatch.setattr(series, "_harmonic_split", counted)
     sums = series.lemma_sums(TheoremParams(n, q, p, exploratory=True))
     assert all(not value for value in sums[:5])
+    assert sizes == [0]
 
 
 # --- the unreduced sums verify reads, against the reducing oracles ------------
@@ -937,10 +940,10 @@ BIG_P = TheoremParams(4, 1, 10**9 + 7)
     # exponent.
     (lambda: theorem_sum(4, 1, 400009), "400008", "4"),
     (lambda: series._offset_walk(TheoremParams(4, 1, 400009)), "400008", "4"),
-    # A walk of 8 steps whose H_{q-1} head would take p - 10: its two trees, of 1/(1+k) and
-    # 1/(1+k)^2, share one root walk, refused at the full exponent 2.
+    # A walk of 8 steps whose H_{q-1} head would take q - 1 = p - 9 steps of 1/j and 1/j^2
+    # in one node, refused at exponent 1 before the steps are built.
     (lambda: series.lemma_sums(TheoremParams(4, 999999929, 999999937, exploratory=True)),
-     "999999927", "2"),
+     "999999928", "1"),
 ], ids=["theorem_sum", "huge-n", "karlsson_minton_sum", "reflection_differences",
         "taylor_values", "lemma_sums", "upsilon_coefficients", "_offset_walk", "theorem_sum-root",
         "_offset_walk-root", "lemma_sums-head"])

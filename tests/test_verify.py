@@ -18,7 +18,6 @@ from hypercong.errors import (
     PrecisionCapExceeded,
     ZeroDenominator,
 )
-from hypercong.exact_core import harmonic
 from hypercong import cli, jets, padic, series, verify
 from hypercong.padic import (
     PrimePowerModulus,
@@ -44,6 +43,7 @@ from hypercong.verify import (
     verify_theorem2,
 )
 import jet_fold
+from references import harmonic_prefix
 
 F = Fraction
 
@@ -389,12 +389,13 @@ def _reference_lemma_values(tp):
             raise ZeroDenominator(f"offset base {c} + {i} vanishes")
         gaps.append(gaps[-1] + 1 / (c + i) - F(1, i + 1))
         offset.append(offset[-1] * ((c + i) / (i + 1)) ** n)
+    h, h2 = harmonic_prefix(max(p, q)), harmonic_prefix(max(p, q), 2)
     return [
-        harmonic(q - 1, 2) * sum(plain),
-        sum(plain[k] * harmonic(q + k - 1, 2) for k in range(count)),
-        sum(plain[k] * harmonic(k, 2) for k in range(count)),
-        sum(plain[k] * (harmonic(k) - harmonic(q + k - 1)) for k in range(count)),
-        sum(plain[k] * (harmonic(k) ** 2 - harmonic(q + k - 1) ** 2) for k in range(count)),
+        h2[q - 1] * sum(plain),
+        sum(plain[k] * h2[q + k - 1] for k in range(count)),
+        sum(plain[k] * h2[k] for k in range(count)),
+        sum(plain[k] * (h[k] - h[q + k - 1]) for k in range(count)),
+        sum(plain[k] * (h[k] ** 2 - h[q + k - 1] ** 2) for k in range(count)),
         sum(t * g for t, g in zip(offset, gaps)),
         sum(t * g * g for t, g in zip(offset, gaps)),
     ]
@@ -412,7 +413,8 @@ def _reference_lemma_suite(tp):
 
 def _reference_second_order(tp):
     n, q, p = tp.n, tp.q, tp.p
-    return sum(math.comb(q + k - 1, k) ** n * (harmonic(q + k - 1, 2) - harmonic(q - 1, 2))
+    h2 = harmonic_prefix(max(p, q), 2)
+    return sum(math.comb(q + k - 1, k) ** n * (h2[q + k - 1] - h2[q - 1])
                for k in range(p - q + 1))
 
 
@@ -766,8 +768,8 @@ EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's
     ("taylor_values", (TP797,), 1000),
     ("second_order_sum", (TP797,), 1000),
     ("lemma_sums", (TP797,), 1000),
-    # At q > 1 the lemmas also read H_{q-1} and H2_{q-1}, each over its head tree's own
-    # denominator.
+    # At q > 1 the lemmas also read H_{q-1} and H2_{q-1}, from one offset-tree node over
+    # lcm(1..q-1).
     pytest.param("lemma_sums", (TheoremParams(8, 3, 401),), 600, id="lemma_sums-head"),
     # The Upsilon coefficients are exact zeros in range; out of range all six are nonzero.
     ("upsilon_coefficients", (TheoremParams(4, 300, 797, exploratory=True),), 1000),
