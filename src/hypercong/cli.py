@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -212,7 +213,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     else:
         batches = [_run_unit(u) for u in units]
     reports = sorted((r for batch in batches for r in batch), key=_sort_key)
-    summary = {v.value: sum(r.verdict is v for r in reports) for v in Verdict}
+    tally = Counter(r.verdict for r in reports)  # one pass; every verdict keeps its key
+    summary = {v.value: tally[v] for v in Verdict}
     return SweepResult(spec, tuple(reports), summary)
 
 

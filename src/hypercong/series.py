@@ -42,6 +42,7 @@ __all__ = [
     "truncated_pfq",
     "karlsson_minton_sum",
     "phi_value",
+    "offset_sum",
     "delta_value",
     "theorem_sum",
     "dual_reduction_sum",
@@ -235,18 +236,22 @@ def _root_steps(factors: Sequence[tuple], last: int) -> tuple[list, int]:
     return _ratio_steps([(c, m // e) for c, m in factors], last), e
 
 
-def _split(steps: list, e: int, lo: int, hi: int) -> tuple:
+def _split(steps: list, e: int, lo: int, hi: int, head: tuple | None = None) -> tuple:
     # (PU, QV, T) of the root steps[lo:hi] for _ratio_sum.  Nothing reads PU on the right
-    # spine, the ranges that end at len(steps), so it is not formed there.
-    if hi - lo <= _LEAF:
+    # spine, the ranges that end at len(steps), so it is not formed there.  head = (mid, node)
+    # hands in the node of steps[lo:mid], built before: the range joins it to steps[mid:hi].
+    if head:
+        mid, (pu1, qv1, t1) = head
+    elif hi - lo <= _LEAF:
         pu = qv = p = 1
         t = 0
         for u, v in steps[lo:hi]:
             pu, qv, p = pu * u, qv * v, p * u**e
             t = t * v**e + p
         return pu, qv, t
-    mid = (lo + hi) // 2
-    pu1, qv1, t1 = _split(steps, e, lo, mid)
+    else:
+        mid = (lo + hi) // 2
+        pu1, qv1, t1 = _split(steps, e, lo, mid)
     pu2, qv2, t2 = _split(steps, e, mid, hi)
     g = math.gcd(pu1, qv2)
     pu1, qv2 = pu1 // g, qv2 // g
@@ -281,9 +286,22 @@ def phi_value(tp: TheoremParams, x, y) -> Unreduced:
     return _ratio_sum((*top, (1, -tp.n)), tp.p - tp.q)
 
 
+def offset_sum(tp: TheoremParams) -> Unreduced:
+    """psi at p/n, sum_{k=0}^{p-q} (q - p/n)_k^n / (1)_k^n: the offset walk's S0 over its D."""
+    s0, *_, den = _offset_walk(tp)
+    return Unreduced(s0, den)
+
+
 def delta_value(tp: TheoremParams, x) -> Unreduced:
-    """sum_{k=0}^{p-q} (q - p/n + x)_k^n / (1+x)_k^n at an exact rational x."""
+    """sum_{k=0}^{p-q} (q - p/n + x)_k^n / (1+x)_k^n at an exact rational x, 0 when p < q.
+    At x = -p it is the head of the reflected walk that dual_reduction_sum reads."""
     x = _fraction(x)
+    if x == -tp.p:
+        if tp.p < tp.q:  # the empty sum, not the head's t_0
+            return Unreduced(0)
+        _, e, _, (_, qv, t) = _reflected_walk(tp)
+        q = qv**e
+        return Unreduced(q + t, q)
     offset = tp.q - Fraction(tp.p, tp.n) + x
     return _ratio_sum(((offset, tp.n), (1 + x, -tp.n)), tp.p - tp.q)
 
@@ -301,10 +319,25 @@ def theorem_sum(n: int, q: int, p: int, dual: bool = False) -> Unreduced:
     return _ratio_sum(factors, p - 1, p**n) if dual else _ratio_sum(factors, p - 1)
 
 
+@lru_cache(maxsize=_MEMO, typed=True)
+def _reflected_walk(tp: TheoremParams) -> tuple[list, int, int, tuple]:
+    """(steps, e, cut, node): the root steps of (a)_k^n / (1-p)_k^n, a = q - p/n - p, k < p - 1,
+    the cut min(p - q, len(steps)), 0 when p < q, and the _split node of the steps before it, its
+    PU formed unless the cut ends the walk.  delta_value at -p sums to the cut, and
+    dual_reduction_sum joins the node to the steps after it."""
+    n, q, p = tp.n, tp.q, tp.p
+    steps, e = _root_steps(((q - Fraction(p, n) - p, n), (1 - p, -n)), p - 1)
+    cut = min(max(p - q, 0), len(steps))
+    return steps, e, cut, _split(steps, e, 0, cut)
+
+
 def dual_reduction_sum(tp: TheoremParams) -> Unreduced:
-    """sum_{k=0}^{p-1} (q - p/n - p)_k^n / (1-p)_k^n, the reflected dual sum."""
-    a = tp.q - Fraction(tp.p, tp.n) - tp.p
-    return _ratio_sum(((a, tp.n), (1 - tp.p, -tp.n)), tp.p - 1)
+    """sum_{k=0}^{p-1} (q - p/n - p)_k^n / (1-p)_k^n, the reflected dual sum: the head that
+    delta_value reads at -p, joined to the rest of its walk."""
+    steps, e, cut, head = _reflected_walk(tp)
+    _, qv, t = head if cut == len(steps) else _split(steps, e, 0, len(steps), (cut, head))
+    q = qv**e
+    return Unreduced(q + t, q)
 
 
 def _steps_mirror(left: list, right: list, count: int) -> bool:

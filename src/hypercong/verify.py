@@ -26,6 +26,7 @@ from .series import (
     delta_value,
     dual_reduction_sum,
     lemma_sums,
+    offset_sum,
     phi_value,
     reflection_differences,
     second_order_sum,
@@ -258,13 +259,16 @@ def verify_lemma_suite(tp: TheoremParams) -> list[CongruenceReport]:
 def verify_taylor(tp: TheoremParams) -> list[CongruenceReport]:
     """Degree-2 Taylor truncations agree with the exact values mod p^3.
 
-    Checks the three displacement evaluations: the diagonal sum at p/n, the
-    two-variable sum at (p, 0) and the dual sum at -p, each against the
+    Checks the three displacement evaluations: the diagonal sum psi at p/n,
+    the two-variable sum at (p, 0) and the dual sum at -p, each against the
     degree-2 Taylor polynomial at the origin, from ``series.taylor_values``.
+    psi(p/n) is the offset walk's S0 (``series.offset_sum``), the walk the
+    Taylor values and the lemmas read; Delta(-p) is the head of the reflected
+    walk whose whole the identities' dual reduction reads.
     """
     _check_p_caps(tp.as_params(), "taylor")
-    p, x, m, params = tp.p, Fraction(tp.p, tp.n), PrimePowerModulus(tp.p, 3), tp.as_params()
-    exact = phi_value(tp, x, x), phi_value(tp, p, 0), delta_value(tp, -p)  # psi(x) = phi(x, x)
+    p, m, params = tp.p, PrimePowerModulus(tp.p, 3), tp.as_params()
+    exact = offset_sum(tp), phi_value(tp, p, 0), delta_value(tp, -p)
     return [_tag(check_congruence(e, t, m, check_id=f"taylor/{c}", params=params), tp)
             for c, e, t in zip(("psi", "phi", "delta"), exact, taylor_values(tp))]
 

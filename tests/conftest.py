@@ -3,7 +3,7 @@ import pytest
 from hypercong import series
 
 # Every memo series keeps between calls; test_series checks that none is missing here.
-MEMOS = (series._ratio_sum, series._binomial_sums, series._offset_walk)
+MEMOS = (series._ratio_sum, series._binomial_sums, series._offset_walk, series._reflected_walk)
 
 
 @pytest.fixture

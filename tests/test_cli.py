@@ -115,6 +115,15 @@ def test_theorem1_sweep_grid():
     assert result.exit_code == 0
 
 
+def test_the_summary_counts_every_verdict_in_verdict_order():
+    # Zeros included: a theorem1 grid holds, so four of the five keys count nothing.
+    result = run_sweep(spec_for(["theorem1"]))
+    assert list(result.summary) == [v.value for v in Verdict]
+    assert result.summary == {**dict.fromkeys(result.summary, 0), "holds": len(result.reports)}
+    explored = run_sweep(spec_for(["theorem1"], exploratory=True)).summary
+    assert sum(explored.values()) > len(result.reports) and explored["hypothesis_violated"]
+
+
 def test_reports_sorted_lexicographically():
     result = run_sweep(spec_for(["theorem1", "guo"], d_range=(4, 4), p_max=20))
     keys = [

@@ -27,13 +27,14 @@ from hypercong.cli import CHECK_NAMES, SweepSpec, primes_upto, render_csv, rende
 from hypercong.exact_core import ShiftedSumSpec, harmonic, pochhammer, shifted_power_sum
 from hypercong.jets import MAX_DEGREE_CAP, Jet2, pochhammer_jet
 from hypercong.padic import PrimePowerModulus, Unreduced, is_prime, ord_rational, reduce_mod
-from hypercong.verify import CHECKS
+from hypercong.verify import CHECKS, verify_exact_identities, verify_taylor
 from hypercong.series import (
     HyperSeriesSpec,
     TheoremParams,
     delta_value,
     dual_reduction_sum,
     karlsson_minton_sum,
+    offset_sum,
     phi_value,
     taylor_values,
     theorem_sum,
@@ -863,7 +864,8 @@ PAIR_GRID = [TheoremParams(n, q, p, exploratory=True)
              for n in range(3, 9) for q in range(1, 5) for p in primes_upto(31)]
 
 PAIR_EVALUATORS = {  # each public scalar evaluator verify reads: its parameters
-    phi_value: ("tp", "x", "y"), delta_value: ("tp", "x"), dual_reduction_sum: ("tp",),
+    offset_sum: ("tp",), phi_value: ("tp", "x", "y"), delta_value: ("tp", "x"),
+    dual_reduction_sum: ("tp",),
     theorem_sum: ("n", "q", "p", "dual"),
 }
 
@@ -872,7 +874,7 @@ def _pair_sums(tp):
     # (evaluator, arguments) at the points verify evaluates them for tp: the guo, sun-e,
     # sun-bernoulli and dflst sums are theorem sums at the points of verify.CHECKS.
     n, q, p = tp.n, tp.q, tp.p
-    return [(phi_value, (tp, F(p, n), F(p, n))), (phi_value, (tp, p, 0)), (delta_value, (tp, -p)),
+    return [(offset_sum, (tp,)), (phi_value, (tp, p, 0)), (delta_value, (tp, -p)),
             (theorem_sum, (n, q, p, False)), (theorem_sum, (n, q, p, True)),
             (dual_reduction_sum, (tp,)),
             *((theorem_sum, (*CHECKS[check].point(*args), dual)) for check, args, dual in [
@@ -936,6 +938,8 @@ BIG_P = TheoremParams(4, 1, 10**9 + 7)
     (lambda: series.lemma_sums(BIG_P), "1000000006", "4"),
     (lambda: upsilon_coefficients(BIG_P), "1000000006", "4"),
     (lambda: series._offset_walk(BIG_P), "1000000006", "4"),
+    (lambda: delta_value(BIG_P, -BIG_P.p), "1000000006", "4"),
+    (lambda: dual_reduction_sum(BIG_P), "1000000006", "4"),
     # The trees walk the 4th root, whose 400008 steps the cap would admit: it reads the full
     # exponent.
     (lambda: theorem_sum(4, 1, 400009), "400008", "4"),
@@ -945,7 +949,8 @@ BIG_P = TheoremParams(4, 1, 10**9 + 7)
     (lambda: series.lemma_sums(TheoremParams(4, 999999929, 999999937, exploratory=True)),
      "999999928", "1"),
 ], ids=["theorem_sum", "huge-n", "karlsson_minton_sum", "reflection_differences",
-        "taylor_values", "lemma_sums", "upsilon_coefficients", "_offset_walk", "theorem_sum-root",
+        "taylor_values", "lemma_sums", "upsilon_coefficients", "_offset_walk", "delta_value",
+        "dual_reduction_sum", "theorem_sum-root",
         "_offset_walk-root", "lemma_sums-head"])
 def test_a_walk_past_the_walk_cap_is_refused_before_it_allocates(monkeypatch, call, steps,
                                                                  exponent):
@@ -1026,19 +1031,88 @@ def _assert_integer_weight_passes(builds, tuples):
 
 
 def test_a_sequential_sweep_builds_each_shared_sum_once(memos, clear_memos):
-    # theorem1 and identities read the theorem1 sum, taylor and identities phi at (p, 0)
-    # and, at q = 1, taylor's psi at p/n is the theorem1 sum; lemmas and taylor share the
-    # offset walk, lemmas, taylor and identities the shifted sums.
+    # theorem1 and identities read the theorem1 sum, taylor and identities phi at (p, 0);
+    # lemmas and taylor share the offset walk, whose S0 is taylor's psi at p/n; taylor and
+    # identities share the reflected walk, Delta at -p its head; lemmas, taylor and identities
+    # share the shifted sums.
     triple_checks = ("theorem1", "theorem2", "lemmas", "taylor", "identities")
     spec = SweepSpec(check_ids=triple_checks, n_range=(3, 6), q_range=(1, 3), p_max=31)
     result, builds = _sweep_builds(memos, spec)
     tuples = {TheoremParams(**r.params) for r in result.reports}
-    assert {key for (memo, key) in builds if memo == "_offset_walk"} == {(tp,) for tp in tuples}
+    for memo in ("_offset_walk", "_reflected_walk"):
+        assert {key for (m, key) in builds if m == memo} == {(tp,) for tp in tuples}, memo
     _assert_integer_weight_passes(builds, tuples)
-    # Six scalar sums a tuple; at q = 1 psi is the theorem1 sum, and no dual sum is read.
-    assert sum(memo == "_ratio_sum" for memo, _ in builds) == sum(
-        6 - 2 * (tp.q == 1) for tp in tuples)
+    # Three scalar sums a tuple at any q: the two theorem sums and phi at (p, 0), no psi walk.
+    assert sum(memo == "_ratio_sum" for memo, _ in builds) == 3 * len(tuples)
+    assert {key for (memo, key) in builds if memo == "_ratio_sum"} == set().union(
+        *map(_scalar_keys, tuples))
     assert set(builds.values()) == {1}, [k for k, v in builds.items() if v > 1]
+
+
+def _scalar_keys(tp):
+    # The _ratio_sum arguments of the theorem1 and theorem2 sums and of phi at (p, 0).
+    n, q, p = tp.n, tp.q, tp.p
+    return {(series._theorem_factors(n, q, p, False), p - 1, 1),
+            (series._theorem_factors(n, q, p, True), p - 1, p**n),
+            (((q - p, 1), (q, n - 1), (1, -n)), p - q, 1)}
+
+
+# The exploratory grid n 3..8, q 1..4, p <= 97, p < q and p = n among them, and three longer walks.
+SHARED_TUPLES = [*(TheoremParams(n, q, p, exploratory=True) for n in range(3, 9)
+                   for q in range(1, 5) for p in primes_upto(97)),
+                 TheoremParams(4, 1, 797), TheoremParams(8, 3, 401), TheoremParams(6, 2, 601)]
+
+
+def test_the_shared_reads_equal_the_standalone_walks(clear_memos):
+    # taylor's psi at p/n is the offset walk's S0; Delta at -p and the dual reduction read one
+    # reflected tree, split at p - q, in either order.  Each equals its own walk, every memo
+    # emptied first, and the reflected pairs divide the one-step walk's.
+    assert len(SHARED_TUPLES) == 603
+    assert any(tp.p < tp.q for tp in SHARED_TUPLES) and any(tp.p == tp.n for tp in SHARED_TUPLES)
+    for tp in SHARED_TUPLES:
+        n, q, p = tp.n, tp.q, tp.p
+        clear_memos()
+        psi = _fraction(offset_sum(tp))
+        clear_memos()
+        assert psi == _fraction(phi_value(tp, F(p, n), F(p, n))), tp
+        clear_memos()
+        delta, dual = delta_value(tp, -p), dual_reduction_sum(tp)
+        clear_memos()
+        assert (_fraction(dual_reduction_sum(tp)), _fraction(delta_value(tp, -p))) == (
+            _fraction(dual), _fraction(delta)), tp
+        reflected = ((q - F(p, n) - p, n), (1 - p, -n))
+        for got, last in ((delta, p - q), (dual, p - 1)):
+            clear_memos()
+            assert _fraction(got) == _fraction(_ratio_sum(reflected, last)), (tp, last)
+            _assert_divides_the_stepwise_pair(got, _stepwise_sum(reflected, last), (tp, last))
+    for n, q, p in [(3, 1, 7), (4, 2, 11), (5, 3, 13), (3, 1, 3), (5, 2, 5), (3, 3, 2)]:
+        tp = TheoremParams(n, q, p, exploratory=True)
+        assert offset_sum(tp) == _oracle_sum([q - F(p, n)] * n, [F(1)] * n, p - q), tp
+
+
+def test_a_lone_taylor_walks_no_step_of_the_reflected_walk_past_its_cut(clear_memos):
+    # Delta at -p reads the tree of the steps before p - q; the dual reduction alone joins the
+    # steps after it.  Each _split call, by its step list and its first step.
+    tp = TheoremParams(8, 3, 401)
+    calls = []
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code is series._split.__code__:
+            calls.append((id(frame.f_locals["steps"]), frame.f_locals["lo"]))
+
+    sys.setprofile(spy)
+    try:
+        verify_taylor(tp)
+        head = len(calls)
+        verify_exact_identities(tp)
+    finally:
+        sys.setprofile(None)
+    walk = id(series._reflected_walk(tp)[0])  # the memo keeps the list, so its id is its own
+    starts = [lo for steps, lo in calls[:head] if steps == walk]
+    rest = [lo for steps, lo in calls[head:] if steps == walk]
+    cut = tp.p - tp.q
+    assert starts and max(starts) < cut
+    assert rest and min(rest) == 0 and cut in rest
 
 
 def test_a_sweep_of_all_nine_checks_builds_each_sum_once(memos, clear_memos):

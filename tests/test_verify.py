@@ -750,6 +750,8 @@ def _widest_gcd(monkeypatch, clear_memos, call) -> tuple[int, int]:
 
 EVALUATOR_SIZES = [  # each public scalar evaluator, its arguments and the spy's bound
     pytest.param("phi_value", (TP797, F(797, 4), F(797, 4)), 8000, id="psi_value"),
+    # taylor's psi at p/n: the offset walk's S0, over that walk's denominator.
+    ("offset_sum", (TP797,), 1000),
     ("phi_value", (TP797, 797, 0), 3000),
     ("delta_value", (TP797, -797), 8000),
     pytest.param("theorem_sum", (4, 1, 797), 8000, id="lhs_theorem1"),
@@ -896,6 +898,16 @@ def test_taylor_and_identities_known_answers_beyond_the_grid():
     assert identities["identities/upsilon-jet"].achieved_ord == math.inf
     assert all(r.verdict is Verdict.HOLDS for r in taylor + list(identities.values())
                if r.check_id != "identities/dual-reduction")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,q,p", [(8, 3, 4001), (4, 2, 4001)])
+def test_identities_known_answers_on_long_reflected_walks(clear_memos, n, q, p):
+    # About 1 s each.  At q > 1 the dual reduction joins the reflected walk's head, its p - q
+    # steps, to the q - 1 after them; every report holds, the two congruences at order 3.
+    reports = verify_exact_identities(TheoremParams(n, q, p))
+    assert [r.achieved_ord for r in reports] == [math.inf, math.inf, 3, math.inf, 3]
+    assert all(r.verdict is Verdict.HOLDS for r in reports)
 
 
 @pytest.mark.slow
